@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from .linalg import vec_sub_scaled
+from .linalg import EchelonBasis, SparseMatrix, Vector, solve
 
 Word = str
 
@@ -232,11 +232,13 @@ def ideal_membership(
     """Search for a membership certificate with all products of bounded degree.
 
     Candidates left*g*right are enumerated by total degree, then by generator
-    index, then length-lexicographically in (left, right), and their
-    coefficient vectors are inserted into an augmented echelon basis; the
-    search stops as soon as the running reduction of the target hits zero.
-    Returns None when the bound is exhausted (which proves nothing).  The
-    bound defaults to degree(target) + 4.
+    index, then length-lexicographically in (left, right).  Their word
+    coefficient vectors go into one echelon basis, which keeps the candidates
+    that enlarge its span, and the target is reduced against it after each
+    one.  Once the target reduces to zero, a single solve over the kept
+    candidates gives the certificate; they are linearly independent, so its
+    coefficients are unique.  Returns None when the bound is exhausted (which
+    proves nothing).  The bound defaults to degree(target) + 4.
     """
     if not generators:
         raise ValueError("no ideal generators given")
@@ -252,65 +254,14 @@ def ideal_membership(
     alphabet = target.alphabet
     word_index: dict[Word, int] = {}
 
-    def vec_of(p: FreePoly) -> dict[int, Fraction]:
-        v = {}
-        for w, c in p.terms.items():
-            idx = word_index.setdefault(w, len(word_index))
-            v[idx] = c
-        return v
+    def vec_of(terms: dict[Word, Fraction]) -> Vector:
+        return {word_index.setdefault(w, len(word_index)): c for w, c in terms.items()}
 
-    n_words_cap = sum(len(alphabet) ** l for l in range(degree_bound + 1))
-    hist_base = n_words_cap  # candidate-history coordinates live above words
-
-    # rows: fully reduced vectors over word coords + history coords
-    pivots: list[int] = []
-    rows: list[dict[int, Fraction]] = []
-
-    def reduce_vec(v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out = dict(v)
-        for p, row in zip(pivots, rows):
-            c = out.get(p)
-            if c:
-                out = vec_sub_scaled(out, row, c)
-        return {i: c for i, c in out.items() if c}
-
-    def insert(v: dict[int, Fraction]) -> bool:
-        red = reduce_vec(v)
-        word_part = [i for i in red if i < hist_base]
-        if not word_part:
-            return False  # candidate is linearly dependent on earlier ones
-        p = min(word_part)
-        inv = red[p]
-        row = {i: c / inv for i, c in red.items()}
-        for other in rows:
-            c = other.get(p)
-            if c:
-                upd = vec_sub_scaled(other, row, c)
-                other.clear()
-                other.update(upd)
-        k = 0
-        while k < len(pivots) and pivots[k] < p:
-            k += 1
-        pivots.insert(k, p)
-        rows.insert(k, row)
-        return True
-
-    candidates: list[tuple[Word, int, Word]] = []
-    residual = vec_of(target)  # running reduction of the target
-
-    def absorb_new_row() -> bool:
-        # keep reducing the running target residual until no pivot survives;
-        # membership holds exactly when its word part is empty
-        nonlocal residual
-        changed = True
-        while changed:
-            changed = False
-            for p, row in zip(pivots, rows):
-                c = residual.get(p)
-                if c:
-                    residual = vec_sub_scaled(residual, row, c)
-                    changed = True
-        return not any(i < hist_base and c for i, c in residual.items())
+    basis = EchelonBasis()
+    accepted: list[tuple[Word, int, Word]] = []
+    columns: list[Vector] = []
+    target_vec = vec_of(target.terms)
+    residual = target_vec  # running reduction of the target
 
     gen_degrees = [g.degree() for g in generators]
     min_total = min(gen_degrees)
@@ -322,22 +273,19 @@ def ideal_membership(
             for lu in range(side + 1):
                 for u in _words_of_length(alphabet, lu):
                     for v in _words_of_length(alphabet, side - lu):
-                        prod = {u + w + v: c for w, c in g.terms.items()}
-                        vec = vec_of(FreePoly._raw(alphabet, dict(prod)))
-                        hidx = hist_base + len(candidates)
-                        vec[hidx] = Fraction(1)
-                        candidates.append((u, gi, v))
-                        if insert(vec) and absorb_new_row():
-                            combo = {
-                                i - hist_base: -c
-                                for i, c in residual.items()
-                                if i >= hist_base and c
-                            }
-                            triples = tuple(
-                                (combo[t], candidates[t][0], candidates[t][1], candidates[t][2])
-                                for t in sorted(combo)
-                            )
-                            cert = MembershipCertificate(alphabet, tuple(generators), triples)
-                            assert cert.replay() == target
-                            return cert
+                        vec = vec_of({u + w + v: c for w, c in g.terms.items()})
+                        if not basis.insert(vec):
+                            continue  # dependent on earlier candidates
+                        accepted.append((u, gi, v))
+                        columns.append(vec)
+                        residual = basis.reduce(residual)
+                        if residual:
+                            continue
+                        matrix = SparseMatrix.from_columns(columns, len(word_index))
+                        coeffs = solve(matrix, target_vec)
+                        triples = tuple((coeffs[t], *accepted[t]) for t in sorted(coeffs))
+                        cert = MembershipCertificate(alphabet, tuple(generators), triples)
+                        if cert.replay() != target:
+                            raise ArithmeticError("certificate does not replay to the target")
+                        return cert
     return None

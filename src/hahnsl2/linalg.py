@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Every coefficient in this package is a ``fractions.Fraction``; there is no
-floating point anywhere, so results are reproducible bit for bit.  Matrices
-and echelon bases are value objects: operations return new objects and never
-mutate their inputs, which makes everything safe to share between concurrent
-verification jobs.
+floating point anywhere, so results are reproducible bit for bit.  Matrix
+operations return new matrices and never mutate their inputs.  An
+``EchelonBasis`` is the one mutable object: ``insert`` grows it in place, so
+each basis belongs to the computation that builds it.
 """
 
 from __future__ import annotations
@@ -227,6 +227,18 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+
+
+def vstack(top: SparseMatrix, bottom: SparseMatrix) -> SparseMatrix:
+    """The rows of top followed by the rows of bottom."""
+    if top.cols != bottom.cols:
+        raise ValueError("column mismatch in stack")
+    out = SparseMatrix(top.rows + bottom.rows, top.cols)
+    for r, d in top._data.items():
+        out._data[r] = dict(d)
+    for r, d in bottom._data.items():
+        out._data[top.rows + r] = dict(d)
+    return out
 
 
 class EchelonBasis:

@@ -33,12 +33,3 @@ class CheckItem:
 
 def all_pass(items: list[CheckItem]) -> bool:
     return all(item.status == PASS for item in items)
-
-
-def summarize(items: list[CheckItem]) -> dict:
-    return {
-        "total": len(items),
-        "passed": sum(1 for i in items if i.status == PASS),
-        "failed": sum(1 for i in items if i.status == FAIL),
-        "unresolved": sum(1 for i in items if i.status == UNRESOLVED),
-    }

@@ -12,7 +12,14 @@ from fractions import Fraction
 from math import comb
 
 from . import usl2
-from .linalg import SparseMatrix, eigenspace, kernel_basis, restrict_to_subspace, span_closure
+from .linalg import (
+    SparseMatrix,
+    eigenspace,
+    kernel_basis,
+    restrict_to_subspace,
+    span_closure,
+    vstack,
+)
 from .reps import SL2Rep, UeRep, classify_ue_irreducible, evaluate
 
 Vector = dict[int, Fraction]
@@ -47,11 +54,6 @@ class CubeContext:
 
     def bitstring(self, v: int) -> str:
         return format(v, f"0{self.D}b")
-
-    @staticmethod
-    def from_bitstring(bits: str, base_bits: str | None = None) -> "CubeContext":
-        D = len(bits)
-        return CubeContext(D=D, base=int(bits, 2))
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
             formula_ok = False
             continue
         b = SparseMatrix.from_columns(basis, ue.dim)
-        stacked = _stack(ue.E2 * b, (ue.Lam - ident.scale(lam_scalar)) * b)
+        stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(lam_scalar)) * b)
         tops = kernel_basis(stacked)
         mult = len(tops)
         blocks[(n, parity)] = mult
@@ -269,14 +271,3 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
         dimension_ok=(total == hctx.size),
         wedderburn_dimension=wedderburn,
     )
-
-
-def _stack(top: SparseMatrix, bottom: SparseMatrix) -> SparseMatrix:
-    if top.cols != bottom.cols:
-        raise ValueError("column mismatch in stack")
-    out = SparseMatrix(top.rows + bottom.rows, top.cols)
-    for r, c, v in top.items():
-        out._data.setdefault(r, {})[c] = v
-    for r, c, v in bottom.items():
-        out._data.setdefault(top.rows + r, {})[c] = v
-    return out

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from hahnsl2 import usl2
-from hahnsl2.freealg import FreePoly
+from hahnsl2.hahn import random_free_poly
 
 
 def random_usl2_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> usl2.USL2Element:
@@ -14,15 +14,6 @@ def random_usl2_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> us
         coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         out = out + usl2.monomial(*mono, coeff)
     return out
-
-
-def random_free_poly(rng: Random, alphabet=("A", "B"), max_terms: int = 4, max_len: int = 4) -> FreePoly:
-    terms: dict[str, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        w = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        terms[w] = terms.get(w, Fraction(0)) + c
-    return FreePoly(alphabet, terms)
 
 
 @pytest.fixture

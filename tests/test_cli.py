@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -38,6 +39,18 @@ def test_verify_hahn_json_validates_and_has_certificates(capsys):
     report = json.loads(out)
     jsonschema.validate(report, SCHEMA)
     assert report["certificates"]
+
+
+# SHA-256 of `hahnsl2 verify-hahn --degree-bound 8 --format json`.  It pins
+# every certificate coefficient and word: a change to the ideal search that
+# alters a certificate, or the report layout, must update this on purpose.
+VERIFY_HAHN_BOUND_8_SHA256 = "39c0c725df7f65032be6d37eae38680c3e35dae2e57b764367363386b04e1e8f"
+
+
+def test_verify_hahn_json_bytes_are_pinned(capsys):
+    code, out = _run(capsys, ["verify-hahn", "--degree-bound", "8", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_HAHN_BOUND_8_SHA256
 
 
 def test_verify_hahn_low_bound_exits_one(capsys):

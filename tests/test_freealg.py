@@ -6,6 +6,7 @@ import pytest
 from hahnsl2 import usl2
 from hahnsl2.freealg import (
     FreePoly,
+    MembershipCertificate,
     fcommutator,
     fmultiply,
     ideal_membership,
@@ -87,6 +88,14 @@ def test_membership_positive_and_replay():
     cert = ideal_membership(target, [g], degree_bound=6)
     assert cert is not None
     assert cert.replay() == target
+
+
+def test_membership_raises_when_certificate_does_not_replay(monkeypatch):
+    # an explicit check, not an assert, so it also runs under python -O
+    g = FreePoly(AB, {"AB": Q(1), "BA": Q(-1)})
+    monkeypatch.setattr(MembershipCertificate, "replay", lambda self: FreePoly.zero(AB))
+    with pytest.raises(ArithmeticError):
+        ideal_membership(fmultiply(gen("A"), g), [g], degree_bound=3)
 
 
 def test_membership_monotone_in_bound():

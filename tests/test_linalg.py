@@ -17,6 +17,7 @@ from hahnsl2.linalg import (
     rref,
     solve,
     span_closure,
+    vstack,
 )
 
 F = Fraction
@@ -186,6 +187,16 @@ def test_operations_are_reproducible():
     b2, r2 = rref(m)
     assert r1 == r2
     assert b1.rows == b2.rows and b1.pivots == b2.pivots
+
+
+def test_vstack_values_and_column_mismatch():
+    top = SparseMatrix.from_rows([[1, 0, F(1, 2)]])
+    bottom = SparseMatrix.from_rows([[0, 0, 0], [-3, 2, 0]])
+    stacked = vstack(top, bottom)
+    assert stacked == SparseMatrix.from_rows([[1, 0, F(1, 2)], [0, 0, 0], [-3, 2, 0]])
+    assert top == SparseMatrix.from_rows([[1, 0, F(1, 2)]])
+    with pytest.raises(ValueError):
+        vstack(top, SparseMatrix.zero(1, 2))
 
 
 def test_solve_and_invert():
