@@ -10,7 +10,6 @@ from .linalg import (
     Rational,
     SparseMatrix,
     eigenspace,
-    in_span,
     kernel_basis,
     rational_eigenvalues,
     rref,
@@ -65,7 +64,6 @@ __all__ = [
     "Rational",
     "SparseMatrix",
     "eigenspace",
-    "in_span",
     "kernel_basis",
     "rational_eigenvalues",
     "rref",

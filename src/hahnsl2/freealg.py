@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from .linalg import EchelonBasis, SparseMatrix, Vector, solve
+from .linalg import EchelonBasis, SparseMatrix, Vector, as_fraction, solve
 
 Word = str
 
@@ -37,7 +37,7 @@ class FreePoly:
             for w, c in terms.items():
                 if not set(w) <= allowed:
                     raise ValueError(f"word {w!r} uses symbols outside the alphabet")
-                c = Fraction(c)
+                c = as_fraction(c)
                 if c:
                     cleaned[w] = c
         self.terms = cleaned
@@ -100,7 +100,7 @@ class FreePoly:
         return self + (-other)
 
     def scale(self, c) -> "FreePoly":
-        c = Fraction(c)
+        c = as_fraction(c)
         if not c:
             return FreePoly._raw(self.alphabet, {})
         return FreePoly._raw(self.alphabet, {w: c * x for w, x in self.terms.items()})

@@ -10,12 +10,20 @@ each basis belongs to the computation that builds it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
 
 # Sparse vector: index -> nonzero Fraction.
 Vector = dict[int, Fraction]
+
+
+def as_fraction(value) -> Fraction:
+    """Exact conversion of an int, Fraction or str; a float is refused."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; pass an int, Fraction or str")
+    return Fraction(value)
 
 
 def _vec_clean(v: Vector) -> Vector:
@@ -59,7 +67,7 @@ class SparseMatrix:
         for (r, c), val in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
-            val = Fraction(val)
+            val = as_fraction(val)
             if val:
                 data.setdefault(r, {})[c] = val
         self._data = data
@@ -74,7 +82,7 @@ class SparseMatrix:
         for r, row in enumerate(rows):
             if len(row) != nc:
                 raise ValueError("ragged rows")
-            d = {c: Fraction(v) for c, v in enumerate(row) if v}
+            d = {c: as_fraction(v) for c, v in enumerate(row) if v}
             if d:
                 m._data[r] = d
         return m
@@ -87,7 +95,7 @@ class SparseMatrix:
                 if not 0 <= r < rows:
                     raise IndexError("column entry out of range")
                 if v:
-                    m._data.setdefault(r, {})[c] = Fraction(v)
+                    m._data.setdefault(r, {})[c] = as_fraction(v)
         return m
 
     @staticmethod
@@ -108,9 +116,6 @@ class SparseMatrix:
 
     def row(self, r: int) -> Vector:
         return dict(self._data.get(r, {}))
-
-    def column(self, c: int) -> Vector:
-        return {r: d[c] for r, d in self._data.items() if c in d}
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
         for r, d in self._data.items():
@@ -165,7 +170,7 @@ class SparseMatrix:
         return self + (-other)
 
     def scale(self, c) -> "SparseMatrix":
-        c = Fraction(c)
+        c = as_fraction(c)
         out = SparseMatrix(self.rows, self.cols)
         if c:
             for r, d in self._data.items():
@@ -212,12 +217,6 @@ class SparseMatrix:
                     s += a * x
             if s:
                 out[r] = s
-        return out
-
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.cols, self.rows)
-        for r, c, v in self.items():
-            out._data.setdefault(c, {})[r] = v
         return out
 
     def __eq__(self, other) -> bool:
@@ -303,11 +302,6 @@ class EchelonBasis:
         return True
 
 
-def in_span(v: Vector, basis: EchelonBasis) -> Optional[list[Fraction]]:
-    """Coefficients expressing v in the basis rows, or None when outside."""
-    return basis.coordinates(v)
-
-
 def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     basis = EchelonBasis()
@@ -340,7 +334,6 @@ def eigenspace(m: SparseMatrix, lam) -> list[Vector]:
     """Basis of ker(M - lam*I); empty when lam is not an eigenvalue."""
     if m.rows != m.cols:
         raise ValueError("eigenspace requires a square matrix")
-    lam = Fraction(lam)
     shifted = m - SparseMatrix.identity(m.rows).scale(lam)
     return kernel_basis(shifted)
 
@@ -478,9 +471,7 @@ def rational_eigenvalues(m: SparseMatrix) -> dict[Fraction, int]:
     """
     coeffs = charpoly(m)
     # scale to integer coefficients
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     poly = [int(c * den) for c in coeffs]
     roots: dict[Fraction, int] = {}
     while len(poly) > 1:
@@ -495,12 +486,6 @@ def rational_eigenvalues(m: SparseMatrix) -> dict[Fraction, int]:
         roots[root] = roots.get(root, 0) + 1
         poly = _deflate(poly, root)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:
@@ -541,7 +526,5 @@ def _deflate(poly: list[int], root: Fraction) -> list[int]:
         out[i] = carry
         carry = frac[i] + carry * root
     assert carry == 0
-    den = 1
-    for c in out:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in out))
     return [int(c * den) for c in out]

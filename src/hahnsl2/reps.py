@@ -193,7 +193,8 @@ def build_L1(n: int) -> UeRep:
     return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
 
 
-def _ue_restriction(rep: SL2Rep, basis: list[Vector]) -> UeRep:
+def ue_restriction(rep: SL2Rep, basis: list[Vector]) -> UeRep:
+    """The even-subalgebra action on the span of basis, which must be invariant."""
     e2 = restrict_to_subspace(rep.E * rep.E, basis)
     f2 = restrict_to_subspace(rep.F * rep.F, basis)
     lam = restrict_to_subspace(evaluate(usl2.casimir(), rep), basis)
@@ -216,8 +217,8 @@ def restrict_even(rep: SL2Rep, n: int):
         basis0.extend(eigenspace(rep.H, Fraction(n - 4 * i)))
     for i in range((n - 1) // 2 + 1):
         basis1.extend(eigenspace(rep.H, Fraction(n - 4 * i - 2)))
-    block0 = _ue_restriction(rep, basis0)
-    block1 = _ue_restriction(rep, basis1) if basis1 else None
+    block0 = ue_restriction(rep, basis0)
+    block1 = ue_restriction(rep, basis1) if basis1 else None
     return block0, block1
 
 

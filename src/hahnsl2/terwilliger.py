@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from . import usl2
 from .linalg import (
     SparseMatrix,
     eigenspace,
@@ -20,7 +19,7 @@ from .linalg import (
     span_closure,
     vstack,
 )
-from .reps import SL2Rep, UeRep, classify_ue_irreducible, evaluate
+from .reps import SL2Rep, UeRep, classify_ue_irreducible, ue_restriction
 
 Vector = dict[int, Fraction]
 
@@ -190,17 +189,6 @@ class HalvedDecomposition:
     wedderburn_dimension: int
 
 
-def _halved_ue_rep(hctx: HalvedContext) -> UeRep:
-    ctx = hctx.cube
-    rep = cube_rho(ctx)
-    cols = [{v: Fraction(1)} for v in hctx.evens]
-    e2 = restrict_to_subspace(rep.E * rep.E, cols)
-    f2 = restrict_to_subspace(rep.F * rep.F, cols)
-    lam = restrict_to_subspace(evaluate(usl2.casimir(), rep), cols)
-    h = restrict_to_subspace(rep.H, cols)
-    return UeRep(dim=hctx.size, E2=e2, F2=f2, Lam=lam, H=h)
-
-
 def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
     """Isotypic decomposition of the even-weight block under the even
     subalgebra action.
@@ -214,7 +202,7 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
     formula (the Wedderburn decomposition).
     """
     D = hctx.cube.D
-    ue = _halved_ue_rep(hctx)
+    ue = ue_restriction(cube_rho(hctx.cube), [{v: Fraction(1)} for v in hctx.evens])
     ident = SparseMatrix.identity(ue.dim)
 
     blocks: dict[tuple[int, int], int] = {}

@@ -1,86 +1,70 @@
 """The enveloping algebra of sl2 in exact PBW normal form.
 
 Elements are finite rational combinations of ordered monomials E^i F^j H^k.
-Products are computed by rewriting words with the three relations
+From [H,E] = 2E, [H,F] = -2F and [F,E^i] = -i E^(i-1) (H + i - 1), left
+multiplication of a normal-form monomial by H or F has a closed form:
 
-    FE -> EF - H,    HE -> EH + 2E,    HF -> FH - 2F,
+    H E^i F^j H^k = E^i F^j H^(k+1) + 2(i - j) E^i F^j H^k,
+    F E^i F^j H^k = E^i F^(j+1) H^k - i E^(i-1) F^j H^(k+1)
+                    - i(i - 1 - 2j) E^(i-1) F^j H^k.
 
-always at the leftmost out-of-order pair; each step strictly lowers the
-number of inversions at fixed length or shortens the word, so the rewrite
-terminates, and the PBW theorem guarantees the normal form is well defined.
-Because elements only ever exist in normal form, every identity check in the
-package is a plain equality of term maps.
+A product of two monomials needs only these two rules: its leading E powers
+and trailing H powers are already in place.  The PBW theorem makes the normal
+form unique, and elements only ever exist in normal form, so every identity
+check in the package is a plain equality of term maps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from random import Random
 import re
 
+from .linalg import as_fraction
 from .reporting import CheckItem
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
 Monomial = tuple[int, int, int]
 
-_LETTER_RANK = {"E": 0, "F": 1, "H": 2}
 
+def _times_generator(letter: str, terms: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Left-multiply a normal-form term map by H or F."""
+    out: dict[Monomial, int] = {}
 
-def _leftmost_inversion(word: tuple[str, ...]) -> int:
-    for p in range(len(word) - 1):
-        if _LETTER_RANK[word[p]] > _LETTER_RANK[word[p + 1]]:
-            return p
-    return -1
+    def put(m: Monomial, c: int) -> None:
+        n = out.get(m, 0) + c
+        if n:
+            out[m] = n
+        else:
+            out.pop(m, None)
 
-
-def _normal_form_word(word: tuple[str, ...]) -> dict[Monomial, Fraction]:
-    """Normal-order a single word, merging equal words between passes."""
-    active: dict[tuple[str, ...], Fraction] = {word: Fraction(1)}
-    done: dict[Monomial, Fraction] = {}
-    while active:
-        nxt: dict[tuple[str, ...], Fraction] = {}
-
-        def put(w, c):
-            n = nxt.get(w, 0) + c
-            if n:
-                nxt[w] = n
-            else:
-                nxt.pop(w, None)
-
-        for w, c in active.items():
-            p = _leftmost_inversion(w)
-            if p < 0:
-                m = (w.count("E"), w.count("F"), w.count("H"))
-                n = done.get(m, 0) + c
-                if n:
-                    done[m] = n
-                else:
-                    done.pop(m, None)
-                continue
-            a = w[p]
-            if a == "F":  # FE -> EF - H
-                put(w[:p] + ("E", "F") + w[p + 2:], c)
-                put(w[:p] + ("H",) + w[p + 2:], -c)
-            elif w[p + 1] == "E":  # HE -> EH + 2E
-                put(w[:p] + ("E", "H") + w[p + 2:], c)
-                put(w[:p] + ("E",) + w[p + 2:], 2 * c)
-            else:  # HF -> FH - 2F
-                put(w[:p] + ("F", "H") + w[p + 2:], c)
-                put(w[:p] + ("F",) + w[p + 2:], -2 * c)
-        active = nxt
-    return done
+    for (i, j, k), c in terms.items():
+        if letter == "H":
+            put((i, j, k + 1), c)
+            put((i, j, k), 2 * (i - j) * c)
+        else:
+            put((i, j + 1, k), c)
+            if i:
+                put((i - 1, j, k + 1), -i * c)
+                put((i - 1, j, k), -i * (i - 1 - 2 * j) * c)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, Fraction], ...]:
+def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, int], ...]:
     # Normal form of F^j1 H^k1 E^i2 F^j2; leading E powers and trailing H
     # powers of a full monomial product commute past nothing, so they are
-    # re-attached by the caller instead of being rewritten.
-    word = ("F",) * j1 + ("H",) * k1 + ("E",) * i2 + ("F",) * j2
-    return tuple(sorted(_normal_form_word(word).items()))
+    # re-attached by the caller.  The coefficients are integers.
+    terms = {(i2, j2, 0): 1}
+    for _ in range(k1):
+        terms = _times_generator("H", terms)
+    for _ in range(j1):
+        terms = _times_generator("F", terms)
+    return tuple(sorted(terms.items()))
 
 
-def _mono_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
+def _mono_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
     i1, j1, k1 = m1
     i2, j2, k2 = m2
     core = _core_product(j1, k1, i2, j2)
@@ -96,7 +80,7 @@ class USL2Element:
         cleaned: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = as_fraction(c)
                 if c:
                     i, j, k = m
                     if i < 0 or j < 0 or k < 0:
@@ -138,7 +122,7 @@ class USL2Element:
         return self + (-other)
 
     def scale(self, c) -> "USL2Element":
-        c = Fraction(c)
+        c = as_fraction(c)
         if not c:
             return USL2Element._raw({})
         return USL2Element._raw({m: c * x for m, x in self.terms.items()})
@@ -175,12 +159,22 @@ def one() -> USL2Element:
 
 
 def monomial(i: int, j: int, k: int, coeff=1) -> USL2Element:
-    return USL2Element({(i, j, k): Fraction(coeff)})
+    return USL2Element({(i, j, k): coeff})
 
 
 E = monomial(1, 0, 0)
 F = monomial(0, 1, 0)
 H = monomial(0, 0, 1)
+
+
+def random_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> USL2Element:
+    """A seeded random element with 1..max_terms monomials of bounded exponents."""
+    out = zero()
+    for _ in range(rng.randint(1, max_terms)):
+        mono = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        out = out + monomial(*mono, coeff)
+    return out
 
 
 def multiply(a: USL2Element, b: USL2Element) -> USL2Element:

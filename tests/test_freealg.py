@@ -37,6 +37,14 @@ def test_alphabet_mismatch():
         fmultiply(gen("A"), FreePoly.gen(("X", "Y"), "X"))
 
 
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        FreePoly(AB, {"A": 0.1})
+    with pytest.raises(TypeError):
+        gen("A").scale(0.5)
+    assert FreePoly(AB, {"A": "1/10"}) == gen("A").scale(Q(1, 10))
+
+
 def test_substitute_into_usl2():
     # AB - BA with A -> H/4 and B -> the natural B-image lands on (E^2-F^2)/4
     from hahnsl2.hahn import natural_images

@@ -9,7 +9,6 @@ from hahnsl2.linalg import (
     SparseMatrix,
     charpoly,
     eigenspace,
-    in_span,
     invert,
     kernel_basis,
     rational_eigenvalues,
@@ -46,11 +45,11 @@ def test_rref_row_equivalence_mutual_span():
     basis, rank = rref(m)
     # every original row is in the span of the basis
     for r in range(m.rows):
-        assert in_span(m.row(r), basis) is not None
+        assert basis.coordinates(m.row(r)) is not None
     # and every basis row is a combination of original rows
     orig, _ = rref(m)
     for row in basis.rows:
-        assert in_span(row, orig) is not None
+        assert orig.coordinates(row) is not None
 
 
 def test_kernel_basis_counts():
@@ -156,16 +155,29 @@ def test_span_closure_output_closed_under_generators():
         for g in gens:
             prod = m * g
             vec = {r * n + c: v for r, c, v in prod.items()}
-            assert in_span(vec, basis) is not None
+            assert basis.coordinates(vec) is not None
 
 
 def test_in_span_basics():
     basis = EchelonBasis()
     basis.insert({0: F(1), 2: F(2)})
     basis.insert({1: F(1)})
-    assert in_span(dict(basis.rows[0]), basis) == [F(1), F(0)]
-    assert in_span({}, basis) == [F(0), F(0)]
-    assert in_span({3: F(1)}, basis) is None
+    assert basis.coordinates(dict(basis.rows[0])) == [F(1), F(0)]
+    assert basis.coordinates({}) == [F(0), F(0)]
+    assert basis.coordinates({3: F(1)}) is None
+
+
+def test_floats_are_refused_at_the_matrix_boundary():
+    for build in (
+        lambda: SparseMatrix(1, 1, {(0, 0): 0.1}),
+        lambda: SparseMatrix.from_rows([[0.5]]),
+        lambda: SparseMatrix.from_columns([{0: 0.5}], 1),
+        lambda: SparseMatrix.identity(2).scale(0.5),
+        lambda: eigenspace(SparseMatrix.identity(2), 1.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert SparseMatrix(1, 1, {(0, 0): "1/10"}).get(0, 0) == F(1, 10)
 
 
 def test_echelon_insert_keeps_reduced_invariants():

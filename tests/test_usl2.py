@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
 from hahnsl2 import usl2
+from hahnsl2.linalg import SparseMatrix
+from hahnsl2.reps import build_L, evaluate
 from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, parse, render
 
 Q = Fraction
@@ -55,6 +58,18 @@ def test_f_times_e_squared_matches_matrix_oracle():
     rhs = _dense_eval(claimed, L2_MATS)
     assert lhs == rhs
     assert multiply(F, monomial(2, 0, 0)) == claimed
+
+
+def test_floats_are_refused():
+    for build in (
+        lambda: monomial(1, 0, 0, 0.1),
+        lambda: usl2.USL2Element({(1, 0, 0): 0.1}),
+        lambda: E.scale(0.5),
+        lambda: 0.5 * E,
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert monomial(1, 0, 0, "1/10") == E.scale(Q(1, 10))
 
 
 def test_commutator_examples():
@@ -257,6 +272,23 @@ def test_multiply_against_ladder_recurrence_oracle(rand_usl2):
         for _ in range(f):
             terms = _oracle_times_h(terms)
         assert multiply(a, monomial(d, e, f)) == usl2.USL2Element(terms)
+
+
+def test_core_product_matches_ladder_modules_up_to_exponent_4():
+    # independent oracle: on each L_n the normal form of F^j1 H^k1 E^i2 F^j2
+    # acts as the product of the four factor matrices
+    for n in range(9):
+        rep = build_L(n)
+        powers = {}
+        for name in "EFH":
+            mats = [SparseMatrix.identity(rep.dim)]
+            for _ in range(4):
+                mats.append(mats[-1] * getattr(rep, name))
+            powers[name] = mats
+        for j1, k1, i2, j2 in product(range(5), repeat=4):
+            word = powers["F"][j1] * powers["H"][k1] * powers["E"][i2] * powers["F"][j2]
+            normal = usl2.USL2Element(dict(usl2._core_product(j1, k1, i2, j2)))
+            assert evaluate(normal, rep) == word, (n, j1, k1, i2, j2)
 
 
 def test_render_parse_round_trip(rand_usl2):
