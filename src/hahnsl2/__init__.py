@@ -11,7 +11,6 @@ from .linalg import (
     SparseMatrix,
     eigenspace,
     kernel_basis,
-    rational_eigenvalues,
     rref,
     span_closure,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SparseMatrix",
     "eigenspace",
     "kernel_basis",
-    "rational_eigenvalues",
     "rref",
     "span_closure",
     "USL2Element",

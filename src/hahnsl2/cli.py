@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--jobs", type=int, default=1, help="parallel verification jobs")
 
     p = sub.add_parser("verify-usl2", help="PBW power identities and the even presentation")
     p.add_argument("--n-max", type=int, default=8)
@@ -270,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min", type=int, default=2)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--base-vertex", default=None)
+    p.add_argument("--jobs", type=int, default=1, help="parallel verification jobs")
     common(p)
 
     return parser
 
 
 def _validate(args, parser) -> None:
-    if args.jobs < 1:
+    if hasattr(args, "jobs") and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if hasattr(args, "n_max"):
         floor = 1 if args.command in ("verify-usl2", "verify-all") else 0

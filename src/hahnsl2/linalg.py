@@ -10,7 +10,6 @@ each basis belongs to the computation that builds it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
@@ -442,89 +441,3 @@ def restrict_to_subspace(m: SparseMatrix, basis_columns: Sequence[Vector]) -> Sp
                 out._data.setdefault(i, {})[j] = v
     return out
 
-
-def charpoly(m: SparseMatrix) -> list[Fraction]:
-    """Characteristic polynomial coefficients [a_0, ..., a_n] of det(xI - M).
-
-    Faddeev-LeVerrier recursion; exact, intended for small matrices.
-    """
-    if m.rows != m.cols:
-        raise ValueError("charpoly requires a square matrix")
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = SparseMatrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m.matmul(mk)
-        trace = sum((mk.get(i, i) for i in range(n)), Fraction(0))
-        c = -trace / k
-        coeffs[n - k] = c
-        mk = mk + SparseMatrix.identity(n).scale(c)
-    return coeffs
-
-
-def rational_eigenvalues(m: SparseMatrix) -> dict[Fraction, int]:
-    """Rational roots of the characteristic polynomial, with multiplicities.
-
-    Raises ValueError when the spectrum is not entirely rational; irrational
-    spectra are out of scope for this package.
-    """
-    coeffs = charpoly(m)
-    # scale to integer coefficients
-    den = lcm(*(c.denominator for c in coeffs))
-    poly = [int(c * den) for c in coeffs]
-    roots: dict[Fraction, int] = {}
-    while len(poly) > 1:
-        # strip zero roots first
-        if poly[0] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            poly = poly[1:]
-            continue
-        root = _find_rational_root(poly)
-        if root is None:
-            raise ValueError("matrix has irrational or complex eigenvalues")
-        roots[root] = roots.get(root, 0) + 1
-        poly = _deflate(poly, root)
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _poly_eval(poly: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _find_rational_root(poly: list[int]) -> Optional[Fraction]:
-    for q in _divisors(poly[-1]):
-        for p in _divisors(poly[0]):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if _poly_eval(poly, cand) == 0:
-                    return cand
-    return None
-
-
-def _deflate(poly: list[int], root: Fraction) -> list[int]:
-    # synthetic division by (x - root); exact by construction
-    frac = [Fraction(c) for c in poly]
-    out = [Fraction(0)] * (len(poly) - 1)
-    carry = frac[-1]
-    for i in range(len(poly) - 2, -1, -1):
-        out[i] = carry
-        carry = frac[i] + carry * root
-    assert carry == 0
-    den = lcm(*(c.denominator for c in out))
-    return [int(c * den) for c in out]

@@ -18,7 +18,7 @@ from .linalg import (
     SparseMatrix,
     eigenspace,
     invert,
-    rational_eigenvalues,
+    kernel_basis,
     restrict_to_subspace,
     span_closure,
 )
@@ -239,14 +239,40 @@ def casimir_scalar(rep: UeRep) -> Fraction:
     return c
 
 
+def _top_ladder(rep: UeRep) -> tuple[Fraction, list[Vector]]:
+    """The top H-eigenvalue theta and the chain w, F^2 w, ..., (F^2)^d w.
+
+    w spans the kernel of E^2, which must be one-dimensional.  Since
+    [H,E^2] = 4E^2, H maps that kernel into itself, so w is an
+    H-eigenvector and the chain vectors have eigenvalues theta - 4i.
+    Raises ValueError unless the chain has dim nonzero vectors and F^2
+    kills the last one.
+    """
+    top = kernel_basis(rep.E2)
+    if len(top) != 1:
+        raise ValueError("the kernel of E^2 is not one-dimensional")
+    w = top[0]
+    i = min(w)
+    theta = rep.H.apply(w).get(i, Fraction(0)) / w[i]
+    chain: list[Vector] = [w]
+    for _ in range(rep.dim - 1):
+        chain.append(rep.F2.apply(chain[-1]))
+    if any(not v for v in chain) or rep.F2.apply(chain[-1]):
+        raise ValueError("ladder chain does not close after d steps")
+    return theta, chain
+
+
 def signature(rep: UeRep) -> IsoSignature:
-    """Isomorphism-separating data: dimension, Casimir scalar, H-spectrum."""
+    """Isomorphism-separating data: dimension, Casimir scalar, H-spectrum.
+
+    The spectrum is read off the ladder theta, theta - 4, ..., theta - 4d
+    over the top vector, so the module must be a single F^2-ladder (a
+    one-dimensional E^2 kernel); otherwise ValueError.
+    """
     c = casimir_scalar(rep)
-    eigs = rational_eigenvalues(rep.H)
-    spectrum: list[Fraction] = []
-    for val, mult in eigs.items():
-        spectrum.extend([val] * mult)
-    return IsoSignature(dim=rep.dim, casimir_scalar=c, h_spectrum=tuple(sorted(spectrum)))
+    theta, _ = _top_ladder(rep)
+    spectrum = tuple(sorted(theta - 4 * i for i in range(rep.dim)))
+    return IsoSignature(dim=rep.dim, casimir_scalar=c, h_spectrum=spectrum)
 
 
 def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
@@ -254,57 +280,22 @@ def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
 
     Returns the family label and an explicit change-of-basis matrix P with
     P * op_input = op_target * P for all four operators, where the target is
-    the corresponding built module.  Follows the highest-eigenvalue vector
-    w, the chain w_i = (F^2)^i w and the factorial rescaling to the target
-    ladder basis.
+    the corresponding built module.  Follows the top vector w (spanning the
+    kernel of E^2), the chain w_i = (F^2)^i w and the factorial rescaling to
+    the target ladder basis.  With d = dim - 1, L_n^(p) is the one family
+    among (n, p) = (2d, 0), (2d+1, 0), (2d+1, 1), (2d+2, 1) whose top
+    eigenvalue n - 2p and Casimir n(n+2)/2 match the input.  P is unique up
+    to a nonzero scalar.
     """
     lam = casimir_scalar(rep)
+    theta, chain = _top_ladder(rep)
     d = rep.dim - 1
-    eigs = rational_eigenvalues(rep.H)
-    theta = None
-    for val in sorted(eigs, reverse=True):
-        if val + 4 not in eigs:
-            theta = val
+    for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
+        if theta == n - 2 * parity and lam == Fraction(n * (n + 2), 2):
             break
-    if theta is None:
-        raise ValueError("no H-eigenvalue theta with theta + 4 outside the spectrum")
-
-    top_match = []  # which of the two Casimir equations hold at theta
-    if lam == theta * (theta + 2) / 2:
-        top_match.append(1)
-    if lam == 4 + theta * (theta + 6) / 2:
-        top_match.append(2)
-    bottom = theta - 4 * d
-    bottom_match = []
-    if lam == bottom * (bottom - 2) / 2:
-        bottom_match.append(1)
-    if lam == 4 + bottom * (bottom - 6) / 2:
-        bottom_match.append(2)
-
-    cases = []
-    for t in top_match:
-        for b in bottom_match:
-            if (t, b) == (1, 1) and theta == 2 * d:
-                cases.append((ModuleLabel(n=2 * d, parity=0, d=d), 0))
-            elif (t, b) == (1, 2) and theta == 2 * d + 1:
-                cases.append((ModuleLabel(n=2 * d + 1, parity=0, d=d), 0))
-            elif (t, b) == (2, 1) and theta == 2 * d - 1:
-                cases.append((ModuleLabel(n=2 * d + 1, parity=1, d=d), 1))
-            elif (t, b) == (2, 2) and theta == 2 * d:
-                cases.append((ModuleLabel(n=2 * d + 2, parity=1, d=d), 1))
-    if len(cases) != 1:
-        raise ValueError(f"input does not satisfy the presentation (cases: {cases})")
-    label, parity = cases[0]
-
-    vecs = eigenspace(rep.H, theta)
-    if not vecs:
-        raise ValueError("lost the theta eigenvector")
-    w = vecs[0]
-    chain: list[Vector] = [w]
-    for _ in range(d):
-        chain.append(rep.F2.apply(chain[-1]))
-    if any(not v for v in chain) or rep.F2.apply(chain[-1]):
-        raise ValueError("ladder chain does not close after d steps")
+    else:
+        raise ValueError(f"top eigenvalue {theta} and Casimir {lam} fit no family with d = {d}")
+    label = ModuleLabel(n=n, parity=parity, d=d)
 
     # The isomorphism sends w_i to (2i)! u_i (even family) or (2i+1)! u_i
     # (odd family), so its matrix is diag(s_i) * W^{-1} with W = [w_0..w_d].

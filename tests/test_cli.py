@@ -53,6 +53,25 @@ def test_verify_hahn_json_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_HAHN_BOUND_8_SHA256
 
 
+# SHA-256 of the default `repr` and `cube` JSON reports: they pin every module
+# label, signature check and decomposition block.
+REPR_N_MAX_12_SHA256 = "5ed89d381acd8e53835a59eb552f8b2905f65554e8186b1cdff2f1848a5ed2d1"
+CUBE_D_2_TO_6_SHA256 = "171737e258b5f5165e6c82cd07058b0dcb79a09e410d4b06efc007981ff01869"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["repr", "--n-max", "12"], REPR_N_MAX_12_SHA256),
+        (["cube", "--d-min", "2", "--d-max", "6"], CUBE_D_2_TO_6_SHA256),
+    ],
+)
+def test_repr_and_cube_json_bytes_are_pinned(capsys, argv, digest):
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_hahn_low_bound_exits_one(capsys):
     code, out = _run(capsys, ["verify-hahn", "--degree-bound", "4", "--format", "json"])
     assert code == 1
@@ -91,6 +110,12 @@ def test_cube_base_vertex_flag(capsys):
 def test_cube_rejects_odd_base_vertex():
     with pytest.raises(SystemExit) as exc:
         main(["cube", "--d-min", "4", "--d-max", "4", "--base-vertex", "0001"])
+    assert exc.value.code == 2
+
+
+def test_jobs_is_only_accepted_by_verify_all():
+    with pytest.raises(SystemExit) as exc:
+        main(["cube", "--d-min", "2", "--d-max", "2", "--jobs", "2"])
     assert exc.value.code == 2
 
 

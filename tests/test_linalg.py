@@ -7,11 +7,9 @@ import pytest
 from hahnsl2.linalg import (
     EchelonBasis,
     SparseMatrix,
-    charpoly,
     eigenspace,
     invert,
     kernel_basis,
-    rational_eigenvalues,
     restrict_to_subspace,
     rref,
     solve,
@@ -219,22 +217,6 @@ def test_solve_and_invert():
     assert m * mi == SparseMatrix.identity(2)
     assert invert(SparseMatrix.from_rows([[1, 2], [2, 4]])) is None
     assert solve(SparseMatrix.from_rows([[1, 1], [1, 1]]), {0: F(1), 1: F(2)}) is None
-
-
-def test_charpoly_and_rational_eigenvalues():
-    m = SparseMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, -1]])
-    # det(xI - M) = (x-2)^2 (x+1) = x^3 - 3x^2 + 4
-    assert charpoly(m) == [F(4), F(0), F(-3), F(1)]
-    assert rational_eigenvalues(m) == {F(2): 2, F(-1): 1}
-    rot = SparseMatrix.from_rows([[0, -1], [1, 0]])
-    with pytest.raises(ValueError):
-        rational_eigenvalues(rot)
-
-
-def test_rational_eigenvalues_edge_cases():
-    assert rational_eigenvalues(SparseMatrix.zero(3, 3)) == {F(0): 3}
-    m = SparseMatrix.from_rows([[F(1, 2), 0], [1, F(-3, 5)]])
-    assert rational_eigenvalues(m) == {F(1, 2): 1, F(-3, 5): 1}
 
 
 def test_restrict_to_subspace():

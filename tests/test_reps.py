@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -109,13 +110,10 @@ def test_restrict_even_block_dims():
     assert (block0.dim, block1.dim) == (2, 2)
 
 
-def test_is_irreducible_and_direct_sum():
-    assert is_irreducible(build_L0(6))
-    assert is_irreducible(build_L1(5))
-    a, b = build_L0(2), build_L1(2)
+def _direct_sum(a: UeRep, b: UeRep) -> UeRep:
     n = a.dim + b.dim
 
-    def direct_sum(x, y):
+    def block(x, y):
         out = SparseMatrix(n, n)
         for r, c, v in x.items():
             out._data.setdefault(r, {})[c] = v
@@ -123,14 +121,27 @@ def test_is_irreducible_and_direct_sum():
             out._data.setdefault(a.dim + r, {})[a.dim + c] = v
         return out
 
-    summed = UeRep(
+    return UeRep(
         dim=n,
-        E2=direct_sum(a.E2, b.E2),
-        F2=direct_sum(a.F2, b.F2),
-        Lam=direct_sum(a.Lam, b.Lam),
-        H=direct_sum(a.H, b.H),
+        E2=block(a.E2, b.E2),
+        F2=block(a.F2, b.F2),
+        Lam=block(a.Lam, b.Lam),
+        H=block(a.H, b.H),
     )
-    assert not is_irreducible(summed)
+
+
+def test_is_irreducible_and_direct_sum():
+    assert is_irreducible(build_L0(6))
+    assert is_irreducible(build_L1(5))
+    assert not is_irreducible(_direct_sum(build_L0(2), build_L1(2)))
+    # Scalar Casimir (12 on both summands) but a two-dimensional E^2 kernel:
+    # not a single ladder, so classification and signature both refuse it.
+    doubled = _direct_sum(build_L0(4), build_L0(4))
+    assert not is_irreducible(doubled)
+    with pytest.raises(ValueError):
+        classify_ue_irreducible(doubled)
+    with pytest.raises(ValueError):
+        signature(doubled)
 
 
 def test_signature_examples():
@@ -178,37 +189,38 @@ def test_classification_round_trip_all_families():
                 assert p * op_in == op_tgt * p
 
 
+def _random_invertible(rng: Random, dim: int) -> tuple[SparseMatrix, SparseMatrix]:
+    while True:
+        m = SparseMatrix.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+        mi = invert(m)
+        if mi is not None:
+            return m, mi
+
+
 def test_classification_of_conjugated_module():
-    base = build_L0(4)
-    m = SparseMatrix.from_rows([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
-    mi = invert(m)
-    conj = UeRep(
-        dim=3, E2=m * base.E2 * mi, F2=m * base.F2 * mi, Lam=m * base.Lam * mi, H=m * base.H * mi
-    )
-    label, p = classify_ue_irreducible(conj)
-    assert (label.n, label.parity) == (4, 0)
-    for op_in, op_tgt in zip(conj.operators(), base.operators()):
-        assert p * op_in == op_tgt * p
+    # Every family with d <= 4, each under three seeded integer changes of
+    # basis, so H, E^2 and F^2 are in general not diagonal or bidiagonal.
+    rng = Random(4)
+    for d in range(5):
+        for builder, n, parity in (
+            (build_L0, 2 * d, 0),
+            (build_L0, 2 * d + 1, 0),
+            (build_L1, 2 * d + 1, 1),
+            (build_L1, 2 * d + 2, 1),
+        ):
+            base = builder(n)
+            for _ in range(3):
+                m, mi = _random_invertible(rng, base.dim)
+                conj = UeRep(base.dim, *(m * op * mi for op in base.operators()))
+                label, p = classify_ue_irreducible(conj)
+                assert (label.n, label.parity) == (n, parity)
+                for op_in, op_tgt in zip(conj.operators(), base.operators()):
+                    assert p * op_in == op_tgt * p
+                assert signature(conj) == signature(base)
 
 
 def test_classification_rejects_non_scalar_casimir():
-    a, b = build_L0(1), build_L1(2)  # both one-dimensional, Casimir 3/2 vs 4
-
-    def direct_sum(x, y):
-        out = SparseMatrix(2, 2)
-        for r, c, v in x.items():
-            out._data[r] = {c: v}
-        for r, c, v in y.items():
-            out._data.setdefault(1 + r, {})[1 + c] = v
-        return out
-
-    mixed = UeRep(
-        dim=2,
-        E2=direct_sum(a.E2, b.E2),
-        F2=direct_sum(a.F2, b.F2),
-        Lam=direct_sum(a.Lam, b.Lam),
-        H=direct_sum(a.H, b.H),
-    )
+    mixed = _direct_sum(build_L0(1), build_L1(2))  # both one-dimensional, Casimir 3/2 vs 4
     with pytest.raises(ValueError):
         classify_ue_irreducible(mixed)
 
