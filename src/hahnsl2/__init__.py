@@ -7,7 +7,6 @@ membership certificates, module decompositions and matrix-algebra closures.
 
 from .linalg import (
     EchelonBasis,
-    Rational,
     SparseMatrix,
     eigenspace,
     kernel_basis,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EchelonBasis",
-    "Rational",
     "SparseMatrix",
     "eigenspace",
     "kernel_basis",

@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem
-
-USAGE_ERROR = 2
 
 
 def _report_skeleton(command: str, config: dict) -> dict:
@@ -27,15 +24,15 @@ def _report_skeleton(command: str, config: dict) -> dict:
     }
 
 
+def _summary(total: int, passed: int) -> dict:
+    return {"total": total, "passed": passed, "failed_or_unresolved": total - passed}
+
+
 def _finish_report(report: dict) -> dict:
-    report["items"].sort(key=lambda d: d["identity"])
-    stats = {
-        "total": len(report["items"]),
-        "passed": sum(1 for i in report["items"] if i["status"] == PASS),
-    }
-    stats["failed_or_unresolved"] = stats["total"] - stats["passed"]
-    report["summary"] = stats
-    report["ok"] = stats["failed_or_unresolved"] == 0
+    items = report["items"]
+    items.sort(key=lambda d: d["identity"])
+    report["summary"] = _summary(len(items), sum(1 for i in items if i["status"] == PASS))
+    report["ok"] = report["summary"]["failed_or_unresolved"] == 0
     if not report["certificates"]:
         del report["certificates"]
     return report
@@ -111,23 +108,17 @@ def run_repr(n_max: int) -> dict:
 def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
     report = _report_skeleton("cube", {"d_min": d_min, "d_max": d_max, "base_vertex": base_bits})
     per_d = []
+    base = int(base_bits, 2) if base_bits else 0
     for D in range(d_min, d_max + 1):
-        base = int(base_bits, 2) if base_bits else 0
         ctx = terwilliger.CubeContext(D=D, base=base)
         hctx = terwilliger.HalvedContext(ctx)
         sd = terwilliger.decompose_standard(ctx)
         hd = terwilliger.decompose_halved(hctx)
         dim = terwilliger.te_dimension(hctx)
         formula = terwilliger.te_dimension_formula(D)
-        match = (
-            sd.formula_ok
-            and sd.dimension_ok
-            and hd.labels_ok
-            and hd.formula_ok
-            and hd.dimension_ok
-            and dim == formula
-            and dim == hd.wedderburn_dimension
-        )
+        standard_ok = sd.formula_ok and sd.dimension_ok
+        halved_ok = hd.labels_ok and hd.formula_ok and hd.dimension_ok
+        dim_ok = dim == formula == hd.wedderburn_dimension
         per_d.append(
             {
                 "D": D,
@@ -138,21 +129,21 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
                 ],
                 "te_dimension": dim,
                 "formula_value": formula,
-                "match": match,
+                "match": standard_ok and halved_ok and dim_ok,
             }
         )
         items = [
             CheckItem(
                 name=f"D={D}: standard decomposition matches the closed form",
-                status=PASS if sd.formula_ok and sd.dimension_ok else "fail",
+                status=PASS if standard_ok else "fail",
             ),
             CheckItem(
                 name=f"D={D}: halved decomposition matches the closed form",
-                status=PASS if hd.labels_ok and hd.formula_ok and hd.dimension_ok else "fail",
+                status=PASS if halved_ok else "fail",
             ),
             CheckItem(
                 name=f"D={D}: Terwilliger dimension {dim} equals formula and Wedderburn sum",
-                status=PASS if dim == formula == hd.wedderburn_dimension else "fail",
+                status=PASS if dim_ok else "fail",
             ),
         ]
         _add_items(report, items)
@@ -161,20 +152,14 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
 
 
 def run_verify_all(args) -> dict:
-    jobs = [
-        ("verify-usl2", lambda: run_verify_usl2(args.n_max)),
-        ("verify-hahn", lambda: run_verify_hahn(args.degree_bound)),
-        ("repr", lambda: run_repr(args.repr_n_max)),
-        ("cube", lambda: run_cube(args.d_min, args.d_max, args.base_vertex)),
-    ]
-    results: dict[str, dict] = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {name: pool.submit(fn) for name, fn in jobs}
-            results = {name: fut.result() for name, fut in futures.items()}
-    else:
-        results = {name: fn() for name, fn in jobs}
-    report = {
+    reports = {
+        "verify-usl2": run_verify_usl2(args.n_max),
+        "verify-hahn": run_verify_hahn(args.degree_bound),
+        "repr": run_repr(args.repr_n_max),
+        "cube": run_cube(args.d_min, args.d_max, args.base_vertex),
+    }
+    summaries = [r["summary"] for r in reports.values()]
+    return {
         "command": "verify-all",
         "config": {
             "n_max": args.n_max,
@@ -182,19 +167,14 @@ def run_verify_all(args) -> dict:
             "repr_n_max": args.repr_n_max,
             "d_min": args.d_min,
             "d_max": args.d_max,
-            "jobs": args.jobs,
+            "jobs": 1,
         },
-        "reports": {name: results[name] for name in sorted(results)},
+        "reports": reports,
+        "ok": all(r["ok"] for r in reports.values()),
+        "summary": _summary(
+            sum(s["total"] for s in summaries), sum(s["passed"] for s in summaries)
+        ),
     }
-    report["ok"] = all(r["ok"] for r in results.values())
-    report["summary"] = {
-        "total": sum(r["summary"]["total"] for r in results.values()),
-        "passed": sum(r["summary"]["passed"] for r in results.values()),
-    }
-    report["summary"]["failed_or_unresolved"] = (
-        report["summary"]["total"] - report["summary"]["passed"]
-    )
-    return report
 
 
 def render_text(report: dict) -> str:
@@ -269,15 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min", type=int, default=2)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--base-vertex", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel verification jobs")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        choices=(1,),
+        default=1,
+        help="accepted for compatibility; the suites run one after another",
+    )
     common(p)
 
     return parser
 
 
 def _validate(args, parser) -> None:
-    if hasattr(args, "jobs") and args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     if hasattr(args, "n_max"):
         floor = 1 if args.command in ("verify-usl2", "verify-all") else 0
         if args.n_max < floor:

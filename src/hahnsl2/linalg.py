@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-Rational = Fraction
-
 # Sparse vector: index -> nonzero Fraction.
 Vector = dict[int, Fraction]
 
@@ -120,9 +118,6 @@ class SparseMatrix:
         for r, d in self._data.items():
             for c, v in d.items():
                 yield r, c, v
-
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        return {(r, c): v for r, c, v in self.items()}
 
     def nnz(self) -> int:
         return sum(len(d) for d in self._data.values())

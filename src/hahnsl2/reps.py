@@ -27,10 +27,6 @@ from .reporting import PASS, FAIL, CheckItem
 Vector = dict[int, Fraction]
 
 
-def _dense_rows_as_strings(m: SparseMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in m.to_dense()]
-
-
 @dataclass(frozen=True)
 class SL2Rep:
     """Matrices for E, F, H satisfying the defining relations exactly."""
@@ -51,14 +47,6 @@ class SL2Rep:
             raise ValueError("[H,F] = -2F fails")
         if comm(self.E, self.F) != self.H:
             raise ValueError("[E,F] = H fails")
-
-    def as_json_dict(self) -> dict:
-        return {
-            "dimension": self.dim,
-            "E": _dense_rows_as_strings(self.E),
-            "F": _dense_rows_as_strings(self.F),
-            "H": _dense_rows_as_strings(self.H),
-        }
 
 
 @dataclass(frozen=True)
@@ -99,15 +87,6 @@ class UeRep:
 
     def operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
         return (self.E2, self.F2, self.Lam, self.H)
-
-    def as_json_dict(self) -> dict:
-        return {
-            "dimension": self.dim,
-            "E2": _dense_rows_as_strings(self.E2),
-            "F2": _dense_rows_as_strings(self.F2),
-            "Casimir": _dense_rows_as_strings(self.Lam),
-            "H": _dense_rows_as_strings(self.H),
-        }
 
 
 @dataclass(frozen=True)

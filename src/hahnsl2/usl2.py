@@ -410,14 +410,18 @@ def render(a: USL2Element) -> str:
     return text
 
 
+_GENERATORS = {"E": E, "F": F, "H": H}
 _TERM_RE = re.compile(
     r"^\s*(?P<coeff>[0-9]+(?:/[0-9]+)?)?\s*\*?\s*(?P<mono>(?:[EFH](?:\^[0-9]+)?\s*\*?\s*)*)$"
 )
 
 
 def parse(text: str) -> USL2Element:
-    """Parse the render() format back into an element."""
+    """Parse the render() format back into an element.  The factors of a term
+    are multiplied in the order written, so ``F*E`` parses to E*F - H."""
     text = text.strip()
+    if not text:
+        raise ValueError("cannot parse empty text")
     if text == "0":
         return zero()
     chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
@@ -434,9 +438,8 @@ def parse(text: str) -> USL2Element:
         if not m or (not m.group("coeff") and not m.group("mono") and chunk != "1"):
             raise ValueError(f"cannot parse term {chunk!r}")
         coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        expo = {"E": 0, "F": 0, "H": 0}
-        mono_text = m.group("mono") or ""
-        for letter, power in re.findall(r"([EFH])(?:\^([0-9]+))?", mono_text):
-            expo[letter] += int(power) if power else 1
-        out = out + monomial(expo["E"], expo["F"], expo["H"], sign * coeff)
+        term = monomial(0, 0, 0, sign * coeff)
+        for letter, power in re.findall(r"([EFH])(?:\^([0-9]+))?", m.group("mono") or ""):
+            term = multiply(term, _GENERATORS[letter] ** (int(power) if power else 1))
+        out = out + term
     return out

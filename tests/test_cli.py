@@ -137,22 +137,28 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_verify_all_with_jobs(capsys):
-    code, out = _run(
-        capsys,
-        [
-            "verify-all",
-            "--n-max", "2",
-            "--repr-n-max", "2",
-            "--d-max", "3",
-            "--jobs", "2",
-            "--format", "json",
-        ],
-    )
+# SHA-256 of `hahnsl2 verify-all --n-max 2 --repr-n-max 2 --d-max 3 --format
+# json`: it pins the combined report, its summary and its `config.jobs` field.
+VERIFY_ALL_SMALL_SHA256 = "a48c482a2963973050e911e678fe8b31171d155adfd59567de24e6749cb0d875"
+VERIFY_ALL_SMALL_ARGV = [
+    "verify-all", "--n-max", "2", "--repr-n-max", "2", "--d-max", "3", "--format", "json",
+]
+
+
+def test_verify_all_json_bytes_are_pinned(capsys):
+    code, out = _run(capsys, VERIFY_ALL_SMALL_ARGV)
     assert code == 0
     report = json.loads(out)
     jsonschema.validate(report, SCHEMA)
     assert set(report["reports"]) == {"verify-usl2", "verify-hahn", "repr", "cube"}
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SMALL_SHA256
+    assert _run(capsys, VERIFY_ALL_SMALL_ARGV + ["--jobs", "1"]) == (0, out)
+
+
+def test_verify_all_accepts_only_one_job():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--n-max", "1", "--d-max", "2", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_report_functions_reused_by_tests():

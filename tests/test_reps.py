@@ -238,16 +238,3 @@ def test_pullback_splitting_small():
 
 def test_module_family_suite():
     assert all_pass(verify_module_family(6))
-
-
-def test_rep_json_serialization():
-    import json
-
-    doc = build_L(1).as_json_dict()
-    assert doc["dimension"] == 2
-    assert doc["E"] == [["0", "1"], ["0", "0"]]
-    json.dumps(doc)  # plain data, serializable as-is
-    doc = build_L1(4).as_json_dict()
-    assert doc["dimension"] == 2
-    assert doc["Casimir"] == [["12", "0"], ["0", "12"]]
-    assert Q(doc["E2"][0][1]) == Q(6)

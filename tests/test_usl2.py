@@ -300,3 +300,12 @@ def test_render_parse_round_trip(rand_usl2):
     for _ in range(40):
         a = rand_usl2(rng)
         assert parse(render(a)) == a
+
+
+def test_parse_multiplies_factors_in_order():
+    assert parse("F*E") == multiply(F, E)
+    assert parse("H*E") == multiply(H, E)
+    assert parse("-2*F*E^2") == multiply(F, E ** 2).scale(-2)
+    for text in ("", "   "):
+        with pytest.raises(ValueError):
+            parse(text)
