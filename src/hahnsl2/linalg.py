@@ -1,19 +1,29 @@
 """Exact sparse linear algebra over the rationals.
 
-Every coefficient in this package is a ``fractions.Fraction``; there is no
-floating point anywhere, so results are reproducible bit for bit.  Matrix
-operations return new matrices and never mutate their inputs.  An
-``EchelonBasis`` is the one mutable object: ``insert`` grows it in place, so
-each basis belongs to the computation that builds it.
+There is no floating point anywhere, so results are reproducible bit for bit.
+Internally a matrix is a map of integer numerators over one positive common
+denominator, and an echelon basis keeps primitive integer rows, so the inner
+loops add and multiply plain ints: a fraction-free elimination in the style
+of Bareiss ("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  ``Fraction`` lives at the API edge:
+constructors take ints, Fractions or strings (never floats) and every entry,
+vector or coefficient handed back is a ``Fraction``.  Matrix operations
+return new matrices and never mutate their inputs.  An ``EchelonBasis`` is
+the one mutable object: ``insert`` grows it in place, so each basis belongs
+to the computation that builds it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Sparse vector: index -> nonzero Fraction.
 Vector = dict[int, Fraction]
+# The same over the integers; the internal form of rows and matrix rows.
+IntVector = dict[int, int]
 
 
 def as_fraction(value) -> Fraction:
@@ -23,37 +33,53 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _vec_clean(v: Vector) -> Vector:
-    return {i: c for i, c in v.items() if c}
+def _clear(v: Vector) -> tuple[IntVector, int]:
+    """Integer numerators of v over the least common denominator of its
+    entries, zeros dropped."""
+    den = lcm(*{x.denominator for x in v.values()})
+    return {i: x.numerator * (den // x.denominator) for i, x in v.items() if x}, den
 
 
-def vec_sub_scaled(v: Vector, w: Vector, c: Fraction) -> Vector:
-    """Return v - c*w as a new sparse vector."""
-    out = dict(v)
-    for i, x in w.items():
-        n = out.get(i, 0) - c * x
-        if n:
-            out[i] = n
+def _primitive(w: IntVector, p: int) -> IntVector:
+    """w divided by the gcd of its entries, signed so that w[p] > 0."""
+    g = gcd(*w.values())
+    if w[p] < 0:
+        g = -g
+    return w if g == 1 else {i: x // g for i, x in w.items()}
+
+
+def _eliminate(w: IntVector, row: IntVector, p: int) -> tuple[IntVector, int]:
+    """(a*w - b*row, a) for the least a > 0 and integer b that make column p
+    vanish; row[p] must be positive."""
+    a, b = row[p], w[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    out = {i: a * x for i, x in w.items()} if a != 1 else dict(w)
+    for i, y in row.items():
+        x = out.get(i, 0) - b * y
+        if x:
+            out[i] = x
         else:
-            out.pop(i, None)
-    return out
+            del out[i]
+    return out, a
 
 
 class SparseMatrix:
     """Immutable sparse matrix; zero entries are never stored.
 
-    Entries are kept row-major (dict of row -> dict of col -> Fraction) so
-    that matrix products only touch structurally nonzero positions.
+    Entries are integer numerators kept row-major (dict of row -> dict of
+    col -> int) over one positive common denominator, so that matrix products
+    only touch structurally nonzero positions and add plain ints.  The form
+    is canonical: the numerators and the denominator have gcd 1, and the zero
+    matrix has denominator 1, so equal matrices have equal storage.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable | dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        data: dict[int, dict[int, Fraction]] = {}
         items: Iterable
         if entries is None:
             items = ()
@@ -61,13 +87,34 @@ class SparseMatrix:
             items = entries.items()
         else:
             items = entries
+        data = {}
         for (r, c), val in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
             val = as_fraction(val)
             if val:
-                data.setdefault(r, {})[c] = val
-        self._data = data
+                data[r, c] = val
+        flat, den = _clear(data)
+        num: dict[int, IntVector] = {}
+        for (r, c), x in flat.items():
+            num.setdefault(r, {})[c] = x
+        self.rows = rows
+        self.cols = cols
+        self._num, self._den = num, den
+
+    @classmethod
+    def _new(cls, rows: int, cols: int, num: dict[int, IntVector], den: int) -> "SparseMatrix":
+        """The matrix num/den; num holds no zero entry and no empty row."""
+        if den != 1:  # divide out the gcd of the numerators and the denominator
+            g = gcd(den, *(x for d in num.values() for x in d.values()))
+            if g != 1:
+                num = {r: {c: x // g for c, x in d.items()} for r, d in num.items()}
+                den //= g
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._num, m._den = num, den
+        return m
 
     # -- construction helpers -------------------------------------------------
 
@@ -75,32 +122,20 @@ class SparseMatrix:
     def from_rows(rows: Sequence[Sequence]) -> "SparseMatrix":
         nr = len(rows)
         nc = len(rows[0]) if nr else 0
-        m = SparseMatrix(nr, nc)
-        for r, row in enumerate(rows):
+        for row in rows:
             if len(row) != nc:
                 raise ValueError("ragged rows")
-            d = {c: as_fraction(v) for c, v in enumerate(row) if v}
-            if d:
-                m._data[r] = d
-        return m
+        return SparseMatrix(nr, nc, {(r, c): v for r, row in enumerate(rows)
+                                     for c, v in enumerate(row)})
 
     @staticmethod
     def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
-        m = SparseMatrix(rows, len(columns))
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                if not 0 <= r < rows:
-                    raise IndexError("column entry out of range")
-                if v:
-                    m._data.setdefault(r, {})[c] = as_fraction(v)
-        return m
+        return SparseMatrix(rows, len(columns), {(r, c): v for c, col in enumerate(columns)
+                                                 for r, v in col.items()})
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        m = SparseMatrix(n, n)
-        for i in range(n):
-            m._data[i] = {i: Fraction(1)}
-        return m
+        return SparseMatrix._new(n, n, {i: {i: 1} for i in range(n)}, 1)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
@@ -109,21 +144,23 @@ class SparseMatrix:
     # -- access ---------------------------------------------------------------
 
     def get(self, r: int, c: int) -> Fraction:
-        return self._data.get(r, {}).get(c, Fraction(0))
+        return Fraction(self._num.get(r, {}).get(c, 0), self._den)
 
     def row(self, r: int) -> Vector:
-        return dict(self._data.get(r, {}))
+        den = self._den
+        return {c: Fraction(x, den) for c, x in self._num.get(r, {}).items()}
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
-        for r, d in self._data.items():
-            for c, v in d.items():
-                yield r, c, v
+        den = self._den
+        for r, d in self._num.items():
+            for c, x in d.items():
+                yield r, c, Fraction(x, den)
 
     def nnz(self) -> int:
-        return sum(len(d) for d in self._data.values())
+        return sum(len(d) for d in self._num.values())
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._num
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -139,37 +176,35 @@ class SparseMatrix:
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._require_same_shape(other)
-        out = SparseMatrix(self.rows, self.cols)
-        for r, d in self._data.items():
-            out._data[r] = dict(d)
-        for r, d in other._data.items():
-            tgt = out._data.setdefault(r, {})
-            for c, v in d.items():
-                n = tgt.get(c, 0) + v
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        num = {r: {c: sa * x for c, x in d.items()} for r, d in self._num.items()}
+        for r, d in other._num.items():
+            tgt = num.setdefault(r, {})
+            for c, x in d.items():
+                n = tgt.get(c, 0) + sb * x
                 if n:
                     tgt[c] = n
                 else:
-                    tgt.pop(c, None)
+                    del tgt[c]
             if not tgt:
-                del out._data[r]
-        return out
+                del num[r]
+        return SparseMatrix._new(self.rows, self.cols, num, den)
 
     def __neg__(self) -> "SparseMatrix":
-        out = SparseMatrix(self.rows, self.cols)
-        for r, d in self._data.items():
-            out._data[r] = {c: -v for c, v in d.items()}
-        return out
+        num = {r: {c: -x for c, x in d.items()} for r, d in self._num.items()}
+        return SparseMatrix._new(self.rows, self.cols, num, self._den)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
 
     def scale(self, c) -> "SparseMatrix":
         c = as_fraction(c)
-        out = SparseMatrix(self.rows, self.cols)
-        if c:
-            for r, d in self._data.items():
-                out._data[r] = {j: c * v for j, v in d.items()}
-        return out
+        if not c:
+            return SparseMatrix(self.rows, self.cols)
+        a = c.numerator
+        num = {r: {j: a * x for j, x in d.items()} for r, d in self._num.items()}
+        return SparseMatrix._new(self.rows, self.cols, num, self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, SparseMatrix):
@@ -182,41 +217,41 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
-        out = SparseMatrix(self.rows, other.cols)
-        odata = other._data
-        for r, d in self._data.items():
-            acc: dict[int, Fraction] = {}
+        onum = other._num
+        ncols = other.cols
+        num: dict[int, IntVector] = {}
+        for r, d in self._num.items():
+            acc = [0] * ncols  # a dense row accumulator beats dict.get here
             for k, a in d.items():
-                brow = odata.get(k)
-                if not brow:
-                    continue
-                for c, b in brow.items():
-                    n = acc.get(c, 0) + a * b
-                    if n:
-                        acc[c] = n
-                    else:
-                        acc.pop(c, None)
-            if acc:
-                out._data[r] = acc
-        return out
+                brow = onum.get(k)
+                if brow:
+                    for c, b in brow.items():
+                        acc[c] += a * b
+            row = {c: x for c, x in enumerate(acc) if x}
+            if row:
+                num[r] = row
+        return SparseMatrix._new(self.rows, other.cols, num, self._den * other._den)
 
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product M v for a sparse column vector."""
-        out: dict[int, Fraction] = {}
-        for r, d in self._data.items():
-            s = Fraction(0)
-            for c, a in d.items():
-                x = v.get(c)
-                if x:
-                    s += a * x
+    def _apply_num(self, w: IntVector) -> IntVector:
+        """The numerators times an integer column vector (nonzero entries only)."""
+        out: IntVector = {}
+        for r, d in self._num.items():
+            s = sum(a * w[c] for c, a in d.items() if c in w)
             if s:
                 out[r] = s
         return out
 
+    def apply(self, v: Vector) -> Vector:
+        """Matrix-vector product M v for a sparse column vector."""
+        w, den = _clear(v)
+        den *= self._den
+        return {r: Fraction(s, den) for r, s in self._apply_num(w).items()}
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._data == other._data
+        return ((self.rows, self.cols, self._den) == (other.rows, other.cols, other._den)
+                and self._num == other._num)
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -226,73 +261,86 @@ def vstack(top: SparseMatrix, bottom: SparseMatrix) -> SparseMatrix:
     """The rows of top followed by the rows of bottom."""
     if top.cols != bottom.cols:
         raise ValueError("column mismatch in stack")
-    out = SparseMatrix(top.rows + bottom.rows, top.cols)
-    for r, d in top._data.items():
-        out._data[r] = dict(d)
-    for r, d in bottom._data.items():
-        out._data[top.rows + r] = dict(d)
-    return out
+    den = lcm(top._den, bottom._den)
+    st, sb = den // top._den, den // bottom._den
+    num = {r: {c: st * x for c, x in d.items()} for r, d in top._num.items()}
+    for r, d in bottom._num.items():
+        num[top.rows + r] = {c: sb * x for c, x in d.items()}
+    return SparseMatrix._new(top.rows + bottom.rows, top.cols, num, den)
 
 
 class EchelonBasis:
     """Reduced row-echelon basis built by inserting one vector at a time.
 
-    Invariants: pivot columns strictly increase, every pivot entry is 1 and
-    pivot columns vanish in all other rows.  Insertion reduces the incoming
-    vector first and then back-reduces the stored rows, so the basis stays
-    fully reduced; this is what makes span-closure loops cheap to terminate.
+    Invariants: pivot columns strictly increase, and pivot columns vanish in
+    all other rows.  Rows are stored as primitive integer vectors (gcd 1)
+    with a positive pivot entry, which fixes each of them uniquely; ``rows``
+    hands out the same rows scaled to pivot entry 1, as Fractions.
+    Insertion reduces the incoming vector first and then back-reduces the
+    stored rows, so the basis stays fully reduced; this is what makes
+    span-closure loops cheap to terminate.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("pivots", "_rows", "_monic")
 
     def __init__(self):
-        self.rows: list[Vector] = []
         self.pivots: list[int] = []
+        self._rows: list[IntVector] = []
+        self._monic: Optional[list[Vector]] = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list[Vector]:
+        """The monic reduced rows (pivot entry 1), kept until the next insert."""
+        if self._monic is None:
+            self._monic = [{i: Fraction(x, row[p]) for i, x in row.items()}
+                           for p, row in zip(self.pivots, self._rows)]
+        return self._monic
+
+    def _reduce(self, w: IntVector) -> tuple[IntVector, int]:
+        """(u, s) with s > 0 and u = s*w minus integer multiples of the rows,
+        zero in every pivot column."""
+        s = 1
+        for p, row in zip(self.pivots, self._rows):
+            if w.get(p):
+                w, a = _eliminate(w, row, p)
+                s *= a
+        return w, s
 
     def reduce(self, v: Vector) -> Vector:
         """Fully reduce v against the basis; returns a new sparse vector."""
-        out = dict(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if c:
-                out = vec_sub_scaled(out, row, c)
-        return _vec_clean(out)
+        w, den = _clear(v)
+        u, s = self._reduce(w)
+        den *= s
+        return {i: Fraction(x, den) for i, x in u.items()}
 
     def coordinates(self, v: Vector) -> Optional[list[Fraction]]:
-        """Coefficients of v in the basis rows, or None if v is outside."""
-        out = dict(v)
-        coeffs = []
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p, Fraction(0))
-            coeffs.append(c)
-            if c:
-                out = vec_sub_scaled(out, row, c)
-        if _vec_clean(out):
+        """Coefficients of v in the monic basis rows, or None if v is outside.
+
+        Each stored row vanishes at every other pivot, so the coefficient of
+        the row with pivot p is v[p] itself."""
+        if self._reduce(_clear(v)[0])[0]:
             return None
-        return coeffs
+        return [v.get(p, Fraction(0)) for p in self.pivots]
 
     def insert(self, v: Vector) -> bool:
-        """Insert v; returns True when it enlarges the span."""
-        red = self.reduce(v)
-        if not red:
+        """Insert v, whose entries may be ints or Fractions; returns True when
+        it enlarges the span."""
+        w, _ = self._reduce(_clear(v)[0])
+        if not w:
             return False
-        p = min(red)
-        inv = red[p]
-        row = {i: c / inv for i, c in red.items()}
-        for other in self.rows:
-            c = other.get(p)
-            if c:
-                upd = vec_sub_scaled(other, row, c)
-                other.clear()
-                other.update(upd)
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < p:
-            k += 1
+        p = min(w)
+        w = _primitive(w, p)
+        rows = self._rows
+        for k, other in enumerate(rows):
+            if other.get(p):
+                rows[k] = _primitive(_eliminate(other, w, p)[0], self.pivots[k])
+        k = bisect(self.pivots, p)
         self.pivots.insert(k, p)
-        self.rows.insert(k, row)
+        rows.insert(k, w)
+        self._monic = None
         return True
 
 
@@ -300,7 +348,7 @@ def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     basis = EchelonBasis()
     for r in range(m.rows):
-        row = m.row(r)
+        row = m._num.get(r)
         if row:
             basis.insert(row)
     return basis, len(basis)
@@ -315,10 +363,10 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
         if free in pivot_set:
             continue
         v: Vector = {free: Fraction(1)}
-        for p, row in zip(basis.pivots, basis.rows):
+        for p, row in zip(basis.pivots, basis._rows):
             c = row.get(free)
             if c:
-                v[p] = -c
+                v[p] = Fraction(-c, row[p])
         out.append(v)
     assert len(out) == m.cols - rank
     return out
@@ -332,9 +380,10 @@ def eigenspace(m: SparseMatrix, lam) -> list[Vector]:
     return kernel_basis(shifted)
 
 
-def _vectorize(m: SparseMatrix) -> Vector:
+def _vectorize(m: SparseMatrix) -> IntVector:
+    """The numerators of m, flattened row-major."""
     n = m.cols
-    return {r * n + c: v for r, c, v in m.items()}
+    return {r * n + c: x for r, d in m._num.items() for c, x in d.items()}
 
 
 def span_closure(generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]:
@@ -343,7 +392,8 @@ def span_closure(generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]
     Worklist closure: seed with the identity and the generators, and keep
     right-multiplying newly accepted basis elements by the generators until
     nothing new appears.  Discarding products that reduce into the current
-    span is sound because right multiplication is linear.
+    span is sound because right multiplication is linear.  A matrix and its
+    numerators span the same line, so the basis takes the numerators.
     """
     if not generators:
         raise ValueError("span_closure needs at least one generator")
@@ -366,24 +416,24 @@ def span_closure(generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]
 def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:
     """One exact solution of M x = b (free variables set to 0), or None."""
     aug_col = m.cols
+    bw, bden = _clear(b)
     basis = EchelonBasis()
+    # row r of [M | b], times the denominators of M and b
     for r in range(m.rows):
-        row = m.row(r)
-        bv = b.get(r)
-        if bv:
-            row[aug_col] = bv
+        row = {c: bden * x for c, x in m._num.get(r, {}).items()}
+        if r in bw:
+            row[aug_col] = m._den * bw[r]
         if row:
             basis.insert(row)
     x: Vector = {}
-    for p, row in zip(basis.pivots, basis.rows):
+    for p, row in zip(basis.pivots, basis._rows):
         if p == aug_col:
             return None  # inconsistent system
         # rows are fully reduced; with free variables at 0 the pivot is forced
         c = row.get(aug_col)
         if c:
-            x[p] = c
-    residual = vec_sub_scaled(b, m.apply(x), Fraction(1))
-    if _vec_clean(residual):
+            x[p] = Fraction(c, row[p])
+    if m.apply(x) != {i: c for i, c in b.items() if c}:
         return None
     return x
 
@@ -394,18 +444,16 @@ def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
         raise ValueError("invert requires a square matrix")
     n = m.rows
     basis = EchelonBasis()
+    # row r of [M | I], times the denominator of M
     for r in range(n):
-        row = m.row(r)
-        row[n + r] = Fraction(1)
+        row = dict(m._num.get(r, {}))
+        row[n + r] = m._den
         basis.insert(row)
-    if len(basis) != n or basis.pivots != list(range(n)):
+    if basis.pivots != list(range(n)):
         return None
-    inv = SparseMatrix(n, n)
-    for p, row in zip(basis.pivots, basis.rows):
-        d = {c - n: v for c, v in row.items() if c >= n}
-        if d:
-            inv._data[p] = d
-    return inv
+    return SparseMatrix(n, n, {(p, c - n): Fraction(x, row[p])
+                               for p, row in zip(basis.pivots, basis._rows)
+                               for c, x in row.items() if c >= n})
 
 
 def restrict_to_subspace(m: SparseMatrix, basis_columns: Sequence[Vector]) -> SparseMatrix:
@@ -418,21 +466,20 @@ def restrict_to_subspace(m: SparseMatrix, basis_columns: Sequence[Vector]) -> Sp
     # row stands for.
     span = EchelonBasis()
     n = m.rows
-    for j, col in enumerate(basis_columns):
-        aug = dict(col)
-        aug[n + j] = Fraction(1)
-        red = span.reduce(aug)
-        if not any(k < n for k in red):
+    cleared = [_clear(col) for col in basis_columns]
+    for j, (w, den) in enumerate(cleared):
+        aug = dict(w)
+        aug[n + j] = den
+        red, _ = span._reduce(aug)
+        if min(red) >= n:
             raise ValueError("basis_columns are linearly dependent")
         span.insert(red)
-    out = SparseMatrix(len(basis_columns), len(basis_columns))
-    for j, col in enumerate(basis_columns):
-        red = span.reduce(m.apply(col))
-        tail = {k - n: -v for k, v in red.items() if k >= n}
-        if any(k < n for k in red):
+    entries = {}
+    for j, (w, den) in enumerate(cleared):
+        # m col_j has numerators m._num w over m._den * den
+        red, s = span._reduce(m._apply_num(w))
+        if min(red, default=n) < n:
             raise ValueError("subspace is not invariant under the matrix")
-        for i, v in tail.items():
-            if v:
-                out._data.setdefault(i, {})[j] = v
-    return out
-
+        for k, x in red.items():
+            entries[(k - n, j)] = Fraction(-x, m._den * den * s)
+    return SparseMatrix(len(basis_columns), len(basis_columns), entries)

@@ -9,7 +9,7 @@ E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}, H v_i = (n-2i) v_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,12 +29,17 @@ Vector = dict[int, Fraction]
 
 @dataclass(frozen=True)
 class SL2Rep:
-    """Matrices for E, F, H satisfying the defining relations exactly."""
+    """Matrices for E, F, H satisfying the defining relations exactly.
+
+    ``powers`` caches E^k, F^k and H^k as ``evaluate`` needs them."""
 
     dim: int
     E: SparseMatrix
     F: SparseMatrix
     H: SparseMatrix
+    powers: dict[tuple[str, int], SparseMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for m in (self.E, self.F, self.H):
@@ -122,20 +127,20 @@ def build_L(n: int) -> SL2Rep:
 def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
     """Homomorphic evaluation of a PBW element on a module."""
     dim = rep.dim
-    pow_cache: dict[tuple[str, int], SparseMatrix] = {}
+    cache = rep.powers
 
-    def power(name: str, mat: SparseMatrix, k: int) -> SparseMatrix:
+    def power(name: str, k: int) -> SparseMatrix:
         key = (name, k)
-        if key not in pow_cache:
+        if key not in cache:
             if k == 0:
-                pow_cache[key] = SparseMatrix.identity(dim)
+                cache[key] = SparseMatrix.identity(dim)
             else:
-                pow_cache[key] = power(name, mat, k - 1) * mat
-        return pow_cache[key]
+                cache[key] = power(name, k - 1) * getattr(rep, name)
+        return cache[key]
 
     out = SparseMatrix.zero(dim, dim)
     for (i, j, k), c in a.terms.items():
-        m = power("E", rep.E, i) * power("F", rep.F, j) * power("H", rep.H, k)
+        m = power("E", i) * power("F", j) * power("H", k)
         out = out + m.scale(c)
     return out
 

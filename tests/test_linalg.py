@@ -3,6 +3,7 @@ from itertools import product
 from random import Random
 
 import pytest
+import sympy
 
 from hahnsl2.linalg import (
     EchelonBasis,
@@ -225,3 +226,96 @@ def test_restrict_to_subspace():
     assert sub == SparseMatrix.from_rows([[1, 0], [0, 3]])
     with pytest.raises(ValueError):
         restrict_to_subspace(SparseMatrix.from_rows([[0, 1], [1, 0]]), [{0: F(1)}])
+
+
+def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
+    """Sparse-ish entries with denominators up to 6; one row in three is a
+    combination of earlier rows, so singular and rank-deficient cases occur."""
+    dense = []
+    for r in range(rows):
+        if r >= 2 and rng.random() < 1 / 3:
+            a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-3, 3), rng.randint(1, 4))
+            dense.append([a * x + b * y for x, y in zip(dense[rng.randrange(r)], dense[rng.randrange(r)])])
+        else:
+            dense.append([F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else F(0)
+                          for _ in range(cols)])
+    return SparseMatrix.from_rows(dense)
+
+
+def _sym(m: SparseMatrix) -> sympy.Matrix:
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.to_dense() for x in row])
+
+
+def _from_sym(s: sympy.Matrix) -> SparseMatrix:
+    return SparseMatrix.from_rows([[F(int(x.p), int(x.q)) for x in row] for row in s.tolist()])
+
+
+SHAPES = [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (4, 6), (6, 4), (5, 5)]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
+    rng = Random(seed)
+    rows, cols = SHAPES[seed % len(SHAPES)]
+    m = _random_rational(rng, rows, cols)
+    other = _random_rational(rng, rows, cols)
+    right = _random_rational(rng, cols, rng.randint(1, 5))
+    c = F(rng.randint(-7, 7), rng.randint(1, 5))
+    sm = _sym(m)
+
+    assert m + other == _from_sym(sm + _sym(other))
+    assert m - other == _from_sym(sm - _sym(other))
+    assert m.scale(c) == _from_sym(sm * sympy.Rational(c.numerator, c.denominator))
+    assert m * right == _from_sym(sm * _sym(right))
+
+    basis, rank = rref(m)
+    reduced, pivots = sm.rref()
+    assert rank == sm.rank() == len(pivots)
+    assert basis.pivots == list(pivots)
+    assert [[row.get(j, 0) for j in range(cols)] for row in basis.rows] == [
+        [F(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(rank)
+    ]
+
+    kernel = kernel_basis(m)
+    assert len(kernel) == cols - rank
+    assert all(m.apply(v) == {} for v in kernel)
+
+    x0 = {j: F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(cols)}
+    x = solve(m, m.apply(x0))
+    assert x is not None and m.apply(x) == m.apply(x0)
+    b = {i: F(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(rows)}
+    aug = sm.row_join(sympy.Matrix(rows, 1, [sympy.Rational(str(b[i])) for i in range(rows)]))
+    x = solve(m, b)
+    if aug.rank() > rank:
+        assert x is None
+    else:
+        assert x is not None and m.apply(x) == {i: v for i, v in b.items() if v}
+
+    if rows == cols:
+        inv = invert(m)
+        if sm.det() == 0:
+            assert inv is None
+        else:
+            assert inv == _from_sym(sm.inv())
+            assert m * inv == SparseMatrix.identity(rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matrix_storage_is_canonical(seed):
+    rng = Random(100 + seed)
+    rows, cols = SHAPES[seed % len(SHAPES)]
+    m = _random_rational(rng, rows, cols)
+    third = F(1, 3)
+    assert m.scale(third).scale(3) == m
+    assert m + m == m.scale(2) == m * 2
+    assert (m - m).is_zero() and m - m == SparseMatrix.zero(rows, cols)
+    assert m.scale(0) == SparseMatrix.zero(rows, cols)
+    assert m.scale(F(-1, 7)).scale(-7) == m == -(-m)
+    entries = {(r, c): v for r, c, v in m.items()}
+    assert SparseMatrix(rows, cols, entries) == m
+    assert SparseMatrix.from_columns([{r: v for (r, c), v in entries.items() if c == j}
+                                      for j in range(cols)], rows) == m
+    assert m * SparseMatrix.identity(cols) == m == SparseMatrix.identity(rows) * m
+    assert vstack(m, SparseMatrix.zero(1, cols)) == SparseMatrix.from_rows(
+        m.to_dense() + [[0] * cols])

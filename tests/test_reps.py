@@ -114,12 +114,9 @@ def _direct_sum(a: UeRep, b: UeRep) -> UeRep:
     n = a.dim + b.dim
 
     def block(x, y):
-        out = SparseMatrix(n, n)
-        for r, c, v in x.items():
-            out._data.setdefault(r, {})[c] = v
-        for r, c, v in y.items():
-            out._data.setdefault(a.dim + r, {})[a.dim + c] = v
-        return out
+        entries = {(r, c): v for r, c, v in x.items()}
+        entries.update({(a.dim + r, a.dim + c): v for r, c, v in y.items()})
+        return SparseMatrix(n, n, entries)
 
     return UeRep(
         dim=n,
