@@ -171,6 +171,8 @@ def test_floats_are_refused_at_the_matrix_boundary():
         lambda: SparseMatrix(1, 1, {(0, 0): 0.1}),
         lambda: SparseMatrix.from_rows([[0.5]]),
         lambda: SparseMatrix.from_columns([{0: 0.5}], 1),
+        lambda: SparseMatrix.from_rows([[1, 0.0]]),
+        lambda: SparseMatrix.from_columns([{0: 0.0}], 1),
         lambda: SparseMatrix.identity(2).scale(0.5),
         lambda: eigenspace(SparseMatrix.identity(2), 1.0),
     ):
@@ -242,13 +244,20 @@ def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
     return SparseMatrix.from_rows(dense)
 
 
+def _q(x: F) -> sympy.Rational:
+    return sympy.Rational(x.numerator, x.denominator)
+
+
 def _sym(m: SparseMatrix) -> sympy.Matrix:
-    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                         for row in m.to_dense() for x in row])
+    return sympy.Matrix(m.rows, m.cols, [_q(x) for row in m.to_dense() for x in row])
+
+
+def _f(x: sympy.Rational) -> F:
+    return F(int(x.p), int(x.q))
 
 
 def _from_sym(s: sympy.Matrix) -> SparseMatrix:
-    return SparseMatrix.from_rows([[F(int(x.p), int(x.q)) for x in row] for row in s.tolist()])
+    return SparseMatrix.from_rows([[_f(x) for x in row] for row in s.tolist()])
 
 
 SHAPES = [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (4, 6), (6, 4), (5, 5)]
@@ -266,7 +275,7 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
 
     assert m + other == _from_sym(sm + _sym(other))
     assert m - other == _from_sym(sm - _sym(other))
-    assert m.scale(c) == _from_sym(sm * sympy.Rational(c.numerator, c.denominator))
+    assert m.scale(c) == _from_sym(sm * _q(c))
     assert m * right == _from_sym(sm * _sym(right))
 
     basis, rank = rref(m)
@@ -274,18 +283,25 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
     assert rank == sm.rank() == len(pivots)
     assert basis.pivots == list(pivots)
     assert [[row.get(j, 0) for j in range(cols)] for row in basis.rows] == [
-        [F(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(rank)
+        [_f(x) for x in reduced.row(i)] for i in range(rank)
     ]
+
+    # reduce leaves v minus v[p] times the monic rref row of each pivot p
+    v = {j: F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(cols) if rng.random() < 0.7}
+    left = sympy.Matrix(1, cols, [_q(v.get(j, F(0))) for j in range(cols)])
+    for i, p in enumerate(pivots):
+        left -= _q(v.get(p, F(0))) * reduced.row(i)
+    assert basis.reduce(v) == {j: _f(x) for j, x in enumerate(left) if x}
 
     kernel = kernel_basis(m)
     assert len(kernel) == cols - rank
-    assert all(m.apply(v) == {} for v in kernel)
+    assert all(m.apply(u) == {} for u in kernel)
 
     x0 = {j: F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(cols)}
     x = solve(m, m.apply(x0))
     assert x is not None and m.apply(x) == m.apply(x0)
     b = {i: F(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(rows)}
-    aug = sm.row_join(sympy.Matrix(rows, 1, [sympy.Rational(str(b[i])) for i in range(rows)]))
+    aug = sm.row_join(sympy.Matrix(rows, 1, [_q(b[i]) for i in range(rows)]))
     x = solve(m, b)
     if aug.rank() > rank:
         assert x is None
@@ -299,6 +315,32 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
         else:
             assert inv == _from_sym(sm.inv())
             assert m * inv == SparseMatrix.identity(rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_restrict_to_subspace_agrees_with_sympy(seed):
+    """m = P B P^-1 with B zero below its top-left k x k block in the first
+    k columns: the span of the first k columns of P is invariant, and m acts
+    on it as that block of B."""
+    rng = Random(200 + seed)
+    n = rng.randint(2, 5)
+    k = rng.randint(1, n - 1)
+    p = _random_rational(rng, n, n)
+    while _sym(p).det() == 0:
+        p = _random_rational(rng, n, n)
+    b = _random_rational(rng, n, n).to_dense()
+    for i in range(k, n):
+        b[i][:k] = [F(0)] * k
+    cols = [{i: p.get(i, j) for i in range(n) if p.get(i, j)} for j in range(k)]
+    sp = _sym(p)
+
+    def conjugated(block_rows):
+        return _from_sym(sp * _sym(SparseMatrix.from_rows(block_rows)) * sp.inv())
+
+    assert restrict_to_subspace(conjugated(b), cols) == SparseMatrix.from_rows([r[:k] for r in b[:k]])
+    b[k][k - 1] = F(1, 2)
+    with pytest.raises(ValueError):
+        restrict_to_subspace(conjugated(b), cols)
 
 
 @pytest.mark.parametrize("seed", range(8))
