@@ -12,7 +12,12 @@ import json
 import sys
 
 from . import hahn, reps, terwilliger, usl2
-from .reporting import PASS, CheckItem
+from .reporting import FAIL, PASS, CheckItem
+
+# Largest D the brute-force cube suite accepts: te_dimension takes about 28 s
+# at D = 9 on a 2-vCPU machine (Python 3.11), and each further D costs about
+# ten times more.
+D_MAX_CAP = 9
 
 
 def _report_skeleton(command: str, config: dict) -> dict:
@@ -73,15 +78,15 @@ def _rho_property_items(samples: int = 100, seed: int = 74) -> list[CheckItem]:
     return [
         CheckItem(
             name=f"rho is a homomorphism on {samples} seeded samples",
-            status=PASS if bad_hom == 0 else "fail",
+            status=PASS if bad_hom == 0 else FAIL,
         ),
         CheckItem(
             name=f"rho is an involution on {samples} seeded samples",
-            status=PASS if bad_inv == 0 else "fail",
+            status=PASS if bad_inv == 0 else FAIL,
         ),
         CheckItem(
             name=f"rho flips the grading on {samples} seeded samples",
-            status=PASS if bad_deg == 0 else "fail",
+            status=PASS if bad_deg == 0 else FAIL,
         ),
     ]
 
@@ -135,15 +140,15 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
         items = [
             CheckItem(
                 name=f"D={D}: standard decomposition matches the closed form",
-                status=PASS if standard_ok else "fail",
+                status=PASS if standard_ok else FAIL,
             ),
             CheckItem(
                 name=f"D={D}: halved decomposition matches the closed form",
-                status=PASS if halved_ok else "fail",
+                status=PASS if halved_ok else FAIL,
             ),
             CheckItem(
                 name=f"D={D}: Terwilliger dimension {dim} equals formula and Wedderburn sum",
-                status=PASS if dim_ok else "fail",
+                status=PASS if dim_ok else FAIL,
             ),
         ]
         _add_items(report, items)
@@ -273,6 +278,9 @@ def _validate(args, parser) -> None:
     if hasattr(args, "d_min"):
         if args.d_min < 2 or args.d_max < args.d_min:
             parser.error("need 2 <= d-min <= d-max")
+        if args.d_max > D_MAX_CAP:
+            parser.error(f"--d-max is capped at {D_MAX_CAP}: the brute-force cube suite "
+                         "grows about tenfold with each D beyond it")
         if args.base_vertex is not None:
             if args.d_min != args.d_max:
                 parser.error("--base-vertex needs a single D (set d-min = d-max)")

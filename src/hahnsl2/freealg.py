@@ -15,15 +15,16 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from .linalg import EchelonBasis, SparseMatrix, Vector, as_fraction, solve
+from .linalg import Combination, EchelonBasis, SparseMatrix, Vector, render_terms, solve
 
 Word = str
 
 
-class FreePoly:
+class FreePoly(Combination):
     """Finite rational combination of words over a fixed alphabet."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet",)
+    UNIT = ""
 
     def __init__(self, alphabet, terms: dict[Word, Fraction] | None = None):
         alphabet = tuple(alphabet)
@@ -31,23 +32,23 @@ class FreePoly:
             if len(s) != 1:
                 raise ValueError("generator names must be single characters")
         self.alphabet = alphabet
-        cleaned: dict[Word, Fraction] = {}
-        if terms:
-            allowed = set(alphabet)
-            for w, c in terms.items():
-                if not set(w) <= allowed:
-                    raise ValueError(f"word {w!r} uses symbols outside the alphabet")
-                c = as_fraction(c)
-                if c:
-                    cleaned[w] = c
-        self.terms = cleaned
+        super().__init__(terms)
 
-    @staticmethod
-    def _raw(alphabet: tuple[str, ...], terms: dict[Word, Fraction]) -> "FreePoly":
-        p = FreePoly.__new__(FreePoly)
-        p.alphabet = alphabet
-        p.terms = terms
-        return p
+    def _key(self, w: Word) -> Word:
+        if not set(w) <= set(self.alphabet):
+            raise ValueError(f"word {w!r} uses symbols outside the alphabet")
+        return w
+
+    def _product(self, other: "FreePoly") -> "FreePoly":
+        return fmultiply(self, other)
+
+    def _space(self) -> tuple[str, ...]:
+        return self.alphabet
+
+    def _like(self, terms: dict[Word, Fraction]) -> "FreePoly":
+        out = super()._like(terms)
+        out.alphabet = self.alphabet
+        return out
 
     @staticmethod
     def zero(alphabet) -> "FreePoly":
@@ -63,86 +64,19 @@ class FreePoly:
             raise ValueError(f"{name!r} is not in the alphabet")
         return FreePoly(alphabet, {name: Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Max word length among terms (0 for the zero polynomial)."""
         return max((len(w) for w in self.terms), default=0)
 
-    def _check_alphabet(self, other: "FreePoly") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        self._check_alphabet(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            n = out.get(w, 0) + c
-            if n:
-                out[w] = n
-            else:
-                del out[w]
-        return FreePoly._raw(self.alphabet, out)
-
-    def __neg__(self) -> "FreePoly":
-        return FreePoly._raw(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
-
-    def scale(self, c) -> "FreePoly":
-        c = as_fraction(c)
-        if not c:
-            return FreePoly._raw(self.alphabet, {})
-        return FreePoly._raw(self.alphabet, {w: c * x for w, x in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FreePoly):
-            return fmultiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, n: int) -> "FreePoly":
-        if n < 0:
-            raise ValueError("negative power")
-        acc = FreePoly.one(self.alphabet)
-        for _ in range(n):
-            acc = fmultiply(acc, self)
-        return acc
-
-    def __repr__(self) -> str:
-        return f"FreePoly({self})"
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            body = w if w else "1"
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            parts.append((sign, body if c == 1 and w else f"{c}*{body}" if w else str(c)))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        """Terms in length-lexicographic order of their words."""
+        words = sorted(self.terms, key=lambda w: (len(w), w))
+        return render_terms((w or "1", self.terms[w]) for w in words)
 
 
 def fmultiply(a: FreePoly, b: FreePoly) -> FreePoly:
     """Concatenation-bilinear product."""
-    a._check_alphabet(b)
+    a._require_same_space(b)
     out: dict[Word, Fraction] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
@@ -152,7 +86,7 @@ def fmultiply(a: FreePoly, b: FreePoly) -> FreePoly:
                 out[w] = n
             else:
                 del out[w]
-    return FreePoly._raw(a.alphabet, out)
+    return a._like(out)
 
 
 def fcommutator(a: FreePoly, b: FreePoly) -> FreePoly:
@@ -243,7 +177,7 @@ def ideal_membership(
     if not generators:
         raise ValueError("no ideal generators given")
     for g in generators:
-        target._check_alphabet(g)
+        target._require_same_space(g)
     if degree_bound is None:
         degree_bound = target.degree() + 4
     if degree_bound < target.degree():

@@ -1,6 +1,12 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, and the exactness boundary.
 
 There is no floating point anywhere, so results are reproducible bit for bit.
+``as_fraction`` is the one place a float is refused.  ``Combination`` is the
+one exact linear-combination type: U(sl2) elements (``usl2.USL2Element``) and
+free polynomials (``freealg.FreePoly``) are its subclasses, so coefficient
+cleaning, sums, scalar multiples, equality, hashing and the signed text of
+``render_terms`` are written once, here.
+
 Internally a matrix is a map of integer numerators over one positive common
 denominator, and an echelon basis keeps primitive integer rows, so the inner
 loops add and multiply plain ints: a fraction-free elimination in the style
@@ -31,6 +37,113 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; pass an int, Fraction or str")
     return Fraction(value)
+
+
+class Combination:
+    """A finite exact linear combination: a map from key to nonzero Fraction.
+
+    The elements of U(sl2) and of the free algebra are both of this kind.  A
+    subclass supplies ``_key`` (check one key and return it), ``_product``
+    (multiply two combinations of its kind) and ``UNIT`` (the key of the
+    unit); a kind whose elements live over a choice of generators (an
+    alphabet) also overrides ``_space`` and ``_like``, so that the choice must
+    match and is carried along.  Coefficients are cleaned and floats refused
+    here, once; every operation returns a new combination.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        cleaned: dict = {}
+        if terms:
+            for key, c in terms.items():
+                key = self._key(key)
+                c = as_fraction(c)
+                if c:
+                    cleaned[key] = c
+        self.terms = cleaned
+
+    def _space(self):
+        """What two combinations must share to be added, compared or multiplied."""
+        return None
+
+    def _like(self, terms: dict) -> "Combination":
+        """A combination of the same kind over terms that are already clean."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _require_same_space(self, other: "Combination") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other._space() != self._space():
+            raise ValueError(f"{type(self).__name__} operands over different alphabets")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Combination):
+            return NotImplemented
+        return (type(other) is type(self) and other._space() == self._space()
+                and other.terms == self.terms)
+
+    def __hash__(self) -> int:
+        return hash((self._space(), frozenset(self.terms.items())))
+
+    def __add__(self, other: "Combination") -> "Combination":
+        self._require_same_space(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            n = out.get(key, 0) + c
+            if n:
+                out[key] = n
+            else:
+                del out[key]
+        return self._like(out)
+
+    def __neg__(self) -> "Combination":
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + (-other)
+
+    def scale(self, c) -> "Combination":
+        c = as_fraction(c)
+        return self._like({key: c * x for key, x in self.terms.items()} if c else {})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._product(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __pow__(self, n: int) -> "Combination":
+        if n < 0:
+            raise ValueError("negative power")
+        acc = self._like({self.UNIT: Fraction(1)})
+        for _ in range(n):
+            acc = acc._product(self)
+        return acc
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def render_terms(pairs: Iterable[tuple[str, Fraction]]) -> str:
+    """Signed text of ordered (name, coefficient) pairs: "c*name", with the
+    coefficient 1 left out and the unit, named "1", shown as its coefficient."""
+    text = ""
+    for name, c in pairs:
+        size = abs(c)
+        body = str(size) if name == "1" else name if size == 1 else f"{size}*{name}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
 
 
 def _clear(v: Vector) -> tuple[IntVector, int]:

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import usl2
 from .linalg import (
     SparseMatrix,
+    Vector,
     eigenspace,
     invert,
     kernel_basis,
@@ -23,8 +25,6 @@ from .linalg import (
     span_closure,
 )
 from .reporting import PASS, FAIL, CheckItem
-
-Vector = dict[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -145,36 +145,39 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
     return out
 
 
+def family_dim(n: int, parity: int) -> int:
+    """Dimension of L_n^(parity): the ladder vectors v_m of L_n with m = parity mod 2."""
+    return (n - parity) // 2 + 1
+
+
+def _build_half(n: int, parity: int) -> UeRep:
+    # basis u_i = v_m with m = 2i + parity; E^2 v_m = (n-m+1)(n-m+2) v_{m-2},
+    # F^2 v_m = (m+1)(m+2) v_{m+2} and H v_m = (n-2m) v_m
+    dim = family_dim(n, parity)
+    e2 = SparseMatrix(dim, dim, {
+        (i - 1, i): Fraction((n - 2 * i - parity + 1) * (n - 2 * i - parity + 2))
+        for i in range(1, dim)
+    })
+    f2 = SparseMatrix(dim, dim, {
+        (i + 1, i): Fraction((2 * i + parity + 1) * (2 * i + parity + 2)) for i in range(dim - 1)
+    })
+    h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 4 * i - 2 * parity) for i in range(dim)})
+    lam = SparseMatrix.identity(dim).scale(Fraction(n * (n + 2), 2))
+    return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
+
+
 def build_L0(n: int) -> UeRep:
     """Even half of the ladder module: basis u_i = v_{2i}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    dim = n // 2 + 1
-    e2 = SparseMatrix(
-        dim, dim, {(i - 1, i): Fraction((n - 2 * i + 1) * (n - 2 * i + 2)) for i in range(1, dim)}
-    )
-    f2 = SparseMatrix(
-        dim, dim, {(i + 1, i): Fraction((2 * i + 1) * (2 * i + 2)) for i in range(dim - 1)}
-    )
-    h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 4 * i) for i in range(dim)})
-    lam = SparseMatrix.identity(dim).scale(Fraction(n * (n + 2), 2))
-    return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
+    return _build_half(n, 0)
 
 
 def build_L1(n: int) -> UeRep:
     """Odd half of the ladder module: basis u_i = v_{2i+1}; needs n >= 1."""
     if n < 1:
         raise ValueError("the odd half exists only for n >= 1")
-    dim = (n - 1) // 2 + 1
-    e2 = SparseMatrix(
-        dim, dim, {(i - 1, i): Fraction((n - 2 * i) * (n - 2 * i + 1)) for i in range(1, dim)}
-    )
-    f2 = SparseMatrix(
-        dim, dim, {(i + 1, i): Fraction((2 * i + 2) * (2 * i + 3)) for i in range(dim - 1)}
-    )
-    h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 4 * i - 2) for i in range(dim)})
-    lam = SparseMatrix.identity(dim).scale(Fraction(n * (n + 2), 2))
-    return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
+    return _build_half(n, 1)
 
 
 def ue_restriction(rep: SL2Rep, basis: list[Vector]) -> UeRep:
@@ -195,12 +198,10 @@ def restrict_even(rep: SL2Rep, n: int):
     """
     if rep.dim != n + 1:
         raise ValueError("rep does not look like the ladder module of weight n")
-    basis0: list[Vector] = []
-    basis1: list[Vector] = []
-    for i in range(n // 2 + 1):
-        basis0.extend(eigenspace(rep.H, Fraction(n - 4 * i)))
-    for i in range((n - 1) // 2 + 1):
-        basis1.extend(eigenspace(rep.H, Fraction(n - 4 * i - 2)))
+    basis0, basis1 = (
+        [v for i in range(family_dim(n, p)) for v in eigenspace(rep.H, Fraction(n - 4 * i - 2 * p))]
+        for p in (0, 1)
+    )
     block0 = ue_restriction(rep, basis0)
     block1 = ue_restriction(rep, basis1) if basis1 else None
     return block0, block1
@@ -290,24 +291,15 @@ def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
     scale_rows = SparseMatrix(
         rep.dim,
         rep.dim,
-        {(i, i): _ladder_scale(i, parity) for i in range(rep.dim)},
+        {(i, i): factorial(2 * i + parity) for i in range(rep.dim)},
     )
     p = scale_rows * w_inv
-    target = build_L0(label.n) if parity == 0 else build_L1(label.n)
+    target = _build_half(label.n, parity)
     pairs = list(zip(rep.operators(), target.operators()))
     for op_in, op_tgt in pairs:
         if p * op_in != op_tgt * p:
             raise ValueError("constructed map fails to intertwine the operators")
     return label, p
-
-
-def _ladder_scale(i: int, parity: int) -> Fraction:
-    # (2i)! for the even family, (2i+1)! for the odd family
-    out = 1
-    top = 2 * i if parity == 0 else 2 * i + 1
-    for t in range(2, top + 1):
-        out *= t
-    return Fraction(out)
 
 
 @lru_cache(maxsize=None)

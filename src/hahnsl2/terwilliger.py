@@ -13,15 +13,14 @@ from math import comb
 
 from .linalg import (
     SparseMatrix,
+    Vector,
     eigenspace,
     kernel_basis,
     restrict_to_subspace,
     span_closure,
     vstack,
 )
-from .reps import SL2Rep, UeRep, classify_ue_irreducible, ue_restriction
-
-Vector = dict[int, Fraction]
+from .reps import SL2Rep, UeRep, classify_ue_irreducible, family_dim, ue_restriction
 
 
 def _weight(v: int) -> int:
@@ -232,7 +231,7 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
             continue
         # lift the first top vector and follow its ladder to one summand
         w = b.apply(tops[0])
-        fam_dim = (n // 2 + 1) if parity == 0 else ((n - 1) // 2 + 1)
+        fam_dim = family_dim(n, parity)
         chain: list[Vector] = [w]
         for _ in range(fam_dim - 1):
             chain.append(ue.F2.apply(chain[-1]))
@@ -247,10 +246,7 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
         if (label.n, label.parity) != (n, parity):
             labels_ok = False
         wedderburn += fam_dim * fam_dim
-    total = sum(
-        m * ((n // 2 + 1) if p == 0 else ((n - 1) // 2 + 1))
-        for (n, p), m in blocks.items()
-    )
+    total = sum(m * family_dim(n, p) for (n, p), m in blocks.items())
     return HalvedDecomposition(
         D=D,
         blocks=blocks,

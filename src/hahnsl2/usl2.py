@@ -21,8 +21,8 @@ from functools import lru_cache
 from random import Random
 import re
 
-from .linalg import as_fraction
-from .reporting import CheckItem
+from .linalg import Combination, render_terms
+from .reporting import FAIL, PASS, CheckItem
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
 Monomial = tuple[int, int, int]
@@ -71,91 +71,31 @@ def _mono_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...
     return tuple(((i + i1, j, k + k2), c) for (i, j, k), c in core)
 
 
-class USL2Element:
+class USL2Element(Combination):
     """A PBW-normal-form element: map from (i, j, k) to a nonzero Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    UNIT = (0, 0, 0)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = as_fraction(c)
-                if c:
-                    i, j, k = m
-                    if i < 0 or j < 0 or k < 0:
-                        raise ValueError(f"negative exponent in monomial {m}")
-                    cleaned[(i, j, k)] = c
-        self.terms = cleaned
+    def _key(self, m) -> Monomial:
+        i, j, k = m
+        if i < 0 or j < 0 or k < 0:
+            raise ValueError(f"negative exponent in monomial {m}")
+        return (i, j, k)
 
-    @staticmethod
-    def _raw(terms: dict[Monomial, Fraction]) -> "USL2Element":
-        el = USL2Element.__new__(USL2Element)
-        el.terms = terms
-        return el
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, USL2Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "USL2Element") -> "USL2Element":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            n = out.get(m, 0) + c
-            if n:
-                out[m] = n
-            else:
-                del out[m]
-        return USL2Element._raw(out)
-
-    def __neg__(self) -> "USL2Element":
-        return USL2Element._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "USL2Element") -> "USL2Element":
-        return self + (-other)
-
-    def scale(self, c) -> "USL2Element":
-        c = as_fraction(c)
-        if not c:
-            return USL2Element._raw({})
-        return USL2Element._raw({m: c * x for m, x in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, USL2Element):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, n: int) -> "USL2Element":
-        if n < 0:
-            raise ValueError("negative power")
-        acc = one()
-        for _ in range(n):
-            acc = multiply(acc, self)
-        return acc
-
-    def __repr__(self) -> str:
-        return f"USL2Element({render(self)})"
+    def _product(self, other: "USL2Element") -> "USL2Element":
+        return multiply(self, other)
 
     def __str__(self) -> str:
         return render(self)
 
 
 def zero() -> USL2Element:
-    return USL2Element._raw({})
+    return USL2Element()
 
 
 def one() -> USL2Element:
-    return USL2Element._raw({(0, 0, 0): Fraction(1)})
+    return USL2Element({(0, 0, 0): 1})
 
 
 def monomial(i: int, j: int, k: int, coeff=1) -> USL2Element:
@@ -189,7 +129,7 @@ def multiply(a: USL2Element, b: USL2Element) -> USL2Element:
                     out[m] = n
                 else:
                     del out[m]
-    return USL2Element._raw(out)
+    return a._like(out)
 
 
 def commutator(a: USL2Element, b: USL2Element) -> USL2Element:
@@ -211,7 +151,7 @@ def rho(a: USL2Element) -> USL2Element:
     for (i, j, k), c in a.terms.items():
         # image of E^i F^j H^k is F^i E^j (-H)^k
         img = multiply(monomial(0, i, 0), monomial(j, 0, 0))
-        img = USL2Element._raw({(x, y, z + k): v for (x, y, z), v in img.terms.items()})
+        img = img._like({(x, y, z + k): v for (x, y, z), v in img.terms.items()})
         sign = -c if k % 2 else c
         out = out + img.scale(sign)
     return out
@@ -226,7 +166,7 @@ def degree_components(a: USL2Element) -> dict[int, USL2Element]:
     out: dict[int, dict[Monomial, Fraction]] = {}
     for m, c in a.terms.items():
         out.setdefault(degree(m), {})[m] = c
-    return {d: USL2Element._raw(t) for d, t in sorted(out.items())}
+    return {d: a._like(t) for d, t in sorted(out.items())}
 
 
 def is_even(a: USL2Element) -> bool:
@@ -245,7 +185,7 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
     items: list[CheckItem] = []
 
     def record(name: str, lhs: USL2Element, rhs: USL2Element):
-        items.append(CheckItem(name=name, status="pass" if lhs == rhs else "fail"))
+        items.append(CheckItem(name=name, status=PASS if lhs == rhs else FAIL))
 
     for n in range(0, n_max + 1):
         en = monomial(n, 0, 0)
@@ -302,7 +242,7 @@ def verify_ue_presentation() -> list[CheckItem]:
         ("Lam*F^2 == F^2*Lam", multiply(lam, f2), multiply(f2, lam)),
         ("Lam*H == H*Lam", multiply(lam, H), multiply(H, lam)),
     ]
-    return [CheckItem(name=n, status="pass" if a == b else "fail") for n, a, b in checks]
+    return [CheckItem(name=n, status=PASS if a == b else FAIL) for n, a, b in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +276,7 @@ def ue_basis_element(part: int, n: int, i: int, k: int) -> USL2Element:
         out = multiply(monomial(0, 2 * n, 0), lam_i)
     else:
         out = lam_i
-    return USL2Element._raw({(x, y, z + k): c for (x, y, z), c in out.terms.items()})
+    return out._like({(x, y, z + k): c for (x, y, z), c in out.terms.items()})
 
 
 def ue_basis_decompose(a: USL2Element) -> dict[UeBasisKey, Fraction]:
@@ -388,26 +328,7 @@ def _render_monomial(m: Monomial) -> str:
 
 def render(a: USL2Element) -> str:
     """Canonical text form: terms sorted by (i, j, k) descending."""
-    if a.is_zero():
-        return "0"
-    parts = []
-    for m in sorted(a.terms, reverse=True):
-        c = a.terms[m]
-        mono = _render_monomial(m)
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if mono == "1":
-            body = str(c)
-        elif c == 1:
-            body = mono
-        else:
-            body = f"{c}*{mono}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return render_terms((_render_monomial(m), a.terms[m]) for m in sorted(a.terms, reverse=True))
 
 
 _GENERATORS = {"E": E, "F": F, "H": H}

@@ -113,6 +113,15 @@ def test_cube_rejects_odd_base_vertex():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["cube", "verify-all"])
+def test_d_max_above_the_cap_is_refused(command, capsys):
+    # refused while parsing, before any suite runs
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--d-max", "10"])
+    assert exc.value.code == 2
+    assert "capped at 9" in capsys.readouterr().err
+
+
 def test_jobs_is_only_accepted_by_verify_all():
     with pytest.raises(SystemExit) as exc:
         main(["cube", "--d-min", "2", "--d-max", "2", "--jobs", "2"])

@@ -35,6 +35,19 @@ def test_fmultiply_basics():
 def test_alphabet_mismatch():
     with pytest.raises(ValueError):
         fmultiply(gen("A"), FreePoly.gen(("X", "Y"), "X"))
+    with pytest.raises(ValueError):
+        gen("A") + FreePoly.gen(("A", "C"), "A")
+    with pytest.raises(ValueError):
+        ideal_membership(gen("A"), [FreePoly.gen(("A", "C"), "A")], degree_bound=2)
+    # the same terms over another alphabet are another polynomial
+    assert gen("A") != FreePoly.gen(("A", "C"), "A")
+    with pytest.raises(TypeError):
+        gen("A") + usl2.H
+
+
+def test_words_are_checked_even_with_zero_coefficient():
+    with pytest.raises(ValueError):
+        FreePoly(AB, {"AC": 0})
 
 
 def test_floats_are_refused():
@@ -174,4 +187,8 @@ def test_degree_and_str():
     assert p.degree() == 2
     assert FreePoly.zero(AB).degree() == 0
     assert str(FreePoly.zero(AB)) == "0"
-    assert "AB" in str(p)
+    assert str(p) == "2 - AB"
+    # length-lexicographic order, unit first; coefficient 1 is left out
+    q = FreePoly(AB, {"BA": Q(1), "AB": Q(-2, 3), "": Q(-5, 2), "B": Q(1)})
+    assert str(q) == "-5/2 + B - 2/3*AB + BA"
+    assert repr(q) == "FreePoly(-5/2 + B - 2/3*AB + BA)"

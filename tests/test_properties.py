@@ -7,8 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahnsl2.freealg import FreePoly, fmultiply, ideal_membership
+from hahnsl2.hahn import presentation
 from hahnsl2.linalg import EchelonBasis
-from hahnsl2.usl2 import E, F, H, multiply, one, parse
+from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, parse, render
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -44,3 +46,73 @@ def test_parse_multiplies_factors_in_order(word):
             expected = multiply(expected, GENERATORS[g])
     assert parse(text) == expected
 
+
+AB = ("A", "B")
+coefficients = st.fractions(-4, 4, max_denominator=3)
+nonzero = coefficients.filter(bool)
+usl2_elements = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=4
+).map(USL2Element)
+free_polys = st.dictionaries(st.text(AB, max_size=3), coefficients, max_size=4).map(
+    lambda terms: FreePoly(AB, terms)
+)
+
+
+@PROPERTY
+@given(usl2_elements, usl2_elements, usl2_elements)
+def test_multiply_is_associative(a, b, c):
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@PROPERTY
+@given(free_polys, free_polys, free_polys)
+def test_fmultiply_is_associative(a, b, c):
+    assert fmultiply(fmultiply(a, b), c) == fmultiply(a, fmultiply(b, c))
+
+
+def _check_combination_laws(a, b, c):
+    assert a + b - b == a
+    assert a.scale(c).scale(1 / c) == a
+    assert (a - a).is_zero()
+    # equal elements built in different orders hash equal
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert hash(a.scale(c).scale(1 / c)) == hash(a)
+
+
+@PROPERTY
+@given(usl2_elements, usl2_elements, nonzero)
+def test_usl2_combination_laws(a, b, c):
+    _check_combination_laws(a, b, c)
+
+
+@PROPERTY
+@given(free_polys, free_polys, nonzero)
+def test_free_poly_combination_laws(a, b, c):
+    _check_combination_laws(a, b, c)
+
+
+@PROPERTY
+@given(usl2_elements)
+def test_parse_inverts_render(a):
+    assert parse(render(a)) == a
+
+
+side_words = st.text(AB, max_size=2)
+ideal_products = st.lists(
+    st.tuples(nonzero, side_words, st.integers(0, 3), side_words), min_size=1, max_size=3
+)
+
+
+@PROPERTY
+@given(ideal_products)
+def test_certificates_replay_random_ideal_members(products):
+    relators = list(presentation().relators)
+    target = FreePoly.zero(AB)
+    for c, u, gi, v in products:
+        left, right = FreePoly(AB, {u: 1}), FreePoly(AB, {v: 1})
+        target = target + fmultiply(fmultiply(left, relators[gi]), right).scale(c)
+    # every product has degree at most this bound, so the search must find one
+    bound = 4 + max(len(u) + len(v) for _, u, _, v in products)
+    cert = ideal_membership(target, relators, bound)
+    assert cert is not None
+    assert cert.replay() == target

@@ -72,6 +72,13 @@ def test_floats_are_refused():
     assert monomial(1, 0, 0, "1/10") == E.scale(Q(1, 10))
 
 
+def test_exponents_are_checked_even_with_zero_coefficient():
+    for m in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        for coeff in (1, 0):
+            with pytest.raises(ValueError):
+                usl2.USL2Element({m: coeff})
+
+
 def test_commutator_examples():
     e3 = monomial(3, 0, 0)
     assert commutator(H, e3) == e3.scale(6)
