@@ -12,6 +12,13 @@ A product of two monomials needs only these two rules: its leading E powers
 and trailing H powers are already in place.  The PBW theorem makes the normal
 form unique, and elements only ever exist in normal form, so every identity
 check in the package is a plain equality of term maps.
+
+The rules have integer coefficients, so ``multiply`` and ``rho`` work
+fraction-free, as ``linalg`` does: each operand is cleared once to integer
+numerators over its common denominator, the numerators are multiplied and
+summed as plain ints in one map, and each surviving term becomes one
+``Fraction`` over the product of the denominators.  ``Fraction`` lives only
+at that edge, and every coefficient handed out is a nonzero ``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from functools import lru_cache
 from random import Random
 import re
 
-from .linalg import Combination, render_terms
+from .linalg import Combination, _clear, render_terms
 from .reporting import FAIL, PASS, CheckItem
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
@@ -62,13 +69,6 @@ def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, i
     for _ in range(j1):
         terms = _times_generator("F", terms)
     return tuple(sorted(terms.items()))
-
-
-def _mono_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    i1, j1, k1 = m1
-    i2, j2, k2 = m2
-    core = _core_product(j1, k1, i2, j2)
-    return tuple(((i + i1, j, k + k2), c) for (i, j, k), c in core)
 
 
 class USL2Element(Combination):
@@ -118,18 +118,22 @@ def random_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> USL2Ele
 
 
 def multiply(a: USL2Element, b: USL2Element) -> USL2Element:
-    """Product in PBW normal form."""
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    """Product in PBW normal form.
+
+    The integer numerators of a and b over their common denominators da and
+    db are multiplied with the integer coefficients of ``_core_product``, so
+    the sum is one map of ints over da*db."""
+    na, da = _clear(a.terms)
+    nb, db = _clear(b.terms)
+    acc: dict[Monomial, int] = {}
+    for (i1, j1, k1), c1 in na.items():
+        for (i2, j2, k2), c2 in nb.items():
             c12 = c1 * c2
-            for m, c in _mono_product(m1, m2):
-                n = out.get(m, 0) + c12 * c
-                if n:
-                    out[m] = n
-                else:
-                    del out[m]
-    return a._like(out)
+            for (i, j, k), c in _core_product(j1, k1, i2, j2):
+                m = (i + i1, j, k + k2)
+                acc[m] = acc.get(m, 0) + c12 * c
+    den = da * db
+    return a._like({m: Fraction(n, den) for m, n in acc.items() if n})
 
 
 def commutator(a: USL2Element, b: USL2Element) -> USL2Element:
@@ -147,14 +151,16 @@ def casimir() -> USL2Element:
 
 def rho(a: USL2Element) -> USL2Element:
     """The involutive automorphism swapping E and F and negating H."""
-    out = zero()
-    for (i, j, k), c in a.terms.items():
-        # image of E^i F^j H^k is F^i E^j (-H)^k
-        img = multiply(monomial(0, i, 0), monomial(j, 0, 0))
-        img = img._like({(x, y, z + k): v for (x, y, z), v in img.terms.items()})
-        sign = -c if k % 2 else c
-        out = out + img.scale(sign)
-    return out
+    num, den = _clear(a.terms)
+    acc: dict[Monomial, int] = {}
+    for (i, j, k), c in num.items():
+        # image of E^i F^j H^k is F^i E^j (-H)^k; F^i E^j is _core_product(i, 0, j, 0)
+        if k % 2:
+            c = -c
+        for (x, y, z), v in _core_product(i, 0, j, 0):
+            m = (x, y, z + k)
+            acc[m] = acc.get(m, 0) + c * v
+    return a._like({m: Fraction(n, den) for m, n in acc.items() if n})
 
 
 def degree(m: Monomial) -> int:
@@ -358,7 +364,10 @@ def parse(text: str) -> USL2Element:
         m = _TERM_RE.match(chunk)
         if not m or (not m.group("coeff") and not m.group("mono") and chunk != "1"):
             raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         term = monomial(0, 0, 0, sign * coeff)
         for letter, power in re.findall(r"([EFH])(?:\^([0-9]+))?", m.group("mono") or ""):
             term = multiply(term, _GENERATORS[letter] ** (int(power) if power else 1))

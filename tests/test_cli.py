@@ -72,6 +72,17 @@ def test_repr_and_cube_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of `hahnsl2 verify-usl2 --n-max 10 --format json`, the size the
+# benchmark runs: it pins every PBW identity and rho sample verdict there.
+VERIFY_USL2_N_MAX_10_SHA256 = "acd4635d7a5721f04a80c598adc8739caffd2605f10749e155ed9d1a8d2ae4ae"
+
+
+def test_verify_usl2_bench_size_json_bytes_are_pinned(capsys):
+    code, out = _run(capsys, ["verify-usl2", "--n-max", "10", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_USL2_N_MAX_10_SHA256
+
+
 def test_verify_hahn_low_bound_exits_one(capsys):
     code, out = _run(capsys, ["verify-hahn", "--degree-bound", "4", "--format", "json"])
     assert code == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hahnsl2.freealg import FreePoly, fmultiply, ideal_membership
 from hahnsl2.hahn import presentation
 from hahnsl2.linalg import EchelonBasis
-from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, parse, render
+from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, parse, render, rho, zero
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -116,3 +116,18 @@ def test_certificates_replay_random_ideal_members(products):
     cert = ideal_membership(target, relators, bound)
     assert cert is not None
     assert cert.replay() == target
+
+
+def _substitute_rho(a):
+    # E -> F, F -> E, H -> -H, applied term by term with multiply
+    out = zero()
+    for (i, j, k), c in a.terms.items():
+        out = out + multiply(multiply(F ** i, E ** j), (-H) ** k).scale(c)
+    return out
+
+
+@PROPERTY
+@given(usl2_elements)
+def test_rho_is_the_substitution_homomorphism(a):
+    assert rho(a) == _substitute_rho(a)
+    assert rho(zero()) == zero()

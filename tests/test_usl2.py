@@ -316,3 +316,69 @@ def test_parse_multiplies_factors_in_order():
     for text in ("", "   "):
         with pytest.raises(ValueError):
             parse(text)
+
+
+def test_parse_refuses_zero_denominator():
+    for text in ("2/0*E", "E - 1/0", "0/0*F*H"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse(text)
+
+
+# Reference oracles: the Fraction-only product and rho, kept independent of
+# the integer accumulation in usl2.multiply and usl2.rho.
+def _fraction_multiply(a, b):
+    out = {}
+    for (i1, j1, k1), c1 in a.terms.items():
+        for (i2, j2, k2), c2 in b.terms.items():
+            for (i, j, k), c in usl2._core_product(j1, k1, i2, j2):
+                m = (i + i1, j, k + k2)
+                out[m] = out.get(m, Q(0)) + c1 * c2 * c
+    return usl2.USL2Element({m: c for m, c in out.items() if c})
+
+
+def _fraction_rho(a):
+    # E^i F^j H^k -> F^i E^j (-H)^k, through products of monomials
+    out = {}
+    for (i, j, k), c in a.terms.items():
+        img = _fraction_multiply(monomial(0, i, 0), monomial(j, 0, 0))
+        img = _fraction_multiply(img, monomial(0, 0, k, (-1) ** k))
+        for m, v in img.terms.items():
+            out[m] = out.get(m, Q(0)) + c * v
+    return usl2.USL2Element({m: c for m, c in out.items() if c})
+
+
+MIXED_DENOMINATORS = [Q(1, 6), Q(3, 4), Q(-5, 2), Q(7, 9), Q(-2, 3), Q(11, 10), Q(4), Q(-1)]
+
+
+def _mixed_element(rng, max_terms=4, max_exp=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+        terms[m] = rng.choice(MIXED_DENOMINATORS) * rng.choice((1, -1, 2, Q(1, 5)))
+    return usl2.USL2Element(terms)
+
+
+def _assert_clean(x):
+    assert all(type(c) is Fraction and c != 0 for c in x.terms.values()), x.terms
+
+
+def test_integer_product_and_rho_match_fraction_oracles():
+    rng = Random(2024)
+    cases = [
+        (E + F, E - F),  # the EF terms cancel inside the accumulator
+        (E - F, E + F),
+        (monomial(1, 0, 0, Q(2, 3)), monomial(0, 1, 0, Q(3, 2))),  # denominators cancel
+        (casimir(), casimir().scale(Q(-1, 6))),
+        (usl2.zero(), E + F),
+        (E, usl2.zero()),
+    ]
+    cases += [(_mixed_element(rng), _mixed_element(rng)) for _ in range(80)]
+    for a, b in cases:
+        product_ = multiply(a, b)
+        assert product_ == _fraction_multiply(a, b), (a, b)
+        _assert_clean(product_)
+        for x in (a, b, product_):
+            image = usl2.rho(x)
+            assert image == _fraction_rho(x), x
+            _assert_clean(image)
+    assert multiply(E + F, E - F) == monomial(2, 0, 0) - H - monomial(0, 2, 0)
