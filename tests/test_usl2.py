@@ -347,23 +347,20 @@ def _fraction_rho(a):
     return usl2.USL2Element({m: c for m, c in out.items() if c})
 
 
-MIXED_DENOMINATORS = [Q(1, 6), Q(3, 4), Q(-5, 2), Q(7, 9), Q(-2, 3), Q(11, 10), Q(4), Q(-1)]
-
-
-def _mixed_element(rng, max_terms=4, max_exp=3):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
-        terms[m] = rng.choice(MIXED_DENOMINATORS) * rng.choice((1, -1, 2, Q(1, 5)))
-    return usl2.USL2Element(terms)
+# scales that mix new denominators into random_element's 1..4
+MIXED_SCALES = [Q(1, 6), Q(3, 4), Q(-5, 2), Q(7, 9), Q(-2, 3), Q(11, 10), Q(4), Q(-1, 5)]
 
 
 def _assert_clean(x):
     assert all(type(c) is Fraction and c != 0 for c in x.terms.values()), x.terms
 
 
-def test_integer_product_and_rho_match_fraction_oracles():
+def test_integer_product_and_rho_match_fraction_oracles(rand_usl2):
     rng = Random(2024)
+
+    def mixed():
+        return rand_usl2(rng) + rand_usl2(rng).scale(rng.choice(MIXED_SCALES))
+
     cases = [
         (E + F, E - F),  # the EF terms cancel inside the accumulator
         (E - F, E + F),
@@ -372,12 +369,12 @@ def test_integer_product_and_rho_match_fraction_oracles():
         (usl2.zero(), E + F),
         (E, usl2.zero()),
     ]
-    cases += [(_mixed_element(rng), _mixed_element(rng)) for _ in range(80)]
+    cases += [(mixed(), mixed()) for _ in range(80)]
     for a, b in cases:
-        product_ = multiply(a, b)
-        assert product_ == _fraction_multiply(a, b), (a, b)
-        _assert_clean(product_)
-        for x in (a, b, product_):
+        ab = multiply(a, b)
+        assert ab == _fraction_multiply(a, b), (a, b)
+        _assert_clean(ab)
+        for x in (a, b, ab):
             image = usl2.rho(x)
             assert image == _fraction_rho(x), x
             _assert_clean(image)
