@@ -40,7 +40,7 @@ from .reps import (
     is_irreducible,
     restrict_even,
     signature,
-    verify_pullback_splitting,
+    verify_ladder_modules,
 )
 from .terwilliger import (
     CubeContext,
@@ -94,7 +94,7 @@ __all__ = [
     "is_irreducible",
     "restrict_even",
     "signature",
-    "verify_pullback_splitting",
+    "verify_ladder_modules",
     "CubeContext",
     "HalvedContext",
     "adjacency",

@@ -105,8 +105,7 @@ def run_verify_hahn(degree_bound: int) -> dict:
 
 def run_repr(n_max: int) -> dict:
     report = _report_skeleton("repr", {"n_max": n_max})
-    _add_items(report, reps.verify_module_family(n_max))
-    _add_items(report, reps.verify_pullback_splitting(n_max))
+    _add_items(report, reps.verify_ladder_modules(n_max))
     return _finish_report(report)
 
 

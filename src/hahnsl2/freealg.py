@@ -35,6 +35,8 @@ class FreePoly(Combination):
         super().__init__(terms)
 
     def _key(self, w: Word) -> Word:
+        if type(w) is not str:
+            raise TypeError(f"word {w!r} is not a string")
         if not set(w) <= set(self.alphabet):
             raise ValueError(f"word {w!r} uses symbols outside the alphabet")
         return w

@@ -21,7 +21,7 @@ from functools import lru_cache
 from random import Random
 
 from . import usl2
-from .freealg import FreePoly, MembershipCertificate, fcommutator, fmultiply, ideal_membership, substitute
+from .freealg import FreePoly, MembershipCertificate, fcommutator, ideal_membership, substitute
 from .reporting import PASS, FAIL, UNRESOLVED, CheckItem
 
 ALPHABET = ("A", "B")
@@ -250,6 +250,7 @@ def _identity_targets() -> list[tuple[str, FreePoly]]:
     half = Fraction(1, 2)
 
     omega_core = (omega - B * B + C * C).scale(half) + beta * A
+    he2, hf2, e2f2, f2e2 = _hatted_relations(pres)[:4]
     targets = [
         (
             "commutator-AC-expansion",
@@ -271,38 +272,28 @@ def _identity_targets() -> list[tuple[str, FreePoly]]:
             "casimir-rewrite-A2B",
             omega_core - (A2 * B + B * A2 - A2.scale(2) - alpha * B + alpha),
         ),
-        (
-            "hatted-HE2-commutator",
-            fcommutator(pres.h_hat, pres.e2_hat) - pres.e2_hat.scale(4),
-        ),
-        (
-            "hatted-HF2-commutator",
-            fcommutator(pres.h_hat, pres.f2_hat) + pres.f2_hat.scale(4),
-        ),
-        ("hatted-E2F2-product", _hatted_product_residual(pres, plus=False)),
-        ("hatted-F2E2-product", _hatted_product_residual(pres, plus=True)),
+        ("hatted-HE2-commutator", he2),
+        ("hatted-HF2-commutator", hf2),
+        ("hatted-E2F2-product", e2f2 - _hatted_kernel_term(pres, -1)),
+        ("hatted-F2E2-product", f2e2 - _hatted_kernel_term(pres, 1)),
         ("omega-central-A", fcommutator(omega, A)),
         ("omega-central-B", fcommutator(omega, B)),
     ]
     return targets
 
 
-def _hatted_product_residual(pres: HahnPresentation, plus: bool) -> FreePoly:
-    """lhs - rhs of the hatted quadratic relation, beta term 2A -/+ 1."""
+def _hatted_relations(pres: HahnPresentation) -> list[FreePoly]:
+    """The residuals of the seven even-presentation relations in hatted form."""
+    return usl2.even_relations(pres.e2_hat, pres.f2_hat, pres.lam_hat, pres.h_hat, pres.one)
+
+
+def _hatted_kernel_term(pres: HahnPresentation, sign: int) -> FreePoly:
+    """The kernel-ideal element that the hatted E2F2 (sign -1) or F2E2
+    (sign +1) identity subtracts from its quadratic relation residual."""
     one = pres.one
-    h, lam = pres.h_hat, pres.lam_hat
-    h2 = h * h
-    sign = 1 if plus else -1
-    left_first = pres.f2_hat if plus else pres.e2_hat
-    left_second = pres.e2_hat if plus else pres.f2_hat
-    lhs = (left_first * left_second).scale(16) - fmultiply(
-        h2 + h.scale(2 * sign) - lam.scale(2),
-        h2 + h.scale(6 * sign) - lam.scale(2) + one.scale(8),
-    )
-    kernel_combo = (pres.omega.scale(16) - pres.alpha.scale(24) + one.scale(3)).scale(4) + (
+    return (pres.omega.scale(16) - pres.alpha.scale(24) + one.scale(3)).scale(4) + (
         pres.beta * (pres.A.scale(2) + one.scale(sign))
     ).scale(64)
-    return lhs - kernel_combo
 
 
 def verify_hahn_identities(
@@ -407,25 +398,17 @@ def verify_kernel_and_inverse(
     return items, certificates
 
 
+_KERNEL_RELATION_NAMES = (
+    "hatted-H-E2-relation-mod-kernel",
+    "hatted-H-F2-relation-mod-kernel",
+    "hatted-E2F2-relation-mod-kernel",
+    "hatted-F2E2-relation-mod-kernel",
+    "hatted-casimir-E2-commute-mod-kernel",
+    "hatted-casimir-F2-commute-mod-kernel",
+    "hatted-casimir-H-commute-mod-kernel",
+)
+
+
 def _kernel_relation_targets() -> list[tuple[str, FreePoly]]:
     """Residuals of the even-presentation relations in hatted form."""
-    pres = presentation()
-    one = pres.one
-    h, lam_h = pres.h_hat, pres.lam_hat
-    return [
-        ("hatted-H-E2-relation-mod-kernel", fcommutator(h, pres.e2_hat) - pres.e2_hat.scale(4)),
-        ("hatted-H-F2-relation-mod-kernel", fcommutator(h, pres.f2_hat) + pres.f2_hat.scale(4)),
-        (
-            "hatted-E2F2-relation-mod-kernel",
-            (pres.e2_hat * pres.f2_hat).scale(16)
-            - fmultiply(h * h - h.scale(2) - lam_h.scale(2), h * h - h.scale(6) - lam_h.scale(2) + one.scale(8)),
-        ),
-        (
-            "hatted-F2E2-relation-mod-kernel",
-            (pres.f2_hat * pres.e2_hat).scale(16)
-            - fmultiply(h * h + h.scale(2) - lam_h.scale(2), h * h + h.scale(6) - lam_h.scale(2) + one.scale(8)),
-        ),
-        ("hatted-casimir-E2-commute-mod-kernel", fcommutator(lam_h, pres.e2_hat)),
-        ("hatted-casimir-F2-commute-mod-kernel", fcommutator(lam_h, pres.f2_hat)),
-        ("hatted-casimir-H-commute-mod-kernel", fcommutator(lam_h, h)),
-    ]
+    return list(zip(_KERNEL_RELATION_NAMES, _hatted_relations(presentation())))

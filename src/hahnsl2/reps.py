@@ -2,6 +2,11 @@
 irreducibility testing, and the classification of the even-subalgebra
 irreducibles.
 
+``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
+built.  ``verify_ladder_modules`` is the ``repr`` suite: it builds each
+ladder module once and checks its Casimir, its two halves and its pullback
+along the natural map on that one module.
+
 All matrices act on column vectors; basis vectors are indexed 0..dim-1 in
 decreasing H-eigenvalue order, matching the ladder conventions
 E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}, H v_i = (n-2i) v_i.
@@ -9,12 +14,13 @@ E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}, H v_i = (n-2i) v_i.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import usl2
+from .hahn import natural_images
 from .linalg import (
     SparseMatrix,
     Vector,
@@ -66,29 +72,13 @@ class UeRep:
     H: SparseMatrix
 
     def __post_init__(self):
-        n = self.dim
-        for m in (self.E2, self.F2, self.Lam, self.H):
-            if m.rows != n or m.cols != n:
+        for m in self.operators():
+            if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError("operator size does not match dim")
-        comm = lambda a, b: a * b - b * a
-        ident = SparseMatrix.identity(n)
-        h2 = self.H * self.H
-        two_lam = self.Lam.scale(2)
-        if comm(self.H, self.E2) != self.E2.scale(4):
-            raise ValueError("[H,E^2] = 4E^2 fails")
-        if comm(self.H, self.F2) != self.F2.scale(-4):
-            raise ValueError("[H,F^2] = -4F^2 fails")
-        if (self.E2 * self.F2).scale(16) != (h2 - self.H.scale(2) - two_lam) * (
-            h2 - self.H.scale(6) - two_lam + ident.scale(8)
-        ):
-            raise ValueError("quadratic relation for E^2 F^2 fails")
-        if (self.F2 * self.E2).scale(16) != (h2 + self.H.scale(2) - two_lam) * (
-            h2 + self.H.scale(6) - two_lam + ident.scale(8)
-        ):
-            raise ValueError("quadratic relation for F^2 E^2 fails")
-        for other in (self.E2, self.F2, self.H):
-            if comm(self.Lam, other) != SparseMatrix.zero(n, n):
-                raise ValueError("Casimir does not commute")
+        residuals = usl2.even_relations(*self.operators(), SparseMatrix.identity(self.dim))
+        for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
+            if not residual.is_zero():
+                raise ValueError(f"even relation fails: {name}")
 
     def operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
         return (self.E2, self.F2, self.Lam, self.H)
@@ -207,12 +197,13 @@ def restrict_even(rep: SL2Rep, n: int):
     return block0, block1
 
 
-def is_irreducible(rep: UeRep) -> bool:
-    """Burnside test: the four operators generate the full matrix algebra."""
-    if rep.dim < 1:
+def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
+    """Burnside test: the operators, square matrices of one size, generate
+    the full matrix algebra of that size."""
+    if not operators or operators[0].rows < 1:
         raise ValueError("empty module")
-    _, dim = span_closure(list(rep.operators()))
-    return dim == rep.dim * rep.dim
+    _, dim = span_closure(operators)
+    return dim == operators[0].rows ** 2
 
 
 def casimir_scalar(rep: UeRep) -> Fraction:
@@ -302,132 +293,71 @@ def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
     return label, p
 
 
-@lru_cache(maxsize=None)
-def _natural_image_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    from .hahn import natural, presentation
+def verify_ladder_modules(n_max: int) -> list[CheckItem]:
+    """One pass over the ladder modules L_0 .. L_{n_max}.
 
-    rep = build_L(n)
-    pres = presentation()
-    return (
-        evaluate(natural(pres.A), rep),
-        evaluate(natural(pres.B), rep),
-        evaluate(natural(pres.C), rep),
-    )
-
-
-def verify_module_family(n_max: int) -> list[CheckItem]:
-    """Construction, restriction, irreducibility, signature separation and
-    classification round-trips for the ladder modules up to n_max."""
+    Each L_n is built once.  On it: the Casimir scalar; the restriction to
+    the even subalgebra against the built halves, which must be irreducible
+    and classify back to their own labels; and the pullback along the
+    natural map, whose parity blocks must be invariant and irreducible (at
+    n = 0 the whole module) with halves of distinct signatures.  Last, the
+    signatures of all halves must be pairwise distinct.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    images = natural_images()
     items: list[CheckItem] = []
     sigs: list[IsoSignature] = []
+
+    def check(name: str, ok: bool) -> None:
+        items.append(CheckItem(name=name, status=PASS if ok else FAIL))
+
     for n in range(n_max + 1):
         rep = build_L(n)
-        lam_mat = evaluate(usl2.casimir(), rep)
-        scalar_ok = lam_mat == SparseMatrix.identity(rep.dim).scale(Fraction(n * (n + 2), 2))
-        items.append(
-            CheckItem(
-                name=f"Casimir acts on L_{n} as {Fraction(n * (n + 2), 2)}",
-                status=PASS if scalar_ok else FAIL,
-            )
+        lam = Fraction(n * (n + 2), 2)
+        check(
+            f"Casimir acts on L_{n} as {lam}",
+            evaluate(usl2.casimir(), rep) == SparseMatrix.identity(rep.dim).scale(lam),
         )
-        block0, block1 = restrict_even(rep, n)
-        built0 = build_L0(n)
-        match = block0.operators() == built0.operators()
-        blocks = [(0, block0, built0)]
-        if n >= 1:
-            built1 = build_L1(n)
-            match = match and block1 is not None and block1.operators() == built1.operators()
-            blocks.append((1, block1, built1))
-        items.append(
-            CheckItem(
-                name=f"restriction of L_{n} matches the built halves entrywise",
-                status=PASS if match else FAIL,
-            )
+        blocks = [b for b in restrict_even(rep, n) if b is not None]
+        built = [build_L0(n), build_L1(n)] if n else [build_L0(n)]
+        check(
+            f"restriction of L_{n} matches the built halves entrywise",
+            [b.operators() for b in blocks] == [b.operators() for b in built],
         )
-        ok_irr = True
-        ok_label = True
-        for parity, block, built in blocks:
-            if not is_irreducible(built):
-                ok_irr = False
-            label, _ = classify_ue_irreducible(built)
-            if (label.n, label.parity) != (n, parity):
-                ok_label = False
-            sigs.append(signature(built))
-        items.append(
-            CheckItem(
-                name=f"halves of L_{n} are irreducible (full matrix algebra)",
-                status=PASS if ok_irr else FAIL,
-            )
+        check(
+            f"halves of L_{n} are irreducible (full matrix algebra)",
+            all(is_irreducible(b.operators()) for b in built),
         )
-        items.append(
-            CheckItem(
-                name=f"halves of L_{n} classify back to their own labels",
-                status=PASS if ok_label else FAIL,
-            )
+        labels = [classify_ue_irreducible(b)[0] for b in built]
+        check(
+            f"halves of L_{n} classify back to their own labels",
+            [(label.n, label.parity) for label in labels] == [(n, p) for p in range(len(built))],
         )
-    distinct = len(set(sigs)) == len(sigs)
-    items.append(
-        CheckItem(
-            name=f"all module signatures up to n={n_max} are pairwise distinct",
-            status=PASS if distinct else FAIL,
-        )
-    )
-    return items
+        half_sigs = [signature(b) for b in blocks]
+        sigs.extend(half_sigs)
 
-
-def verify_pullback_splitting(n_max: int) -> list[CheckItem]:
-    """Pull each ladder module back along the natural map and check it splits
-    into two non-isomorphic irreducible blocks (or stays irreducible at n=0)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    items: list[CheckItem] = []
-    for n in range(n_max + 1):
-        rep = build_L(n)
-        a_mat, b_mat, c_mat = _natural_image_matrices(n)
-        even_idx = [i for i in range(n + 1) if i % 2 == 0]
-        odd_idx = [i for i in range(n + 1) if i % 2 == 1]
-
-        def off_block_zero(m: SparseMatrix) -> bool:
-            even = set(even_idx)
-            return all((r in even) == (c in even) for r, c, _ in m.items())
-
-        invariant = all(off_block_zero(m) for m in (a_mat, b_mat, c_mat))
+        a_mat = evaluate(images["A"], rep)
+        b_mat = evaluate(images["B"], rep)
+        pullback = [a_mat, b_mat, a_mat * b_mat - b_mat * a_mat]
         if n == 0:
-            _, dim = span_closure([a_mat, b_mat, c_mat])
-            items.append(
-                CheckItem(
-                    name="pullback of L_0 is irreducible",
-                    status=PASS if dim == 1 else FAIL,
-                )
-            )
+            check("pullback of L_0 is irreducible", is_irreducible(pullback))
             continue
-        items.append(
-            CheckItem(
-                name=f"L_{n}: parity blocks are invariant under the pullback action",
-                status=PASS if invariant else FAIL,
-            )
+        check(
+            f"L_{n}: parity blocks are invariant under the pullback action",
+            all((r - c) % 2 == 0 for m in pullback for r, c, _ in m.items()),
         )
-        ok_blocks = True
-        for name, idx in (("even", even_idx), ("odd", odd_idx)):
-            cols = [{i: Fraction(1)} for i in idx]
-            ops = [restrict_to_subspace(m, cols) for m in (a_mat, b_mat, c_mat)]
-            _, dim = span_closure(ops)
-            if dim != len(idx) ** 2:
-                ok_blocks = False
-        items.append(
-            CheckItem(
-                name=f"L_{n}: both blocks are irreducible under the pullback action",
-                status=PASS if ok_blocks else FAIL,
-            )
+        parity_blocks = [[{i: Fraction(1)} for i in range(p, n + 1, 2)] for p in (0, 1)]
+        check(
+            f"L_{n}: both blocks are irreducible under the pullback action",
+            all(
+                is_irreducible([restrict_to_subspace(m, cols) for m in pullback])
+                for cols in parity_blocks
+            ),
         )
-        block0, block1 = restrict_even(rep, n)
-        distinct = signature(block0) != signature(block1)
-        items.append(
-            CheckItem(
-                name=f"L_{n}: the two blocks have distinct signatures",
-                status=PASS if distinct else FAIL,
-            )
-        )
+        check(f"L_{n}: the two blocks have distinct signatures", half_sigs[0] != half_sigs[1])
+    check(
+        f"all module signatures up to n={n_max} are pairwise distinct",
+        len(set(sigs)) == len(sigs),
+    )
     return items

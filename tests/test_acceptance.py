@@ -72,9 +72,14 @@ def test_criterion_4_ideal_membership_certificates():
     _report(4, "all quotient identities certified at bound 8 and replayed", ok, elapsed, 300.0)
 
 
+def _is_pullback_item(item) -> bool:
+    return item.name.startswith(("L_", "pullback"))
+
+
 def test_criterion_5_module_facts():
     t0 = time.perf_counter()
-    ok = all_pass(reps.verify_module_family(12))
+    items = [i for i in reps.verify_ladder_modules(12) if not _is_pullback_item(i)]
+    ok = len(items) == 53 and all_pass(items)
     # classification round-trip across all four families for d <= 5
     for d in range(6):
         for builder, n, parity in (
@@ -87,18 +92,19 @@ def test_criterion_5_module_facts():
             ok = ok and (label.n, label.parity, label.d) == (n, parity, d)
     # Burnside closure dimensions are the full matrix algebras
     for n in range(13):
-        ok = ok and reps.is_irreducible(reps.build_L0(n))
+        ok = ok and reps.is_irreducible(reps.build_L0(n).operators())
         if n >= 1:
-            ok = ok and reps.is_irreducible(reps.build_L1(n))
+            ok = ok and reps.is_irreducible(reps.build_L1(n).operators())
     elapsed = time.perf_counter() - t0
     _report(5, "module family facts and classification round-trip (n <= 12)", ok, elapsed, 120.0)
 
 
 def test_criterion_6_pullback_splitting():
     t0 = time.perf_counter()
-    items = reps.verify_pullback_splitting(12)
+    items = [i for i in reps.verify_ladder_modules(12) if _is_pullback_item(i)]
+    ok = len(items) == 37 and all_pass(items)
     elapsed = time.perf_counter() - t0
-    _report(6, "pullback modules split into two distinct irreducibles (n <= 12)", all_pass(items), elapsed, 60.0)
+    _report(6, "pullback modules split into two distinct irreducibles (n <= 12)", ok, elapsed, 60.0)
 
 
 def test_criterion_7_hypercube_decomposition():

@@ -50,6 +50,13 @@ def test_words_are_checked_even_with_zero_coefficient():
         FreePoly(AB, {"AC": 0})
 
 
+def test_words_must_be_strings():
+    for word in (("A", "B"), b"AB", 1):
+        for coeff in (1, 0):
+            with pytest.raises(TypeError):
+                FreePoly(AB, {word: coeff})
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         FreePoly(AB, {"A": 0.1})

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from random import Random
+import re
 
 import pytest
 
@@ -16,8 +17,7 @@ from hahnsl2.reps import (
     is_irreducible,
     restrict_even,
     signature,
-    verify_module_family,
-    verify_pullback_splitting,
+    verify_ladder_modules,
 )
 
 Q = Fraction
@@ -128,17 +128,36 @@ def _direct_sum(a: UeRep, b: UeRep) -> UeRep:
 
 
 def test_is_irreducible_and_direct_sum():
-    assert is_irreducible(build_L0(6))
-    assert is_irreducible(build_L1(5))
-    assert not is_irreducible(_direct_sum(build_L0(2), build_L1(2)))
+    assert is_irreducible(build_L0(6).operators())
+    assert is_irreducible(build_L1(5).operators())
+    assert not is_irreducible(_direct_sum(build_L0(2), build_L1(2)).operators())
     # Scalar Casimir (12 on both summands) but a two-dimensional E^2 kernel:
     # not a single ladder, so classification and signature both refuse it.
     doubled = _direct_sum(build_L0(4), build_L0(4))
-    assert not is_irreducible(doubled)
+    assert not is_irreducible(doubled.operators())
     with pytest.raises(ValueError):
         classify_ue_irreducible(doubled)
     with pytest.raises(ValueError):
         signature(doubled)
+    for empty in ([], [SparseMatrix.zero(0, 0)]):
+        with pytest.raises(ValueError, match="empty module"):
+            is_irreducible(empty)
+
+
+def test_ue_rep_names_the_first_failing_relation():
+    e2, f2, lam, h = build_L0(4).operators()
+    ident = SparseMatrix.identity(3)
+    # diag(12, 12, 24) takes the other root of the E^2 F^2 relation at u_2,
+    # so only the F^2 E^2 relation and the commutations can catch it
+    non_scalar = lam + SparseMatrix(3, 3, {(2, 2): Q(12)})
+    for ops, relation in (
+        ((e2.scale(2), f2, lam, h), "16*E^2*F^2 =="),
+        ((e2, f2, lam, h + ident), "16*E^2*F^2 =="),
+        ((f2, e2, lam, h), "[H, E^2] == 4*E^2"),
+        ((e2, f2, non_scalar, h), "16*F^2*E^2 =="),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"even relation fails: {relation}")):
+            UeRep(3, *ops)
 
 
 def test_signature_examples():
@@ -222,8 +241,13 @@ def test_classification_rejects_non_scalar_casimir():
         classify_ue_irreducible(mixed)
 
 
+def _is_pullback_item(item) -> bool:
+    return item.name.startswith(("L_", "pullback"))
+
+
 def test_pullback_splitting_small():
-    items = verify_pullback_splitting(4)
+    items = [i for i in verify_ladder_modules(4) if _is_pullback_item(i)]
+    assert len(items) == 1 + 3 * 4
     assert all_pass(items)
     # n = 1: the two one-dimensional blocks carry A-eigenvalues +-1/4
     from hahnsl2.hahn import natural, presentation
@@ -234,4 +258,6 @@ def test_pullback_splitting_small():
 
 
 def test_module_family_suite():
-    assert all_pass(verify_module_family(6))
+    items = [i for i in verify_ladder_modules(6) if not _is_pullback_item(i)]
+    assert len(items) == 4 * 7 + 1
+    assert all_pass(items)

@@ -6,7 +6,7 @@ import pytest
 
 from hahnsl2 import usl2
 from hahnsl2.linalg import SparseMatrix
-from hahnsl2.reps import build_L, evaluate
+from hahnsl2.reps import build_L, build_L0, build_L1, evaluate
 from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, parse, render
 
 Q = Fraction
@@ -77,6 +77,15 @@ def test_exponents_are_checked_even_with_zero_coefficient():
         for coeff in (1, 0):
             with pytest.raises(ValueError):
                 usl2.USL2Element({m: coeff})
+
+
+def test_exponents_must_be_ints():
+    for exps in ((Q(1, 2), 0, 0), (2.0, 0, 0), (0, Q(1), 0), (0, 0, "1")):
+        for coeff in (1, 0):
+            with pytest.raises(TypeError):
+                usl2.USL2Element({exps: coeff})
+        with pytest.raises(TypeError):
+            monomial(*exps)
 
 
 def test_commutator_examples():
@@ -180,6 +189,21 @@ def test_verify_ue_presentation():
     items = usl2.verify_ue_presentation()
     assert all(i.status == "pass" for i in items)
     assert len(items) == 7
+    assert [i.name for i in items] == list(usl2.EVEN_RELATIONS)
+
+
+def test_even_relations_vanish_in_pbw_form_and_on_the_halves():
+    residuals = usl2.even_relations(monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H, one())
+    assert len(residuals) == 7
+    assert all(r.is_zero() for r in residuals)
+    for n in range(9):
+        for half in (build_L0(n), build_L1(n)) if n else (build_L0(n),):
+            residuals = usl2.even_relations(*half.operators(), SparseMatrix.identity(half.dim))
+            assert len(residuals) == 7
+            assert all(r.is_zero() for r in residuals)
+    # a wrong image of H breaks the two commutator relations with E^2 and F^2
+    residuals = usl2.even_relations(monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H.scale(2), one())
+    assert not residuals[0].is_zero() and not residuals[1].is_zero()
 
 
 def test_ue_basis_decompose_simple():
