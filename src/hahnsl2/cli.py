@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import hahn, reps, terwilliger, usl2
-from .reporting import FAIL, PASS, CheckItem
+from .reporting import PASS, CheckItem, check
 
 # Largest D the brute-force cube suite accepts: te_dimension takes about 28 s
 # at D = 9 on a 2-vCPU machine (Python 3.11), and each further D costs about
@@ -20,42 +20,29 @@ from .reporting import FAIL, PASS, CheckItem
 D_MAX_CAP = 9
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "items": [],
-        "certificates": {},
-    }
-
-
 def _summary(total: int, passed: int) -> dict:
     return {"total": total, "passed": passed, "failed_or_unresolved": total - passed}
 
 
-def _finish_report(report: dict) -> dict:
-    items = report["items"]
-    items.sort(key=lambda d: d["identity"])
-    report["summary"] = _summary(len(items), sum(1 for i in items if i["status"] == PASS))
-    report["ok"] = report["summary"]["failed_or_unresolved"] == 0
-    if not report["certificates"]:
-        del report["certificates"]
+def _report(command: str, config: dict, items: list[CheckItem], **extra) -> dict:
+    """The report of one subcommand: its items sorted by name, the
+    certificates they carry, the summary and the overall verdict."""
+    items = sorted(items, key=lambda i: i.name)
+    report = {"command": command, "config": config, "items": [i.as_dict() for i in items], **extra}
+    certificates = {
+        i.reference: i.certificate.as_json_dict() for i in items if i.certificate is not None
+    }
+    if certificates:
+        report["certificates"] = certificates
+    passed = sum(i.status == PASS for i in items)
+    report["summary"] = _summary(len(items), passed)
+    report["ok"] = passed == len(items)
     return report
 
 
-def _add_items(report: dict, items: list[CheckItem], certificates=None) -> None:
-    report["items"].extend(i.as_dict() for i in items)
-    if certificates:
-        for ref, cert in certificates.items():
-            report["certificates"][ref] = cert.as_json_dict()
-
-
 def run_verify_usl2(n_max: int) -> dict:
-    report = _report_skeleton("verify-usl2", {"n_max": n_max})
-    _add_items(report, usl2.power_identity_suite(n_max))
-    _add_items(report, usl2.verify_ue_presentation())
-    _add_items(report, _rho_property_items())
-    return _finish_report(report)
+    items = usl2.power_identity_suite(n_max) + usl2.verify_ue_presentation() + _rho_property_items()
+    return _report("verify-usl2", {"n_max": n_max}, items)
 
 
 def _rho_property_items(samples: int = 100, seed: int = 74) -> list[CheckItem]:
@@ -76,41 +63,29 @@ def _rho_property_items(samples: int = 100, seed: int = 74) -> list[CheckItem]:
                 bad_deg += 1
                 break
     return [
-        CheckItem(
-            name=f"rho is a homomorphism on {samples} seeded samples",
-            status=PASS if bad_hom == 0 else FAIL,
-        ),
-        CheckItem(
-            name=f"rho is an involution on {samples} seeded samples",
-            status=PASS if bad_inv == 0 else FAIL,
-        ),
-        CheckItem(
-            name=f"rho flips the grading on {samples} seeded samples",
-            status=PASS if bad_deg == 0 else FAIL,
-        ),
+        check(f"rho is a homomorphism on {samples} seeded samples", bad_hom == 0),
+        check(f"rho is an involution on {samples} seeded samples", bad_inv == 0),
+        check(f"rho flips the grading on {samples} seeded samples", bad_deg == 0),
     ]
 
 
 def run_verify_hahn(degree_bound: int) -> dict:
-    report = _report_skeleton("verify-hahn", {"degree_bound": degree_bound})
-    _add_items(report, hahn.verify_natural_well_defined())
-    _add_items(report, hahn.verify_image_gradings())
-    _add_items(report, hahn.verify_intertwining())
-    items, certs = hahn.verify_hahn_identities(degree_bound)
-    _add_items(report, items, certs)
-    items, certs = hahn.verify_kernel_and_inverse(degree_bound)
-    _add_items(report, items, certs)
-    return _finish_report(report)
+    items = (
+        hahn.verify_natural_well_defined()
+        + hahn.verify_image_gradings()
+        + hahn.verify_intertwining()
+        + hahn.verify_hahn_identities(degree_bound)
+        + hahn.verify_kernel_and_inverse(degree_bound)
+    )
+    return _report("verify-hahn", {"degree_bound": degree_bound}, items)
 
 
 def run_repr(n_max: int) -> dict:
-    report = _report_skeleton("repr", {"n_max": n_max})
-    _add_items(report, reps.verify_ladder_modules(n_max))
-    return _finish_report(report)
+    return _report("repr", {"n_max": n_max}, reps.verify_ladder_modules(n_max))
 
 
 def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
-    report = _report_skeleton("cube", {"d_min": d_min, "d_max": d_max, "base_vertex": base_bits})
+    items: list[CheckItem] = []
     per_d = []
     base = int(base_bits, 2) if base_bits else 0
     for D in range(d_min, d_max + 1):
@@ -136,23 +111,13 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
                 "match": standard_ok and halved_ok and dim_ok,
             }
         )
-        items = [
-            CheckItem(
-                name=f"D={D}: standard decomposition matches the closed form",
-                status=PASS if standard_ok else FAIL,
-            ),
-            CheckItem(
-                name=f"D={D}: halved decomposition matches the closed form",
-                status=PASS if halved_ok else FAIL,
-            ),
-            CheckItem(
-                name=f"D={D}: Terwilliger dimension {dim} equals formula and Wedderburn sum",
-                status=PASS if dim_ok else FAIL,
-            ),
+        items += [
+            check(f"D={D}: standard decomposition matches the closed form", standard_ok),
+            check(f"D={D}: halved decomposition matches the closed form", halved_ok),
+            check(f"D={D}: Terwilliger dimension {dim} equals formula and Wedderburn sum", dim_ok),
         ]
-        _add_items(report, items)
-    report["per_d"] = per_d
-    return _finish_report(report)
+    config = {"d_min": d_min, "d_max": d_max, "base_vertex": base_bits}
+    return _report("cube", config, items, per_d=per_d)
 
 
 def run_verify_all(args) -> dict:

@@ -21,8 +21,8 @@ from functools import lru_cache
 from random import Random
 
 from . import usl2
-from .freealg import FreePoly, MembershipCertificate, fcommutator, ideal_membership, substitute
-from .reporting import PASS, FAIL, UNRESOLVED, CheckItem
+from .freealg import FreePoly, fcommutator, ideal_membership, substitute
+from .reporting import PASS, UNRESOLVED, CheckItem, check
 
 ALPHABET = ("A", "B")
 
@@ -138,16 +138,9 @@ def verify_natural_well_defined() -> list[CheckItem]:
         ("alpha image commutes with B image", comm(alpha_img, b_img), usl2.zero()),
         ("alpha image commutes with C image", comm(alpha_img, c_img), usl2.zero()),
     ]
-    items = [
-        CheckItem(name=name, status=PASS if lhs == rhs else FAIL) for name, lhs, rhs in checks
-    ]
+    items = [check(name, lhs == rhs) for name, lhs, rhs in checks]
     for idx, rel in enumerate(pres.relators):
-        items.append(
-            CheckItem(
-                name=f"relator {idx} maps to zero",
-                status=PASS if natural(rel).is_zero() else FAIL,
-            )
-        )
+        items.append(check(f"relator {idx} maps to zero", natural(rel).is_zero()))
     return items
 
 
@@ -175,25 +168,20 @@ def verify_image_gradings() -> list[CheckItem]:
     for name, want in expected.items():
         got = usl2.degree_components(natural(elements[name]))
         ok = set(got) == set(want) and all(got[d] == want[d] for d in want)
-        items.append(
-            CheckItem(
-                name=f"{name} image has graded components {sorted(want, reverse=True)}",
-                status=PASS if ok else FAIL,
-            )
-        )
+        items.append(check(f"{name} image has graded components {sorted(want, reverse=True)}", ok))
     omega_img = natural(pres.omega)
     omega_expected = (lam.scale(2) - usl2.one().scale(3)).scale(Fraction(3, 16))
     comps = usl2.degree_components(omega_img)
     items.append(
-        CheckItem(
-            name="Omega image is even with only degree 0 surviving",
-            status=PASS if usl2.is_even(omega_img) and set(comps) <= {0} else FAIL,
+        check(
+            "Omega image is even with only degree 0 surviving",
+            usl2.is_even(omega_img) and set(comps) <= {0},
         )
     )
     items.append(
-        CheckItem(
-            name="Omega image equals (3/16)(2*Lam - 3)",
-            status=PASS if omega_img == omega_expected else FAIL,
+        check(
+            "Omega image equals (3/16)(2*Lam - 3)",
+            omega_img == omega_expected,
             detail=usl2.render(omega_img),
         )
     )
@@ -224,7 +212,7 @@ def verify_intertwining(samples: int = 25, seed: int = 20230814) -> list[CheckIt
     items = []
     for name, p in named:
         ok = natural(tilde_rho(p)) == usl2.rho(natural(p))
-        items.append(CheckItem(name=f"intertwining on {name}", status=PASS if ok else FAIL))
+        items.append(check(f"intertwining on {name}", ok))
     rng = Random(seed)
     bad = 0
     for _ in range(samples):
@@ -232,11 +220,7 @@ def verify_intertwining(samples: int = 25, seed: int = 20230814) -> list[CheckIt
         if natural(tilde_rho(p)) != usl2.rho(natural(p)):
             bad += 1
     items.append(
-        CheckItem(
-            name=f"intertwining on {samples} seeded random polynomials",
-            status=PASS if bad == 0 else FAIL,
-            detail=f"failures: {bad}",
-        )
+        check(f"intertwining on {samples} seeded random polynomials", bad == 0, f"failures: {bad}")
     )
     return items
 
@@ -296,29 +280,20 @@ def _hatted_kernel_term(pres: HahnPresentation, sign: int) -> FreePoly:
     ).scale(64)
 
 
-def verify_hahn_identities(
-    degree_bound: int = 8,
-) -> tuple[list[CheckItem], dict[str, MembershipCertificate]]:
+def verify_hahn_identities(degree_bound: int = 8) -> list[CheckItem]:
     """Certify each in-quotient identity in the relator ideal.
 
     Residuals that cancel identically in the free algebra short-circuit; the
-    rest get an ideal-membership certificate or an unresolved-at-bound item.
+    rest get an item carrying its ideal-membership certificate or an
+    unresolved-at-bound item.
     """
-    pres = presentation()
-    items: list[CheckItem] = []
-    certificates: dict[str, MembershipCertificate] = {}
-    for name, residual in _identity_targets():
-        items.append(_certify(name, residual, list(pres.relators), degree_bound, certificates))
-    return items, certificates
+    relators = list(presentation().relators)
+    return [
+        _certify(name, residual, relators, degree_bound) for name, residual in _identity_targets()
+    ]
 
 
-def _certify(
-    name: str,
-    residual: FreePoly,
-    generators: list[FreePoly],
-    bound: int,
-    certificates: dict[str, MembershipCertificate],
-) -> CheckItem:
+def _certify(name: str, residual: FreePoly, generators: list[FreePoly], bound: int) -> CheckItem:
     if residual.is_zero():
         return CheckItem(name=name, status=PASS, detail="identically zero in the free algebra")
     if residual.degree() > bound:
@@ -331,31 +306,18 @@ def _certify(
     cert = ideal_membership(residual, generators, bound)
     if cert is None:
         return CheckItem(name=name, status=UNRESOLVED, bound=bound)
-    ref = f"cert:{name}"
-    certificates[ref] = cert
-    return CheckItem(name=name, status=PASS, bound=bound, certificate_ref=ref)
+    return CheckItem(name=name, status=PASS, bound=bound, certificate=cert)
 
 
-def verify_kernel_and_inverse(
-    degree_bound: int = 8,
-) -> tuple[list[CheckItem], dict[str, MembershipCertificate]]:
+def verify_kernel_and_inverse(degree_bound: int = 8) -> list[CheckItem]:
     """Kernel generators map to zero; hatted elements invert the generators;
     the even-presentation relations hold modulo the kernel ideal."""
     pres = presentation()
-    items: list[CheckItem] = []
-    certificates: dict[str, MembershipCertificate] = {}
-
-    beta_img = natural(pres.beta)
-    items.append(
-        CheckItem(name="beta maps to zero", status=PASS if beta_img.is_zero() else FAIL)
-    )
     combo = pres.omega.scale(16) - pres.alpha.scale(24) + pres.one.scale(3)
-    items.append(
-        CheckItem(
-            name="16*Omega - 24*alpha + 3 maps to zero",
-            status=PASS if natural(combo).is_zero() else FAIL,
-        )
-    )
+    items = [
+        check("beta maps to zero", natural(pres.beta).is_zero()),
+        check("16*Omega - 24*alpha + 3 maps to zero", natural(combo).is_zero()),
+    ]
 
     quarter = Fraction(1, 4)
     inverse_checks = [
@@ -372,13 +334,8 @@ def verify_kernel_and_inverse(
         ("C recovered as (E2_hat - F2_hat)/4", pres.C - (pres.e2_hat - pres.f2_hat).scale(quarter)),
     ]
     for name, residual in inverse_checks:
-        items.append(
-            CheckItem(
-                name=name,
-                status=PASS if residual.is_zero() else FAIL,
-                detail="identically zero in the free algebra" if residual.is_zero() else None,
-            )
-        )
+        zero = residual.is_zero()
+        items.append(check(name, zero, "identically zero in the free algebra" if zero else None))
 
     # hatted preimages map onto the four even-subalgebra generators
     lam = usl2.casimir()
@@ -389,13 +346,13 @@ def verify_kernel_and_inverse(
         ("H_hat maps to H", pres.h_hat, usl2.H),
     ]
     for name, p, want in hat_targets:
-        items.append(CheckItem(name=name, status=PASS if natural(p) == want else FAIL))
+        items.append(check(name, natural(p) == want))
 
     # even-presentation relations with hatted elements, modulo the kernel ideal
     gens = list(pres.kernel_generators)
     for name, residual in _kernel_relation_targets():
-        items.append(_certify(name, residual, gens, degree_bound, certificates))
-    return items, certificates
+        items.append(_certify(name, residual, gens, degree_bound))
+    return items
 
 
 _KERNEL_RELATION_NAMES = (

@@ -569,16 +569,24 @@ def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
                                for c, x in row.items() if c >= n})
 
 
-def restrict_to_subspace(m: SparseMatrix, basis_columns: Sequence[Vector]) -> SparseMatrix:
-    """Matrix of m on the span of basis_columns, in that basis.
+def restrict_to_subspace(
+    ms: Sequence[SparseMatrix], basis_columns: Sequence[Vector]
+) -> list[SparseMatrix]:
+    """Matrices of each of ms on the span of basis_columns, in that basis.
 
-    Raises ValueError when the span is not invariant under m.
+    The matrices must be square and of one size; the span is reduced once
+    for all of them.  Raises ValueError when basis_columns are linearly
+    dependent or their span is not invariant under some matrix.
     """
+    if not ms:
+        return []
+    n = ms[0].rows
+    if any(m.rows != n or m.cols != n for m in ms):
+        raise ValueError("restrict_to_subspace needs square matrices of one size")
     # Augment each column with a marker coordinate; row operations then keep,
     # in the marker block, the combination of original columns each echelon
     # row stands for.
     span = EchelonBasis()
-    n = m.rows
     cleared = [_clear(col) for col in basis_columns]
     for j, (w, den) in enumerate(cleared):
         aug = dict(w)
@@ -587,12 +595,16 @@ def restrict_to_subspace(m: SparseMatrix, basis_columns: Sequence[Vector]) -> Sp
         if min(red) >= n:
             raise ValueError("basis_columns are linearly dependent")
         span.insert(red)
-    entries = {}
-    for j, (w, den) in enumerate(cleared):
-        # m col_j has numerators m._num w over m._den * den
-        red, s = span._reduce(m._apply_num(w))
-        if min(red, default=n) < n:
-            raise ValueError("subspace is not invariant under the matrix")
-        for k, x in red.items():
-            entries[(k - n, j)] = Fraction(-x, m._den * den * s)
-    return SparseMatrix(len(basis_columns), len(basis_columns), entries)
+    k = len(basis_columns)
+    out = []
+    for m in ms:
+        entries = {}
+        for j, (w, den) in enumerate(cleared):
+            # m col_j has numerators m._num w over m._den * den
+            red, s = span._reduce(m._apply_num(w))
+            if min(red, default=n) < n:
+                raise ValueError("subspace is not invariant under the matrix")
+            for r, x in red.items():
+                entries[(r - n, j)] = Fraction(-x, m._den * den * s)
+        out.append(SparseMatrix(k, k, entries))
+    return out

@@ -30,7 +30,7 @@ from .linalg import (
     restrict_to_subspace,
     span_closure,
 )
-from .reporting import PASS, FAIL, CheckItem
+from .reporting import CheckItem, check
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class SL2Rep:
             raise ValueError("[H,F] = -2F fails")
         if comm(self.E, self.F) != self.H:
             raise ValueError("[E,F] = H fails")
+
+    def even_operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
+        """E^2, F^2, the Casimir and H, in the order of ``UeRep.operators``."""
+        return (self.E * self.E, self.F * self.F, evaluate(usl2.casimir(), self), self.H)
 
 
 @dataclass(frozen=True)
@@ -170,15 +174,6 @@ def build_L1(n: int) -> UeRep:
     return _build_half(n, 1)
 
 
-def ue_restriction(rep: SL2Rep, basis: list[Vector]) -> UeRep:
-    """The even-subalgebra action on the span of basis, which must be invariant."""
-    e2 = restrict_to_subspace(rep.E * rep.E, basis)
-    f2 = restrict_to_subspace(rep.F * rep.F, basis)
-    lam = restrict_to_subspace(evaluate(usl2.casimir(), rep), basis)
-    h = restrict_to_subspace(rep.H, basis)
-    return UeRep(dim=len(basis), E2=e2, F2=f2, Lam=lam, H=h)
-
-
 def restrict_even(rep: SL2Rep, n: int):
     """Split the ladder module into its two even-subalgebra blocks.
 
@@ -188,13 +183,13 @@ def restrict_even(rep: SL2Rep, n: int):
     """
     if rep.dim != n + 1:
         raise ValueError("rep does not look like the ladder module of weight n")
-    basis0, basis1 = (
-        [v for i in range(family_dim(n, p)) for v in eigenspace(rep.H, Fraction(n - 4 * i - 2 * p))]
-        for p in (0, 1)
-    )
-    block0 = ue_restriction(rep, basis0)
-    block1 = ue_restriction(rep, basis1) if basis1 else None
-    return block0, block1
+    ops = rep.even_operators()
+    blocks = []
+    for p in (0, 1):
+        eigenvalues = (Fraction(n - 4 * i - 2 * p) for i in range(family_dim(n, p)))
+        basis = [v for theta in eigenvalues for v in eigenspace(rep.H, theta)]
+        blocks.append(UeRep(len(basis), *restrict_to_subspace(ops, basis)) if basis else None)
+    return tuple(blocks)
 
 
 def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
@@ -308,32 +303,31 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     images = natural_images()
     items: list[CheckItem] = []
     sigs: list[IsoSignature] = []
-
-    def check(name: str, ok: bool) -> None:
-        items.append(CheckItem(name=name, status=PASS if ok else FAIL))
-
     for n in range(n_max + 1):
         rep = build_L(n)
         lam = Fraction(n * (n + 2), 2)
-        check(
-            f"Casimir acts on L_{n} as {lam}",
-            evaluate(usl2.casimir(), rep) == SparseMatrix.identity(rep.dim).scale(lam),
-        )
         blocks = [b for b in restrict_even(rep, n) if b is not None]
         built = [build_L0(n), build_L1(n)] if n else [build_L0(n)]
-        check(
-            f"restriction of L_{n} matches the built halves entrywise",
-            [b.operators() for b in blocks] == [b.operators() for b in built],
-        )
-        check(
-            f"halves of L_{n} are irreducible (full matrix algebra)",
-            all(is_irreducible(b.operators()) for b in built),
-        )
         labels = [classify_ue_irreducible(b)[0] for b in built]
-        check(
-            f"halves of L_{n} classify back to their own labels",
-            [(label.n, label.parity) for label in labels] == [(n, p) for p in range(len(built))],
-        )
+        items += [
+            check(
+                f"Casimir acts on L_{n} as {lam}",
+                evaluate(usl2.casimir(), rep) == SparseMatrix.identity(rep.dim).scale(lam),
+            ),
+            check(
+                f"restriction of L_{n} matches the built halves entrywise",
+                [b.operators() for b in blocks] == [b.operators() for b in built],
+            ),
+            check(
+                f"halves of L_{n} are irreducible (full matrix algebra)",
+                all(is_irreducible(b.operators()) for b in built),
+            ),
+            check(
+                f"halves of L_{n} classify back to their own labels",
+                [(label.n, label.parity) for label in labels]
+                == [(n, p) for p in range(len(built))],
+            ),
+        ]
         half_sigs = [signature(b) for b in blocks]
         sigs.extend(half_sigs)
 
@@ -341,23 +335,24 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         b_mat = evaluate(images["B"], rep)
         pullback = [a_mat, b_mat, a_mat * b_mat - b_mat * a_mat]
         if n == 0:
-            check("pullback of L_0 is irreducible", is_irreducible(pullback))
+            items.append(check("pullback of L_0 is irreducible", is_irreducible(pullback)))
             continue
-        check(
-            f"L_{n}: parity blocks are invariant under the pullback action",
-            all((r - c) % 2 == 0 for m in pullback for r, c, _ in m.items()),
-        )
         parity_blocks = [[{i: Fraction(1)} for i in range(p, n + 1, 2)] for p in (0, 1)]
-        check(
-            f"L_{n}: both blocks are irreducible under the pullback action",
-            all(
-                is_irreducible([restrict_to_subspace(m, cols) for m in pullback])
-                for cols in parity_blocks
+        items += [
+            check(
+                f"L_{n}: parity blocks are invariant under the pullback action",
+                all((r - c) % 2 == 0 for m in pullback for r, c, _ in m.items()),
             ),
+            check(
+                f"L_{n}: both blocks are irreducible under the pullback action",
+                all(is_irreducible(restrict_to_subspace(pullback, cols)) for cols in parity_blocks),
+            ),
+            check(f"L_{n}: the two blocks have distinct signatures", half_sigs[0] != half_sigs[1]),
+        ]
+    items.append(
+        check(
+            f"all module signatures up to n={n_max} are pairwise distinct",
+            len(set(sigs)) == len(sigs),
         )
-        check(f"L_{n}: the two blocks have distinct signatures", half_sigs[0] != half_sigs[1])
-    check(
-        f"all module signatures up to n={n_max} are pairwise distinct",
-        len(set(sigs)) == len(sigs),
     )
     return items

@@ -20,7 +20,7 @@ from .linalg import (
     span_closure,
     vstack,
 )
-from .reps import SL2Rep, UeRep, classify_ue_irreducible, family_dim, ue_restriction
+from .reps import SL2Rep, UeRep, classify_ue_irreducible, family_dim
 
 
 def _weight(v: int) -> int:
@@ -154,11 +154,8 @@ def halved_operators(hctx: HalvedContext) -> tuple[SparseMatrix, SparseMatrix, S
     diagonal)."""
     ctx = hctx.cube
     a = adjacency(ctx)
-    a2 = a * a
-    astar = dual_adjacency(ctx)
     cols = [{v: Fraction(1)} for v in hctx.evens]
-    a2e = restrict_to_subspace(a2, cols)
-    astar_e = restrict_to_subspace(astar, cols)
+    a2e, astar_e = restrict_to_subspace([a * a, dual_adjacency(ctx)], cols)
     n = hctx.size
     halved = (a2e - SparseMatrix.identity(n).scale(ctx.D)).scale(Fraction(1, 2))
     for r, c, v in halved.items():
@@ -201,7 +198,8 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
     formula (the Wedderburn decomposition).
     """
     D = hctx.cube.D
-    ue = ue_restriction(cube_rho(hctx.cube), [{v: Fraction(1)} for v in hctx.evens])
+    evens = [{v: Fraction(1)} for v in hctx.evens]
+    ue = UeRep(len(evens), *restrict_to_subspace(cube_rho(hctx.cube).even_operators(), evens))
     ident = SparseMatrix.identity(ue.dim)
 
     blocks: dict[tuple[int, int], int] = {}
@@ -235,13 +233,7 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
         chain: list[Vector] = [w]
         for _ in range(fam_dim - 1):
             chain.append(ue.F2.apply(chain[-1]))
-        summand = UeRep(
-            dim=fam_dim,
-            E2=restrict_to_subspace(ue.E2, chain),
-            F2=restrict_to_subspace(ue.F2, chain),
-            Lam=restrict_to_subspace(ue.Lam, chain),
-            H=restrict_to_subspace(ue.H, chain),
-        )
+        summand = UeRep(fam_dim, *restrict_to_subspace(ue.operators(), chain))
         label, _ = classify_ue_irreducible(summand)
         if (label.n, label.parity) != (n, parity):
             labels_ok = False

@@ -35,7 +35,7 @@ from random import Random
 import re
 
 from .linalg import Combination, _clear, render_terms
-from .reporting import FAIL, PASS, CheckItem
+from .reporting import CheckItem, check
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
 Monomial = tuple[int, int, int]
@@ -197,26 +197,20 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
         raise ValueError("n_max must be at least 1")
     lam = casimir()
     items: list[CheckItem] = []
-
-    def record(name: str, lhs: USL2Element, rhs: USL2Element):
-        items.append(CheckItem(name=name, status=PASS if lhs == rhs else FAIL))
-
     for n in range(0, n_max + 1):
         en = monomial(n, 0, 0)
         fn = monomial(0, n, 0)
-        record(f"[H, E^{n}] == {2 * n}*E^{n}", commutator(H, en), en.scale(2 * n))
-        record(f"[H, F^{n}] == {-2 * n}*F^{n}", commutator(H, fn), fn.scale(-2 * n))
+        items.append(check(f"[H, E^{n}] == {2 * n}*E^{n}", commutator(H, en) == en.scale(2 * n)))
+        items.append(check(f"[H, F^{n}] == {-2 * n}*F^{n}", commutator(H, fn) == fn.scale(-2 * n)))
         h2 = multiply(H, H)
-        record(
+        items.append(check(
             f"[H^2, E^{n}] == 4*{n}*(H - {n})*E^{n}",
-            commutator(h2, en),
-            multiply(H - one().scale(n), en).scale(4 * n),
-        )
-        record(
+            commutator(h2, en) == multiply(H - one().scale(n), en).scale(4 * n),
+        ))
+        items.append(check(
             f"[H^2, F^{n}] == -4*{n}*(H + {n})*F^{n}",
-            commutator(h2, fn),
-            multiply(H + one().scale(n), fn).scale(-4 * n),
-        )
+            commutator(h2, fn) == multiply(H + one().scale(n), fn).scale(-4 * n),
+        ))
         # E^n F^n and F^n E^n as products of quadratic Casimir factors
         prod_ef = one()
         prod_fe = one()
@@ -225,10 +219,10 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
             f_fe = (lam.scale(2) - multiply(H + one().scale(2 * i - 2), H + one().scale(2 * i))).scale(Fraction(1, 4))
             prod_ef = multiply(prod_ef, f_ef)
             prod_fe = multiply(prod_fe, f_fe)
-        record(f"E^{n}*F^{n} == prod_(i=1..{n}) (2*Lam - (H-2i+2)(H-2i))/4",
-               multiply(en, fn), prod_ef)
-        record(f"F^{n}*E^{n} == prod_(i=1..{n}) (2*Lam - (H+2i-2)(H+2i))/4",
-               multiply(fn, en), prod_fe)
+        items.append(check(f"E^{n}*F^{n} == prod_(i=1..{n}) (2*Lam - (H-2i+2)(H-2i))/4",
+                           multiply(en, fn) == prod_ef))
+        items.append(check(f"F^{n}*E^{n} == prod_(i=1..{n}) (2*Lam - (H+2i-2)(H+2i))/4",
+                           multiply(fn, en) == prod_fe))
     return items
 
 
@@ -269,10 +263,7 @@ def even_relations(e2, f2, lam, h, one) -> list:
 def verify_ue_presentation() -> list[CheckItem]:
     """The defining relations of the even subalgebra, as PBW identities."""
     residuals = even_relations(monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H, one())
-    return [
-        CheckItem(name=name, status=PASS if r.is_zero() else FAIL)
-        for name, r in zip(EVEN_RELATIONS, residuals)
-    ]
+    return [check(name, r.is_zero()) for name, r in zip(EVEN_RELATIONS, residuals)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ def test_verify_hahn_json_validates_and_has_certificates(capsys):
 # degrees of the residuals left unresolved at bound 4, every PBW identity and
 # rho sample verdict at the benchmark's n-max 10, every module label and
 # signature check (repr, including the n = 0 branch and the first odd half),
-# every decomposition block (cube) and the combined verify-all report with
-# its summary and `config.jobs` field.  A change to any of them must update
+# every decomposition block (cube, also at the benchmark's D = 7 from a
+# seeded base vertex) and the combined verify-all report with its summary and
+# `config.jobs` field.  A change to any of them must update
 # its digest here on purpose.
 VERIFY_ALL_SMALL_ARGV = ["verify-all", "--n-max", "2", "--repr-n-max", "2", "--d-max", "3"]
 PINNED_REPORTS = [
@@ -65,6 +66,8 @@ PINNED_REPORTS = [
      "5ed89d381acd8e53835a59eb552f8b2905f65554e8186b1cdff2f1848a5ed2d1"),
     (["cube", "--d-min", "2", "--d-max", "6"], 0,
      "171737e258b5f5165e6c82cd07058b0dcb79a09e410d4b06efc007981ff01869"),
+    (["cube", "--d-min", "7", "--d-max", "7", "--base-vertex", "0110000"], 0,
+     "7329251afcd098c949630d49f1ce286266609b0db4b4d18bd7c6c281e686e874"),
     (VERIFY_ALL_SMALL_ARGV, 0,
      "a48c482a2963973050e911e678fe8b31171d155adfd59567de24e6749cb0d875"),
 ]
@@ -88,6 +91,20 @@ def test_verify_hahn_low_bound_exits_one(capsys):
     jsonschema.validate(report, SCHEMA)
     unresolved = [i for i in report["items"] if i["status"] == "unresolved-at-bound"]
     assert unresolved
+    assert not any("certificate-reference" in i for i in unresolved)
+
+
+def test_certificate_references_match_certificates_one_to_one(capsys):
+    _, out = _run(capsys, ["verify-hahn", "--degree-bound", "8", "--format", "json"])
+    report = json.loads(out)
+    refs = {
+        i["certificate-reference"]: i["identity"]
+        for i in report["items"]
+        if "certificate-reference" in i
+    }
+    assert len(refs) == sum("certificate-reference" in i for i in report["items"])
+    assert set(refs) == set(report["certificates"])
+    assert all(ref == "cert:" + identity for ref, identity in refs.items())
 
 
 def test_repr_command(capsys):

@@ -85,14 +85,14 @@ def test_intertwining_suite():
 
 
 def test_hahn_identities_all_certify_at_default_bound():
-    items, certs = verify_hahn_identities(8)
+    items = verify_hahn_identities(8)
     assert all_pass(items)
     by_name = {i.name: i for i in items}
     # identities whose residual cancels before any ideal work is needed
     for name in ("commutator-AC-expansion", "casimir-rewrite-BA2", "casimir-rewrite-A2B"):
         assert by_name[name].detail == "identically zero in the free algebra"
     # the rest must carry replayable certificates
-    certified = [i for i in items if i.certificate_ref]
+    certified = [i for i in items if i.certificate is not None]
     assert {i.name for i in certified} >= {
         "hatted-E2F2-product",
         "hatted-F2E2-product",
@@ -101,8 +101,7 @@ def test_hahn_identities_all_certify_at_default_bound():
     }
     targets = dict(_identity_target_map())
     for item in certified:
-        cert = certs[item.certificate_ref]
-        assert cert.replay() == targets[item.name]
+        assert item.certificate.replay() == targets[item.name]
 
 
 def _identity_target_map():
@@ -112,7 +111,7 @@ def _identity_target_map():
 
 
 def test_hahn_identities_low_bound_reports_unresolved():
-    items, _ = verify_hahn_identities(4)
+    items = verify_hahn_identities(4)
     statuses = {i.name: i.status for i in items}
     # the free-algebra-trivial ones still pass, the degree-6 residuals cannot
     assert statuses["commutator-AC-expansion"] == PASS
@@ -120,13 +119,12 @@ def test_hahn_identities_low_bound_reports_unresolved():
 
 
 def test_kernel_and_inverse_suite():
-    items, certs = verify_kernel_and_inverse(8)
+    items = verify_kernel_and_inverse(8)
     assert all_pass(items)
-    refs = [i.certificate_ref for i in items if i.certificate_ref]
-    assert len(refs) == len(certs) == 7
+    certs = [i.certificate for i in items if i.certificate is not None]
+    assert len(certs) == 7
     pres = presentation()
-    for ref in refs:
-        cert = certs[ref]
+    for cert in certs:
         # certificates here live in the full kernel-generator list
         assert cert.generators == pres.kernel_generators
         assert natural(cert.replay()).is_zero()

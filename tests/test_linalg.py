@@ -224,10 +224,21 @@ def test_solve_and_invert():
 
 def test_restrict_to_subspace():
     m = SparseMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    sub = restrict_to_subspace(m, [{0: F(1)}, {2: F(1)}])
-    assert sub == SparseMatrix.from_rows([[1, 0], [0, 3]])
+    swap = SparseMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    cols = [{0: F(1)}, {2: F(1)}]
+    assert restrict_to_subspace([m, m * m], cols) == [
+        SparseMatrix.from_rows([[1, 0], [0, 3]]),
+        SparseMatrix.from_rows([[1, 0], [0, 9]]),
+    ]
+    assert restrict_to_subspace([swap], [{0: F(1), 1: F(1)}, {2: F(1)}]) == [
+        SparseMatrix.identity(2)
+    ]
     with pytest.raises(ValueError):
-        restrict_to_subspace(SparseMatrix.from_rows([[0, 1], [1, 0]]), [{0: F(1)}])
+        restrict_to_subspace([m, swap], cols)  # not invariant under swap
+    with pytest.raises(ValueError):
+        restrict_to_subspace([m], [{0: F(1)}, {0: F(2)}])  # dependent columns
+    with pytest.raises(ValueError):
+        restrict_to_subspace([m, SparseMatrix.identity(2)], [{0: F(1)}])  # mixed sizes
 
 
 def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
@@ -337,10 +348,12 @@ def test_restrict_to_subspace_agrees_with_sympy(seed):
     def conjugated(block_rows):
         return _from_sym(sp * _sym(SparseMatrix.from_rows(block_rows)) * sp.inv())
 
-    assert restrict_to_subspace(conjugated(b), cols) == SparseMatrix.from_rows([r[:k] for r in b[:k]])
+    assert restrict_to_subspace([conjugated(b)], cols) == [
+        SparseMatrix.from_rows([r[:k] for r in b[:k]])
+    ]
     b[k][k - 1] = F(1, 2)
     with pytest.raises(ValueError):
-        restrict_to_subspace(conjugated(b), cols)
+        restrict_to_subspace([conjugated(b)], cols)
 
 
 @pytest.mark.parametrize("seed", range(8))
