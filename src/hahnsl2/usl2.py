@@ -261,9 +261,15 @@ def even_relations(e2, f2, lam, h, one) -> list:
 
 
 def verify_ue_presentation() -> list[CheckItem]:
-    """The defining relations of the even subalgebra, as PBW identities."""
+    """The defining relations of the even subalgebra, as PBW identities.
+
+    The items are named ``even presentation: <relation>``: the first two
+    relations are also power identities at n = 2.
+    """
     residuals = even_relations(monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H, one())
-    return [check(name, r.is_zero()) for name, r in zip(EVEN_RELATIONS, residuals)]
+    return [
+        check(f"even presentation: {name}", r.is_zero()) for name, r in zip(EVEN_RELATIONS, residuals)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ PINNED_REPORTS = [
     (["verify-hahn", "--degree-bound", "4"], 1,
      "25c9bd5568d58fa4a54fa2279a1d54a8db256a74f85465ca7b4f2d38982a908f"),
     (["verify-usl2", "--n-max", "10"], 0,
-     "acd4635d7a5721f04a80c598adc8739caffd2605f10749e155ed9d1a8d2ae4ae"),
+     "4f5ccf70fc94c20d4bf40c485594a16cec37ec7ae0ca83bf150f3acb58debf0e"),
     (["repr", "--n-max", "0"], 0,
      "3e2eb2e09f91ae912b1b5ff48081c610c48ad6cb33ae3b8a0fa33f0ade6505e1"),
     (["repr", "--n-max", "1"], 0,
@@ -69,7 +69,7 @@ PINNED_REPORTS = [
     (["cube", "--d-min", "7", "--d-max", "7", "--base-vertex", "0110000"], 0,
      "7329251afcd098c949630d49f1ce286266609b0db4b4d18bd7c6c281e686e874"),
     (VERIFY_ALL_SMALL_ARGV, 0,
-     "a48c482a2963973050e911e678fe8b31171d155adfd59567de24e6749cb0d875"),
+     "63c23ede153d1fa47c405ae6ea4ee522a88b8b182b75299c115e4462db1fcab8"),
 ]
 
 
@@ -82,6 +82,25 @@ def test_json_report_bytes_are_pinned(capsys, argv, exit_code, digest):
     code, out = _run(capsys, argv + ["--format", "json"])
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-usl2", "--n-max", "10"],
+        ["verify-hahn", "--degree-bound", "4"],
+        ["repr", "--n-max", "2"],
+        ["cube", "--d-min", "2", "--d-max", "3"],
+        VERIFY_ALL_SMALL_ARGV,
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_name_each_identity_once(capsys, argv):
+    _, out = _run(capsys, argv + ["--format", "json"])
+    report = json.loads(out)
+    for sub in report.get("reports", {argv[0]: report}).values():
+        names = [i["identity"] for i in sub["items"]]
+        assert len(names) == len(set(names)), sub["command"]
 
 
 def test_verify_hahn_low_bound_exits_one(capsys):

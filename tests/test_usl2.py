@@ -189,7 +189,7 @@ def test_verify_ue_presentation():
     items = usl2.verify_ue_presentation()
     assert all(i.status == "pass" for i in items)
     assert len(items) == 7
-    assert [i.name for i in items] == list(usl2.EVEN_RELATIONS)
+    assert [i.name for i in items] == [f"even presentation: {r}" for r in usl2.EVEN_RELATIONS]
 
 
 def test_even_relations_vanish_in_pbw_form_and_on_the_halves():
