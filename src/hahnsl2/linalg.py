@@ -578,8 +578,6 @@ def restrict_to_subspace(
     for all of them.  Raises ValueError when basis_columns are linearly
     dependent or their span is not invariant under some matrix.
     """
-    if not ms:
-        return []
     n = ms[0].rows
     if any(m.rows != n or m.cols != n for m in ms):
         raise ValueError("restrict_to_subspace needs square matrices of one size")
