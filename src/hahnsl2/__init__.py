@@ -44,12 +44,12 @@ from .reps import (
 )
 from .terwilliger import (
     CubeContext,
-    HalvedContext,
     adjacency,
     cube_rho,
     decompose_halved,
     decompose_standard,
     dual_adjacency,
+    even_half,
     halved_operators,
     te_dimension,
     te_dimension_formula,
@@ -96,12 +96,12 @@ __all__ = [
     "signature",
     "verify_ladder_modules",
     "CubeContext",
-    "HalvedContext",
     "adjacency",
     "cube_rho",
     "decompose_halved",
     "decompose_standard",
     "dual_adjacency",
+    "even_half",
     "halved_operators",
     "te_dimension",
     "te_dimension_formula",

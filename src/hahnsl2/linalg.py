@@ -275,12 +275,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self._num
 
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.items():
-            out[r][c] = v
-        return out
-
     # -- arithmetic -----------------------------------------------------------
 
     def _require_same_shape(self, other: "SparseMatrix") -> None:

@@ -43,7 +43,3 @@ class CheckItem:
 def check(name: str, ok: bool, detail: Optional[str] = None) -> CheckItem:
     """The verdict of a check that passes exactly when ``ok``."""
     return CheckItem(name=name, status=PASS if ok else FAIL, detail=detail)
-
-
-def all_pass(items: list[CheckItem]) -> bool:
-    return all(item.status == PASS for item in items)

@@ -124,13 +124,15 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
     cache = rep.powers
 
     def power(name: str, k: int) -> SparseMatrix:
-        key = (name, k)
-        if key not in cache:
-            if k == 0:
-                cache[key] = SparseMatrix.identity(dim)
-            else:
-                cache[key] = power(name, k - 1) * getattr(rep, name)
-        return cache[key]
+        # bottom-up, not recursive: a closure that calls itself is a
+        # reference cycle, which would keep rep alive after the call
+        for j in range(k + 1):
+            if (name, j) not in cache:
+                if j == 0:
+                    cache[name, j] = SparseMatrix.identity(dim)
+                else:
+                    cache[name, j] = cache[name, j - 1] * getattr(rep, name)
+        return cache[name, k]
 
     out = SparseMatrix.zero(dim, dim)
     for (i, j, k), c in a.terms.items():
@@ -291,12 +293,13 @@ def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
 def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     """One pass over the ladder modules L_0 .. L_{n_max}.
 
-    Each L_n is built once.  On it: the Casimir scalar; the restriction to
-    the even subalgebra against the built halves, which must be irreducible
-    and classify back to their own labels; and the pullback along the
-    natural map, whose parity blocks must be invariant and irreducible (at
-    n = 0 the whole module) with halves of distinct signatures.  Last, the
-    signatures of all halves must be pairwise distinct.
+    Each L_n is built once.  On it: the Casimir scalar, read off the
+    restriction to the even subalgebra (its blocks are invariant and together
+    span L_n); that restriction against the built halves, which must be
+    irreducible and classify back to their own labels; and the pullback
+    along the natural map, whose parity blocks must be invariant and
+    irreducible (at n = 0 the whole module) with halves of distinct
+    signatures.  Last, the signatures of all halves must be pairwise distinct.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -312,7 +315,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         items += [
             check(
                 f"Casimir acts on L_{n} as {lam}",
-                evaluate(usl2.casimir(), rep) == SparseMatrix.identity(rep.dim).scale(lam),
+                all(b.Lam == SparseMatrix.identity(b.dim).scale(lam) for b in blocks),
             ),
             check(
                 f"restriction of L_{n} matches the built halves entrywise",

@@ -7,7 +7,7 @@ distance, so everything is built from bit twiddling, with no graph library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -52,24 +52,6 @@ class CubeContext:
 
     def bitstring(self, v: int) -> str:
         return format(v, f"0{self.D}b")
-
-
-@dataclass(frozen=True)
-class HalvedContext:
-    """Even-weight half of the cube; adjacency there is cube distance 2."""
-
-    cube: CubeContext
-    evens: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        if _weight(self.cube.base) % 2 != 0:
-            raise ValueError("the base vertex of the halved cube must have even weight")
-        evens = tuple(v for v in self.cube.vertices() if _weight(v) % 2 == 0)
-        object.__setattr__(self, "evens", evens)
-
-    @property
-    def size(self) -> int:
-        return len(self.evens)
 
 
 def adjacency(ctx: CubeContext) -> SparseMatrix:
@@ -121,11 +103,11 @@ class StandardDecomposition:
     dimension_ok: bool
 
 
-def decompose_standard(ctx: CubeContext) -> StandardDecomposition:
-    """Multiplicities of the ladder summands of the cube module, found by
-    counting highest-weight vectors (ker E inside each H-eigenspace), then
-    cross-checked against the closed form and the total dimension."""
-    rep = cube_rho(ctx)
+def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
+    """Multiplicities of the ladder summands of the cube module ``rep``
+    (``cube_rho(ctx)``), found by counting highest-weight vectors (ker E
+    inside each H-eigenspace), then cross-checked against the closed form
+    and the total dimension."""
     mults: dict[int, int] = {}
     formula_ok = True
     for k in range(ctx.D // 2 + 1):
@@ -148,25 +130,32 @@ def decompose_standard(ctx: CubeContext) -> StandardDecomposition:
     )
 
 
-def halved_operators(hctx: HalvedContext) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """Restrictions of A^2 and the dual adjacency to the even-weight block,
-    plus the halved-graph adjacency (A^2 - D)/2 (checked to be 0/1 with zero
-    diagonal)."""
-    ctx = hctx.cube
-    a = adjacency(ctx)
-    cols = [{v: Fraction(1)} for v in hctx.evens]
-    a2e, astar_e = restrict_to_subspace([a * a, dual_adjacency(ctx)], cols)
-    n = hctx.size
-    halved = (a2e - SparseMatrix.identity(n).scale(ctx.D)).scale(Fraction(1, 2))
+def even_half(ctx: CubeContext, rep: SL2Rep) -> UeRep:
+    """The cube module ``rep`` (``cube_rho(ctx)``) restricted to the
+    even-weight vertices, in increasing order, under the even subalgebra;
+    the halved cube lives on these vertices."""
+    if _weight(ctx.base) % 2 != 0:
+        raise ValueError("the base vertex of the halved cube must have even weight")
+    evens = [{v: Fraction(1)} for v in ctx.vertices() if _weight(v) % 2 == 0]
+    return UeRep(len(evens), *restrict_to_subspace(rep.even_operators(), evens))
+
+
+def halved_operators(ctx: CubeContext, ue: UeRep) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+    """A^2 and the dual adjacency on the even half ``ue``, plus the
+    halved-graph adjacency (A^2 - D)/2 (checked to be 0/1 with zero
+    diagonal).  On the cube A = E + F and A* = H, so A^2 = E^2 + F^2 + Lam -
+    H^2/2 is read off the even-subalgebra action."""
+    a2e = ue.E2 + ue.F2 + ue.Lam - (ue.H * ue.H).scale(Fraction(1, 2))
+    halved = (a2e - SparseMatrix.identity(ue.dim).scale(ctx.D)).scale(Fraction(1, 2))
     for r, c, v in halved.items():
         if r == c or v not in (0, 1):
             raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
-    return a2e, astar_e, halved
+    return a2e, ue.H, halved
 
 
-def te_dimension(hctx: HalvedContext) -> int:
+def te_dimension(ctx: CubeContext, ue: UeRep) -> int:
     """Dimension of the algebra generated by the two halved-cube operators."""
-    a2e, astar_e, _ = halved_operators(hctx)
+    a2e, astar_e, _ = halved_operators(ctx, ue)
     _, dim = span_closure([a2e, astar_e])
     return dim
 
@@ -185,9 +174,8 @@ class HalvedDecomposition:
     wedderburn_dimension: int
 
 
-def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
-    """Isotypic decomposition of the even-weight block under the even
-    subalgebra action.
+def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
+    """Isotypic decomposition of the even half ``ue`` of the cube module.
 
     For each expected family the multiplicity is the dimension of the space
     of top vectors (killed by E^2, correct H-eigenvalue, correct Casimir
@@ -197,9 +185,7 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
     irreducible dimensions reproduces the Terwilliger-algebra dimension
     formula (the Wedderburn decomposition).
     """
-    D = hctx.cube.D
-    evens = [{v: Fraction(1)} for v in hctx.evens]
-    ue = UeRep(len(evens), *restrict_to_subspace(cube_rho(hctx.cube).even_operators(), evens))
+    D = ctx.D
     ident = SparseMatrix.identity(ue.dim)
 
     blocks: dict[tuple[int, int], int] = {}
@@ -244,6 +230,6 @@ def decompose_halved(hctx: HalvedContext) -> HalvedDecomposition:
         blocks=blocks,
         labels_ok=labels_ok,
         formula_ok=formula_ok,
-        dimension_ok=(total == hctx.size),
+        dimension_ok=(total == ue.dim),
         wedderburn_dimension=wedderburn,
     )

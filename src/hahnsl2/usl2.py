@@ -331,13 +331,6 @@ def ue_basis_decompose(a: USL2Element) -> dict[UeBasisKey, Fraction]:
     return {k: v for k, v in coords.items() if v}
 
 
-def ue_basis_recompose(coords: dict[UeBasisKey, Fraction]) -> USL2Element:
-    out = zero()
-    for (part, n, i, k), c in coords.items():
-        out = out + ue_basis_element(part, n, i, k).scale(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rendering and parsing
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from fractions import Fraction
 from random import Random
 
 from hahnsl2 import hahn, reps, terwilliger, usl2
-from hahnsl2.reporting import all_pass
-from tests.conftest import random_free_poly, random_usl2_element
+from tests.conftest import all_pass, random_free_poly, random_usl2_element
 
 Q = Fraction
 
@@ -110,7 +109,8 @@ def test_criterion_7_hypercube_decomposition():
     t0 = time.perf_counter()
     ok = True
     for D in range(2, 11):
-        sd = terwilliger.decompose_standard(terwilliger.CubeContext(D=D))
+        ctx = terwilliger.CubeContext(D=D)
+        sd = terwilliger.decompose_standard(ctx, terwilliger.cube_rho(ctx))
         ok = ok and sd.formula_ok and sd.dimension_ok
         total = sum(m * (n + 1) for n, m in sd.multiplicities.items())
         ok = ok and total == 2**D
@@ -124,9 +124,10 @@ def test_criterion_8_halved_cube_structure():
     ok = True
     small_elapsed = None
     for D in range(2, 9):
-        h = terwilliger.HalvedContext(terwilliger.CubeContext(D=D))
-        dim = terwilliger.te_dimension(h)
-        hd = terwilliger.decompose_halved(h)
+        ctx = terwilliger.CubeContext(D=D)
+        ue = terwilliger.even_half(ctx, terwilliger.cube_rho(ctx))
+        dim = terwilliger.te_dimension(ctx, ue)
+        hd = terwilliger.decompose_halved(ctx, ue)
         formula = terwilliger.te_dimension_formula(D)
         ok = ok and dim == formula == hd.wedderburn_dimension
         ok = ok and hd.labels_ok and hd.formula_ok and hd.dimension_ok

@@ -17,6 +17,7 @@ from hahnsl2.linalg import (
     span_closure,
     vstack,
 )
+from tests.conftest import dense
 
 F = Fraction
 
@@ -260,7 +261,7 @@ def _q(x: F) -> sympy.Rational:
 
 
 def _sym(m: SparseMatrix) -> sympy.Matrix:
-    return sympy.Matrix(m.rows, m.cols, [_q(x) for row in m.to_dense() for x in row])
+    return sympy.Matrix(m.rows, m.cols, [_q(x) for row in dense(m) for x in row])
 
 
 def _f(x: sympy.Rational) -> F:
@@ -339,7 +340,7 @@ def test_restrict_to_subspace_agrees_with_sympy(seed):
     p = _random_rational(rng, n, n)
     while _sym(p).det() == 0:
         p = _random_rational(rng, n, n)
-    b = _random_rational(rng, n, n).to_dense()
+    b = dense(_random_rational(rng, n, n))
     for i in range(k, n):
         b[i][:k] = [F(0)] * k
     cols = [{i: p.get(i, j) for i in range(n) if p.get(i, j)} for j in range(k)]
@@ -373,4 +374,4 @@ def test_matrix_storage_is_canonical(seed):
                                       for j in range(cols)], rows) == m
     assert m * SparseMatrix.identity(cols) == m == SparseMatrix.identity(rows) * m
     assert vstack(m, SparseMatrix.zero(1, cols)) == SparseMatrix.from_rows(
-        m.to_dense() + [[0] * cols])
+        dense(m) + [[0] * cols])

@@ -2,28 +2,29 @@ from fractions import Fraction
 
 import pytest
 
-from hahnsl2 import usl2
-from hahnsl2.linalg import SparseMatrix, eigenspace
+from hahnsl2 import cli, terwilliger, usl2
+from hahnsl2.linalg import SparseMatrix, eigenspace, restrict_to_subspace
 from hahnsl2.reps import evaluate
 from hahnsl2.terwilliger import (
     CubeContext,
-    HalvedContext,
     adjacency,
     cube_rho,
     decompose_halved,
     decompose_standard,
     dual_adjacency,
+    even_half,
     halved_operators,
     standard_multiplicity,
     te_dimension,
     te_dimension_formula,
 )
+from tests.conftest import dense
 
 Q = Fraction
 
 
 def _dense_square(m, n):
-    d = m.to_dense()
+    d = dense(m)
     return [[sum(d[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
@@ -74,13 +75,21 @@ def test_cube_rho_natural_pullback_of_B():
     assert b_mat == expected
 
 
+def _standard(ctx):
+    return decompose_standard(ctx, cube_rho(ctx))
+
+
+def _even_half(ctx):
+    return ctx, even_half(ctx, cube_rho(ctx))
+
+
 def test_decompose_standard_examples():
-    sd = decompose_standard(CubeContext(D=3))
+    sd = _standard(CubeContext(D=3))
     assert sd.multiplicities == {3: 1, 1: 2}
     assert sd.formula_ok and sd.dimension_ok
-    sd = decompose_standard(CubeContext(D=4))
+    sd = _standard(CubeContext(D=4))
     assert sd.multiplicities == {4: 1, 2: 3, 0: 2}
-    sd = decompose_standard(CubeContext(D=2))
+    sd = _standard(CubeContext(D=2))
     assert sd.multiplicities == {2: 1, 0: 1}
 
 
@@ -95,35 +104,44 @@ def test_casimir_block_scalars_match_decomposition():
         ctx = CubeContext(D=D)
         rep = cube_rho(ctx)
         lam = evaluate(usl2.casimir(), rep)
-        sd = decompose_standard(ctx)
+        sd = decompose_standard(ctx, rep)
         for n, mult in sd.multiplicities.items():
             space = eigenspace(lam, Q(n * (n + 2), 2))
             assert len(space) == mult * (n + 1)
 
 
 def test_halved_operators_d2():
-    h = HalvedContext(CubeContext(D=2))
-    a2e, astar_e, halved = halved_operators(h)
+    a2e, astar_e, halved = halved_operators(*_even_half(CubeContext(D=2)))
     assert a2e == SparseMatrix.from_rows([[2, 2], [2, 2]])
     assert astar_e == SparseMatrix.from_rows([[2, 0], [0, -2]])
     assert halved == SparseMatrix.from_rows([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("base", (0, 0b11))
+@pytest.mark.parametrize("D", range(2, 8))
+def test_halved_operators_match_restricted_adjacency_square(D, base):
+    # oracle: restrict A*A and A* to the even vertices directly
+    ctx = CubeContext(D=D, base=base)
+    a = adjacency(ctx)
+    evens = [{v: Q(1)} for v in ctx.vertices() if bin(v).count("1") % 2 == 0]
+    a2e, astar_e = restrict_to_subspace([a * a, dual_adjacency(ctx)], evens)
+    halved = (a2e - SparseMatrix.identity(len(evens)).scale(D)).scale(Q(1, 2))
+    assert halved_operators(*_even_half(ctx)) == (a2e, astar_e, halved)
+
+
 def test_halved_adjacency_d3_is_complete_graph():
-    h = HalvedContext(CubeContext(D=3))
-    _, _, halved = halved_operators(h)
+    _, _, halved = halved_operators(*_even_half(CubeContext(D=3)))
     expected = [[Q(0) if i == j else Q(1) for j in range(4)] for i in range(4)]
-    assert halved.to_dense() == expected
+    assert dense(halved) == expected
 
 
 def test_halved_base_must_be_even():
     with pytest.raises(ValueError):
-        HalvedContext(CubeContext(D=3, base=1))
+        _even_half(CubeContext(D=3, base=1))
 
 
 def test_even_split_matches_dual_eigenvalue_classes():
     ctx = CubeContext(D=4)
-    h = HalvedContext(ctx)
     astar = dual_adjacency(ctx)
     by_eigenvalue = set()
     for i in range(-ctx.D, ctx.D + 1):
@@ -131,32 +149,51 @@ def test_even_split_matches_dual_eigenvalue_classes():
         if abs(val) <= ctx.D:
             for v in eigenspace(astar, Q(val)):
                 by_eigenvalue.update(v.keys())
-    assert by_eigenvalue == set(h.evens)
+    evens = sorted(v for v in ctx.vertices() if bin(v).count("1") % 2 == 0)
+    assert by_eigenvalue == set(evens)
+    # the even half is the cube module on exactly these vertices, in order
+    _, ue = _even_half(ctx)
+    assert ue.H == SparseMatrix(len(evens), len(evens),
+                                {(i, i): astar.get(v, v) for i, v in enumerate(evens)})
 
 
 def test_te_dimension_small():
     for D, expected in ((2, 4), (3, 5), (4, 11)):
         assert te_dimension_formula(D) == expected
-        assert te_dimension(HalvedContext(CubeContext(D=D))) == expected
+        assert te_dimension(*_even_half(CubeContext(D=D))) == expected
 
 
 def test_decompose_halved_examples():
-    hd = decompose_halved(HalvedContext(CubeContext(D=4)))
+    hd = decompose_halved(*_even_half(CubeContext(D=4)))
     assert hd.blocks == {(4, 0): 1, (2, 1): 3, (0, 0): 2}
     assert hd.labels_ok and hd.formula_ok and hd.dimension_ok
     assert hd.wedderburn_dimension == 11
-    hd = decompose_halved(HalvedContext(CubeContext(D=3)))
+    hd = decompose_halved(*_even_half(CubeContext(D=3)))
     assert hd.blocks == {(3, 0): 1, (1, 1): 2}
     assert hd.wedderburn_dimension == 5
-    hd = decompose_halved(HalvedContext(CubeContext(D=2)))
+    hd = decompose_halved(*_even_half(CubeContext(D=2)))
     assert hd.blocks == {(2, 0): 1}
 
 
 def test_base_vertex_independence_small():
     # vertex transitivity: same dimensions and multiplicities at any even base
-    reference = decompose_halved(HalvedContext(CubeContext(D=4)))
-    ref_dim = te_dimension(HalvedContext(CubeContext(D=4)))
+    reference = _even_half(CubeContext(D=4))
+    ref_blocks = decompose_halved(*reference).blocks
+    ref_dim = te_dimension(*reference)
     for base in (0b0011, 0b1111, 0b0101):
-        h = HalvedContext(CubeContext(D=4, base=base))
-        assert te_dimension(h) == ref_dim
-        assert decompose_halved(h).blocks == reference.blocks
+        h = _even_half(CubeContext(D=4, base=base))
+        assert te_dimension(*h) == ref_dim
+        assert decompose_halved(*h).blocks == ref_blocks
+
+
+def test_run_cube_builds_one_cube_module_per_d(monkeypatch):
+    builds = []
+    real = terwilliger.adjacency
+
+    def counted(ctx):
+        builds.append(ctx.D)
+        return real(ctx)
+
+    monkeypatch.setattr(terwilliger, "adjacency", counted)
+    assert cli.run_cube(2, 5, None)["ok"]
+    assert builds == [2, 3, 4, 5]
