@@ -435,7 +435,11 @@ class EchelonBasis:
     def insert(self, v: Vector) -> bool:
         """Insert v, whose entries may be ints or Fractions; returns True when
         it enlarges the span."""
-        w, _ = self._reduce(_clear(v)[0])
+        return self._insert(_clear(v)[0])
+
+    def _insert(self, w: IntVector) -> bool:
+        """Insert the integer vector w; the one elimination path of ``insert``."""
+        w, _ = self._reduce(w)
         if not w:
             return False
         p = min(w)
@@ -457,7 +461,7 @@ def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     for r in range(m.rows):
         row = m._num.get(r)
         if row:
-            basis.insert(row)
+            basis._insert(row)
     return basis, len(basis)
 
 
@@ -514,7 +518,7 @@ def span_closure(generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]
     while head < len(work):
         m = work[head]
         head += 1
-        if basis.insert(_vectorize(m)):
+        if basis._insert(_vectorize(m)):
             for g in generators:
                 work.append(m.matmul(g))
     return basis, len(basis)
@@ -531,7 +535,7 @@ def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:
         if r in bw:
             row[aug_col] = m._den * bw[r]
         if row:
-            basis.insert(row)
+            basis._insert(row)
     x: Vector = {}
     for p, row in zip(basis.pivots, basis._rows):
         if p == aug_col:
@@ -555,7 +559,7 @@ def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
     for r in range(n):
         row = dict(m._num.get(r, {}))
         row[n + r] = m._den
-        basis.insert(row)
+        basis._insert(row)
     if basis.pivots != list(range(n)):
         return None
     return SparseMatrix(n, n, {(p, c - n): Fraction(x, row[p])
@@ -586,7 +590,7 @@ def restrict_to_subspace(
         red, _ = span._reduce(aug)
         if min(red) >= n:
             raise ValueError("basis_columns are linearly dependent")
-        span.insert(red)
+        span._insert(red)
     k = len(basis_columns)
     out = []
     for m in ms:

@@ -7,6 +7,7 @@ distance, so everything is built from bit twiddling, with no graph library.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -130,13 +131,19 @@ def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
     )
 
 
+def _evens(ctx: CubeContext) -> list[int]:
+    """The even-weight vertices in increasing order: the vertices of the
+    even half, in the order of its basis."""
+    return [v for v in ctx.vertices() if _weight(v) % 2 == 0]
+
+
 def even_half(ctx: CubeContext, rep: SL2Rep) -> UeRep:
     """The cube module ``rep`` (``cube_rho(ctx)``) restricted to the
     even-weight vertices, in increasing order, under the even subalgebra;
     the halved cube lives on these vertices."""
     if _weight(ctx.base) % 2 != 0:
         raise ValueError("the base vertex of the halved cube must have even weight")
-    evens = [{v: Fraction(1)} for v in ctx.vertices() if _weight(v) % 2 == 0]
+    evens = [{v: Fraction(1)} for v in _evens(ctx)]
     return UeRep(len(evens), *restrict_to_subspace(rep.even_operators(), evens))
 
 
@@ -153,10 +160,64 @@ def halved_operators(ctx: CubeContext, ue: UeRep) -> tuple[SparseMatrix, SparseM
     return a2e, ue.H, halved
 
 
+def _orbit_table(ctx: CubeContext) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Orbits of pairs of even vertices under the coordinate permutations
+    that fix the base vertex b: the orbit of (x, y) is named by the triple
+    (|x^b|, |y^b|, |(x^b) & (y^b)|).  Returns the orbit id of every pair of
+    even-half indices, ids given in increasing order of the triples, and the
+    first pair of each orbit in row-major order as its representative."""
+    rel = [v ^ ctx.base for v in _evens(ctx)]
+    wt = [_weight(x) for x in rel]
+    keys = [[(wt[i], wt[j], _weight(x & y)) for j, y in enumerate(rel)] for i, x in enumerate(rel)]
+    ids = {key: o for o, key in enumerate(sorted({key for row in keys for key in row}))}
+    table = [[ids[key] for key in row] for row in keys]
+    reps: dict[int, tuple[int, int]] = {}
+    for i, row in enumerate(table):
+        for j, o in enumerate(row):
+            reps.setdefault(o, (i, j))
+    return table, [reps[o] for o in range(len(ids))]
+
+
+def _orbit_coordinates(table: list[list[int]], reps: list[tuple[int, int]], g: SparseMatrix) -> list[Fraction]:
+    """The coordinates c of g = sum_o c_o M_o, where M_o is the 0/1 matrix of
+    orbit o, read at the representatives; raises ArithmeticError unless g is
+    constant on every orbit, checked on every entry."""
+    coords = [g.get(i, j) for i, j in reps]
+    for i, row in enumerate(table):
+        gi = g.row(i)
+        if any(gi.get(j, 0) != coords[o] for j, o in enumerate(row)):
+            raise ArithmeticError("operator is not constant on the orbits of the base-vertex stabilizer")
+    return coords
+
+
 def te_dimension(ctx: CubeContext, ue: UeRep) -> int:
-    """Dimension of the algebra generated by the two halved-cube operators."""
+    """Dimension of the algebra T generated by the two halved-cube operators.
+
+    Both commute with the coordinate permutations that fix the base vertex
+    (checked entry by entry), so T lies in their centralizer algebra, which
+    has one 0/1 basis matrix M_o per orbit o of vertex pairs (Schrijver, IEEE
+    Trans. Inf. Theory 51, 2005).  The structure constants, the number of z
+    with (x, z) in orbit a and (z, y) in orbit b for a representative (x, y)
+    of orbit c, are counted on the vertex set.  Right multiplication t -> tg
+    is faithful on the centralizer (it sends the identity to g) and only
+    reverses products, so the closure of the right multiplications by the
+    two operators, matrices of the size of the number of orbits, has
+    dimension dim T.
+    """
     a2e, astar_e, _ = halved_operators(ctx, ue)
-    _, dim = span_closure([a2e, astar_e])
+    table, reps = _orbit_table(ctx)
+    n = len(reps)
+    counts = Counter((c, table[x][z], table[z][y]) for c, (x, y) in enumerate(reps)
+                     for z in range(len(table)))
+    right = []
+    for g in (a2e, astar_e):
+        coords = _orbit_coordinates(table, reps, g)
+        entries: dict[tuple[int, int], Fraction] = {}
+        for (c, a, b), k in counts.items():
+            if coords[b]:
+                entries[c, a] = entries.get((c, a), 0) + k * coords[b]
+        right.append(SparseMatrix(n, n, entries))
+    _, dim = span_closure(right)
     return dim
 
 

@@ -68,6 +68,8 @@ PINNED_REPORTS = [
      "171737e258b5f5165e6c82cd07058b0dcb79a09e410d4b06efc007981ff01869"),
     (["cube", "--d-min", "7", "--d-max", "7", "--base-vertex", "0110000"], 0,
      "7329251afcd098c949630d49f1ce286266609b0db4b4d18bd7c6c281e686e874"),
+    (["cube", "--d-min", "8", "--d-max", "8"], 0,
+     "da8d9502a8aa2afc80831bdd56c8529d02e19de2d3250a0f5e89f40a3a3f66a1"),
     (VERIFY_ALL_SMALL_ARGV, 0,
      "63c23ede153d1fa47c405ae6ea4ee522a88b8b182b75299c115e4462db1fcab8"),
 ]

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from hahnsl2 import cli, terwilliger, usl2
-from hahnsl2.linalg import SparseMatrix, eigenspace, restrict_to_subspace
+from hahnsl2.linalg import SparseMatrix, eigenspace, restrict_to_subspace, span_closure
 from hahnsl2.reps import evaluate
 from hahnsl2.terwilliger import (
     CubeContext,
+    _orbit_coordinates,
+    _orbit_table,
     adjacency,
     cube_rho,
     decompose_halved,
@@ -161,6 +163,72 @@ def test_te_dimension_small():
     for D, expected in ((2, 4), (3, 5), (4, 11)):
         assert te_dimension_formula(D) == expected
         assert te_dimension(*_even_half(CubeContext(D=D))) == expected
+
+
+def _all_ones_even(D):
+    return (1 << D) - 1 if D % 2 == 0 else (1 << D) - 2
+
+
+TE_ORACLE_CASES = (
+    [(D, 0) for D in range(2, 9)]
+    + [(D, _all_ones_even(D)) for D in range(2, 8)]
+    + [(D, 0b101) for D in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("D, base", TE_ORACLE_CASES)
+def test_te_dimension_matches_brute_force_closure(D, base):
+    # oracle: close the full 2^(D-1) x 2^(D-1) operators
+    ctx, ue = _even_half(CubeContext(D=D, base=base))
+    a2e, astar_e, _ = halved_operators(ctx, ue)
+    assert te_dimension(ctx, ue) == span_closure([a2e, astar_e])[1]
+
+
+def test_te_dimension_closes_once_in_orbit_coordinates(monkeypatch):
+    calls = []
+    real = terwilliger.span_closure
+
+    def recorded(generators):
+        calls.append([(g.rows, g.cols) for g in generators])
+        return real(generators)
+
+    monkeypatch.setattr(terwilliger, "span_closure", recorded)
+    ctx, ue = _even_half(CubeContext(D=7, base=0b0110000))
+    assert te_dimension(ctx, ue) == 30
+    assert calls == [[(30, 30), (30, 30)]]
+
+
+@pytest.mark.parametrize("at_representative", (True, False))
+def test_orbit_coordinates_refuse_an_operator_not_constant_on_orbits(at_representative):
+    ctx, ue = _even_half(CubeContext(D=5, base=0b00110))
+    a2e, _, _ = halved_operators(ctx, ue)
+    table, reps = _orbit_table(ctx)
+    assert _orbit_coordinates(table, reps, a2e)[table[0][0]] == 5
+    # one pair of an orbit with more than one pair: its representative, or another pair
+    i, j = next((i, j) for i, row in enumerate(table) for j, o in enumerate(row)
+                if reps[o] != (i, j))
+    if at_representative:
+        i, j = reps[table[i][j]]
+    bumped = a2e + SparseMatrix(ue.dim, ue.dim, {(i, j): 1})
+    with pytest.raises(ArithmeticError):
+        _orbit_coordinates(table, reps, bumped)
+
+
+def _orbit_triples(D):
+    """The triples (i, j, t) with i, j even, t <= min(i, j) and i + j - t <= D."""
+    count = 0
+    for i in range(0, D + 1, 2):
+        for j in range(0, D + 1, 2):
+            count += len(range(max(0, i + j - D), min(i, j) + 1))
+    return count
+
+
+def test_orbit_count_equals_te_dimension_formula():
+    for D in list(range(2, 61)) + [200]:
+        assert _orbit_triples(D) == te_dimension_formula(D)
+    for D in range(2, 9):
+        _, reps = _orbit_table(CubeContext(D=D, base=_all_ones_even(D)))
+        assert len(reps) == _orbit_triples(D)
 
 
 def test_decompose_halved_examples():
