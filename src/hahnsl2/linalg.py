@@ -339,20 +339,16 @@ class SparseMatrix:
                 num[r] = row
         return SparseMatrix._new(self.rows, other.cols, num, self._den * other._den)
 
-    def _apply_num(self, w: IntVector) -> IntVector:
-        """The numerators times an integer column vector (nonzero entries only)."""
-        out: IntVector = {}
-        for r, d in self._num.items():
-            s = sum(a * w[c] for c, a in d.items() if c in w)
-            if s:
-                out[r] = s
-        return out
-
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product M v for a sparse column vector."""
         w, den = _clear(v)
         den *= self._den
-        return {r: Fraction(s, den) for r, s in self._apply_num(w).items()}
+        out: Vector = {}
+        for r, d in self._num.items():
+            s = sum(a * w[c] for c, a in d.items() if c in w)
+            if s:
+                out[r] = Fraction(s, den)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -567,40 +563,30 @@ def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
                                for c, x in row.items() if c >= n})
 
 
-def restrict_to_subspace(
-    ms: Sequence[SparseMatrix], basis_columns: Sequence[Vector]
-) -> list[SparseMatrix]:
-    """Matrices of each of ms on the span of basis_columns, in that basis.
+def restrict_to_subspace(ms: Sequence[SparseMatrix], indices: Sequence[int]) -> list[SparseMatrix]:
+    """Matrices of each of ms on the span of the coordinate vectors at
+    indices, in that order: the rows and columns of each matrix at indices.
 
-    The matrices must be square and of one size; the span is reduced once
-    for all of them.  Raises ValueError when basis_columns are linearly
-    dependent or their span is not invariant under some matrix.
+    The matrices must be square and of one size, and the indices distinct
+    and in range.  Raises ValueError otherwise, and when the span is not
+    invariant under some matrix: a nonzero entry in a column at indices lies
+    in a row outside them.
     """
     n = ms[0].rows
     if any(m.rows != n or m.cols != n for m in ms):
         raise ValueError("restrict_to_subspace needs square matrices of one size")
-    # Augment each column with a marker coordinate; row operations then keep,
-    # in the marker block, the combination of original columns each echelon
-    # row stands for.
-    span = EchelonBasis()
-    cleared = [_clear(col) for col in basis_columns]
-    for j, (w, den) in enumerate(cleared):
-        aug = dict(w)
-        aug[n + j] = den
-        red, _ = span._reduce(aug)
-        if min(red) >= n:
-            raise ValueError("basis_columns are linearly dependent")
-        span._insert(red)
-    k = len(basis_columns)
+    pos = {i: k for k, i in enumerate(indices)}
+    if len(pos) != len(indices) or not all(0 <= i < n for i in pos):
+        raise ValueError("indices must be distinct and in range")
     out = []
     for m in ms:
-        entries = {}
-        for j, (w, den) in enumerate(cleared):
-            # m col_j has numerators m._num w over m._den * den
-            red, s = span._reduce(m._apply_num(w))
-            if min(red, default=n) < n:
+        num: dict[int, IntVector] = {}
+        for r, d in m._num.items():
+            row = {pos[c]: x for c, x in d.items() if c in pos}
+            if not row:
+                continue
+            if r not in pos:
                 raise ValueError("subspace is not invariant under the matrix")
-            for r, x in red.items():
-                entries[(r - n, j)] = Fraction(-x, m._den * den * s)
-        out.append(SparseMatrix(k, k, entries))
+            num[pos[r]] = row
+        out.append(SparseMatrix._new(len(pos), len(pos), num, m._den))
     return out

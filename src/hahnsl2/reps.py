@@ -24,7 +24,6 @@ from .hahn import natural_images
 from .linalg import (
     SparseMatrix,
     Vector,
-    eigenspace,
     invert,
     kernel_basis,
     restrict_to_subspace,
@@ -176,22 +175,25 @@ def build_L1(n: int) -> UeRep:
     return _build_half(n, 1)
 
 
-def restrict_even(rep: SL2Rep, n: int):
-    """Split the ladder module into its two even-subalgebra blocks.
+def _parity_indices(n: int) -> tuple[range, range]:
+    """The ladder indices m of L_n with m even, then with m odd: the bases
+    of its two even-subalgebra blocks, and of its two pullback blocks."""
+    return range(0, n + 1, 2), range(1, n + 1, 2)
 
-    Eigenvectors of H are grouped by eigenvalue congruent to n mod 4
-    (parity 0) versus n-2 mod 4 (parity 1) and ordered by decreasing
-    eigenvalue; returns (parity0, parity1) with parity1 None when n = 0.
+
+def restrict_even(rep: SL2Rep):
+    """Split the ladder module L_n, n = rep.dim - 1, into its two
+    even-subalgebra blocks.
+
+    rep must be in the ladder basis, where H is diagonal with entries n - 2m:
+    the blocks are the rows and columns at the ladder vectors v_m with m even
+    (parity 0) and with m odd (parity 1), in increasing m, and ValueError is
+    raised when a block is not invariant.  Returns (parity0, parity1), with
+    parity1 None when n = 0.
     """
-    if rep.dim != n + 1:
-        raise ValueError("rep does not look like the ladder module of weight n")
     ops = rep.even_operators()
-    blocks = []
-    for p in (0, 1):
-        eigenvalues = (Fraction(n - 4 * i - 2 * p) for i in range(family_dim(n, p)))
-        basis = [v for theta in eigenvalues for v in eigenspace(rep.H, theta)]
-        blocks.append(UeRep(len(basis), *restrict_to_subspace(ops, basis)) if basis else None)
-    return tuple(blocks)
+    return tuple(UeRep(len(idx), *restrict_to_subspace(ops, idx)) if idx else None
+                 for idx in _parity_indices(rep.dim - 1))
 
 
 def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
@@ -309,7 +311,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     for n in range(n_max + 1):
         rep = build_L(n)
         lam = Fraction(n * (n + 2), 2)
-        blocks = [b for b in restrict_even(rep, n) if b is not None]
+        blocks = [b for b in restrict_even(rep) if b is not None]
         built = [build_L0(n), build_L1(n)] if n else [build_L0(n)]
         labels = [classify_ue_irreducible(b)[0] for b in built]
         items += [
@@ -340,7 +342,6 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         if n == 0:
             items.append(check("pullback of L_0 is irreducible", is_irreducible(pullback)))
             continue
-        parity_blocks = [[{i: Fraction(1)} for i in range(p, n + 1, 2)] for p in (0, 1)]
         items += [
             check(
                 f"L_{n}: parity blocks are invariant under the pullback action",
@@ -348,7 +349,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
             ),
             check(
                 f"L_{n}: both blocks are irreducible under the pullback action",
-                all(is_irreducible(restrict_to_subspace(pullback, cols)) for cols in parity_blocks),
+                all(is_irreducible(restrict_to_subspace(pullback, idx)) for idx in _parity_indices(n)),
             ),
             check(f"L_{n}: the two blocks have distinct signatures", half_sigs[0] != half_sigs[1]),
         ]

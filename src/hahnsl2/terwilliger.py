@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .linalg import (
     SparseMatrix,
@@ -21,7 +21,7 @@ from .linalg import (
     span_closure,
     vstack,
 )
-from .reps import SL2Rep, UeRep, classify_ue_irreducible, family_dim
+from .reps import SL2Rep, UeRep, build_L0, build_L1, family_dim
 
 
 def _weight(v: int) -> int:
@@ -138,12 +138,13 @@ def _evens(ctx: CubeContext) -> list[int]:
 
 
 def even_half(ctx: CubeContext, rep: SL2Rep) -> UeRep:
-    """The cube module ``rep`` (``cube_rho(ctx)``) restricted to the
-    even-weight vertices, in increasing order, under the even subalgebra;
-    the halved cube lives on these vertices."""
+    """The cube module ``rep`` (``cube_rho(ctx)``) under the even subalgebra,
+    restricted to the even-weight vertices, on which the halved cube lives:
+    the rows and columns of E^2, F^2, the Casimir and H at those vertices, in
+    increasing order."""
     if _weight(ctx.base) % 2 != 0:
         raise ValueError("the base vertex of the halved cube must have even weight")
-    evens = [{v: Fraction(1)} for v in _evens(ctx)]
+    evens = _evens(ctx)
     return UeRep(len(evens), *restrict_to_subspace(rep.even_operators(), evens))
 
 
@@ -238,13 +239,16 @@ class HalvedDecomposition:
 def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
     """Isotypic decomposition of the even half ``ue`` of the cube module.
 
-    For each expected family the multiplicity is the dimension of the space
-    of top vectors (killed by E^2, correct H-eigenvalue, correct Casimir
-    scalar); one summand per family is extracted along its F^2-ladder and
-    identified with classify_ue_irreducible.  Cross-checks: multiplicities
-    match the closed form, dimensions sum to 2^(D-1), and the sum of squared
-    irreducible dimensions reproduces the Terwilliger-algebra dimension
-    formula (the Wedderburn decomposition).
+    For each expected family L_n^(p) the multiplicity is the dimension of
+    the space of top vectors (killed by E^2, correct H-eigenvalue, correct
+    Casimir scalar).  One top vector w labels the family: the map Phi from
+    the built half (``build_L0(n)`` or ``build_L1(n)``) with Phi u_i =
+    (F^2)^i w / (2i + p)! must intertwine all four operators, else
+    ``labels_ok`` is False.  The built half is irreducible and Phi u_0 is not
+    zero, so by Schur's lemma such a Phi is injective: it embeds L_n^(p) in
+    ``ue``.  Cross-checks: multiplicities match the closed form, dimensions
+    sum to 2^(D-1), and the sum of squared irreducible dimensions reproduces
+    the Terwilliger-algebra dimension formula (the Wedderburn decomposition).
     """
     D = ctx.D
     ident = SparseMatrix.identity(ue.dim)
@@ -274,15 +278,19 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         if mult == 0:
             labels_ok = False
             continue
-        # lift the first top vector and follow its ladder to one summand
+        # lift the first top vector w and map the built half onto its
+        # ladder: u_i -> (F^2)^i w / (2i + parity)!
         w = b.apply(tops[0])
         fam_dim = family_dim(n, parity)
         chain: list[Vector] = [w]
         for _ in range(fam_dim - 1):
             chain.append(ue.F2.apply(chain[-1]))
-        summand = UeRep(fam_dim, *restrict_to_subspace(ue.operators(), chain))
-        label, _ = classify_ue_irreducible(summand)
-        if (label.n, label.parity) != (n, parity):
+        phi = SparseMatrix.from_columns(
+            [{r: x / factorial(2 * i + parity) for r, x in v.items()} for i, v in enumerate(chain)],
+            ue.dim,
+        )
+        built = (build_L0, build_L1)[parity](n)
+        if any(op * phi != phi * op_b for op, op_b in zip(ue.operators(), built.operators())):
             labels_ok = False
         wedderburn += fam_dim * fam_dim
     total = sum(m * family_dim(n, p) for (n, p), m in blocks.items())

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hahnsl2.linalg import (
     EchelonBasis,
@@ -20,6 +22,7 @@ from hahnsl2.linalg import (
 from tests.conftest import dense
 
 F = Fraction
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def test_rref_proportional_rows():
@@ -224,22 +227,34 @@ def test_solve_and_invert():
 
 
 def test_restrict_to_subspace():
-    m = SparseMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    m = SparseMatrix.from_rows([[1, 4, 5], [0, 2, 0], [0, 6, 3]])
     swap = SparseMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    cols = [{0: F(1)}, {2: F(1)}]
-    assert restrict_to_subspace([m, m * m], cols) == [
-        SparseMatrix.from_rows([[1, 0], [0, 3]]),
-        SparseMatrix.from_rows([[1, 0], [0, 9]]),
+    # the rows and columns at the indices, in the order given
+    assert restrict_to_subspace([m, m * m], [2, 0]) == [
+        SparseMatrix.from_rows([[3, 0], [5, 1]]),
+        SparseMatrix.from_rows([[9, 0], [20, 1]]),
     ]
-    assert restrict_to_subspace([swap], [{0: F(1), 1: F(1)}, {2: F(1)}]) == [
-        SparseMatrix.identity(2)
-    ]
+    swap_2 = SparseMatrix.from_rows([[0, 1], [1, 0]])
+    assert restrict_to_subspace([swap], [1, 0]) == [swap_2]
+    assert restrict_to_subspace([swap.scale(F(1, 3))], range(2)) == [swap_2.scale(F(1, 3))]
+    assert restrict_to_subspace([m], []) == [SparseMatrix.zero(0, 0)]
+    # the common denominator is made canonical again: 2/6 is stored as 1/3
+    halves = SparseMatrix.from_rows([[F(1, 2), 0], [0, F(1, 3)]])
+    assert restrict_to_subspace([halves], [1]) == [SparseMatrix.from_rows([[F(1, 3)]])]
     with pytest.raises(ValueError):
-        restrict_to_subspace([m, swap], cols)  # not invariant under swap
+        restrict_to_subspace([m, swap], [0, 2])  # not invariant under swap
     with pytest.raises(ValueError):
-        restrict_to_subspace([m], [{0: F(1)}, {0: F(2)}])  # dependent columns
+        restrict_to_subspace([m], [1])  # not invariant: m e_1 has entries in rows 0 and 2
     with pytest.raises(ValueError):
-        restrict_to_subspace([m, SparseMatrix.identity(2)], [{0: F(1)}])  # mixed sizes
+        restrict_to_subspace([m], [0, 2, 0])  # repeated index
+    with pytest.raises(ValueError):
+        restrict_to_subspace([m], [0, 3])  # out of range
+    with pytest.raises(ValueError):
+        restrict_to_subspace([m], [-1, 0])  # out of range
+    with pytest.raises(ValueError):
+        restrict_to_subspace([m, SparseMatrix.identity(2)], [0])  # mixed sizes
+    with pytest.raises(ValueError):
+        restrict_to_subspace([SparseMatrix.zero(3, 2)], [0])  # not square
 
 
 def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
@@ -329,32 +344,51 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
             assert m * inv == SparseMatrix.identity(rows)
 
 
+def _block_triangular(rng: Random, n: int, idx: list[int]) -> list[list[F]]:
+    """Dense rows of a random rational n x n matrix with no nonzero entry in
+    a column at idx and a row outside it, so the span of idx is invariant."""
+    m = dense(_random_rational(rng, n, n))
+    for r in set(range(n)) - set(idx):
+        for c in idx:
+            m[r][c] = F(0)
+    return m
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_restrict_to_subspace_agrees_with_sympy(seed):
-    """m = P B P^-1 with B zero below its top-left k x k block in the first
-    k columns: the span of the first k columns of P is invariant, and m acts
-    on it as that block of B."""
+    """On a matrix that leaves the span of the coordinate vectors at idx
+    invariant, restriction is sympy's submatrix at rows and columns idx, in
+    the order of idx; one entry moved out of that pattern is refused."""
     rng = Random(200 + seed)
-    n = rng.randint(2, 5)
-    k = rng.randint(1, n - 1)
-    p = _random_rational(rng, n, n)
-    while _sym(p).det() == 0:
-        p = _random_rational(rng, n, n)
-    b = dense(_random_rational(rng, n, n))
-    for i in range(k, n):
-        b[i][:k] = [F(0)] * k
-    cols = [{i: p.get(i, j) for i in range(n) if p.get(i, j)} for j in range(k)]
-    sp = _sym(p)
-
-    def conjugated(block_rows):
-        return _from_sym(sp * _sym(SparseMatrix.from_rows(block_rows)) * sp.inv())
-
-    assert restrict_to_subspace([conjugated(b)], cols) == [
-        SparseMatrix.from_rows([r[:k] for r in b[:k]])
-    ]
-    b[k][k - 1] = F(1, 2)
+    n = rng.randint(2, 6)
+    idx = rng.sample(range(n), rng.randint(1, n - 1))
+    m = _block_triangular(rng, n, idx)
+    sub = _sym(SparseMatrix.from_rows(m)).extract(idx, idx)
+    assert restrict_to_subspace([SparseMatrix.from_rows(m)], idx) == [_from_sym(sub)]
+    m[rng.choice(sorted(set(range(n)) - set(idx)))][rng.choice(idx)] = F(1, 2)
     with pytest.raises(ValueError):
-        restrict_to_subspace([conjugated(b)], cols)
+        restrict_to_subspace([SparseMatrix.from_rows(m)], idx)
+
+
+ENTRIES = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=3))
+
+
+@PROPERTY
+@given(st.data())
+def test_restriction_commutes_with_sum_and_product(data):
+    """For matrices that leave the span of the coordinate vectors at idx
+    invariant, restriction is a homomorphism of + and matmul."""
+    n = data.draw(st.integers(1, 6))
+    order = data.draw(st.permutations(range(n)))
+    idx = order[: data.draw(st.integers(0, n))]
+
+    def block_triangular():
+        return SparseMatrix(n, n, {(r, c): data.draw(ENTRIES) for r in range(n) for c in range(n)
+                                   if r in idx or c not in idx})
+
+    a, b = block_triangular(), block_triangular()
+    ra, rb = restrict_to_subspace([a, b], idx)
+    assert restrict_to_subspace([a + b, a * b], idx) == [ra + rb, ra * rb]
 
 
 @pytest.mark.parametrize("seed", range(8))

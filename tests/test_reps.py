@@ -7,6 +7,7 @@ import pytest
 from hahnsl2 import usl2
 from hahnsl2.linalg import SparseMatrix, invert
 from hahnsl2.reps import (
+    SL2Rep,
     UeRep,
     build_L,
     build_L0,
@@ -96,7 +97,7 @@ def test_build_L0_L1_examples():
 def test_restrict_even_matches_built_blocks():
     for n in range(13):
         rep = build_L(n)
-        block0, block1 = restrict_even(rep, n)
+        block0, block1 = restrict_even(rep)
         assert block0.operators() == build_L0(n).operators()
         if n == 0:
             assert block1 is None
@@ -106,8 +107,20 @@ def test_restrict_even_matches_built_blocks():
 
 
 def test_restrict_even_block_dims():
-    block0, block1 = restrict_even(build_L(3), 3)
+    block0, block1 = restrict_even(build_L(3))
     assert (block0.dim, block1.dim) == (2, 2)
+
+
+def test_restrict_even_needs_the_ladder_basis():
+    # conjugated by I + e_01, H has the entry n - 2 - n = -2 at (0, 1), so
+    # the odd ladder vector v_1 is no longer sent into the odd block
+    rep = build_L(3)
+    m = SparseMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    mi = invert(m)
+    conj = SL2Rep(dim=4, E=m * rep.E * mi, F=m * rep.F * mi, H=m * rep.H * mi)
+    assert conj.H.get(0, 1) == -2
+    with pytest.raises(ValueError):
+        restrict_even(conj)
 
 
 def _direct_sum(a: UeRep, b: UeRep) -> UeRep:

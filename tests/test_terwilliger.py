@@ -3,8 +3,16 @@ from fractions import Fraction
 import pytest
 
 from hahnsl2 import cli, terwilliger, usl2
-from hahnsl2.linalg import SparseMatrix, eigenspace, restrict_to_subspace, span_closure
-from hahnsl2.reps import evaluate
+from hahnsl2.linalg import (
+    SparseMatrix,
+    eigenspace,
+    kernel_basis,
+    restrict_to_subspace,
+    solve,
+    span_closure,
+    vstack,
+)
+from hahnsl2.reps import UeRep, classify_ue_irreducible, evaluate, family_dim
 from hahnsl2.terwilliger import (
     CubeContext,
     _orbit_coordinates,
@@ -125,7 +133,7 @@ def test_halved_operators_match_restricted_adjacency_square(D, base):
     # oracle: restrict A*A and A* to the even vertices directly
     ctx = CubeContext(D=D, base=base)
     a = adjacency(ctx)
-    evens = [{v: Q(1)} for v in ctx.vertices() if bin(v).count("1") % 2 == 0]
+    evens = [v for v in ctx.vertices() if bin(v).count("1") % 2 == 0]
     a2e, astar_e = restrict_to_subspace([a * a, dual_adjacency(ctx)], evens)
     halved = (a2e - SparseMatrix.identity(len(evens)).scale(D)).scale(Q(1, 2))
     assert halved_operators(*_even_half(ctx)) == (a2e, astar_e, halved)
@@ -241,6 +249,46 @@ def test_decompose_halved_examples():
     assert hd.wedderburn_dimension == 5
     hd = decompose_halved(*_even_half(CubeContext(D=2)))
     assert hd.blocks == {(2, 0): 1}
+
+
+def _ladder_summand(ue, n, parity):
+    """The summand of the even half ue spanned by the F^2-ladder of the
+    first top vector of the family L_n^(parity), with the four operators in
+    the ladder basis, each column found by solving against the ladder."""
+    theta = n if parity == 0 else n - 2
+    b = SparseMatrix.from_columns(eigenspace(ue.H, Q(theta)), ue.dim)
+    lam = SparseMatrix.identity(ue.dim).scale(Q(n * (n + 2), 2))
+    w = b.apply(kernel_basis(vstack(ue.E2 * b, (ue.Lam - lam) * b))[0])
+    chain = [w]
+    for _ in range(family_dim(n, parity) - 1):
+        chain.append(ue.F2.apply(chain[-1]))
+    ladder = SparseMatrix.from_columns(chain, ue.dim)
+    ops = []
+    for op in ue.operators():
+        columns = [solve(ladder, op.apply(v)) for v in chain]
+        assert all(x is not None for x in columns)  # the span is invariant
+        ops.append(SparseMatrix.from_columns(columns, len(chain)))
+    return UeRep(len(chain), *ops)
+
+
+@pytest.mark.parametrize("D", range(2, 8))
+def test_decompose_halved_labels_agree_with_classifying_each_summand(D):
+    # oracle: restrict to each family's ladder and classify the summand,
+    # the check that the intertwiner Phi replaces
+    ctx, ue = _even_half(CubeContext(D=D))
+    hd = decompose_halved(ctx, ue)
+    assert hd.labels_ok
+    for n, parity in hd.blocks:
+        label, _ = classify_ue_irreducible(_ladder_summand(ue, n, parity))
+        assert (label.n, label.parity) == (n, parity)
+
+
+def test_decompose_halved_refuses_a_map_that_does_not_intertwine(monkeypatch):
+    # without the factorial rescaling the ladder map fails F^2 on L_4^(0)
+    monkeypatch.setattr(terwilliger, "factorial", lambda k: 1)
+    hd = decompose_halved(*_even_half(CubeContext(D=4)))
+    assert not hd.labels_ok
+    assert hd.formula_ok and hd.dimension_ok
 
 
 def test_base_vertex_independence_small():
