@@ -8,7 +8,6 @@ membership certificates, module decompositions and matrix-algebra closures.
 from .linalg import (
     EchelonBasis,
     SparseMatrix,
-    eigenspace,
     kernel_basis,
     rref,
     span_closure,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EchelonBasis",
     "SparseMatrix",
-    "eigenspace",
     "kernel_basis",
     "rref",
     "span_closure",

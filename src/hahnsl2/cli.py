@@ -15,10 +15,10 @@ from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
 
 # Largest D the cube suite accepts: the whole suite takes about 0.4 s at D = 8
-# and 1.4 s at D = 9 on a 2-vCPU machine (Python 3.11), so each further D
-# costs about 3.5 times more.  That cost is spread over the Terwilliger
-# dimension's closure, the arithmetic on the 2^D-dimensional cube module and
-# its even half, and the eigenspaces of the two decompositions.
+# and 1.2 s at D = 9 on a 2-vCPU machine (Python 3.11), so each further D
+# costs about 3 times more.  That cost is spread over the Terwilliger
+# dimension's closure and the arithmetic on the 2^D-dimensional cube module
+# and its even half: the products that build them and check their relations.
 D_MAX_CAP = 9
 
 
@@ -248,7 +248,7 @@ def _validate(args, parser) -> None:
             parser.error("need 2 <= d-min <= d-max")
         if args.d_max > D_MAX_CAP:
             parser.error(f"--d-max is capped at {D_MAX_CAP}: the cube suite costs "
-                         "about 3.5 times more with each D beyond it")
+                         "about 3 times more with each D beyond it")
         if args.base_vertex is not None:
             if args.d_min != args.d_max:
                 parser.error("--base-vertex needs a single D (set d-min = d-max)")

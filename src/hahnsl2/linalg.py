@@ -419,15 +419,6 @@ class EchelonBasis:
         den *= s
         return {i: Fraction(x, den) for i, x in u.items()}
 
-    def coordinates(self, v: Vector) -> Optional[list[Fraction]]:
-        """Coefficients of v in the monic basis rows, or None if v is outside.
-
-        Each stored row vanishes at every other pivot, so the coefficient of
-        the row with pivot p is v[p] itself."""
-        if self._reduce(_clear(v)[0])[0]:
-            return None
-        return [v.get(p, Fraction(0)) for p in self.pivots]
-
     def insert(self, v: Vector) -> bool:
         """Insert v, whose entries may be ints or Fractions; returns True when
         it enlarges the span."""
@@ -479,12 +470,11 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
     return out
 
 
-def eigenspace(m: SparseMatrix, lam) -> list[Vector]:
-    """Basis of ker(M - lam*I); empty when lam is not an eigenvalue."""
-    if m.rows != m.cols:
-        raise ValueError("eigenspace requires a square matrix")
-    shifted = m - SparseMatrix.identity(m.rows).scale(lam)
-    return kernel_basis(shifted)
+def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
+    """The diagonal entries of m, or None unless m is square and diagonal."""
+    if m.rows != m.cols or any(d.keys() != {r} for r, d in m._num.items()):
+        return None
+    return [m.get(i, i) for i in range(m.rows)]
 
 
 def _vectorize(m: SparseMatrix) -> IntVector:
@@ -543,24 +533,6 @@ def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:
     if m.apply(x) != {i: c for i, c in b.items() if c}:
         return None
     return x
-
-
-def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
-    """Exact inverse of a square matrix, or None when singular."""
-    if m.rows != m.cols:
-        raise ValueError("invert requires a square matrix")
-    n = m.rows
-    basis = EchelonBasis()
-    # row r of [M | I], times the denominator of M
-    for r in range(n):
-        row = dict(m._num.get(r, {}))
-        row[n + r] = m._den
-        basis._insert(row)
-    if basis.pivots != list(range(n)):
-        return None
-    return SparseMatrix(n, n, {(p, c - n): Fraction(x, row[p])
-                               for p, row in zip(basis.pivots, basis._rows)
-                               for c, x in row.items() if c >= n})
 
 
 def restrict_to_subspace(ms: Sequence[SparseMatrix], indices: Sequence[int]) -> list[SparseMatrix]:

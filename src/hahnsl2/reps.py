@@ -2,6 +2,11 @@
 irreducibility testing, and the classification of the even-subalgebra
 irreducibles.
 
+Every module is given in a weight basis, where H is diagonal: the ladder
+basis of L_n and its halves, or the vertex basis of the cube and its even
+half.  Weight spaces are then sets of coordinates, and irreducibility is
+read off which coordinates the operators connect.
+
 ``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
 built.  ``verify_ladder_modules`` is the ``repr`` suite: it builds each
 ladder module once and checks its Casimir, its two halves and its pullback
@@ -21,14 +26,7 @@ from math import factorial
 
 from . import usl2
 from .hahn import natural_images
-from .linalg import (
-    SparseMatrix,
-    Vector,
-    invert,
-    kernel_basis,
-    restrict_to_subspace,
-    span_closure,
-)
+from .linalg import SparseMatrix, Vector, diagonal, kernel_basis, restrict_to_subspace
 from .reporting import CheckItem, check
 
 
@@ -125,17 +123,19 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
     def power(name: str, k: int) -> SparseMatrix:
         # bottom-up, not recursive: a closure that calls itself is a
         # reference cycle, which would keep rep alive after the call
-        for j in range(k + 1):
+        for j in range(1, k + 1):
             if (name, j) not in cache:
-                if j == 0:
-                    cache[name, j] = SparseMatrix.identity(dim)
-                else:
-                    cache[name, j] = cache[name, j - 1] * getattr(rep, name)
+                g = getattr(rep, name)
+                cache[name, j] = g if j == 1 else cache[name, j - 1] * g
         return cache[name, k]
 
     out = SparseMatrix.zero(dim, dim)
     for (i, j, k), c in a.terms.items():
-        m = power("E", i) * power("F", j) * power("H", k)
+        # identity factors are left out, not multiplied
+        factors = [power(name, e) for name, e in (("E", i), ("F", j), ("H", k)) if e]
+        m = factors[0] if factors else SparseMatrix.identity(dim)
+        for g in factors[1:]:
+            m = m * g
         out = out + m.scale(c)
     return out
 
@@ -197,12 +197,45 @@ def restrict_even(rep: SL2Rep):
 
 
 def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
-    """Burnside test: the operators, square matrices of one size, generate
-    the full matrix algebra of that size."""
+    """Whether the operators, square matrices of one size d, generate the
+    full matrix algebra of that size, read off their weight graph.
+
+    The graph has an edge c -> r for each nonzero off-diagonal entry (r, c)
+    of any operator.  If it is not strongly connected, the coordinates
+    reachable from some coordinate are a proper closed set, and their span
+    is invariant under every operator: False.  If it is strongly connected
+    and some operator X is diagonal with distinct entries x_1 .. x_d, the
+    answer is True: the Lagrange polynomial prod_{j != i} (X - x_j) / (x_i -
+    x_j) is the matrix unit E_ii, so every E_ii lies in the algebra; for an
+    edge c -> r of operator M, E_rr M E_cc = M_rc E_rc gives E_rc; and
+    products E_rk E_kc = E_rc along paths give every E_rc.  Otherwise the
+    graph cannot decide, and ValueError is raised.
+    """
     if not operators or operators[0].rows < 1:
         raise ValueError("empty module")
-    _, dim = span_closure(operators)
-    return dim == operators[0].rows ** 2
+    d = operators[0].rows
+    if any(m.rows != d or m.cols != d for m in operators):
+        raise ValueError("operators must be square and of one size")
+    forward: list[set[int]] = [set() for _ in range(d)]
+    backward: list[set[int]] = [set() for _ in range(d)]
+    for m in operators:
+        for r, c, _ in m.items():
+            if r != c:
+                forward[c].add(r)
+                backward[r].add(c)
+    for edges in (forward, backward):
+        seen, todo = {0}, [0]
+        while todo:
+            for r in edges[todo.pop()] - seen:
+                seen.add(r)
+                todo.append(r)
+        if len(seen) < d:
+            return False
+    for m in operators:
+        entries = diagonal(m)
+        if entries is not None and len(set(entries)) == d:
+            return True
+    raise ValueError("no operator is diagonal with distinct entries")
 
 
 def casimir_scalar(rep: UeRep) -> Fraction:
@@ -214,82 +247,79 @@ def casimir_scalar(rep: UeRep) -> Fraction:
     return c
 
 
-def _top_ladder(rep: UeRep) -> tuple[Fraction, list[Vector]]:
-    """The top H-eigenvalue theta and the chain w, F^2 w, ..., (F^2)^d w.
-
-    w spans the kernel of E^2, which must be one-dimensional.  Since
-    [H,E^2] = 4E^2, H maps that kernel into itself, so w is an
-    H-eigenvector and the chain vectors have eigenvalues theta - 4i.
-    Raises ValueError unless the chain has dim nonzero vectors and F^2
-    kills the last one.
-    """
+def _top_vector(rep: UeRep) -> tuple[Fraction, Vector]:
+    """The top vector w, spanning the kernel of E^2, which must be
+    one-dimensional, and its H-eigenvalue theta.  Since [H,E^2] = 4E^2, H
+    maps that kernel into itself, so w is an H-eigenvector."""
     top = kernel_basis(rep.E2)
     if len(top) != 1:
         raise ValueError("the kernel of E^2 is not one-dimensional")
     w = top[0]
     i = min(w)
-    theta = rep.H.apply(w).get(i, Fraction(0)) / w[i]
-    chain: list[Vector] = [w]
-    for _ in range(rep.dim - 1):
-        chain.append(rep.F2.apply(chain[-1]))
-    if any(not v for v in chain) or rep.F2.apply(chain[-1]):
-        raise ValueError("ladder chain does not close after d steps")
-    return theta, chain
+    return rep.H.apply(w).get(i, Fraction(0)) / w[i], w
 
 
-def signature(rep: UeRep) -> IsoSignature:
-    """Isomorphism-separating data: dimension, Casimir scalar, H-spectrum.
+def ladder_embedding(rep: UeRep, w: Vector, n: int, parity: int) -> SparseMatrix | None:
+    """The map Phi from the built half L_n^(parity) into ``rep`` with
+    Phi u_i = (F^2)^i w / (2i + parity)!, or None unless w is nonzero and
+    op * Phi == Phi * op_built for all four operators.
 
-    The spectrum is read off the ladder theta, theta - 4, ..., theta - 4d
-    over the top vector, so the module must be a single F^2-ladder (a
-    one-dimensional E^2 kernel); otherwise ValueError.
+    The built half is irreducible and Phi u_0 = w / parity! is not zero, so
+    by Schur's lemma a Phi that is returned is injective: it embeds
+    L_n^(parity) in ``rep``.
     """
-    c = casimir_scalar(rep)
-    theta, _ = _top_ladder(rep)
-    spectrum = tuple(sorted(theta - 4 * i for i in range(rep.dim)))
-    return IsoSignature(dim=rep.dim, casimir_scalar=c, h_spectrum=spectrum)
+    if not w:
+        return None
+    built = _build_half(n, parity)
+    chain: list[Vector] = [w]
+    for _ in range(built.dim - 1):
+        chain.append(rep.F2.apply(chain[-1]))
+    phi = SparseMatrix.from_columns(
+        [{r: x / factorial(2 * i + parity) for r, x in v.items()} for i, v in enumerate(chain)],
+        rep.dim,
+    )
+    if any(op * phi != phi * op_b for op, op_b in zip(rep.operators(), built.operators())):
+        return None
+    return phi
 
 
 def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
     """Identify an irreducible module within the four ladder families.
 
-    Returns the family label and an explicit change-of-basis matrix P with
-    P * op_input = op_target * P for all four operators, where the target is
-    the corresponding built module.  Follows the top vector w (spanning the
-    kernel of E^2), the chain w_i = (F^2)^i w and the factorial rescaling to
-    the target ladder basis.  With d = dim - 1, L_n^(p) is the one family
-    among (n, p) = (2d, 0), (2d+1, 0), (2d+1, 1), (2d+2, 1) whose top
-    eigenvalue n - 2p and Casimir n(n+2)/2 match the input.  P is unique up
-    to a nonzero scalar.
+    With d = dim - 1, L_n^(p) is the one family among (n, p) = (2d, 0),
+    (2d+1, 0), (2d+1, 1), (2d+2, 1) whose top eigenvalue n - 2p and Casimir
+    n(n+2)/2 match the input; the top vector w spans the kernel of E^2.
+    Returns the family label and the ``ladder_embedding`` Phi of the built
+    module along w, with op_input * Phi = Phi * op_target for all four
+    operators.  Phi is square and injective, so it is an isomorphism, unique
+    up to a nonzero scalar.  Raises ValueError when the module fits no
+    family.
     """
     lam = casimir_scalar(rep)
-    theta, chain = _top_ladder(rep)
+    theta, w = _top_vector(rep)
     d = rep.dim - 1
     for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
         if theta == n - 2 * parity and lam == Fraction(n * (n + 2), 2):
             break
     else:
         raise ValueError(f"top eigenvalue {theta} and Casimir {lam} fit no family with d = {d}")
-    label = ModuleLabel(n=n, parity=parity, d=d)
+    phi = ladder_embedding(rep, w, n, parity)
+    if phi is None:
+        raise ValueError("constructed map fails to intertwine the operators")
+    return ModuleLabel(n=n, parity=parity, d=d), phi
 
-    # The isomorphism sends w_i to (2i)! u_i (even family) or (2i+1)! u_i
-    # (odd family), so its matrix is diag(s_i) * W^{-1} with W = [w_0..w_d].
-    w_mat = SparseMatrix.from_columns(chain, rep.dim)
-    w_inv = invert(w_mat)
-    if w_inv is None:
-        raise ValueError("chain vectors are not a basis")
-    scale_rows = SparseMatrix(
-        rep.dim,
-        rep.dim,
-        {(i, i): factorial(2 * i + parity) for i in range(rep.dim)},
-    )
-    p = scale_rows * w_inv
-    target = _build_half(label.n, parity)
-    pairs = list(zip(rep.operators(), target.operators()))
-    for op_in, op_tgt in pairs:
-        if p * op_in != op_tgt * p:
-            raise ValueError("constructed map fails to intertwine the operators")
-    return label, p
+
+def signature(rep: UeRep) -> IsoSignature:
+    """Isomorphism-separating data: dimension, Casimir scalar, H-spectrum.
+
+    The module must be one of the four ladder families
+    (``classify_ue_irreducible``), else ValueError; the spectrum is read off
+    its label: theta, theta - 4, ..., theta - 4d with theta = n - 2p.
+    """
+    label, _ = classify_ue_irreducible(rep)
+    theta = label.n - 2 * label.parity
+    spectrum = tuple(sorted(Fraction(theta - 4 * i) for i in range(rep.dim)))
+    return IsoSignature(dim=rep.dim, casimir_scalar=casimir_scalar(rep), h_spectrum=spectrum)
 
 
 def verify_ladder_modules(n_max: int) -> list[CheckItem]:

@@ -10,18 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .linalg import (
-    SparseMatrix,
-    Vector,
-    eigenspace,
-    kernel_basis,
-    restrict_to_subspace,
-    span_closure,
-    vstack,
-)
-from .reps import SL2Rep, UeRep, build_L0, build_L1, family_dim
+from .linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace, span_closure, vstack
+from .reps import SL2Rep, UeRep, family_dim, ladder_embedding
 
 
 def _weight(v: int) -> int:
@@ -104,21 +96,27 @@ class StandardDecomposition:
     dimension_ok: bool
 
 
+def _weight_space(h: SparseMatrix, theta: int) -> SparseMatrix:
+    """The theta-weight space of a module in the vertex basis: the matrix
+    whose columns are the coordinate vectors where the diagonal H has entry
+    theta.  Raises ValueError when H is not diagonal."""
+    weights = diagonal(h)
+    if weights is None:
+        raise ValueError("H is not diagonal: the module must be in the vertex basis")
+    return SparseMatrix.from_columns([{v: Fraction(1)} for v, x in enumerate(weights) if x == theta],
+                                     h.rows)
+
+
 def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
     """Multiplicities of the ladder summands of the cube module ``rep``
     (``cube_rho(ctx)``), found by counting highest-weight vectors (ker E
-    inside each H-eigenspace), then cross-checked against the closed form
+    inside each H-weight space), then cross-checked against the closed form
     and the total dimension."""
     mults: dict[int, int] = {}
     formula_ok = True
     for k in range(ctx.D // 2 + 1):
         n = ctx.D - 2 * k
-        basis = eigenspace(rep.H, Fraction(n))
-        if basis:
-            b = SparseMatrix.from_columns(basis, ctx.size)
-            mult = len(kernel_basis(rep.E * b))
-        else:
-            mult = 0
+        mult = len(kernel_basis(rep.E * _weight_space(rep.H, n)))
         mults[n] = mult
         if mult != standard_multiplicity(ctx.D, k):
             formula_ok = False
@@ -240,13 +238,10 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
     """Isotypic decomposition of the even half ``ue`` of the cube module.
 
     For each expected family L_n^(p) the multiplicity is the dimension of
-    the space of top vectors (killed by E^2, correct H-eigenvalue, correct
-    Casimir scalar).  One top vector w labels the family: the map Phi from
-    the built half (``build_L0(n)`` or ``build_L1(n)``) with Phi u_i =
-    (F^2)^i w / (2i + p)! must intertwine all four operators, else
-    ``labels_ok`` is False.  The built half is irreducible and Phi u_0 is not
-    zero, so by Schur's lemma such a Phi is injective: it embeds L_n^(p) in
-    ``ue``.  Cross-checks: multiplicities match the closed form, dimensions
+    the space of top vectors (killed by E^2, correct H-weight, correct
+    Casimir scalar).  One top vector w labels the family: its
+    ``ladder_embedding`` must embed L_n^(p) in ``ue``, else ``labels_ok`` is
+    False.  Cross-checks: multiplicities match the closed form, dimensions
     sum to 2^(D-1), and the sum of squared irreducible dimensions reproduces
     the Terwilliger-algebra dimension formula (the Wedderburn decomposition).
     """
@@ -263,12 +258,7 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         parity = k % 2
         theta = n if parity == 0 else n - 2
         lam_scalar = Fraction(n * (n + 2), 2)
-        basis = eigenspace(ue.H, Fraction(theta))
-        if not basis:
-            blocks[(n, parity)] = 0
-            formula_ok = False
-            continue
-        b = SparseMatrix.from_columns(basis, ue.dim)
+        b = _weight_space(ue.H, theta)
         stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(lam_scalar)) * b)
         tops = kernel_basis(stacked)
         mult = len(tops)
@@ -278,21 +268,9 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         if mult == 0:
             labels_ok = False
             continue
-        # lift the first top vector w and map the built half onto its
-        # ladder: u_i -> (F^2)^i w / (2i + parity)!
-        w = b.apply(tops[0])
-        fam_dim = family_dim(n, parity)
-        chain: list[Vector] = [w]
-        for _ in range(fam_dim - 1):
-            chain.append(ue.F2.apply(chain[-1]))
-        phi = SparseMatrix.from_columns(
-            [{r: x / factorial(2 * i + parity) for r, x in v.items()} for i, v in enumerate(chain)],
-            ue.dim,
-        )
-        built = (build_L0, build_L1)[parity](n)
-        if any(op * phi != phi * op_b for op, op_b in zip(ue.operators(), built.operators())):
+        if ladder_embedding(ue, b.apply(tops[0]), n, parity) is None:
             labels_ok = False
-        wedderburn += fam_dim * fam_dim
+        wedderburn += family_dim(n, parity) ** 2
     total = sum(m * family_dim(n, p) for (n, p), m in blocks.items())
     return HalvedDecomposition(
         D=D,

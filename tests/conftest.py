@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hahnsl2.hahn import random_free_poly
+from hahnsl2.linalg import SparseMatrix, kernel_basis
 from hahnsl2.reporting import PASS
 from hahnsl2.usl2 import random_element as random_usl2_element
 from hahnsl2.usl2 import ue_basis_element, zero
@@ -36,3 +38,18 @@ def ue_basis_recompose(coords):
     for key, c in coords.items():
         out = out + ue_basis_element(*key).scale(c)
     return out
+
+
+def eigenspace(m, lam) -> list:
+    """Oracle: a basis of ker(M - lam*I), empty when lam is not an eigenvalue."""
+    return kernel_basis(m - SparseMatrix.identity(m.rows).scale(lam))
+
+
+def invert(m):
+    """Oracle: the exact inverse of a square matrix through sympy, or None
+    when it is singular."""
+    sm = sympy.Matrix(dense(m))
+    if sm.det() == 0:
+        return None
+    return SparseMatrix.from_rows([[Fraction(int(x.p), int(x.q)) for x in row]
+                                   for row in sm.inv().tolist()])

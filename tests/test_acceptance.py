@@ -10,6 +10,7 @@ from fractions import Fraction
 from random import Random
 
 from hahnsl2 import hahn, reps, terwilliger, usl2
+from hahnsl2.linalg import span_closure
 from tests.conftest import all_pass, random_free_poly, random_usl2_element
 
 Q = Fraction
@@ -88,11 +89,12 @@ def test_criterion_5_module_facts():
         ):
             label, _ = reps.classify_ue_irreducible(builder(n))
             ok = ok and (label.n, label.parity, label.d) == (n, parity, d)
-    # Burnside closure dimensions are the full matrix algebras
+    # every half is irreducible by its weight graph, and by Burnside: its
+    # operators span the full matrix algebra
     for n in range(13):
-        ok = ok and reps.is_irreducible(reps.build_L0(n).operators())
-        if n >= 1:
-            ok = ok and reps.is_irreducible(reps.build_L1(n).operators())
+        for half in [reps.build_L0(n)] + ([reps.build_L1(n)] if n >= 1 else []):
+            ok = ok and reps.is_irreducible(half.operators())
+            ok = ok and span_closure(half.operators())[1] == half.dim ** 2
     elapsed = time.perf_counter() - t0
     _report(5, "module family facts and classification round-trip (n <= 12)", ok, elapsed, 120.0)
 

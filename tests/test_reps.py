@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from hahnsl2 import usl2
-from hahnsl2.linalg import SparseMatrix, invert
+from hahnsl2 import reps, usl2
+from hahnsl2.linalg import SparseMatrix, span_closure
 from hahnsl2.reps import (
     SL2Rep,
     UeRep,
@@ -19,7 +19,8 @@ from hahnsl2.reps import (
     signature,
     verify_ladder_modules,
 )
-from tests.conftest import all_pass, dense
+from hahnsl2.terwilliger import CubeContext, cube_rho
+from tests.conftest import all_pass, dense, invert
 
 Q = Fraction
 
@@ -77,6 +78,24 @@ def test_evaluate_is_multiplicative(rand_usl2):
         for n in (0, 1, 2, 3):
             rep = build_L(n)
             assert evaluate(usl2.multiply(a, b), rep) == evaluate(a, rep) * evaluate(b, rep)
+
+
+def test_evaluate_multiplies_no_identity_factors(monkeypatch):
+    # the Casimir is 2EF - H + H^2/2 in PBW form: E*F and H*H are the only
+    # products that carry information
+    rep = cube_rho(CubeContext(D=5))
+    products = []
+    real = SparseMatrix.matmul
+
+    def counted(a, b):
+        products.append((a.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "matmul", counted)
+    lam = evaluate(usl2.casimir(), rep)
+    assert len(products) == 2
+    monkeypatch.undo()
+    assert lam == rep.E * rep.F + rep.F * rep.E + (rep.H * rep.H).scale(Q(1, 2))
 
 
 def test_build_L0_L1_examples():
@@ -155,6 +174,47 @@ def test_is_irreducible_and_direct_sum():
     for empty in ([], [SparseMatrix.zero(0, 0)]):
         with pytest.raises(ValueError, match="empty module"):
             is_irreducible(empty)
+    # oracle: Burnside, the operators span the full matrix algebra
+    for rep in (build_L0(6), build_L1(5), _direct_sum(build_L0(2), build_L1(2)), doubled):
+        ops = rep.operators()
+        assert is_irreducible(ops) == (span_closure(ops)[1] == rep.dim ** 2)
+
+
+def test_is_irreducible_needs_paths_both_ways():
+    # the edge 0 -> 1 alone: the span of e_1 is invariant, and Burnside
+    # closes to the lower triangular matrices, 3 < 4 dimensions
+    ops = [SparseMatrix.from_rows([[1, 0], [0, 2]]), SparseMatrix.from_rows([[0, 0], [1, 0]])]
+    assert not is_irreducible(ops)
+    assert span_closure(ops)[1] == 3
+
+
+def test_is_irreducible_refuses_a_graph_it_cannot_decide():
+    # strongly connected, but no operator is diagonal with distinct entries
+    swap = SparseMatrix.from_rows([[0, 1], [1, 0]])
+    for ops in ([swap], [SparseMatrix.identity(2), swap]):
+        with pytest.raises(ValueError, match="diagonal with distinct entries"):
+            is_irreducible(ops)
+    # rightly so: both leave the line through (1, 1) invariant
+    assert span_closure([SparseMatrix.identity(2), swap])[1] == 2
+    with pytest.raises(ValueError, match="one size"):
+        is_irreducible([swap, SparseMatrix.identity(3)])
+
+
+def test_is_irreducible_agrees_with_burnside_on_every_ladder_module(monkeypatch):
+    # every module the repr suite tests: the built halves, both pullback
+    # parity blocks for each n, and the L_0 pullback
+    modules = []
+    real = reps.is_irreducible
+
+    def recorded(ops):
+        modules.append(ops)
+        return real(ops)
+
+    monkeypatch.setattr(reps, "is_irreducible", recorded)
+    assert all_pass(verify_ladder_modules(12))
+    assert len(modules) == 2 * (1 + 2 * 12)
+    for ops in modules:
+        assert real(ops) and span_closure(ops)[1] == ops[0].rows ** 2
 
 
 def test_ue_rep_names_the_first_failing_relation():
@@ -215,7 +275,7 @@ def test_classification_round_trip_all_families():
             # the returned map intertwines all four operators exactly
             target = builder(n)
             for op_in, op_tgt in zip(rep.operators(), target.operators()):
-                assert p * op_in == op_tgt * p
+                assert op_in * p == p * op_tgt
 
 
 def _random_invertible(rng: Random, dim: int) -> tuple[SparseMatrix, SparseMatrix]:
@@ -244,8 +304,17 @@ def test_classification_of_conjugated_module():
                 label, p = classify_ue_irreducible(conj)
                 assert (label.n, label.parity) == (n, parity)
                 for op_in, op_tgt in zip(conj.operators(), base.operators()):
-                    assert p * op_in == op_tgt * p
+                    assert op_in * p == p * op_tgt
                 assert signature(conj) == signature(base)
+
+
+def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity():
+    # (F^2)^i u_0 = (2i + p)! u_i on the built half L_n^(p)
+    for builder, n, parity in ((build_L0, 6, 0), (build_L1, 7, 1)):
+        rep = builder(n)
+        assert reps.ladder_embedding(rep, {0: Q(1)}, n, parity) == SparseMatrix.identity(rep.dim)
+        assert reps.ladder_embedding(rep, {1: Q(1)}, n, parity) is None
+        assert reps.ladder_embedding(rep, {}, n, parity) is None
 
 
 def test_classification_rejects_non_scalar_casimir():

@@ -2,17 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from hahnsl2 import cli, terwilliger, usl2
+from hahnsl2 import cli, reps, terwilliger, usl2
 from hahnsl2.linalg import (
     SparseMatrix,
-    eigenspace,
     kernel_basis,
     restrict_to_subspace,
     solve,
     span_closure,
     vstack,
 )
-from hahnsl2.reps import UeRep, classify_ue_irreducible, evaluate, family_dim
+from hahnsl2.reps import SL2Rep, UeRep, classify_ue_irreducible, evaluate, family_dim
 from hahnsl2.terwilliger import (
     CubeContext,
     _orbit_coordinates,
@@ -28,7 +27,7 @@ from hahnsl2.terwilliger import (
     te_dimension,
     te_dimension_formula,
 )
-from tests.conftest import dense
+from tests.conftest import dense, eigenspace
 
 Q = Fraction
 
@@ -285,10 +284,33 @@ def test_decompose_halved_labels_agree_with_classifying_each_summand(D):
 
 def test_decompose_halved_refuses_a_map_that_does_not_intertwine(monkeypatch):
     # without the factorial rescaling the ladder map fails F^2 on L_4^(0)
-    monkeypatch.setattr(terwilliger, "factorial", lambda k: 1)
+    monkeypatch.setattr(reps, "factorial", lambda k: 1)
     hd = decompose_halved(*_even_half(CubeContext(D=4)))
     assert not hd.labels_ok
     assert hd.formula_ok and hd.dimension_ok
+
+
+def test_decompositions_need_the_vertex_basis():
+    # conjugated by I + e_01 (inverse I - e_01), H has the entry
+    # H_11 - H_00 at (0, 1), so the weight spaces are no longer coordinate
+    # columns and both decompositions refuse the module
+    ctx = CubeContext(D=4)
+    rep = cube_rho(ctx)
+
+    def conjugate(op):
+        m = SparseMatrix.identity(op.rows) + SparseMatrix(op.rows, op.rows, {(0, 1): 1})
+        mi = SparseMatrix.identity(op.rows) - SparseMatrix(op.rows, op.rows, {(0, 1): 1})
+        return m * op * mi
+
+    conj = SL2Rep(rep.dim, conjugate(rep.E), conjugate(rep.F), conjugate(rep.H))
+    assert conj.H.get(0, 1) == -2
+    with pytest.raises(ValueError, match="not diagonal"):
+        decompose_standard(ctx, conj)
+    ue = even_half(ctx, rep)
+    conj_ue = UeRep(ue.dim, *(conjugate(op) for op in ue.operators()))
+    assert conj_ue.H.get(0, 1) == -4
+    with pytest.raises(ValueError, match="not diagonal"):
+        decompose_halved(ctx, conj_ue)
 
 
 def test_base_vertex_independence_small():
