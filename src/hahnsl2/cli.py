@@ -43,32 +43,9 @@ def _report(command: str, config: dict, items: list[CheckItem], **extra) -> dict
 
 
 def run_verify_usl2(n_max: int) -> dict:
-    items = usl2.power_identity_suite(n_max) + usl2.verify_ue_presentation() + _rho_property_items()
+    items = (usl2.power_identity_suite(n_max) + usl2.verify_ue_presentation()
+             + usl2.rho_property_suite())
     return _report("verify-usl2", {"n_max": n_max}, items)
-
-
-def _rho_property_items(samples: int = 100, seed: int = 74) -> list[CheckItem]:
-    from random import Random
-
-    rng = Random(seed)
-    bad_hom = bad_inv = bad_deg = 0
-    for _ in range(samples):
-        a = usl2.random_element(rng, max_terms=3)
-        b = usl2.random_element(rng, max_terms=3)
-        if usl2.rho(usl2.multiply(a, b)) != usl2.multiply(usl2.rho(a), usl2.rho(b)):
-            bad_hom += 1
-        if usl2.rho(usl2.rho(a)) != a:
-            bad_inv += 1
-        flipped = usl2.degree_components(usl2.rho(a))
-        for d, comp in usl2.degree_components(a).items():
-            if usl2.rho(comp) != flipped.get(-d, usl2.zero()):
-                bad_deg += 1
-                break
-    return [
-        check(f"rho is a homomorphism on {samples} seeded samples", bad_hom == 0),
-        check(f"rho is an involution on {samples} seeded samples", bad_inv == 0),
-        check(f"rho flips the grading on {samples} seeded samples", bad_deg == 0),
-    ]
 
 
 def run_verify_hahn(degree_bound: int) -> dict:
@@ -108,7 +85,7 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
                 "base_vertex": ctx.bitstring(ctx.base),
                 "standard_decomposition": [[n, m] for n, m in sorted(sd.multiplicities.items())],
                 "halved_decomposition": [
-                    [f"L_{n}^({p})", m] for (n, p), m in sorted(hd.blocks.items())
+                    [str(reps.ModuleLabel(n, p)), m] for (n, p), m in sorted(hd.blocks.items())
                 ],
                 "te_dimension": dim,
                 "formula_value": formula,

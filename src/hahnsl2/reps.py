@@ -8,9 +8,11 @@ half.  Weight spaces are then sets of coordinates, and irreducibility is
 read off which coordinates the operators connect.
 
 ``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
-built.  ``verify_ladder_modules`` is the ``repr`` suite: it builds each
-ladder module once and checks its Casimir, its two halves and its pullback
-along the natural map on that one module.
+built.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its
+dimension, top weight, Casimir scalar, built module and signature.
+``verify_ladder_modules`` is the ``repr`` suite: it builds each ladder
+module once and checks its Casimir, its two halves and its pullback along
+the natural map on that one module.
 
 All matrices act on column vectors; basis vectors are indexed 0..dim-1 in
 decreasing H-eigenvalue order, matching the ladder conventions
@@ -20,7 +22,7 @@ E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}, H v_i = (n-2i) v_i.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -32,17 +34,12 @@ from .reporting import CheckItem, check
 
 @dataclass(frozen=True)
 class SL2Rep:
-    """Matrices for E, F, H satisfying the defining relations exactly.
-
-    ``powers`` caches E^k, F^k and H^k as ``evaluate`` needs them."""
+    """Matrices for E, F, H satisfying the defining relations exactly."""
 
     dim: int
     E: SparseMatrix
     F: SparseMatrix
     H: SparseMatrix
-    powers: dict[tuple[str, int], SparseMatrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for m in (self.E, self.F, self.H):
@@ -94,11 +91,55 @@ class IsoSignature:
 
 @dataclass(frozen=True)
 class ModuleLabel:
-    """Family label L_n^(parity); d = dim - 1 is the ladder length."""
+    """The ladder family L_n^(parity): the vectors v_m of L_n with m =
+    parity mod 2 under the even subalgebra, with d = dim - 1 the ladder
+    length.  Every fact of a family is read off its label."""
 
     n: int
     parity: int
-    d: int
+
+    def __post_init__(self):
+        if self.parity not in (0, 1) or self.n < self.parity:
+            raise ValueError(f"no ladder family with n = {self.n}, parity = {self.parity}: "
+                             "need parity 0 or 1 and n >= parity")
+
+    @property
+    def dim(self) -> int:
+        return (self.n - self.parity) // 2 + 1
+
+    @property
+    def d(self) -> int:
+        return self.dim - 1
+
+    @property
+    def top_weight(self) -> int:
+        """The H-eigenvalue of the top vector u_0 = v_parity."""
+        return self.n - 2 * self.parity
+
+    @property
+    def casimir(self) -> Fraction:
+        """The scalar by which the Casimir acts."""
+        return Fraction(self.n * (self.n + 2), 2)
+
+    def build(self) -> UeRep:
+        """The family in its ladder basis u_i = v_m, m = 2i + parity, where
+        E^2 v_m = (n-m+1)(n-m+2) v_{m-2}, F^2 v_m = (m+1)(m+2) v_{m+2} and
+        H v_m = (n-2m) v_m."""
+        n, dim = self.n, self.dim
+        m = [2 * i + self.parity for i in range(dim)]
+        e2 = SparseMatrix(dim, dim, {(i - 1, i): Fraction((n - m[i] + 1) * (n - m[i] + 2))
+                                     for i in range(1, dim)})
+        f2 = SparseMatrix(dim, dim, {(i + 1, i): Fraction((m[i] + 1) * (m[i] + 2))
+                                     for i in range(dim - 1)})
+        h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 2 * m[i]) for i in range(dim)})
+        lam = SparseMatrix.identity(dim).scale(self.casimir)
+        return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
+
+    def signature(self) -> IsoSignature:
+        """Dimension, Casimir scalar and the H-spectrum theta, theta - 4,
+        ..., theta - 4d with theta the top weight."""
+        spectrum = tuple(sorted(Fraction(self.top_weight - 4 * i) for i in range(self.dim)))
+        return IsoSignature(dim=self.dim, casimir_scalar=self.casimir, h_spectrum=spectrum)
 
     def __str__(self) -> str:
         return f"L_{self.n}^({self.parity})"
@@ -118,7 +159,7 @@ def build_L(n: int) -> SL2Rep:
 def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
     """Homomorphic evaluation of a PBW element on a module."""
     dim = rep.dim
-    cache = rep.powers
+    cache: dict[tuple[str, int], SparseMatrix] = {}
 
     def power(name: str, k: int) -> SparseMatrix:
         # bottom-up, not recursive: a closure that calls itself is a
@@ -140,39 +181,14 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
     return out
 
 
-def family_dim(n: int, parity: int) -> int:
-    """Dimension of L_n^(parity): the ladder vectors v_m of L_n with m = parity mod 2."""
-    return (n - parity) // 2 + 1
-
-
-def _build_half(n: int, parity: int) -> UeRep:
-    # basis u_i = v_m with m = 2i + parity; E^2 v_m = (n-m+1)(n-m+2) v_{m-2},
-    # F^2 v_m = (m+1)(m+2) v_{m+2} and H v_m = (n-2m) v_m
-    dim = family_dim(n, parity)
-    e2 = SparseMatrix(dim, dim, {
-        (i - 1, i): Fraction((n - 2 * i - parity + 1) * (n - 2 * i - parity + 2))
-        for i in range(1, dim)
-    })
-    f2 = SparseMatrix(dim, dim, {
-        (i + 1, i): Fraction((2 * i + parity + 1) * (2 * i + parity + 2)) for i in range(dim - 1)
-    })
-    h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 4 * i - 2 * parity) for i in range(dim)})
-    lam = SparseMatrix.identity(dim).scale(Fraction(n * (n + 2), 2))
-    return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
-
-
 def build_L0(n: int) -> UeRep:
     """Even half of the ladder module: basis u_i = v_{2i}."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _build_half(n, 0)
+    return ModuleLabel(n, 0).build()
 
 
 def build_L1(n: int) -> UeRep:
     """Odd half of the ladder module: basis u_i = v_{2i+1}; needs n >= 1."""
-    if n < 1:
-        raise ValueError("the odd half exists only for n >= 1")
-    return _build_half(n, 1)
+    return ModuleLabel(n, 1).build()
 
 
 def _parity_indices(n: int) -> tuple[range, range]:
@@ -238,15 +254,6 @@ def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
     raise ValueError("no operator is diagonal with distinct entries")
 
 
-def casimir_scalar(rep: UeRep) -> Fraction:
-    """The scalar by which the Casimir acts; error when it is not scalar."""
-    lam = rep.Lam
-    c = lam.get(0, 0)
-    if lam != SparseMatrix.identity(rep.dim).scale(c):
-        raise ValueError("Casimir does not act as a scalar")
-    return c
-
-
 def _top_vector(rep: UeRep) -> tuple[Fraction, Vector]:
     """The top vector w, spanning the kernel of E^2, which must be
     one-dimensional, and its H-eigenvalue theta.  Since [H,E^2] = 4E^2, H
@@ -259,8 +266,8 @@ def _top_vector(rep: UeRep) -> tuple[Fraction, Vector]:
     return rep.H.apply(w).get(i, Fraction(0)) / w[i], w
 
 
-def ladder_embedding(rep: UeRep, w: Vector, n: int, parity: int) -> SparseMatrix | None:
-    """The map Phi from the built half L_n^(parity) into ``rep`` with
+def ladder_embedding(rep: UeRep, w: Vector, label: ModuleLabel) -> SparseMatrix | None:
+    """The map Phi from the built half ``label.build()`` into ``rep`` with
     Phi u_i = (F^2)^i w / (2i + parity)!, or None unless w is nonzero and
     op * Phi == Phi * op_built for all four operators.
 
@@ -270,14 +277,12 @@ def ladder_embedding(rep: UeRep, w: Vector, n: int, parity: int) -> SparseMatrix
     """
     if not w:
         return None
-    built = _build_half(n, parity)
+    built = label.build()
     chain: list[Vector] = [w]
     for _ in range(built.dim - 1):
         chain.append(rep.F2.apply(chain[-1]))
-    phi = SparseMatrix.from_columns(
-        [{r: x / factorial(2 * i + parity) for r, x in v.items()} for i, v in enumerate(chain)],
-        rep.dim,
-    )
+    phi = SparseMatrix.from_columns([{r: x / factorial(2 * i + label.parity) for r, x in v.items()}
+                                     for i, v in enumerate(chain)], rep.dim)
     if any(op * phi != phi * op_b for op, op_b in zip(rep.operators(), built.operators())):
         return None
     return phi
@@ -287,39 +292,37 @@ def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
     """Identify an irreducible module within the four ladder families.
 
     With d = dim - 1, L_n^(p) is the one family among (n, p) = (2d, 0),
-    (2d+1, 0), (2d+1, 1), (2d+2, 1) whose top eigenvalue n - 2p and Casimir
-    n(n+2)/2 match the input; the top vector w spans the kernel of E^2.
-    Returns the family label and the ``ladder_embedding`` Phi of the built
-    module along w, with op_input * Phi = Phi * op_target for all four
-    operators.  Phi is square and injective, so it is an isomorphism, unique
-    up to a nonzero scalar.  Raises ValueError when the module fits no
-    family.
+    (2d+1, 0), (2d+1, 1), (2d+2, 1) whose top weight is the H-eigenvalue
+    theta of the top vector w, which spans the kernel of E^2, and whose
+    Casimir scalar times the identity is the Casimir of the input.  Returns
+    the family label and the ``ladder_embedding`` Phi of the built module
+    along w, with op_input * Phi = Phi * op_target for all four operators.
+    Phi is square and injective, so it is an isomorphism, unique up to a
+    nonzero scalar.  Raises ValueError when the module fits no family.
     """
-    lam = casimir_scalar(rep)
     theta, w = _top_vector(rep)
     d = rep.dim - 1
+    ident = SparseMatrix.identity(rep.dim)
     for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
-        if theta == n - 2 * parity and lam == Fraction(n * (n + 2), 2):
+        label = ModuleLabel(n, parity)
+        if label.top_weight == theta and ident.scale(label.casimir) == rep.Lam:
             break
     else:
-        raise ValueError(f"top eigenvalue {theta} and Casimir {lam} fit no family with d = {d}")
-    phi = ladder_embedding(rep, w, n, parity)
+        raise ValueError(f"top eigenvalue {theta} and the Casimir fit no family with d = {d}")
+    phi = ladder_embedding(rep, w, label)
     if phi is None:
         raise ValueError("constructed map fails to intertwine the operators")
-    return ModuleLabel(n=n, parity=parity, d=d), phi
+    return label, phi
 
 
 def signature(rep: UeRep) -> IsoSignature:
     """Isomorphism-separating data: dimension, Casimir scalar, H-spectrum.
 
     The module must be one of the four ladder families
-    (``classify_ue_irreducible``), else ValueError; the spectrum is read off
-    its label: theta, theta - 4, ..., theta - 4d with theta = n - 2p.
+    (``classify_ue_irreducible``), else ValueError; the signature is its
+    label's.
     """
-    label, _ = classify_ue_irreducible(rep)
-    theta = label.n - 2 * label.parity
-    spectrum = tuple(sorted(Fraction(theta - 4 * i) for i in range(rep.dim)))
-    return IsoSignature(dim=rep.dim, casimir_scalar=casimir_scalar(rep), h_spectrum=spectrum)
+    return classify_ue_irreducible(rep)[0].signature()
 
 
 def verify_ladder_modules(n_max: int) -> list[CheckItem]:
@@ -327,8 +330,9 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
 
     Each L_n is built once.  On it: the Casimir scalar, read off the
     restriction to the even subalgebra (its blocks are invariant and together
-    span L_n); that restriction against the built halves, which must be
-    irreducible and classify back to their own labels; and the pullback
+    span L_n); the restricted halves, which must match the built halves
+    entrywise, be irreducible and classify back to their own labels (each is
+    classified once, and its signature is its label's); and the pullback
     along the natural map, whose parity blocks must be invariant and
     irreducible (at n = 0 the whole module) with halves of distinct
     signatures.  Last, the signatures of all halves must be pairwise distinct.
@@ -340,10 +344,10 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     sigs: list[IsoSignature] = []
     for n in range(n_max + 1):
         rep = build_L(n)
-        lam = Fraction(n * (n + 2), 2)
         blocks = [b for b in restrict_even(rep) if b is not None]
-        built = [build_L0(n), build_L1(n)] if n else [build_L0(n)]
-        labels = [classify_ue_irreducible(b)[0] for b in built]
+        labels = [ModuleLabel(n, p) for p in range(len(blocks))]
+        found = [classify_ue_irreducible(b)[0] for b in blocks]
+        lam = labels[0].casimir
         items += [
             check(
                 f"Casimir acts on L_{n} as {lam}",
@@ -351,19 +355,15 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
             ),
             check(
                 f"restriction of L_{n} matches the built halves entrywise",
-                [b.operators() for b in blocks] == [b.operators() for b in built],
+                [b.operators() for b in blocks] == [label.build().operators() for label in labels],
             ),
             check(
                 f"halves of L_{n} are irreducible (full matrix algebra)",
-                all(is_irreducible(b.operators()) for b in built),
+                all(is_irreducible(b.operators()) for b in blocks),
             ),
-            check(
-                f"halves of L_{n} classify back to their own labels",
-                [(label.n, label.parity) for label in labels]
-                == [(n, p) for p in range(len(built))],
-            ),
+            check(f"halves of L_{n} classify back to their own labels", found == labels),
         ]
-        half_sigs = [signature(b) for b in blocks]
+        half_sigs = [label.signature() for label in found]
         sigs.extend(half_sigs)
 
         a_mat = evaluate(images["A"], rep)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace, span_closure, vstack
-from .reps import SL2Rep, UeRep, family_dim, ladder_embedding
+from .reps import ModuleLabel, SL2Rep, UeRep, ladder_embedding
 
 
 def _weight(v: int) -> int:
@@ -251,27 +251,25 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
     blocks: dict[tuple[int, int], int] = {}
     labels_ok = True
     formula_ok = True
-    wedderburn = 0
-    families = [(k, D - 2 * k) for k in range(0, D // 2 + 1, 2)]
-    families += [(k, D - 2 * k) for k in range(1, (D - 1) // 2 + 1, 2)]
-    for k, n in sorted(families):
-        parity = k % 2
-        theta = n if parity == 0 else n - 2
-        lam_scalar = Fraction(n * (n + 2), 2)
-        b = _weight_space(ue.H, theta)
-        stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(lam_scalar)) * b)
+    wedderburn = total = 0
+    for k in range(D // 2 + 1):
+        if D - 2 * k < k % 2:
+            continue  # L_0^(1) does not exist
+        label = ModuleLabel(D - 2 * k, k % 2)
+        b = _weight_space(ue.H, label.top_weight)
+        stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(label.casimir)) * b)
         tops = kernel_basis(stacked)
         mult = len(tops)
-        blocks[(n, parity)] = mult
+        blocks[(label.n, label.parity)] = mult
+        total += mult * label.dim
         if mult != standard_multiplicity(D, k):
             formula_ok = False
         if mult == 0:
             labels_ok = False
             continue
-        if ladder_embedding(ue, b.apply(tops[0]), n, parity) is None:
+        if ladder_embedding(ue, b.apply(tops[0]), label) is None:
             labels_ok = False
-        wedderburn += family_dim(n, parity) ** 2
-    total = sum(m * family_dim(n, p) for (n, p), m in blocks.items())
+        wedderburn += label.dim ** 2
     return HalvedDecomposition(
         D=D,
         blocks=blocks,

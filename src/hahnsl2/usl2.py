@@ -226,6 +226,29 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
     return items
 
 
+def rho_property_suite(samples: int = 100, seed: int = 74) -> list[CheckItem]:
+    """Seeded checks that rho is a homomorphism, an involution and flips the grading."""
+    rng = Random(seed)
+    bad_hom = bad_inv = bad_deg = 0
+    for _ in range(samples):
+        a = random_element(rng, max_terms=3)
+        b = random_element(rng, max_terms=3)
+        if rho(multiply(a, b)) != multiply(rho(a), rho(b)):
+            bad_hom += 1
+        if rho(rho(a)) != a:
+            bad_inv += 1
+        flipped = degree_components(rho(a))
+        for d, comp in degree_components(a).items():
+            if rho(comp) != flipped.get(-d, zero()):
+                bad_deg += 1
+                break
+    return [
+        check(f"rho is a homomorphism on {samples} seeded samples", bad_hom == 0),
+        check(f"rho is an involution on {samples} seeded samples", bad_inv == 0),
+        check(f"rho flips the grading on {samples} seeded samples", bad_deg == 0),
+    ]
+
+
 # The defining relations of the even subalgebra, in the order of the
 # residuals ``even_relations`` returns.
 EVEN_RELATIONS = (

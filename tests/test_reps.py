@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from random import Random
 import re
@@ -5,8 +6,9 @@ import re
 import pytest
 
 from hahnsl2 import reps, usl2
-from hahnsl2.linalg import SparseMatrix, span_closure
+from hahnsl2.linalg import SparseMatrix, diagonal, span_closure
 from hahnsl2.reps import (
+    ModuleLabel,
     SL2Rep,
     UeRep,
     build_L,
@@ -41,6 +43,11 @@ def test_defining_relations_certified_at_construction():
     with pytest.raises(ValueError):
         type(good)(dim=2, E=good.E, F=good.F, H=bad_h)
 
+
+
+def test_sl2_rep_is_a_plain_value():
+    # no cache hides in the frozen dataclass: its fields are the module
+    assert [f.name for f in dataclasses.fields(SL2Rep)] == ["dim", "E", "F", "H"]
 
 def test_evaluate_casimir_scalar():
     for n in range(7):
@@ -310,11 +317,11 @@ def test_classification_of_conjugated_module():
 
 def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity():
     # (F^2)^i u_0 = (2i + p)! u_i on the built half L_n^(p)
-    for builder, n, parity in ((build_L0, 6, 0), (build_L1, 7, 1)):
-        rep = builder(n)
-        assert reps.ladder_embedding(rep, {0: Q(1)}, n, parity) == SparseMatrix.identity(rep.dim)
-        assert reps.ladder_embedding(rep, {1: Q(1)}, n, parity) is None
-        assert reps.ladder_embedding(rep, {}, n, parity) is None
+    for label in (ModuleLabel(6, 0), ModuleLabel(7, 1)):
+        rep = label.build()
+        assert reps.ladder_embedding(rep, {0: Q(1)}, label) == SparseMatrix.identity(rep.dim)
+        assert reps.ladder_embedding(rep, {1: Q(1)}, label) is None
+        assert reps.ladder_embedding(rep, {}, label) is None
 
 
 def test_classification_rejects_non_scalar_casimir():
@@ -322,6 +329,25 @@ def test_classification_rejects_non_scalar_casimir():
     with pytest.raises(ValueError):
         classify_ue_irreducible(mixed)
 
+
+
+def test_module_label_facts_match_the_built_module():
+    for n in range(21):
+        for parity in range(min(n, 1) + 1):
+            label = ModuleLabel(n, parity)
+            rep = label.build()
+            weights = diagonal(rep.H)
+            assert rep.dim == label.dim == label.d + 1 == len(weights)
+            assert max(weights) == label.top_weight
+            assert tuple(sorted(weights)) == label.signature().h_spectrum
+            assert rep.Lam == SparseMatrix.identity(rep.dim).scale(label.casimir)
+            assert (label.signature().dim, label.signature().casimir_scalar) == (rep.dim, label.casimir)
+
+
+def test_module_label_refuses_invalid_families():
+    for n, parity in ((0, 1), (-1, 0), (3, 2)):
+        with pytest.raises(ValueError, match="no ladder family"):
+            ModuleLabel(n, parity)
 
 def _is_pullback_item(item) -> bool:
     return item.name.startswith(("L_", "pullback"))
@@ -343,3 +369,27 @@ def test_module_family_suite():
     items = [i for i in verify_ladder_modules(6) if not _is_pullback_item(i)]
     assert len(items) == 4 * 7 + 1
     assert all_pass(items)
+
+
+def test_ladder_modules_classify_each_half_once(monkeypatch):
+    # 25 halves for n <= 12: each is classified once, and three UeReps are
+    # built per half (its restricted block, the built half that the
+    # classification embeds, and the built half of the entrywise item)
+    classified = []
+    constructed = []
+    real_classify = reps.classify_ue_irreducible
+    real_post_init = UeRep.__post_init__
+
+    def counted_classify(rep):
+        classified.append(rep.dim)
+        return real_classify(rep)
+
+    def counted_post_init(self):
+        constructed.append(self.dim)
+        real_post_init(self)
+
+    monkeypatch.setattr(reps, "classify_ue_irreducible", counted_classify)
+    monkeypatch.setattr(UeRep, "__post_init__", counted_post_init)
+    assert all_pass(verify_ladder_modules(12))
+    assert len(classified) == 25
+    assert len(constructed) == 75

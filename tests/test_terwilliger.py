@@ -11,7 +11,7 @@ from hahnsl2.linalg import (
     span_closure,
     vstack,
 )
-from hahnsl2.reps import SL2Rep, UeRep, classify_ue_irreducible, evaluate, family_dim
+from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep, classify_ue_irreducible, evaluate
 from hahnsl2.terwilliger import (
     CubeContext,
     _orbit_coordinates,
@@ -259,7 +259,7 @@ def _ladder_summand(ue, n, parity):
     lam = SparseMatrix.identity(ue.dim).scale(Q(n * (n + 2), 2))
     w = b.apply(kernel_basis(vstack(ue.E2 * b, (ue.Lam - lam) * b))[0])
     chain = [w]
-    for _ in range(family_dim(n, parity) - 1):
+    for _ in range(ModuleLabel(n, parity).dim - 1):
         chain.append(ue.F2.apply(chain[-1]))
     ladder = SparseMatrix.from_columns(chain, ue.dim)
     ops = []

@@ -186,6 +186,16 @@ def test_power_identity_suite_rejects_zero():
         usl2.power_identity_suite(0)
 
 
+
+def test_rho_property_suite():
+    items = usl2.rho_property_suite()
+    assert [i.name for i in items] == [
+        "rho is a homomorphism on 100 seeded samples",
+        "rho is an involution on 100 seeded samples",
+        "rho flips the grading on 100 seeded samples",
+    ]
+    assert all(i.status == "pass" for i in items)
+
 def test_verify_ue_presentation():
     items = usl2.verify_ue_presentation()
     assert all(i.status == "pass" for i in items)
