@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
 
-# Largest D the cube suite accepts: the whole suite takes about 0.4 s at D = 8
-# and 1.2 s at D = 9 on a 2-vCPU machine (Python 3.11), so each further D
-# costs about 3 times more.  That cost is spread over the Terwilliger
-# dimension's closure and the arithmetic on the 2^D-dimensional cube module
-# and its even half: the products that build them and check their relations.
+# Largest D the cube suite accepts: the suite at one D takes about 0.3 s at
+# D = 8 and 1.05 s at D = 9 on a 2-vCPU machine (Python 3.11, in process), so
+# each further D costs about 3.5 times more.  That cost is spread over the
+# Terwilliger dimension's closure and the arithmetic on the 2^D-dimensional
+# cube module and its even half: the products that build them and check their
+# relations.
 D_MAX_CAP = 9
 
 
@@ -212,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser) -> None:
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"--out: directory {os.path.dirname(args.out)} does not exist")
     if hasattr(args, "n_max"):
         floor = 1 if args.command in ("verify-usl2", "verify-all") else 0
         if args.n_max < floor:

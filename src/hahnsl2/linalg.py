@@ -483,14 +483,16 @@ def _vectorize(m: SparseMatrix) -> IntVector:
     return {r * n + c: x for r, d in m._num.items() for c, x in d.items()}
 
 
-def span_closure(generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]:
-    """Linear basis of the unital matrix algebra generated by the inputs.
+def span_closure(start: SparseMatrix, generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]:
+    """Linear basis of the span of start·w over all words w in the
+    generators, the empty word included.  With start the identity this is
+    the unital matrix algebra the generators generate.
 
-    Worklist closure: seed with the identity and the generators, and keep
-    right-multiplying newly accepted basis elements by the generators until
-    nothing new appears.  Discarding products that reduce into the current
-    span is sound because right multiplication is linear.  A matrix and its
-    numerators span the same line, so the basis takes the numerators.
+    Worklist closure: keep right-multiplying newly accepted matrices by the
+    generators until nothing new appears.  Discarding products that reduce
+    into the current span is sound because right multiplication is linear.
+    A matrix and its numerators span the same line, so the basis takes the
+    numerators, flattened row-major.
     """
     if not generators:
         raise ValueError("span_closure needs at least one generator")
@@ -498,8 +500,10 @@ def span_closure(generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]
     for g in generators:
         if g.rows != g.cols or g.rows != n:
             raise ValueError("span_closure generators must be square and same size")
+    if start.cols != n:
+        raise ValueError("span_closure start must have as many columns as the generators")
     basis = EchelonBasis()
-    work: list[SparseMatrix] = [SparseMatrix.identity(n)] + list(generators)
+    work = [start]
     head = 0
     while head < len(work):
         m = work[head]

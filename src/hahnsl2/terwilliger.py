@@ -7,7 +7,6 @@ distance, so everything is built from bit twiddling, with no graph library.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -159,64 +158,31 @@ def halved_operators(ctx: CubeContext, ue: UeRep) -> tuple[SparseMatrix, SparseM
     return a2e, ue.H, halved
 
 
-def _orbit_table(ctx: CubeContext) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Orbits of pairs of even vertices under the coordinate permutations
-    that fix the base vertex b: the orbit of (x, y) is named by the triple
-    (|x^b|, |y^b|, |(x^b) & (y^b)|).  Returns the orbit id of every pair of
-    even-half indices, ids given in increasing order of the triples, and the
-    first pair of each orbit in row-major order as its representative."""
-    rel = [v ^ ctx.base for v in _evens(ctx)]
-    wt = [_weight(x) for x in rel]
-    keys = [[(wt[i], wt[j], _weight(x & y)) for j, y in enumerate(rel)] for i, x in enumerate(rel)]
-    ids = {key: o for o, key in enumerate(sorted({key for row in keys for key in row}))}
-    table = [[ids[key] for key in row] for row in keys]
-    reps: dict[int, tuple[int, int]] = {}
-    for i, row in enumerate(table):
-        for j, o in enumerate(row):
-            reps.setdefault(o, (i, j))
-    return table, [reps[o] for o in range(len(ids))]
-
-
-def _orbit_coordinates(table: list[list[int]], reps: list[tuple[int, int]], g: SparseMatrix) -> list[Fraction]:
-    """The coordinates c of g = sum_o c_o M_o, where M_o is the 0/1 matrix of
-    orbit o, read at the representatives; raises ArithmeticError unless g is
-    constant on every orbit, checked on every entry."""
-    coords = [g.get(i, j) for i, j in reps]
-    for i, row in enumerate(table):
-        gi = g.row(i)
-        if any(gi.get(j, 0) != coords[o] for j, o in enumerate(row)):
-            raise ArithmeticError("operator is not constant on the orbits of the base-vertex stabilizer")
-    return coords
-
-
 def te_dimension(ctx: CubeContext, ue: UeRep) -> int:
     """Dimension of the algebra T generated by the two halved-cube operators.
 
-    Both commute with the coordinate permutations that fix the base vertex
-    (checked entry by entry), so T lies in their centralizer algebra, which
-    has one 0/1 basis matrix M_o per orbit o of vertex pairs (Schrijver, IEEE
-    Trans. Inf. Theory 51, 2005).  The structure constants, the number of z
-    with (x, z) in orbit a and (z, y) in orbit b for a representative (x, y)
-    of orbit c, are counted on the vertex set.  Right multiplication t -> tg
-    is faithful on the centralizer (it sends the identity to g) and only
-    reverses products, so the closure of the right multiplications by the
-    two operators, matrices of the size of the number of orbits, has
-    dimension dim T.
+    Both are checked to commute with the D - 1 adjacent transpositions of
+    the coordinates of x^b, which generate the coordinate permutations that
+    fix the base vertex b.  So T lies in their centralizer, whose matrices
+    are constant on each orbit (|x^b|, |y^b|, |(x^b) & (y^b)|) of vertex
+    pairs (Schrijver, IEEE Trans. Inf. Theory 51, 2005).  The rows of the
+    vertices (2^i - 1)^b, i even, meet every orbit, so the selection t -> S t
+    of those rows is injective on the centralizer, and dim T is the
+    dimension of the span of S w over the words w in the two operators.
     """
     a2e, astar_e, _ = halved_operators(ctx, ue)
-    table, reps = _orbit_table(ctx)
-    n = len(reps)
-    counts = Counter((c, table[x][z], table[z][y]) for c, (x, y) in enumerate(reps)
-                     for z in range(len(table)))
-    right = []
-    for g in (a2e, astar_e):
-        coords = _orbit_coordinates(table, reps, g)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for (c, a, b), k in counts.items():
-            if coords[b]:
-                entries[c, a] = entries.get((c, a), 0) + k * coords[b]
-        right.append(SparseMatrix(n, n, entries))
-    _, dim = span_closure(right)
+    evens = _evens(ctx)
+    index = {v: k for k, v in enumerate(evens)}
+    for i in range(ctx.D - 1):
+        # transposing coordinates i and i + 1 of x^b flips both when they differ
+        perm = [index[v ^ (3 << i)] if ((v ^ ctx.base) >> i & 3) in (1, 2) else k
+                for k, v in enumerate(evens)]
+        if restrict_to_subspace([a2e, astar_e], perm) != [a2e, astar_e]:
+            raise ArithmeticError("operator does not commute with the stabilizer of the base vertex")
+    rows = range(0, ctx.D + 1, 2)
+    select = SparseMatrix(len(rows), ue.dim, {(r, index[((1 << i) - 1) ^ ctx.base]): 1
+                                              for r, i in enumerate(rows)})
+    _, dim = span_closure(select, [a2e, astar_e])
     return dim
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from random import Random
 
 from hahnsl2 import hahn, reps, terwilliger, usl2
-from hahnsl2.linalg import span_closure
+from hahnsl2.linalg import SparseMatrix, span_closure
 from tests.conftest import all_pass, random_free_poly, random_usl2_element
 
 Q = Fraction
@@ -94,7 +94,7 @@ def test_criterion_5_module_facts():
     for n in range(13):
         for half in [reps.build_L0(n)] + ([reps.build_L1(n)] if n >= 1 else []):
             ok = ok and reps.is_irreducible(half.operators())
-            ok = ok and span_closure(half.operators())[1] == half.dim ** 2
+            ok = ok and span_closure(SparseMatrix.identity(half.dim), half.operators())[1] == half.dim ** 2
     elapsed = time.perf_counter() - t0
     _report(5, "module family facts and classification round-trip (n <= 12)", ok, elapsed, 120.0)
 

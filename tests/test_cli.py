@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hahnsl2 import cli
 from hahnsl2.cli import main, run_cube, run_verify_hahn
 
 SCHEMA = json.loads(
@@ -191,6 +192,18 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert main(["verify-usl2", "--n-max", "2", "--format", "json", "--out", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_out_to_a_missing_directory_is_refused(tmp_path, capsys, monkeypatch):
+    # refused while parsing, before any suite runs
+    runs = []
+    monkeypatch.setattr(cli, "run_repr", lambda *args: runs.append(args))
+    out = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["repr", "--n-max", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert runs == [] and not out.parent.exists()
 
 
 def test_verify_all_json_validates_and_accepts_one_job(capsys):

@@ -87,8 +87,15 @@ def test_diagonal():
 
 
 def test_span_closure_identity_only():
-    _, dim = span_closure([SparseMatrix.identity(5)])
+    _, dim = span_closure(SparseMatrix.identity(5), [SparseMatrix.identity(5)])
     assert dim == 1
+
+
+def test_span_closure_refuses_a_start_of_another_width():
+    gens = [SparseMatrix.identity(3)]
+    for start in (SparseMatrix.identity(2), SparseMatrix.zero(3, 4)):
+        with pytest.raises(ValueError, match="columns"):
+            span_closure(start, gens)
 
 
 def _dense_rank(rows):
@@ -135,7 +142,7 @@ def test_span_closure_two_dim_ladder_is_full_algebra():
     assert _dense_rank(flat) == 4
 
     gens = [SparseMatrix.from_rows(x) for x in (e, f, h)]
-    _, dim = span_closure(gens)
+    _, dim = span_closure(SparseMatrix.identity(2), gens)
     assert dim == 4
 
 
@@ -145,7 +152,7 @@ def test_span_closure_output_closed_under_generators():
         SparseMatrix.from_rows([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
         for _ in range(2)
     ]
-    basis, dim = span_closure(gens)
+    basis, dim = span_closure(SparseMatrix.identity(3), gens)
     # post-hoc certification: basis times generator stays in the span
     n = 3
     for row in basis.rows:

@@ -184,7 +184,7 @@ def test_is_irreducible_and_direct_sum():
     # oracle: Burnside, the operators span the full matrix algebra
     for rep in (build_L0(6), build_L1(5), _direct_sum(build_L0(2), build_L1(2)), doubled):
         ops = rep.operators()
-        assert is_irreducible(ops) == (span_closure(ops)[1] == rep.dim ** 2)
+        assert is_irreducible(ops) == (span_closure(SparseMatrix.identity(rep.dim), ops)[1] == rep.dim ** 2)
 
 
 def test_is_irreducible_needs_paths_both_ways():
@@ -192,7 +192,7 @@ def test_is_irreducible_needs_paths_both_ways():
     # closes to the lower triangular matrices, 3 < 4 dimensions
     ops = [SparseMatrix.from_rows([[1, 0], [0, 2]]), SparseMatrix.from_rows([[0, 0], [1, 0]])]
     assert not is_irreducible(ops)
-    assert span_closure(ops)[1] == 3
+    assert span_closure(SparseMatrix.identity(2), ops)[1] == 3
 
 
 def test_is_irreducible_refuses_a_graph_it_cannot_decide():
@@ -202,7 +202,7 @@ def test_is_irreducible_refuses_a_graph_it_cannot_decide():
         with pytest.raises(ValueError, match="diagonal with distinct entries"):
             is_irreducible(ops)
     # rightly so: both leave the line through (1, 1) invariant
-    assert span_closure([SparseMatrix.identity(2), swap])[1] == 2
+    assert span_closure(SparseMatrix.identity(2), [SparseMatrix.identity(2), swap])[1] == 2
     with pytest.raises(ValueError, match="one size"):
         is_irreducible([swap, SparseMatrix.identity(3)])
 
@@ -221,7 +221,7 @@ def test_is_irreducible_agrees_with_burnside_on_every_ladder_module(monkeypatch)
     assert all_pass(verify_ladder_modules(12))
     assert len(modules) == 2 * (1 + 2 * 12)
     for ops in modules:
-        assert real(ops) and span_closure(ops)[1] == ops[0].rows ** 2
+        assert real(ops) and span_closure(SparseMatrix.identity(ops[0].rows), ops)[1] == ops[0].rows ** 2
 
 
 def test_ue_rep_names_the_first_failing_relation():

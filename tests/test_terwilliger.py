@@ -14,8 +14,6 @@ from hahnsl2.linalg import (
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep, classify_ue_irreducible, evaluate
 from hahnsl2.terwilliger import (
     CubeContext,
-    _orbit_coordinates,
-    _orbit_table,
     adjacency,
     cube_rho,
     decompose_halved,
@@ -188,37 +186,39 @@ def test_te_dimension_matches_brute_force_closure(D, base):
     # oracle: close the full 2^(D-1) x 2^(D-1) operators
     ctx, ue = _even_half(CubeContext(D=D, base=base))
     a2e, astar_e, _ = halved_operators(ctx, ue)
-    assert te_dimension(ctx, ue) == span_closure([a2e, astar_e])[1]
+    assert te_dimension(ctx, ue) == span_closure(SparseMatrix.identity(ue.dim), [a2e, astar_e])[1]
 
 
-def test_te_dimension_closes_once_in_orbit_coordinates(monkeypatch):
+def test_te_dimension_closes_once_on_selected_rows(monkeypatch):
     calls = []
     real = terwilliger.span_closure
 
-    def recorded(generators):
-        calls.append([(g.rows, g.cols) for g in generators])
-        return real(generators)
+    def recorded(start, generators):
+        calls.append(((start.rows, start.cols), [(g.rows, g.cols) for g in generators]))
+        return real(start, generators)
 
     monkeypatch.setattr(terwilliger, "span_closure", recorded)
     ctx, ue = _even_half(CubeContext(D=7, base=0b0110000))
     assert te_dimension(ctx, ue) == 30
-    assert calls == [[(30, 30), (30, 30)]]
+    assert calls == [((4, 64), [(64, 64), (64, 64)])]
 
 
-@pytest.mark.parametrize("at_representative", (True, False))
-def test_orbit_coordinates_refuse_an_operator_not_constant_on_orbits(at_representative):
+@pytest.mark.parametrize("entry", ((1, 1), (0, 3)), ids=("diagonal", "off_diagonal"))
+def test_te_dimension_refuses_an_operator_not_commuting_with_the_stabilizer(monkeypatch, entry):
+    # even-half index 1 is the vertex 00011, at distance 2 from the base, so
+    # its diagonal entry shares an orbit with nine others; a bump at the base
+    # itself, a one-pair orbit, would still commute
     ctx, ue = _even_half(CubeContext(D=5, base=0b00110))
-    a2e, _, _ = halved_operators(ctx, ue)
-    table, reps = _orbit_table(ctx)
-    assert _orbit_coordinates(table, reps, a2e)[table[0][0]] == 5
-    # one pair of an orbit with more than one pair: its representative, or another pair
-    i, j = next((i, j) for i, row in enumerate(table) for j, o in enumerate(row)
-                if reps[o] != (i, j))
-    if at_representative:
-        i, j = reps[table[i][j]]
-    bumped = a2e + SparseMatrix(ue.dim, ue.dim, {(i, j): 1})
-    with pytest.raises(ArithmeticError):
-        _orbit_coordinates(table, reps, bumped)
+    real = terwilliger.halved_operators
+
+    def bumped(ctx, ue):
+        a2e, astar_e, halved = real(ctx, ue)
+        return a2e + SparseMatrix(ue.dim, ue.dim, {entry: 1}), astar_e, halved
+
+    assert te_dimension(ctx, ue) == te_dimension_formula(5)
+    monkeypatch.setattr(terwilliger, "halved_operators", bumped)
+    with pytest.raises(ArithmeticError, match="stabilizer"):
+        te_dimension(ctx, ue)
 
 
 def _orbit_triples(D):
@@ -233,9 +233,18 @@ def _orbit_triples(D):
 def test_orbit_count_equals_te_dimension_formula():
     for D in list(range(2, 61)) + [200]:
         assert _orbit_triples(D) == te_dimension_formula(D)
-    for D in range(2, 9):
-        _, reps = _orbit_table(CubeContext(D=D, base=_all_ones_even(D)))
-        assert len(reps) == _orbit_triples(D)
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+def test_selected_rows_meet_every_orbit(D):
+    # the premise of te_dimension's row selection: the rows of the vertices
+    # (2^i - 1)^b, i even, meet as many orbits as there are in all
+    evens = [y for y in range(1 << D) if bin(y).count("1") % 2 == 0]
+    for base in (0, _all_ones_even(D)) + ((0b101,) if D >= 3 else ()):
+        rows = [((1 << i) - 1) ^ base for i in range(0, D + 1, 2)]
+        triples = {(bin(x ^ base).count("1"), bin(y ^ base).count("1"),
+                    bin((x ^ base) & (y ^ base)).count("1")) for x in rows for y in evens}
+        assert len(triples) == te_dimension_formula(D)
 
 
 def test_decompose_halved_examples():
