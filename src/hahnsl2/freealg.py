@@ -5,7 +5,11 @@ generator names; the empty word is the unit.  Ideal membership in a
 two-sided ideal is decided positively only: the search enumerates products
 left*generator*right of bounded degree and row-reduces their coefficient
 vectors, so a returned certificate is an exact, replayable linear
-combination, while "not found up to the bound" proves nothing.
+combination, while "not found up to the bound" proves nothing.  The columns
+of those vectors are words in a degree-first order (longest first, then
+lexicographic), the column order of an F4 Macaulay matrix (Faugere, J. Pure
+Appl. Algebra 139, 1999): each product pivots on its leading word, so the
+echelon rows stay sparse and their integers small.
 """
 
 from __future__ import annotations
@@ -175,6 +179,12 @@ def ideal_membership(
     candidates gives the certificate; they are linearly independent, so its
     coefficients are unique.  Returns None when the bound is exhausted (which
     proves nothing).  The bound defaults to degree(target) + 4.
+
+    A word's column is computed from the word alone, with longer words first
+    and words of one length in lexicographic order, so a candidate u*g*v
+    pivots on u*lead(g)*v and no table of all words is built.  Whether a
+    candidate enlarges the span does not depend on the column order, so the
+    kept candidates, the certificate and a None result do not either.
     """
     if not generators:
         raise ValueError("no ideal generators given")
@@ -188,10 +198,22 @@ def ideal_membership(
         return MembershipCertificate(target.alphabet, tuple(generators), ())
 
     alphabet = target.alphabet
-    word_index: dict[Word, int] = {}
+    # The column of a word depends on the word alone: its letters read as
+    # base-b digits x, placed at top - b^(len+1) + x.  Longer words get
+    # smaller columns, words of one length are in lexicographic order, and
+    # every word of length <= degree_bound gets one in [0, top).
+    base = max(len(alphabet), 2)
+    digit = {s: i for i, s in enumerate(alphabet)}
+    top = base ** (degree_bound + 1)
+
+    def column(w: Word) -> int:
+        x = 0
+        for s in w:
+            x = x * base + digit[s]
+        return top - base ** (len(w) + 1) + x
 
     def vec_of(terms: dict[Word, Fraction]) -> Vector:
-        return {word_index.setdefault(w, len(word_index)): c for w, c in terms.items()}
+        return {column(w): c for w, c in terms.items()}
 
     basis = EchelonBasis()
     accepted: list[tuple[Word, int, Word]] = []
@@ -217,7 +239,7 @@ def ideal_membership(
                         residual = basis.reduce(residual)
                         if residual:
                             continue
-                        matrix = SparseMatrix.from_columns(columns, len(word_index))
+                        matrix = SparseMatrix.from_columns(columns, top)
                         coeffs = solve(matrix, target_vec)
                         triples = tuple((coeffs[t], *accepted[t]) for t in sorted(coeffs))
                         cert = MembershipCertificate(alphabet, tuple(generators), triples)

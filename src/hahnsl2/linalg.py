@@ -21,7 +21,7 @@ to the computation that builds it.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -380,15 +380,17 @@ class EchelonBasis:
     with a positive pivot entry, which fixes each of them uniquely; ``rows``
     hands out the same rows scaled to pivot entry 1, as Fractions.
     Insertion reduces the incoming vector first and then back-reduces the
-    stored rows, so the basis stays fully reduced; this is what makes
-    span-closure loops cheap to terminate.
+    stored rows, so the basis stays fully reduced.  That is what makes
+    reduction cheap: eliminating one pivot brings no other pivot column into
+    a vector, so a reduction visits only the pivots in the vector's own
+    support, looked up in the map from pivot to row, not every row.
     """
 
     __slots__ = ("pivots", "_rows", "_monic")
 
     def __init__(self):
         self.pivots: list[int] = []
-        self._rows: list[IntVector] = []
+        self._rows: dict[int, IntVector] = {}  # pivot -> row
         self._monic: Optional[list[Vector]] = None
 
     def __len__(self) -> int:
@@ -398,18 +400,19 @@ class EchelonBasis:
     def rows(self) -> list[Vector]:
         """The monic reduced rows (pivot entry 1), kept until the next insert."""
         if self._monic is None:
-            self._monic = [{i: Fraction(x, row[p]) for i, x in row.items()}
-                           for p, row in zip(self.pivots, self._rows)]
+            rows = self._rows
+            self._monic = [{i: Fraction(x, rows[p][p]) for i, x in rows[p].items()}
+                           for p in self.pivots]
         return self._monic
 
     def _reduce(self, w: IntVector) -> tuple[IntVector, int]:
         """(u, s) with s > 0 and u = s*w minus integer multiples of the rows,
         zero in every pivot column."""
         s = 1
-        for p, row in zip(self.pivots, self._rows):
-            if w.get(p):
-                w, a = _eliminate(w, row, p)
-                s *= a
+        rows = self._rows
+        for p in sorted(rows.keys() & w.keys()):
+            w, a = _eliminate(w, rows[p], p)
+            s *= a
         return w, s
 
     def reduce(self, v: Vector) -> Vector:
@@ -432,12 +435,11 @@ class EchelonBasis:
         p = min(w)
         w = _primitive(w, p)
         rows = self._rows
-        for k, other in enumerate(rows):
+        for q, other in rows.items():
             if other.get(p):
-                rows[k] = _primitive(_eliminate(other, w, p)[0], self.pivots[k])
-        k = bisect(self.pivots, p)
-        self.pivots.insert(k, p)
-        rows.insert(k, w)
+                rows[q] = _primitive(_eliminate(other, w, p)[0], q)
+        insort(self.pivots, p)
+        rows[p] = w
         self._monic = None
         return True
 
@@ -445,10 +447,8 @@ class EchelonBasis:
 def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     basis = EchelonBasis()
-    for r in range(m.rows):
-        row = m._num.get(r)
-        if row:
-            basis._insert(row)
+    for r in sorted(m._num):
+        basis._insert(m._num[r])
     return basis, len(basis)
 
 
@@ -461,7 +461,8 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
         if free in pivot_set:
             continue
         v: Vector = {free: Fraction(1)}
-        for p, row in zip(basis.pivots, basis._rows):
+        for p in basis.pivots:
+            row = basis._rows[p]
             c = row.get(free)
             if c:
                 v[p] = Fraction(-c, row[p])
@@ -519,15 +520,17 @@ def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:
     aug_col = m.cols
     bw, bden = _clear(b)
     basis = EchelonBasis()
-    # row r of [M | b], times the denominators of M and b
-    for r in range(m.rows):
+    # row r of [M | b], times the denominators of M and b; a row that is
+    # zero in both adds nothing, so only the stored rows and b's support
+    # are visited
+    for r in sorted(m._num.keys() | bw.keys()):
         row = {c: bden * x for c, x in m._num.get(r, {}).items()}
         if r in bw:
             row[aug_col] = m._den * bw[r]
-        if row:
-            basis._insert(row)
+        basis._insert(row)
     x: Vector = {}
-    for p, row in zip(basis.pivots, basis._rows):
+    for p in basis.pivots:
+        row = basis._rows[p]
         if p == aug_col:
             return None  # inconsistent system
         # rows are fully reduced; with free variables at 0 the pivot is forced

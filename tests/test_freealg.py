@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -199,3 +200,71 @@ def test_degree_and_str():
     q = FreePoly(AB, {"BA": Q(1), "AB": Q(-2, 3), "": Q(-5, 2), "B": Q(1)})
     assert str(q) == "-5/2 + B - 2/3*AB + BA"
     assert repr(q) == "FreePoly(-5/2 + B - 2/3*AB + BA)"
+
+
+# The search numbers its columns by a degree-first order on words, so each
+# candidate u*g*v pivots on u*lead(g)*v.  A candidate is kept exactly when it
+# is independent of the earlier ones, which no column order changes, so the
+# certificates and the None results below are those of any other order.
+
+def _hatted_residual():
+    from hahnsl2.hahn import _identity_targets
+
+    return dict(_identity_targets())["hatted-HE2-commutator"]
+
+
+def test_membership_at_bound_30_equals_bound_8_without_a_table_of_words():
+    # 2^31 words have length <= 30; the search must touch only those it meets
+    from time import perf_counter
+
+    from hahnsl2.hahn import presentation
+
+    relators = list(presentation().relators)
+    residual = _hatted_residual()
+    at_8 = ideal_membership(residual, relators, 8)
+    start = perf_counter()
+    at_30 = ideal_membership(residual, relators, 30)
+    assert perf_counter() - start < 1
+    assert at_8 is not None and at_30 == at_8
+
+
+def test_generator_above_the_bound_changes_nothing():
+    from hahnsl2.hahn import presentation
+
+    relators = list(presentation().relators)
+    residual = _hatted_residual()
+    high = FreePoly(AB, {"A" * 9: Q(1), "B": Q(2)})
+    without = ideal_membership(residual, relators, 8)
+    with_high = ideal_membership(residual, relators + [high], 8)
+    assert with_high.triples == without.triples
+
+
+# 3/2*ABAB - 2*AAB, the target the ideal-exhaust bench draws with seed 1
+NONMEMBER = FreePoly(AB, {"ABAB": Q(3, 2), "AAB": Q(-2)})
+
+
+def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
+    from hahnsl2 import linalg
+    from hahnsl2.hahn import natural, presentation
+
+    # the natural map kills every relator but not the target
+    assert not natural(NONMEMBER).is_zero()
+    calls = Counter()
+    insert, eliminate = linalg.EchelonBasis.insert, linalg._eliminate
+
+    def counting_insert(self, v):
+        accepted = insert(self, v)
+        calls["insert"] += 1
+        calls["accepted"] += accepted
+        return accepted
+
+    def counting_eliminate(w, row, p):
+        calls["eliminate"] += 1
+        return eliminate(w, row, p)
+
+    monkeypatch.setattr(linalg.EchelonBasis, "insert", counting_insert)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    assert ideal_membership(NONMEMBER, list(presentation().relators), 8) is None
+    assert (calls["insert"], calls["accepted"]) == (516, 327)
+    # 2,238 here; numbering words by first appearance took 15,672
+    assert calls["eliminate"] <= 2300

@@ -129,3 +129,17 @@ def test_kernel_and_inverse_suite():
         # certificates here live in the full kernel-generator list
         assert cert.generators == pres.kernel_generators
         assert natural(cert.replay()).is_zero()
+
+
+def test_relators_span_three_dimensions():
+    # [alpha, B] = -[beta, A] in the free algebra, so a quarter of the
+    # candidates of every membership search are dependent
+    from hahnsl2.linalg import EchelonBasis
+
+    relators = presentation().relators
+    assert relators[1] == -relators[2]
+    words = sorted({w for r in relators for w in r.terms})
+    basis = EchelonBasis()
+    for r in relators:
+        basis.insert({words.index(w): c for w, c in r.terms.items()})
+    assert len(basis) == 3

@@ -192,6 +192,7 @@ def test_echelon_insert_keeps_reduced_invariants():
     for _ in range(12):
         basis.insert({i: F(rng.randint(-3, 3)) for i in range(6)})
     assert basis.pivots == sorted(basis.pivots)
+    assert sorted(basis._rows) == basis.pivots
     for p, row in zip(basis.pivots, basis.rows):
         assert row[p] == 1
         for q, other in zip(basis.pivots, basis.rows):
@@ -222,6 +223,37 @@ def test_solve():
     x = solve(m, {0: F(3), 1: F(2)})
     assert m.apply(x) == {0: F(3), 1: F(2)}
     assert solve(SparseMatrix.from_rows([[1, 1], [1, 1]]), {0: F(1), 1: F(2)}) is None
+
+
+def test_solve_and_kernel_walk_only_the_stored_rows():
+    # 2^40 rows and three nonzero entries: a loop over every row would not end
+    m = SparseMatrix(2**40, 3, {(0, 0): 2, (7, 1): F(1, 3), (2**39, 2): -1})
+    assert solve(m, {0: F(4), 7: F(1), 2**39: F(5)}) == {0: F(2), 1: F(3), 2: F(-5)}
+    assert solve(m, {}) == {}
+    # row 5 of M is zero, but b is not there: inconsistent
+    assert solve(m, {0: F(4), 5: F(1)}) is None
+    assert kernel_basis(m) == []
+    assert rref(m)[1] == 3
+    assert kernel_basis(SparseMatrix(2**40, 2, {(3, 0): 1})) == [{1: F(1)}]
+
+
+def test_echelon_reduce_eliminates_only_the_pivots_in_the_support(monkeypatch):
+    from hahnsl2 import linalg
+
+    basis = EchelonBasis()
+    for i in range(40):
+        basis.insert({i: F(1), i + 1: F(i + 2)})
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(w, row, p):
+        calls.append(p)
+        return eliminate(w, row, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    # the rows are fully reduced, so only pivots 3 and 17 are eliminated
+    assert basis.reduce({3: F(1), 17: F(2), 41: F(1)}) != {}
+    assert calls == [3, 17]
 
 
 def test_restrict_to_subspace():
