@@ -42,14 +42,9 @@ from .reps import (
     verify_ladder_modules,
 )
 from .terwilliger import (
-    CubeContext,
-    adjacency,
-    cube_rho,
+    CubeAlgebra,
     decompose_halved,
     decompose_standard,
-    dual_adjacency,
-    even_half,
-    halved_operators,
     te_dimension,
     te_dimension_formula,
 )
@@ -93,14 +88,9 @@ __all__ = [
     "restrict_even",
     "signature",
     "verify_ladder_modules",
-    "CubeContext",
-    "adjacency",
-    "cube_rho",
+    "CubeAlgebra",
     "decompose_halved",
     "decompose_standard",
-    "dual_adjacency",
-    "even_half",
-    "halved_operators",
     "te_dimension",
     "te_dimension_formula",
 ]

@@ -15,13 +15,14 @@ import sys
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
 
-# Largest D the cube suite accepts: the suite at one D takes about 0.3 s at
-# D = 8 and 1.05 s at D = 9 on a 2-vCPU machine (Python 3.11, in process), so
-# each further D costs about 3.5 times more.  That cost is spread over the
-# Terwilliger dimension's closure and the arithmetic on the 2^D-dimensional
-# cube module and its even half: the products that build them and check their
-# relations.
-D_MAX_CAP = 9
+# Largest D the cube suite accepts: the suite works on functions on the
+# C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D vertices, and
+# at one D takes about 0.1 s at D = 10 and 1.2 s at D = 16 on a 2-vCPU machine
+# (Python 3.11, in process), each further D costing about 1.4 times more.
+# At D = 16 about half of it is the row scan of the N x N products that build
+# the orbit operators and certify their sl2 relations, and most of the rest
+# the closure that gives the Terwilliger dimension.
+D_MAX_CAP = 16
 
 
 def _summary(total: int, passed: int) -> dict:
@@ -68,15 +69,14 @@ def run_repr(n_max: int) -> dict:
 def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
     items: list[CheckItem] = []
     per_d = []
+    # the report names the base vertex b, but x -> x^b is an automorphism of
+    # the cube, so the orbit computation does not depend on it
     base = int(base_bits, 2) if base_bits else 0
     for D in range(d_min, d_max + 1):
-        ctx = terwilliger.CubeContext(D=D, base=base)
-        rep = terwilliger.cube_rho(ctx)
-        sd = terwilliger.decompose_standard(ctx, rep)
-        ue = terwilliger.even_half(ctx, rep)
-        del rep  # the halved-cube checks need only the even half
-        hd = terwilliger.decompose_halved(ctx, ue)
-        dim = terwilliger.te_dimension(ctx, ue)
+        cube = terwilliger.CubeAlgebra(D)
+        sd = terwilliger.decompose_standard(cube)
+        hd = terwilliger.decompose_halved(cube)
+        dim = terwilliger.te_dimension(cube)
         formula = terwilliger.te_dimension_formula(D)
         standard_ok = sd.formula_ok and sd.dimension_ok
         halved_ok = hd.labels_ok and hd.formula_ok and hd.dimension_ok
@@ -84,7 +84,7 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
         per_d.append(
             {
                 "D": D,
-                "base_vertex": ctx.bitstring(ctx.base),
+                "base_vertex": format(base, f"0{D}b"),
                 "standard_decomposition": [[n, m] for n, m in sorted(sd.multiplicities.items())],
                 "halved_decomposition": [
                     [str(reps.ModuleLabel(n, p)), m] for (n, p), m in sorted(hd.blocks.items())
@@ -229,7 +229,7 @@ def _validate(args, parser) -> None:
             parser.error("need 2 <= d-min <= d-max")
         if args.d_max > D_MAX_CAP:
             parser.error(f"--d-max is capped at {D_MAX_CAP}: the cube suite costs "
-                         "about 3 times more with each D beyond it")
+                         "about 1.4 times more with each D beyond it")
         if args.base_vertex is not None:
             if args.d_min != args.d_max:
                 parser.error("--base-vertex needs a single D (set d-min = d-max)")

@@ -3,9 +3,10 @@ irreducibility testing, and the classification of the even-subalgebra
 irreducibles.
 
 Every module is given in a weight basis, where H is diagonal: the ladder
-basis of L_n and its halves, or the vertex basis of the cube and its even
-half.  Weight spaces are then sets of coordinates, and irreducibility is
-read off which coordinates the operators connect.
+basis of L_n and its halves, or the orbit functions of the cube's
+Terwilliger algebra (``terwilliger.CubeAlgebra``), on which H = A* acts
+diagonally.  Weight spaces are then sets of coordinates, and
+irreducibility is read off which coordinates the operators connect.
 
 ``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
 built.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its

@@ -1,82 +1,161 @@
-"""Hypercubes, halved hypercubes and their Terwilliger algebras.
+"""The Terwilliger algebras of the hypercube and the halved hypercube, in
+orbit coordinates.
 
-Vertices of the D-cube are the integers 0..2^D-1, read as bitstrings (the
-canonical order is the integer value); the graph distance is the Hamming
-distance, so everything is built from bit twiddling, with no graph library.
+Fix a base vertex b of the D-cube, whose vertices are the bitstrings of
+length D.  The adjacency A and the dual adjacency A* = diag(D - 2|y^b|)
+commute with the coordinate permutations of x^b, the automorphisms that fix
+b; so do E, F = A/2 -/+ [A, A*]/4, H = A* and the Casimir, every operator of
+the cube suite.  A matrix M that commutes with them is constant on each
+orbit of vertex pairs (x, y), and the orbit of (x, y) is the triple
+
+    i = |x^b|,  j = |y^b|,  t = |(x^b) & (y^b)|,
+    with t <= min(i, j) and i + j - t <= D.
+
+So M is a function X on the C(D+3, 3) triples, the coordinates of M in the
+0/1 basis M_(i,j,t) of the centralizer algebra: the Terwilliger algebra of
+the hypercube (Go, European J. Combin. 23, 2002; Schrijver, IEEE Trans.
+Inf. Theory 51, 2005).  No 2^D-dimensional matrix is built.  x -> x^b is an
+automorphism that takes b to the zero vertex, so nothing here depends on b.
+
+The stencils.  (A M)(x, y) sums M over the pairs (x', y) with x' a
+neighbour of x, and flipping one coordinate k of x^b moves the orbit in one
+of four ways:
+  - k lies in x^b and in y^b (t choices): i and t drop by 1;
+  - k lies in x^b only (i - t choices): i drops by 1;
+  - k lies in y^b only (j - t choices): i and t grow by 1;
+  - k lies in neither (D - i - j + t choices): i grows by 1.
+Hence
+    (A X)(i,j,t) = t X(i-1,j,t-1) + (i-t) X(i-1,j,t)
+                   + (j-t) X(i+1,j,t+1) + (D-i-j+t) X(i+1,j,t),
+    (A* X)(i,j,t) = (D - 2i) X(i,j,t).
+Transposition maps M_(i,j,t) to M_(j,i,t) and fixes the symmetric A and A*,
+so right multiplication X -> X A is the same stencil with i and j swapped.
+
+Faithfulness.  Left multiplication X -> L_Y X is the left regular
+representation of the centralizer algebra, and L_Y applied to the identity
+I (the function 1 on the triples (i,i,i)) is Y itself.  So a polynomial in
+A and A* vanishes on the 2^D-dimensional cube module exactly when it
+vanishes on the orbit functions.  ``SL2Rep`` certifies the sl2 relations of
+the left multiplications by E, F, H, and P(Lam) I = 0 for a polynomial P
+says that P(Lam) = 0 on the cube.
+
+Traces.  M_(i,i,i) is the identity on the C(D, i) vertices at distance i
+from b, so the trace of X on the cube module is the sum over i of
+C(D, i) X(i,i,i); on the even half (b of even weight) the sum runs over
+even i, and its term at i is the trace on the weight-(D - 2i) space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, prod
 
-from .linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace, span_closure, vstack
-from .reps import ModuleLabel, SL2Rep, UeRep, ladder_embedding
-
-
-def _weight(v: int) -> int:
-    return bin(v).count("1")
+from . import usl2
+from .linalg import SparseMatrix, Vector, span_closure
+from .reps import ModuleLabel, SL2Rep, evaluate
 
 
-@dataclass(frozen=True)
-class CubeContext:
-    """The D-cube with a distinguished base vertex (default all-zeros)."""
+def _orbits(D: int) -> list[tuple[int, int, int]]:
+    """The orbit triples (i, j, t) of the D-cube, in lexicographic order."""
+    return [(i, j, t) for i in range(D + 1) for j in range(D + 1)
+            for t in range(max(0, i + j - D), min(i, j) + 1)]
 
-    D: int
-    base: int = 0
 
-    def __post_init__(self):
-        if self.D < 2:
+def _adjacency_stencil(D: int, i: int, j: int, t: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """The four terms (source triple, coefficient) of (A X)(i, j, t), one per
+    kind of bit flip; a source whose coefficient is 0 may not be a triple."""
+    return (((i - 1, j, t - 1), t), ((i - 1, j, t), i - t),
+            ((i + 1, j, t + 1), j - t), ((i + 1, j, t), D - i - j + t))
+
+
+def _poly(roots) -> list[Fraction]:
+    """The coefficients of prod (x - r) over the roots, constant term first."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+class CubeAlgebra:
+    """The Terwilliger algebra of the D-cube, as functions on the orbit
+    triples: the four multiplication operators, each N x N with N = C(D+3, 3),
+    and the cube module's sl2 action.
+
+    ``left_a`` and ``left_astar`` send X to A X and A* X, acting on orbit
+    functions as columns; ``rep`` is the ``SL2Rep`` of the left
+    multiplications by E, F and H = A*, certified at construction.
+    ``right_a`` and ``right_astar`` send X to X A and X A*, acting on orbit
+    functions as rows (X -> X R), the form ``span_closure`` multiplies.
+    """
+
+    def __init__(self, D: int):
+        if D < 2:
             raise ValueError("D must be at least 2")
-        if not 0 <= self.base < 1 << self.D:
-            raise ValueError("base vertex out of range")
+        self.D = D
+        self.orbits = _orbits(D)
+        index = self.index = {o: k for k, o in enumerate(self.orbits)}
+        n = len(self.orbits)
+        a: dict[tuple[int, int], int] = {}
+        for r, (i, j, t) in enumerate(self.orbits):
+            for source, c in _adjacency_stencil(D, i, j, t):
+                if c:
+                    a[r, index[source]] = c
+        self.left_a = SparseMatrix(n, n, a)
+        self.left_astar = SparseMatrix(n, n, {(k, k): D - 2 * i for k, (i, _, _) in enumerate(self.orbits)})
+        bracket = self.left_a * self.left_astar - self.left_astar * self.left_a
+        half_a = self.left_a.scale(Fraction(1, 2))
+        self.rep = SL2Rep(n, half_a - bracket.scale(Fraction(1, 4)),
+                          half_a + bracket.scale(Fraction(1, 4)), self.left_astar)
+        # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
+        swap = [index[j, i, t] for i, j, t in self.orbits]
+        self.right_a, self.right_astar = (
+            SparseMatrix(n, n, {(swap[c], swap[r]): v for r, c, v in m.items()})
+            for m in (self.left_a, self.left_astar))
 
-    @property
-    def size(self) -> int:
-        return 1 << self.D
+    def identity(self, weights) -> Vector:
+        """The orbit function of the identity on the vertices at the
+        distances i from the base vertex, for i in ``weights``."""
+        return {self.index[i, i, i]: Fraction(1) for i in weights}
 
-    def vertices(self) -> range:
-        return range(self.size)
+    @cached_property
+    def isotypic_diagonals(self) -> dict[int, list[Fraction]]:
+        """n -> [e_n(i,i,i) for i = 0..D], for n = D, D - 2, ..., where e_n
+        is the idempotent of the L_n-isotypic part of the cube module.
 
-    def distance(self, x: int, y: int) -> int:
-        return _weight(x ^ y)
+        e_n is the Lagrange polynomial in the Casimir Lam that is 1 at c_n =
+        n(n+2)/2 and 0 at the other c_m, applied to I, so a combination of
+        the Krylov vectors Lam^k I.  First prod_n (Lam - c_n) I = 0 is
+        checked, else ArithmeticError: then Lam is diagonalizable on the cube
+        module with eigenvalues among the c_n, each e_n is the projection on
+        the c_n-eigenspace, which is the L_n-isotypic part since c_n
+        determines n, and a trace of e_n is a dimension.
+        """
+        D = self.D
+        lam = evaluate(usl2.casimir(), self.rep)
+        values = {n: Fraction(n * (n + 2), 2) for n in range(D, -1, -2)}
+        krylov = [self.identity(range(D + 1))]
+        for _ in values:
+            krylov.append(lam.apply(krylov[-1]))
+        powers = SparseMatrix.from_columns(krylov, len(self.orbits))
+        if powers.apply(dict(enumerate(_poly(values.values())))):
+            raise ArithmeticError("the Casimir values of L_D, L_(D-2), ... do not annihilate the cube module")
+        diagonal = [self.index[i, i, i] for i in range(D + 1)]
+        out = {}
+        for n, c in values.items():
+            others = [x for m, x in values.items() if m != n]
+            scale = prod(c - x for x in others)
+            e = powers.apply({k: x / scale for k, x in enumerate(_poly(others))})
+            out[n] = [e.get(r, Fraction(0)) for r in diagonal]
+        return out
 
-    def bitstring(self, v: int) -> str:
-        return format(v, f"0{self.D}b")
 
-
-def adjacency(ctx: CubeContext) -> SparseMatrix:
-    """0/1 adjacency operator; row sums equal D."""
-    n = ctx.size
-    entries = {}
-    for u in ctx.vertices():
-        for b in range(ctx.D):
-            entries[(u, u ^ (1 << b))] = Fraction(1)
-    return SparseMatrix(n, n, entries)
-
-
-def dual_adjacency(ctx: CubeContext) -> SparseMatrix:
-    """Diagonal operator with entries D - 2*distance(base, y)."""
-    n = ctx.size
-    entries = {}
-    for y in ctx.vertices():
-        val = ctx.D - 2 * ctx.distance(ctx.base, y)
-        if val:
-            entries[(y, y)] = Fraction(val)
-    return SparseMatrix(n, n, entries)
-
-
-def cube_rho(ctx: CubeContext) -> SL2Rep:
-    """The sl2 action on the cube: E, F from the adjacency and its bracket
-    with the dual adjacency, H the dual adjacency itself.  The SL2Rep
-    constructor certifies the defining relations exactly."""
-    a = adjacency(ctx)
-    astar = dual_adjacency(ctx)
-    bracket = a * astar - astar * a
-    e = a.scale(Fraction(1, 2)) - bracket.scale(Fraction(1, 4))
-    f = a.scale(Fraction(1, 2)) + bracket.scale(Fraction(1, 4))
-    return SL2Rep(dim=ctx.size, E=e, F=f, H=astar)
+def _count(x: Fraction) -> int:
+    """A trace that is a dimension, as an int."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"a dimension came out as {x}")
+    return int(x)
 
 
 def standard_multiplicity(D: int, k: int) -> int:
@@ -95,94 +174,49 @@ class StandardDecomposition:
     dimension_ok: bool
 
 
-def _weight_space(h: SparseMatrix, theta: int) -> SparseMatrix:
-    """The theta-weight space of a module in the vertex basis: the matrix
-    whose columns are the coordinate vectors where the diagonal H has entry
-    theta.  Raises ValueError when H is not diagonal."""
-    weights = diagonal(h)
-    if weights is None:
-        raise ValueError("H is not diagonal: the module must be in the vertex basis")
-    return SparseMatrix.from_columns([{v: Fraction(1)} for v, x in enumerate(weights) if x == theta],
-                                     h.rows)
-
-
-def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
-    """Multiplicities of the ladder summands of the cube module ``rep``
-    (``cube_rho(ctx)``), found by counting highest-weight vectors (ker E
-    inside each H-weight space), then cross-checked against the closed form
-    and the total dimension."""
+def decompose_standard(cube: CubeAlgebra) -> StandardDecomposition:
+    """Multiplicities of the ladder summands L_n of the cube module: the
+    trace of the isotypic idempotent e_n is m_n (n + 1).  Cross-checked
+    against the closed form and the total dimension 2^D."""
+    D = cube.D
     mults: dict[int, int] = {}
     formula_ok = True
-    for k in range(ctx.D // 2 + 1):
-        n = ctx.D - 2 * k
-        mult = len(kernel_basis(rep.E * _weight_space(rep.H, n)))
-        mults[n] = mult
-        if mult != standard_multiplicity(ctx.D, k):
+    for k in range(D // 2 + 1):
+        n = D - 2 * k
+        trace = sum(comb(D, i) * x for i, x in enumerate(cube.isotypic_diagonals[n]))
+        mults[n] = _count(trace / (n + 1))
+        if mults[n] != standard_multiplicity(D, k):
             formula_ok = False
     total = sum(m * (n + 1) for n, m in mults.items())
     return StandardDecomposition(
-        D=ctx.D,
+        D=D,
         multiplicities=mults,
         formula_ok=formula_ok,
-        dimension_ok=(total == ctx.size),
+        dimension_ok=(total == 1 << D),
     )
 
 
-def _evens(ctx: CubeContext) -> list[int]:
-    """The even-weight vertices in increasing order: the vertices of the
-    even half, in the order of its basis."""
-    return [v for v in ctx.vertices() if _weight(v) % 2 == 0]
+def te_dimension(cube: CubeAlgebra) -> int:
+    """Dimension of the halved-cube Terwilliger algebra T, generated by A^2
+    and A* on the even half.
 
-
-def even_half(ctx: CubeContext, rep: SL2Rep) -> UeRep:
-    """The cube module ``rep`` (``cube_rho(ctx)``) under the even subalgebra,
-    restricted to the even-weight vertices, on which the halved cube lives:
-    the rows and columns of E^2, F^2, the Casimir and H at those vertices, in
-    increasing order."""
-    if _weight(ctx.base) % 2 != 0:
-        raise ValueError("the base vertex of the halved cube must have even weight")
-    evens = _evens(ctx)
-    return UeRep(len(evens), *restrict_to_subspace(rep.even_operators(), evens))
-
-
-def halved_operators(ctx: CubeContext, ue: UeRep) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """A^2 and the dual adjacency on the even half ``ue``, plus the
-    halved-graph adjacency (A^2 - D)/2 (checked to be 0/1 with zero
-    diagonal).  On the cube A = E + F and A* = H, so A^2 = E^2 + F^2 + Lam -
-    H^2/2 is read off the even-subalgebra action."""
-    a2e = ue.E2 + ue.F2 + ue.Lam - (ue.H * ue.H).scale(Fraction(1, 2))
-    halved = (a2e - SparseMatrix.identity(ue.dim).scale(ctx.D)).scale(Fraction(1, 2))
-    for r, c, v in halved.items():
-        if r == c or v not in (0, 1):
-            raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
-    return a2e, ue.H, halved
-
-
-def te_dimension(ctx: CubeContext, ue: UeRep) -> int:
-    """Dimension of the algebra T generated by the two halved-cube operators.
-
-    Both are checked to commute with the D - 1 adjacent transpositions of
-    the coordinates of x^b, which generate the coordinate permutations that
-    fix the base vertex b.  So T lies in their centralizer, whose matrices
-    are constant on each orbit (|x^b|, |y^b|, |(x^b) & (y^b)|) of vertex
-    pairs (Schrijver, IEEE Trans. Inf. Theory 51, 2005).  The rows of the
-    vertices (2^i - 1)^b, i even, meet every orbit, so the selection t -> S t
-    of those rows is injective on the centralizer, and dim T is the
-    dimension of the span of S w over the words w in the two operators.
+    Both preserve the parity of |x^b|, so for I_e, the identity on the even
+    half, I_e w is the word w in the two operators restricted to the even
+    half, and T is the span of I_e w over all words w: the closure of the
+    row I_e under right multiplication by A^2 and A*.  An orbit function is
+    its matrix, so the dimension of that span of rows is dim T.  I_e A^2 is
+    first checked to give a halved-graph adjacency (A^2 - D)/2 that is 0/1
+    with a zero diagonal, else ArithmeticError.
     """
-    a2e, astar_e, _ = halved_operators(ctx, ue)
-    evens = _evens(ctx)
-    index = {v: k for k, v in enumerate(evens)}
-    for i in range(ctx.D - 1):
-        # transposing coordinates i and i + 1 of x^b flips both when they differ
-        perm = [index[v ^ (3 << i)] if ((v ^ ctx.base) >> i & 3) in (1, 2) else k
-                for k, v in enumerate(evens)]
-        if restrict_to_subspace([a2e, astar_e], perm) != [a2e, astar_e]:
-            raise ArithmeticError("operator does not commute with the stabilizer of the base vertex")
-    rows = range(0, ctx.D + 1, 2)
-    select = SparseMatrix(len(rows), ue.dim, {(r, index[((1 << i) - 1) ^ ctx.base]): 1
-                                              for r, i in enumerate(rows)})
-    _, dim = span_closure(select, [a2e, astar_e])
+    D, n = cube.D, len(cube.orbits)
+    even_identity = SparseMatrix(1, n, {(0, k): x for k, x in cube.identity(range(0, D + 1, 2)).items()})
+    a2 = cube.right_a * cube.right_a
+    halved = (even_identity * a2 - even_identity.scale(D)).scale(Fraction(1, 2))
+    for _, c, v in halved.items():
+        i, j, t = cube.orbits[c]
+        if v != 1 or i == j == t:
+            raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
+    _, dim = span_closure(even_identity, [a2, cube.right_astar])
     return dim
 
 
@@ -200,20 +234,21 @@ class HalvedDecomposition:
     wedderburn_dimension: int
 
 
-def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
-    """Isotypic decomposition of the even half ``ue`` of the cube module.
+def decompose_halved(cube: CubeAlgebra) -> HalvedDecomposition:
+    """Isotypic decomposition of the even half of the cube module.
 
-    For each expected family L_n^(p) the multiplicity is the dimension of
-    the space of top vectors (killed by E^2, correct H-weight, correct
-    Casimir scalar).  One top vector w labels the family: its
-    ``ladder_embedding`` must embed L_n^(p) in ``ue``, else ``labels_ok`` is
-    False.  Cross-checks: multiplicities match the closed form, dimensions
-    sum to 2^(D-1), and the sum of squared irreducible dimensions reproduces
-    the Terwilliger-algebra dimension formula (the Wedderburn decomposition).
+    A copy of L_n = L_(D-2k) meets the even half in the family L_n^(p), p =
+    k mod 2.  The character of e_n on the even half, weight D - 2i ->
+    C(D, i) e_n(i,i,i) for even i, must be m times the character of L_n^(p)
+    (its label's H-spectrum), where m, the multiplicity, is its value at the
+    top weight; else ``labels_ok`` is False.  The even half is a sum of such
+    families, and within the four ladder families a U_e-irreducible is fixed
+    by its top weight and its Casimir, so this check labels the block.
+    Cross-checks: multiplicities match the closed form, dimensions sum to
+    2^(D-1), and the sum of squared irreducible dimensions reproduces the
+    Terwilliger-algebra dimension formula (the Wedderburn decomposition).
     """
-    D = ctx.D
-    ident = SparseMatrix.identity(ue.dim)
-
+    D = cube.D
     blocks: dict[tuple[int, int], int] = {}
     labels_ok = True
     formula_ok = True
@@ -222,10 +257,9 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         if D - 2 * k < k % 2:
             continue  # L_0^(1) does not exist
         label = ModuleLabel(D - 2 * k, k % 2)
-        b = _weight_space(ue.H, label.top_weight)
-        stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(label.casimir)) * b)
-        tops = kernel_basis(stacked)
-        mult = len(tops)
+        diagonal = cube.isotypic_diagonals[label.n]
+        character = {D - 2 * i: comb(D, i) * diagonal[i] for i in range(0, D + 1, 2)}
+        mult = _count(character[label.top_weight])
         blocks[(label.n, label.parity)] = mult
         total += mult * label.dim
         if mult != standard_multiplicity(D, k):
@@ -233,7 +267,8 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         if mult == 0:
             labels_ok = False
             continue
-        if ladder_embedding(ue, b.apply(tops[0]), label) is None:
+        spectrum = label.signature().h_spectrum
+        if any(x != mult * spectrum.count(w) for w, x in character.items()):
             labels_ok = False
         wedderburn += label.dim ** 2
     return HalvedDecomposition(
@@ -241,6 +276,6 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         blocks=blocks,
         labels_ok=labels_ok,
         formula_ok=formula_ok,
-        dimension_ok=(total == ue.dim),
+        dimension_ok=(total == 1 << (D - 1)),
         wedderburn_dimension=wedderburn,
     )

@@ -111,8 +111,7 @@ def test_criterion_7_hypercube_decomposition():
     t0 = time.perf_counter()
     ok = True
     for D in range(2, 11):
-        ctx = terwilliger.CubeContext(D=D)
-        sd = terwilliger.decompose_standard(ctx, terwilliger.cube_rho(ctx))
+        sd = terwilliger.decompose_standard(terwilliger.CubeAlgebra(D))
         ok = ok and sd.formula_ok and sd.dimension_ok
         total = sum(m * (n + 1) for n, m in sd.multiplicities.items())
         ok = ok and total == 2**D
@@ -126,10 +125,9 @@ def test_criterion_8_halved_cube_structure():
     ok = True
     small_elapsed = None
     for D in range(2, 9):
-        ctx = terwilliger.CubeContext(D=D)
-        ue = terwilliger.even_half(ctx, terwilliger.cube_rho(ctx))
-        dim = terwilliger.te_dimension(ctx, ue)
-        hd = terwilliger.decompose_halved(ctx, ue)
+        cube = terwilliger.CubeAlgebra(D)
+        dim = terwilliger.te_dimension(cube)
+        hd = terwilliger.decompose_halved(cube)
         formula = terwilliger.te_dimension_formula(D)
         ok = ok and dim == formula == hd.wedderburn_dimension
         ok = ok and hd.labels_ok and hd.formula_ok and hd.dimension_ok

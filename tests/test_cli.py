@@ -48,9 +48,9 @@ def test_verify_hahn_json_validates_and_has_certificates(capsys):
 # rho sample verdict at the benchmark's n-max 10, every module label and
 # signature check (repr, including the n = 0 branch and the first odd half),
 # every decomposition block (cube, also at the benchmark's D = 7 from a
-# seeded base vertex) and the combined verify-all report with its summary and
-# `config.jobs` field.  A change to any of them must update
-# its digest here on purpose.
+# seeded base vertex, and at D = 8 and 9) and the combined verify-all report
+# with its summary and `config.jobs` field.  A change to any of them must
+# update its digest here on purpose.
 VERIFY_ALL_SMALL_ARGV = ["verify-all", "--n-max", "2", "--repr-n-max", "2", "--d-max", "3"]
 PINNED_REPORTS = [
     (["verify-hahn", "--degree-bound", "8"], 0,
@@ -71,6 +71,8 @@ PINNED_REPORTS = [
      "7329251afcd098c949630d49f1ce286266609b0db4b4d18bd7c6c281e686e874"),
     (["cube", "--d-min", "8", "--d-max", "8"], 0,
      "da8d9502a8aa2afc80831bdd56c8529d02e19de2d3250a0f5e89f40a3a3f66a1"),
+    (["cube", "--d-min", "9", "--d-max", "9"], 0,
+     "1fd33510ea87c3539786c0b4d52dfc6b97592c33e58154c0a810ea84eebaa900"),
     (VERIFY_ALL_SMALL_ARGV, 0,
      "63c23ede153d1fa47c405ae6ea4ee522a88b8b182b75299c115e4462db1fcab8"),
 ]
@@ -165,9 +167,9 @@ def test_cube_rejects_odd_base_vertex():
 def test_d_max_above_the_cap_is_refused(command, capsys):
     # refused while parsing, before any suite runs
     with pytest.raises(SystemExit) as exc:
-        main([command, "--d-max", "10"])
+        main([command, "--d-max", "17"])
     assert exc.value.code == 2
-    assert "capped at 9" in capsys.readouterr().err
+    assert "capped at 16" in capsys.readouterr().err
 
 
 def test_jobs_is_only_accepted_by_verify_all():

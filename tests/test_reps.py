@@ -21,7 +21,7 @@ from hahnsl2.reps import (
     signature,
     verify_ladder_modules,
 )
-from hahnsl2.terwilliger import CubeContext, cube_rho
+from hahnsl2.terwilliger import CubeAlgebra
 from tests.conftest import all_pass, dense, invert
 
 Q = Fraction
@@ -90,7 +90,7 @@ def test_evaluate_is_multiplicative(rand_usl2):
 def test_evaluate_multiplies_no_identity_factors(monkeypatch):
     # the Casimir is 2EF - H + H^2/2 in PBW form: E*F and H*H are the only
     # products that carry information
-    rep = cube_rho(CubeContext(D=5))
+    rep = CubeAlgebra(5).rep
     products = []
     real = SparseMatrix.matmul
 

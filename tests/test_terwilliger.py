@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,19 +14,16 @@ from hahnsl2.linalg import (
 )
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep, classify_ue_irreducible, evaluate
 from hahnsl2.terwilliger import (
-    CubeContext,
-    adjacency,
-    cube_rho,
+    CubeAlgebra,
     decompose_halved,
     decompose_standard,
-    dual_adjacency,
-    even_half,
-    halved_operators,
     standard_multiplicity,
     te_dimension,
     te_dimension_formula,
 )
+from tests import cube_oracle
 from tests.conftest import dense, eigenspace
+from tests.cube_oracle import CubeContext, adjacency, cube_rho, dual_adjacency, even_half, halved_operators
 
 Q = Fraction
 
@@ -33,6 +31,9 @@ Q = Fraction
 def _dense_square(m, n):
     d = dense(m)
     return [[sum(d[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+# -- the vertex-level oracle ---------------------------------------------------
 
 
 def test_adjacency_basics():
@@ -62,59 +63,8 @@ def test_dual_adjacency():
     assert diag == [-3, -1, -1, -1, 1, 1, 1, 3]
 
 
-def test_cube_rho_relations_certified():
-    for D in range(2, 6):
-        rep = cube_rho(CubeContext(D=D))  # SL2Rep checks the relations
-        a = adjacency(CubeContext(D=D))
-        assert rep.E + rep.F == a
-        assert rep.H == dual_adjacency(CubeContext(D=D))
-
-
-def test_cube_rho_natural_pullback_of_B():
-    # the composite map sends B to (A^2 - 1)/4
-    from hahnsl2.hahn import natural, presentation
-
-    ctx = CubeContext(D=3)
-    rep = cube_rho(ctx)
-    a = adjacency(ctx)
-    b_mat = evaluate(natural(presentation().B), rep)
-    expected = (a * a - SparseMatrix.identity(8)).scale(Q(1, 4))
-    assert b_mat == expected
-
-
-def _standard(ctx):
-    return decompose_standard(ctx, cube_rho(ctx))
-
-
 def _even_half(ctx):
     return ctx, even_half(ctx, cube_rho(ctx))
-
-
-def test_decompose_standard_examples():
-    sd = _standard(CubeContext(D=3))
-    assert sd.multiplicities == {3: 1, 1: 2}
-    assert sd.formula_ok and sd.dimension_ok
-    sd = _standard(CubeContext(D=4))
-    assert sd.multiplicities == {4: 1, 2: 3, 0: 2}
-    sd = _standard(CubeContext(D=2))
-    assert sd.multiplicities == {2: 1, 0: 1}
-
-
-def test_standard_multiplicity_integrality():
-    for D in range(2, 11):
-        for k in range(D // 2 + 1):
-            assert standard_multiplicity(D, k) >= 1
-
-
-def test_casimir_block_scalars_match_decomposition():
-    for D in (2, 3, 4, 5):
-        ctx = CubeContext(D=D)
-        rep = cube_rho(ctx)
-        lam = evaluate(usl2.casimir(), rep)
-        sd = decompose_standard(ctx, rep)
-        for n, mult in sd.multiplicities.items():
-            space = eigenspace(lam, Q(n * (n + 2), 2))
-            assert len(space) == mult * (n + 1)
 
 
 def test_halved_operators_d2():
@@ -164,14 +114,229 @@ def test_even_split_matches_dual_eigenvalue_classes():
                                 {(i, i): astar.get(v, v) for i, v in enumerate(evens)})
 
 
+def _all_ones_even(D):
+    return (1 << D) - 1 if D % 2 == 0 else (1 << D) - 2
+
+
+def test_te_dimension_closes_once_on_selected_rows(monkeypatch):
+    calls = []
+    real = cube_oracle.span_closure
+
+    def recorded(start, generators):
+        calls.append(((start.rows, start.cols), [(g.rows, g.cols) for g in generators]))
+        return real(start, generators)
+
+    monkeypatch.setattr(cube_oracle, "span_closure", recorded)
+    ctx, ue = _even_half(CubeContext(D=7, base=0b0110000))
+    assert cube_oracle.te_dimension(ctx, ue) == 30
+    assert calls == [((4, 64), [(64, 64), (64, 64)])]
+
+
+@pytest.mark.parametrize("entry", ((1, 1), (0, 3)), ids=("diagonal", "off_diagonal"))
+def test_te_dimension_refuses_an_operator_not_commuting_with_the_stabilizer(monkeypatch, entry):
+    # the oracle's check; its orbit-space counterpart is
+    # test_a_stencil_coefficient_off_by_one_is_refused.  Even-half index 1 is
+    # the vertex 00011, at distance 2 from the base, so its diagonal entry
+    # shares an orbit with nine others; a bump at the base itself, a one-pair
+    # orbit, would still commute
+    ctx, ue = _even_half(CubeContext(D=5, base=0b00110))
+    real = cube_oracle.halved_operators
+
+    def bumped(ctx, ue):
+        a2e, astar_e, halved = real(ctx, ue)
+        return a2e + SparseMatrix(ue.dim, ue.dim, {entry: 1}), astar_e, halved
+
+    assert cube_oracle.te_dimension(ctx, ue) == te_dimension_formula(5)
+    monkeypatch.setattr(cube_oracle, "halved_operators", bumped)
+    with pytest.raises(ArithmeticError, match="stabilizer"):
+        cube_oracle.te_dimension(ctx, ue)
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+def test_selected_rows_meet_every_orbit(D):
+    # the premise of the oracle's row selection: the rows of the vertices
+    # (2^i - 1)^b, i even, meet as many orbits as there are in all
+    evens = [y for y in range(1 << D) if bin(y).count("1") % 2 == 0]
+    for base in (0, _all_ones_even(D)) + ((0b101,) if D >= 3 else ()):
+        rows = [((1 << i) - 1) ^ base for i in range(0, D + 1, 2)]
+        triples = {(bin(x ^ base).count("1"), bin(y ^ base).count("1"),
+                    bin((x ^ base) & (y ^ base)).count("1")) for x in rows for y in evens}
+        assert len(triples) == te_dimension_formula(D)
+
+
+def test_decompose_halved_refuses_a_map_that_does_not_intertwine(monkeypatch):
+    # the oracle's label check; its orbit-space counterpart is
+    # test_decompose_halved_refuses_a_wrong_character.  Without the
+    # factorial rescaling the ladder map fails F^2 on L_4^(0)
+    monkeypatch.setattr(reps, "factorial", lambda k: 1)
+    hd = cube_oracle.decompose_halved(*_even_half(CubeContext(D=4)))
+    assert not hd.labels_ok
+    assert hd.formula_ok and hd.dimension_ok
+
+
+def test_decompositions_need_the_vertex_basis():
+    # conjugated by I + e_01 (inverse I - e_01), H has the entry
+    # H_11 - H_00 at (0, 1), so the weight spaces are no longer coordinate
+    # columns and both oracle decompositions refuse the module
+    ctx = CubeContext(D=4)
+    rep = cube_rho(ctx)
+
+    def conjugate(op):
+        m = SparseMatrix.identity(op.rows) + SparseMatrix(op.rows, op.rows, {(0, 1): 1})
+        mi = SparseMatrix.identity(op.rows) - SparseMatrix(op.rows, op.rows, {(0, 1): 1})
+        return m * op * mi
+
+    conj = SL2Rep(rep.dim, conjugate(rep.E), conjugate(rep.F), conjugate(rep.H))
+    assert conj.H.get(0, 1) == -2
+    with pytest.raises(ValueError, match="not diagonal"):
+        cube_oracle.decompose_standard(ctx, conj)
+    ue = even_half(ctx, rep)
+    conj_ue = UeRep(ue.dim, *(conjugate(op) for op in ue.operators()))
+    assert conj_ue.H.get(0, 1) == -4
+    with pytest.raises(ValueError, match="not diagonal"):
+        cube_oracle.decompose_halved(ctx, conj_ue)
+
+
+# -- orbit coordinates against the oracle -------------------------------------
+
+
+def _orbit_pairs(D, base):
+    """orbit triple -> the vertex pairs (x, y) in that orbit."""
+    pairs = {}
+    for x in range(1 << D):
+        for y in range(1 << D):
+            u, v = x ^ base, y ^ base
+            key = (bin(u).count("1"), bin(v).count("1"), bin(u & v).count("1"))
+            pairs.setdefault(key, []).append((x, y))
+    return pairs
+
+
+def _expand(cube, pairs, X):
+    """The 2^D x 2^D matrix of the orbit function X (orbit index -> value)."""
+    n = 1 << cube.D
+    return SparseMatrix(n, n, {xy: v for k, v in X.items() for xy in pairs[cube.orbits[k]]})
+
+
+@pytest.mark.parametrize("D", range(2, 7))
+def test_orbit_operators_expand_to_the_vertex_products(D):
+    # left A, left A*, right A and right A* on each basis matrix M_(i,j,t),
+    # at three base vertices, one of odd weight: the full-cube stencils
+    # need no even base
+    cube = CubeAlgebra(D)
+    for base in (0, 1, (1 << D) - 1):
+        ctx = CubeContext(D=D, base=base)
+        a, astar = adjacency(ctx), dual_adjacency(ctx)
+        pairs = _orbit_pairs(D, base)
+        assert sorted(pairs) == cube.orbits
+        for k in range(len(cube.orbits)):
+            m = _expand(cube, pairs, {k: Q(1)})
+            assert _expand(cube, pairs, cube.left_a.apply({k: Q(1)})) == a * m
+            assert _expand(cube, pairs, cube.left_astar.apply({k: Q(1)})) == astar * m
+            assert _expand(cube, pairs, cube.right_a.row(k)) == m * a
+            assert _expand(cube, pairs, cube.right_astar.row(k)) == m * astar
+
+
+PER_D_CASES = (
+    [(D, base) for D in range(2, 9) for base in sorted({0, _all_ones_even(D), 0b101 % (1 << D)})
+     if bin(base).count("1") % 2 == 0]
+    + [(9, 0)]
+)
+
+
+@pytest.mark.parametrize("D, base", PER_D_CASES)
+def test_every_per_d_field_matches_the_vertex_path(D, base):
+    bits = format(base, f"0{D}b")
+    assert cli.run_cube(D, D, bits)["per_d"] == [cube_oracle.per_d(D, base)]
+
+
+def test_cube_rho_relations_certified():
+    for D in range(2, 6):
+        cube = CubeAlgebra(D)  # SL2Rep checks the relations on orbit functions
+        assert cube.rep.E + cube.rep.F == cube.left_a
+        assert cube.rep.H == cube.left_astar
+        rep = cube_rho(CubeContext(D=D))  # and the oracle's on vertices
+        assert rep.E + rep.F == adjacency(CubeContext(D=D))
+        assert rep.H == dual_adjacency(CubeContext(D=D))
+
+
+def test_cube_rho_natural_pullback_of_B():
+    # the composite map sends B to (A^2 - 1)/4, on orbit functions as on vertices
+    from hahnsl2.hahn import natural, presentation
+
+    b = natural(presentation().B)
+    cube = CubeAlgebra(3)
+    expected = (cube.left_a * cube.left_a - SparseMatrix.identity(len(cube.orbits))).scale(Q(1, 4))
+    assert evaluate(b, cube.rep) == expected
+    ctx = CubeContext(D=3)
+    a = adjacency(ctx)
+    assert evaluate(b, cube_rho(ctx)) == (a * a - SparseMatrix.identity(8)).scale(Q(1, 4))
+
+
+@pytest.mark.parametrize("kind", range(4), ids=("both", "x_only", "y_only", "neither"))
+def test_a_stencil_coefficient_off_by_one_is_refused(monkeypatch, kind):
+    # one kind of bit flip counted once too often wherever it occurs: the
+    # left multiplications no longer satisfy the sl2 relations
+    real = terwilliger._adjacency_stencil
+
+    def bumped(D, i, j, t):
+        terms = list(real(D, i, j, t))
+        source, c = terms[kind]
+        if c:
+            terms[kind] = (source, c + 1)
+        return tuple(terms)
+
+    CubeAlgebra(5)
+    monkeypatch.setattr(terwilliger, "_adjacency_stencil", bumped)
+    with pytest.raises(ValueError, match="fails"):
+        CubeAlgebra(5)
+
+
+def test_a_wrong_casimir_is_refused(monkeypatch):
+    # Lam + 1 has no eigenvalue n(n+2)/2, so the Krylov check fails
+    shifted = usl2.casimir() + usl2.one()
+    monkeypatch.setattr(usl2, "casimir", lambda: shifted)
+    with pytest.raises(ArithmeticError, match="annihilate"):
+        decompose_standard(CubeAlgebra(4))
+
+
+def test_te_dimension_refuses_a_halved_adjacency_that_is_not_0_1():
+    cube = CubeAlgebra(5)
+    assert te_dimension(cube) == te_dimension_formula(5)
+    cube.right_a = cube.right_a.scale(2)
+    with pytest.raises(ArithmeticError, match="0/1"):
+        te_dimension(cube)
+
+
+def test_decompose_standard_examples():
+    sd = decompose_standard(CubeAlgebra(3))
+    assert sd.multiplicities == {3: 1, 1: 2}
+    assert sd.formula_ok and sd.dimension_ok
+    sd = decompose_standard(CubeAlgebra(4))
+    assert sd.multiplicities == {4: 1, 2: 3, 0: 2}
+    sd = decompose_standard(CubeAlgebra(2))
+    assert sd.multiplicities == {2: 1, 0: 1}
+
+
+def test_standard_multiplicity_integrality():
+    for D in range(2, 11):
+        for k in range(D // 2 + 1):
+            assert standard_multiplicity(D, k) >= 1
+
+
+def test_casimir_block_scalars_match_decomposition():
+    # oracle: the eigenspaces of the Casimir on the 2^D vertices
+    for D in (2, 3, 4, 5):
+        lam = evaluate(usl2.casimir(), cube_rho(CubeContext(D=D)))
+        sd = decompose_standard(CubeAlgebra(D))
+        for n, mult in sd.multiplicities.items():
+            space = eigenspace(lam, Q(n * (n + 2), 2))
+            assert len(space) == mult * (n + 1)
+
+
 def test_te_dimension_small():
     for D, expected in ((2, 4), (3, 5), (4, 11)):
         assert te_dimension_formula(D) == expected
-        assert te_dimension(*_even_half(CubeContext(D=D))) == expected
-
-
-def _all_ones_even(D):
-    return (1 << D) - 1 if D % 2 == 0 else (1 << D) - 2
+        assert te_dimension(CubeAlgebra(D)) == expected
 
 
 TE_ORACLE_CASES = (
@@ -186,10 +351,11 @@ def test_te_dimension_matches_brute_force_closure(D, base):
     # oracle: close the full 2^(D-1) x 2^(D-1) operators
     ctx, ue = _even_half(CubeContext(D=D, base=base))
     a2e, astar_e, _ = halved_operators(ctx, ue)
-    assert te_dimension(ctx, ue) == span_closure(SparseMatrix.identity(ue.dim), [a2e, astar_e])[1]
+    brute = span_closure(SparseMatrix.identity(ue.dim), [a2e, astar_e])[1]
+    assert te_dimension(CubeAlgebra(D)) == brute
 
 
-def test_te_dimension_closes_once_on_selected_rows(monkeypatch):
+def test_te_dimension_closes_once_on_the_even_identity_row(monkeypatch):
     calls = []
     real = terwilliger.span_closure
 
@@ -198,27 +364,8 @@ def test_te_dimension_closes_once_on_selected_rows(monkeypatch):
         return real(start, generators)
 
     monkeypatch.setattr(terwilliger, "span_closure", recorded)
-    ctx, ue = _even_half(CubeContext(D=7, base=0b0110000))
-    assert te_dimension(ctx, ue) == 30
-    assert calls == [((4, 64), [(64, 64), (64, 64)])]
-
-
-@pytest.mark.parametrize("entry", ((1, 1), (0, 3)), ids=("diagonal", "off_diagonal"))
-def test_te_dimension_refuses_an_operator_not_commuting_with_the_stabilizer(monkeypatch, entry):
-    # even-half index 1 is the vertex 00011, at distance 2 from the base, so
-    # its diagonal entry shares an orbit with nine others; a bump at the base
-    # itself, a one-pair orbit, would still commute
-    ctx, ue = _even_half(CubeContext(D=5, base=0b00110))
-    real = terwilliger.halved_operators
-
-    def bumped(ctx, ue):
-        a2e, astar_e, halved = real(ctx, ue)
-        return a2e + SparseMatrix(ue.dim, ue.dim, {entry: 1}), astar_e, halved
-
-    assert te_dimension(ctx, ue) == te_dimension_formula(5)
-    monkeypatch.setattr(terwilliger, "halved_operators", bumped)
-    with pytest.raises(ArithmeticError, match="stabilizer"):
-        te_dimension(ctx, ue)
+    assert te_dimension(CubeAlgebra(7)) == 30
+    assert calls == [((1, 120), [(120, 120), (120, 120)])]
 
 
 def _orbit_triples(D):
@@ -233,30 +380,35 @@ def _orbit_triples(D):
 def test_orbit_count_equals_te_dimension_formula():
     for D in list(range(2, 61)) + [200]:
         assert _orbit_triples(D) == te_dimension_formula(D)
-
-
-@pytest.mark.parametrize("D", range(2, 10))
-def test_selected_rows_meet_every_orbit(D):
-    # the premise of te_dimension's row selection: the rows of the vertices
-    # (2^i - 1)^b, i even, meet as many orbits as there are in all
-    evens = [y for y in range(1 << D) if bin(y).count("1") % 2 == 0]
-    for base in (0, _all_ones_even(D)) + ((0b101,) if D >= 3 else ()):
-        rows = [((1 << i) - 1) ^ base for i in range(0, D + 1, 2)]
-        triples = {(bin(x ^ base).count("1"), bin(y ^ base).count("1"),
-                    bin((x ^ base) & (y ^ base)).count("1")) for x in rows for y in evens}
-        assert len(triples) == te_dimension_formula(D)
+    for D in range(2, 12):
+        assert len(CubeAlgebra(D).orbits) == comb(D + 3, 3)
 
 
 def test_decompose_halved_examples():
-    hd = decompose_halved(*_even_half(CubeContext(D=4)))
+    hd = decompose_halved(CubeAlgebra(4))
     assert hd.blocks == {(4, 0): 1, (2, 1): 3, (0, 0): 2}
     assert hd.labels_ok and hd.formula_ok and hd.dimension_ok
     assert hd.wedderburn_dimension == 11
-    hd = decompose_halved(*_even_half(CubeContext(D=3)))
+    hd = decompose_halved(CubeAlgebra(3))
     assert hd.blocks == {(3, 0): 1, (1, 1): 2}
     assert hd.wedderburn_dimension == 5
-    hd = decompose_halved(*_even_half(CubeContext(D=2)))
+    hd = decompose_halved(CubeAlgebra(2))
     assert hd.blocks == {(2, 0): 1}
+
+
+def test_decompose_halved_refuses_a_wrong_character(monkeypatch):
+    # every label's H-spectrum shifted by 4: the traces of the isotypic
+    # idempotents no longer match it, but the multiplicities still do
+    real = ModuleLabel.signature
+
+    def shifted(label):
+        sig = real(label)
+        return reps.IsoSignature(sig.dim, sig.casimir_scalar, tuple(w + 4 for w in sig.h_spectrum))
+
+    monkeypatch.setattr(ModuleLabel, "signature", shifted)
+    hd = decompose_halved(CubeAlgebra(4))
+    assert not hd.labels_ok
+    assert hd.formula_ok and hd.dimension_ok
 
 
 def _ladder_summand(ue, n, parity):
@@ -281,66 +433,44 @@ def _ladder_summand(ue, n, parity):
 
 @pytest.mark.parametrize("D", range(2, 8))
 def test_decompose_halved_labels_agree_with_classifying_each_summand(D):
-    # oracle: restrict to each family's ladder and classify the summand,
-    # the check that the intertwiner Phi replaces
-    ctx, ue = _even_half(CubeContext(D=D))
-    hd = decompose_halved(ctx, ue)
+    # oracle: restrict the vertex-level even half to each family's ladder
+    # and classify the summand
+    hd = decompose_halved(CubeAlgebra(D))
     assert hd.labels_ok
+    _, ue = _even_half(CubeContext(D=D))
     for n, parity in hd.blocks:
         label, _ = classify_ue_irreducible(_ladder_summand(ue, n, parity))
         assert (label.n, label.parity) == (n, parity)
 
 
-def test_decompose_halved_refuses_a_map_that_does_not_intertwine(monkeypatch):
-    # without the factorial rescaling the ladder map fails F^2 on L_4^(0)
-    monkeypatch.setattr(reps, "factorial", lambda k: 1)
-    hd = decompose_halved(*_even_half(CubeContext(D=4)))
-    assert not hd.labels_ok
-    assert hd.formula_ok and hd.dimension_ok
-
-
-def test_decompositions_need_the_vertex_basis():
-    # conjugated by I + e_01 (inverse I - e_01), H has the entry
-    # H_11 - H_00 at (0, 1), so the weight spaces are no longer coordinate
-    # columns and both decompositions refuse the module
-    ctx = CubeContext(D=4)
-    rep = cube_rho(ctx)
-
-    def conjugate(op):
-        m = SparseMatrix.identity(op.rows) + SparseMatrix(op.rows, op.rows, {(0, 1): 1})
-        mi = SparseMatrix.identity(op.rows) - SparseMatrix(op.rows, op.rows, {(0, 1): 1})
-        return m * op * mi
-
-    conj = SL2Rep(rep.dim, conjugate(rep.E), conjugate(rep.F), conjugate(rep.H))
-    assert conj.H.get(0, 1) == -2
-    with pytest.raises(ValueError, match="not diagonal"):
-        decompose_standard(ctx, conj)
-    ue = even_half(ctx, rep)
-    conj_ue = UeRep(ue.dim, *(conjugate(op) for op in ue.operators()))
-    assert conj_ue.H.get(0, 1) == -4
-    with pytest.raises(ValueError, match="not diagonal"):
-        decompose_halved(ctx, conj_ue)
-
-
 def test_base_vertex_independence_small():
-    # vertex transitivity: same dimensions and multiplicities at any even base
-    reference = _even_half(CubeContext(D=4))
-    ref_blocks = decompose_halved(*reference).blocks
-    ref_dim = te_dimension(*reference)
+    # vertex transitivity: the oracle finds the same dimensions and
+    # multiplicities at any even base, and so does the orbit path, which
+    # does not depend on the base at all
+    reference = cube_oracle.per_d(4, 0)
     for base in (0b0011, 0b1111, 0b0101):
-        h = _even_half(CubeContext(D=4, base=base))
-        assert te_dimension(*h) == ref_dim
-        assert decompose_halved(*h).blocks == ref_blocks
+        entry = cli.run_cube(4, 4, format(base, "04b"))["per_d"][0]
+        assert entry == cube_oracle.per_d(4, base)
+        assert entry == {**reference, "base_vertex": format(base, "04b")}
+
+
+def test_cube_suite_holds_from_d10_to_the_cap():
+    for D in range(10, cli.D_MAX_CAP + 1):
+        cube = CubeAlgebra(D)
+        sd, hd = decompose_standard(cube), decompose_halved(cube)
+        assert sd.formula_ok and sd.dimension_ok, D
+        assert hd.labels_ok and hd.formula_ok and hd.dimension_ok, D
+        assert te_dimension(cube) == te_dimension_formula(D) == hd.wedderburn_dimension, D
 
 
 def test_run_cube_builds_one_cube_module_per_d(monkeypatch):
     builds = []
-    real = terwilliger.adjacency
 
-    def counted(ctx):
-        builds.append(ctx.D)
-        return real(ctx)
+    class Counted(CubeAlgebra):
+        def __init__(self, D):
+            builds.append(D)
+            super().__init__(D)
 
-    monkeypatch.setattr(terwilliger, "adjacency", counted)
+    monkeypatch.setattr(terwilliger, "CubeAlgebra", Counted)
     assert cli.run_cube(2, 5, None)["ok"]
     assert builds == [2, 3, 4, 5]
