@@ -1,15 +1,23 @@
 """Free noncommutative polynomials and degree-bounded ideal membership.
 
 Words are plain strings over a declared alphabet of single-character
-generator names; the empty word is the unit.  Ideal membership in a
-two-sided ideal is decided positively only: the search enumerates products
-left*generator*right of bounded degree and row-reduces their coefficient
-vectors, so a returned certificate is an exact, replayable linear
-combination, while "not found up to the bound" proves nothing.  The columns
-of those vectors are words in a degree-first order (longest first, then
-lexicographic), the column order of an F4 Macaulay matrix (Faugere, J. Pure
-Appl. Algebra 139, 1999): each product pivots on its leading word, so the
-echelon rows stay sparse and their integers small.
+generator names; the empty word is the unit.  A polynomial is a
+``linalg.Combination``, stored as integer numerators per word over one
+common denominator.  ``fmultiply`` multiplies numerators and denominators as
+plain ints, ``substitute`` scales each word's image by its numerator and
+divides the sum by the denominator once, and the ideal search reads each
+generator's numerators once; coefficients become ``Fraction``s only when
+read through ``terms``.
+
+Ideal membership in a two-sided ideal is decided positively only: the
+search enumerates products left*generator*right of bounded degree and
+row-reduces their coefficient vectors, so a returned certificate is an
+exact, replayable linear combination, while "not found up to the bound"
+proves nothing.  The columns of those vectors are words in a degree-first
+order (longest first, then lexicographic), the column order of an F4
+Macaulay matrix (Faugere, J. Pure Appl. Algebra 139, 1999): each product
+pivots on its leading word, so the echelon rows stay sparse and their
+integers small.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from .linalg import Combination, EchelonBasis, SparseMatrix, Vector, render_terms, solve
+from .linalg import Combination, EchelonBasis, IntVector, SparseMatrix, render_terms, solve
 
 Word = str
 
@@ -51,8 +59,8 @@ class FreePoly(Combination):
     def _space(self) -> tuple[str, ...]:
         return self.alphabet
 
-    def _like(self, terms: dict[Word, Fraction]) -> "FreePoly":
-        out = super()._like(terms)
+    def _new(self, num: dict[Word, int], den: int) -> "FreePoly":
+        out = super()._new(num, den)
         out.alphabet = self.alphabet
         return out
 
@@ -72,27 +80,26 @@ class FreePoly(Combination):
 
     def degree(self) -> int:
         """Max word length among terms (0 for the zero polynomial)."""
-        return max((len(w) for w in self.terms), default=0)
+        return max((len(w) for w in self._num), default=0)
 
     def __str__(self) -> str:
         """Terms in length-lexicographic order of their words."""
-        words = sorted(self.terms, key=lambda w: (len(w), w))
-        return render_terms((w or "1", self.terms[w]) for w in words)
+        terms = self.terms
+        words = sorted(terms, key=lambda w: (len(w), w))
+        return render_terms((w or "1", terms[w]) for w in words)
 
 
 def fmultiply(a: FreePoly, b: FreePoly) -> FreePoly:
-    """Concatenation-bilinear product."""
+    """Concatenation-bilinear product, on the integer numerators of a and b
+    over the product of their denominators."""
     a._require_same_space(b)
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
+    out: dict[Word, int] = {}
+    nb = b._num.items()
+    for w1, c1 in a._num.items():
+        for w2, c2 in nb:
             w = w1 + w2
-            n = out.get(w, 0) + c1 * c2
-            if n:
-                out[w] = n
-            else:
-                del out[w]
-    return a._like(out)
+            out[w] = out.get(w, 0) + c1 * c2
+    return a._new({w: n for w, n in out.items() if n}, a._den * b._den)
 
 
 def fcommutator(a: FreePoly, b: FreePoly) -> FreePoly:
@@ -103,13 +110,14 @@ def substitute(p: FreePoly, images: dict, one):
     """Apply the homomorphic extension of generator -> image to p.
 
     ``one`` is the unit of the target algebra; targets only need +, * and
-    scalar multiplication by Fraction.
+    scalar multiplication by int and Fraction.  Each word's image is scaled
+    by its integer numerator, and the sum is divided by p's denominator once.
     """
     missing = [g for g in p.alphabet if g not in images]
     if missing:
         raise KeyError(f"missing images for generators {missing}")
     acc = None
-    for w, c in sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0])):
+    for w, c in sorted(p._num.items(), key=lambda t: (len(t[0]), t[0])):
         val = one
         for s in w:
             val = val * images[s]
@@ -117,7 +125,7 @@ def substitute(p: FreePoly, images: dict, one):
         acc = val if acc is None else acc + val
     if acc is None:
         return one * 0
-    return acc
+    return acc if p._den == 1 else acc * Fraction(1, p._den)
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +220,26 @@ def ideal_membership(
             x = x * base + digit[s]
         return top - base ** (len(w) + 1) + x
 
-    def vec_of(terms: dict[Word, Fraction]) -> Vector:
-        return {column(w): c for w, c in terms.items()}
-
     basis = EchelonBasis()
     accepted: list[tuple[Word, int, Word]] = []
-    columns: list[Vector] = []
-    target_vec = vec_of(target.terms)
+    columns: list[IntVector] = []
+    target_vec = {column(w): c for w, c in target.terms.items()}
     residual = target_vec  # running reduction of the target
 
+    # A candidate's column holds its generator's integer numerators, read
+    # once here: den times its coefficient vector, which spans the same line.
+    gen_nums = [g._num.items() for g in generators]
     gen_degrees = [g.degree() for g in generators]
     min_total = min(gen_degrees)
     for total in range(min_total, degree_bound + 1):
-        for gi, g in enumerate(generators):
+        for gi in range(len(generators)):
             side = total - gen_degrees[gi]
             if side < 0:
                 continue
             for lu in range(side + 1):
                 for u in _words_of_length(alphabet, lu):
                     for v in _words_of_length(alphabet, side - lu):
-                        vec = vec_of({u + w + v: c for w, c in g.terms.items()})
+                        vec = {column(u + w + v): x for w, x in gen_nums[gi]}
                         if not basis.insert(vec):
                             continue  # dependent on earlier candidates
                         accepted.append((u, gi, v))
@@ -241,7 +249,10 @@ def ideal_membership(
                             continue
                         matrix = SparseMatrix.from_columns(columns, top)
                         coeffs = solve(matrix, target_vec)
-                        triples = tuple((coeffs[t], *accepted[t]) for t in sorted(coeffs))
+                        # column t is den times its candidate, so the
+                        # candidate's coefficient is den times coeffs[t]
+                        triples = tuple((coeffs[t] * generators[accepted[t][1]]._den, *accepted[t])
+                                        for t in sorted(coeffs))
                         cert = MembershipCertificate(alphabet, tuple(generators), triples)
                         if cert.replay() != target:
                             raise ArithmeticError("certificate does not replay to the target")

@@ -91,8 +91,7 @@ def natural(p: FreePoly) -> usl2.USL2Element:
 
 def tilde_rho(p: FreePoly) -> FreePoly:
     """The involution A -> -A, B -> B (sign = parity of A-count per word)."""
-    out = {w: (-c if w.count("A") % 2 else c) for w, c in p.terms.items()}
-    return FreePoly(p.alphabet, out)
+    return p._new({w: (-c if w.count("A") % 2 else c) for w, c in p._num.items()}, p._den)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ free polynomials (``freealg.FreePoly``) are its subclasses, so coefficient
 cleaning, sums, scalar multiples, equality, hashing and the signed text of
 ``render_terms`` are written once, here.
 
-Internally a matrix is a map of integer numerators over one positive common
-denominator, and an echelon basis keeps primitive integer rows, so the inner
-loops add and multiply plain ints: a fraction-free elimination in the style
-of Bareiss ("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968).  ``Fraction`` lives at the API edge:
-constructors take ints, Fractions or strings (never floats) and every entry,
-vector or coefficient handed back is a ``Fraction``.  Matrix operations
-return new matrices and never mutate their inputs.  An ``EchelonBasis`` is
-the one mutable object: ``insert`` grows it in place, so each basis belongs
-to the computation that builds it.
+Internally a matrix and a combination are maps of integer numerators over
+one positive common denominator, reduced to a canonical form, and an echelon
+basis keeps primitive integer rows, so the inner loops add and multiply
+plain ints: a fraction-free elimination in the style of Bareiss ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+22, 1968).  ``Fraction`` lives at the API edge: constructors and scalar
+multiples take ints, Fractions or strings (never floats), and every entry,
+vector or coefficient handed back is a ``Fraction``, built when it is read.
+Matrix and combination operations return new values and never mutate their
+inputs.  An ``EchelonBasis`` is the one mutable object: ``insert`` grows it
+in place, so each basis belongs to the computation that builds it.
 """
 
 from __future__ import annotations
@@ -39,19 +40,35 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact scalar, as
+    ``as_fraction`` reads it; an int costs no Fraction."""
+    if type(value) is int:
+        return value, 1
+    value = as_fraction(value)
+    return value.numerator, value.denominator
+
+
 class Combination:
-    """A finite exact linear combination: a map from key to nonzero Fraction.
+    """A finite exact linear combination: a map from key to nonzero rational.
 
     The elements of U(sl2) and of the free algebra are both of this kind.  A
     subclass supplies ``_key`` (check one key and return it), ``_product``
     (multiply two combinations of its kind) and ``UNIT`` (the key of the
     unit); a kind whose elements live over a choice of generators (an
-    alphabet) also overrides ``_space`` and ``_like``, so that the choice must
-    match and is carried along.  Coefficients are cleaned and floats refused
-    here, once; every operation returns a new combination.
+    alphabet) also overrides ``_space`` and ``_new``, so that the choice must
+    match and is carried along.
+
+    The coefficients are stored as integer numerators (``_num``, key ->
+    nonzero int) over one positive common denominator (``_den``), in the
+    canonical form of ``SparseMatrix``: the numerators and the denominator
+    have gcd 1 and the zero combination has denominator 1, so equality and
+    hashing compare storage.  The public constructor cleans keys and refuses
+    floats, once; ``terms`` hands the coefficients out as Fractions, in a
+    new dict on every read.  Every operation returns a new combination.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict | None = None):
         cleaned: dict = {}
@@ -61,16 +78,28 @@ class Combination:
                 c = as_fraction(c)
                 if c:
                     cleaned[key] = c
-        self.terms = cleaned
+        self._num, self._den = _clear(cleaned)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as nonzero Fractions, in a new dict."""
+        den = self._den
+        return {key: Fraction(x, den) for key, x in self._num.items()}
 
     def _space(self):
         """What two combinations must share to be added, compared or multiplied."""
         return None
 
-    def _like(self, terms: dict) -> "Combination":
-        """A combination of the same kind over terms that are already clean."""
+    def _new(self, num: dict, den: int) -> "Combination":
+        """The combination num/den of the same kind; num holds no zero and
+        den is positive.  The one constructor of every operation's result."""
+        if den != 1:  # divide out the gcd of the numerators and the denominator
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {key: x // g for key, x in num.items()}
+                den //= g
         out = object.__new__(type(self))
-        out.terms = terms
+        out._num, out._den = num, den
         return out
 
     def _require_same_space(self, other: "Combination") -> None:
@@ -80,37 +109,42 @@ class Combination:
             raise ValueError(f"{type(self).__name__} operands over different alphabets")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Combination):
             return NotImplemented
         return (type(other) is type(self) and other._space() == self._space()
-                and other.terms == self.terms)
+                and other._den == self._den and other._num == self._num)
 
     def __hash__(self) -> int:
-        return hash((self._space(), frozenset(self.terms.items())))
+        return hash((self._space(), self._den, frozenset(self._num.items())))
 
     def __add__(self, other: "Combination") -> "Combination":
         self._require_same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            n = out.get(key, 0) + c
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        sa, sb = den // da, den // db
+        out = dict(self._num) if sa == 1 else {key: sa * x for key, x in self._num.items()}
+        for key, x in other._num.items():
+            n = out.get(key, 0) + sb * x
             if n:
                 out[key] = n
             else:
                 del out[key]
-        return self._like(out)
+        return self._new(out, den)
 
     def __neg__(self) -> "Combination":
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self._new({key: -x for key, x in self._num.items()}, self._den)
 
     def __sub__(self, other: "Combination") -> "Combination":
         return self + (-other)
 
     def scale(self, c) -> "Combination":
-        c = as_fraction(c)
-        return self._like({key: c * x for key, x in self.terms.items()} if c else {})
+        a, b = _ratio(c)
+        if not a:
+            return self._new({}, 1)
+        return self._new({key: a * x for key, x in self._num.items()}, self._den * b)
 
     def __mul__(self, other):
         if type(other) is type(self):
@@ -123,7 +157,7 @@ class Combination:
     def __pow__(self, n: int) -> "Combination":
         if n < 0:
             raise ValueError("negative power")
-        acc = self._like({self.UNIT: Fraction(1)})
+        acc = self._new({self.UNIT: 1}, 1)
         for _ in range(n):
             acc = acc._product(self)
         return acc
@@ -306,12 +340,11 @@ class SparseMatrix:
         return self + (-other)
 
     def scale(self, c) -> "SparseMatrix":
-        c = as_fraction(c)
-        if not c:
+        a, b = _ratio(c)
+        if not a:
             return SparseMatrix(self.rows, self.cols)
-        a = c.numerator
         num = {r: {j: a * x for j, x in d.items()} for r, d in self._num.items()}
-        return SparseMatrix._new(self.rows, self.cols, num, self._den * c.denominator)
+        return SparseMatrix._new(self.rows, self.cols, num, self._den * b)
 
     def __mul__(self, other):
         if isinstance(other, SparseMatrix):

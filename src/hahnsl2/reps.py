@@ -158,7 +158,9 @@ def build_L(n: int) -> SL2Rep:
 
 
 def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
-    """Homomorphic evaluation of a PBW element on a module."""
+    """Homomorphic evaluation of a PBW element on a module: the terms are
+    scaled by a's integer numerators, and the sum is divided by its
+    denominator once."""
     dim = rep.dim
     cache: dict[tuple[str, int], SparseMatrix] = {}
 
@@ -172,14 +174,14 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
         return cache[name, k]
 
     out = SparseMatrix.zero(dim, dim)
-    for (i, j, k), c in a.terms.items():
+    for (i, j, k), c in a._num.items():
         # identity factors are left out, not multiplied
         factors = [power(name, e) for name, e in (("E", i), ("F", j), ("H", k)) if e]
         m = factors[0] if factors else SparseMatrix.identity(dim)
         for g in factors[1:]:
             m = m * g
         out = out + m.scale(c)
-    return out
+    return out if a._den == 1 else out.scale(Fraction(1, a._den))
 
 
 def build_L0(n: int) -> UeRep:

@@ -14,11 +14,11 @@ form unique, and elements only ever exist in normal form, so every identity
 check in the package is a plain equality of term maps.
 
 The rules have integer coefficients, so ``multiply`` and ``rho`` work
-fraction-free, as ``linalg`` does: each operand is cleared once to integer
-numerators over its common denominator, the numerators are multiplied and
-summed as plain ints in one map, and each surviving term becomes one
-``Fraction`` over the product of the denominators.  ``Fraction`` lives only
-at that edge, and every coefficient handed out is a nonzero ``Fraction``.
+fraction-free on the storage of ``linalg.Combination``: integer numerators
+over one common denominator.  The numerators of the operands are multiplied
+and summed as plain ints in one map, over the product of the denominators,
+and the result is reduced once.  No ``Fraction`` is built on that path; the
+coefficients become nonzero ``Fraction``s only when read through ``terms``.
 
 The even subalgebra is generated by E^2, F^2, the Casimir Lam and H.  Its
 seven defining relations are written once, in ``even_relations``, as
@@ -34,7 +34,7 @@ from functools import lru_cache
 from random import Random
 import re
 
-from .linalg import Combination, _clear, render_terms
+from .linalg import Combination, render_terms
 from .reporting import CheckItem, check
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
@@ -78,7 +78,7 @@ def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, i
 
 
 class USL2Element(Combination):
-    """A PBW-normal-form element: map from (i, j, k) to a nonzero Fraction."""
+    """A PBW-normal-form element: map from (i, j, k) to a nonzero rational."""
 
     __slots__ = ()
     UNIT = (0, 0, 0)
@@ -128,20 +128,18 @@ def random_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> USL2Ele
 def multiply(a: USL2Element, b: USL2Element) -> USL2Element:
     """Product in PBW normal form.
 
-    The integer numerators of a and b over their common denominators da and
-    db are multiplied with the integer coefficients of ``_core_product``, so
-    the sum is one map of ints over da*db."""
-    na, da = _clear(a.terms)
-    nb, db = _clear(b.terms)
+    The integer numerators of a and b over their denominators da and db are
+    multiplied with the integer coefficients of ``_core_product``, so the sum
+    is one map of ints over da*db."""
     acc: dict[Monomial, int] = {}
-    for (i1, j1, k1), c1 in na.items():
-        for (i2, j2, k2), c2 in nb.items():
+    nb = b._num.items()
+    for (i1, j1, k1), c1 in a._num.items():
+        for (i2, j2, k2), c2 in nb:
             c12 = c1 * c2
             for (i, j, k), c in _core_product(j1, k1, i2, j2):
                 m = (i + i1, j, k + k2)
                 acc[m] = acc.get(m, 0) + c12 * c
-    den = da * db
-    return a._like({m: Fraction(n, den) for m, n in acc.items() if n})
+    return a._new({m: n for m, n in acc.items() if n}, a._den * b._den)
 
 
 def commutator(a: USL2Element, b: USL2Element) -> USL2Element:
@@ -159,16 +157,15 @@ def casimir() -> USL2Element:
 
 def rho(a: USL2Element) -> USL2Element:
     """The involutive automorphism swapping E and F and negating H."""
-    num, den = _clear(a.terms)
     acc: dict[Monomial, int] = {}
-    for (i, j, k), c in num.items():
+    for (i, j, k), c in a._num.items():
         # image of E^i F^j H^k is F^i E^j (-H)^k; F^i E^j is _core_product(i, 0, j, 0)
         if k % 2:
             c = -c
         for (x, y, z), v in _core_product(i, 0, j, 0):
             m = (x, y, z + k)
             acc[m] = acc.get(m, 0) + c * v
-    return a._like({m: Fraction(n, den) for m, n in acc.items() if n})
+    return a._new({m: n for m, n in acc.items() if n}, a._den)
 
 
 def degree(m: Monomial) -> int:
@@ -177,14 +174,14 @@ def degree(m: Monomial) -> int:
 
 def degree_components(a: USL2Element) -> dict[int, USL2Element]:
     """Split into graded pieces by degree(E^i F^j H^k) = i - j."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in a.terms.items():
+    out: dict[int, dict[Monomial, int]] = {}
+    for m, c in a._num.items():
         out.setdefault(degree(m), {})[m] = c
-    return {d: a._like(t) for d, t in sorted(out.items())}
+    return {d: a._new(t, a._den) for d, t in sorted(out.items())}
 
 
 def is_even(a: USL2Element) -> bool:
-    return all(degree(m) % 2 == 0 for m in a.terms)
+    return all(degree(m) % 2 == 0 for m in a._num)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +323,7 @@ def ue_basis_element(part: int, n: int, i: int, k: int) -> USL2Element:
         out = multiply(monomial(0, 2 * n, 0), lam_i)
     else:
         out = lam_i
-    return out._like({(x, y, z + k): c for (x, y, z), c in out.terms.items()})
+    return out._new({(x, y, z + k): c for (x, y, z), c in out._num.items()}, out._den)
 
 
 def ue_basis_decompose(a: USL2Element) -> dict[UeBasisKey, Fraction]:
@@ -345,10 +342,11 @@ def ue_basis_decompose(a: USL2Element) -> dict[UeBasisKey, Fraction]:
         n = abs(d) // 2
         remaining = comp
         while not remaining.is_zero():
-            excess = max(min(i, j) for (i, j, _k) in remaining.terms)
-            batch = [(m, c) for m, c in remaining.terms.items() if min(m[0], m[1]) == excess]
+            excess = max(min(i, j) for (i, j, _k) in remaining._num)
+            den = remaining._den << excess
+            batch = [(m, c) for m, c in remaining._num.items() if min(m[0], m[1]) == excess]
             for (i, j, k), c in batch:
-                coord = c / Fraction(2) ** excess
+                coord = Fraction(c, den)
                 coords[(part, n, excess, k)] = coord
                 remaining = remaining - ue_basis_element(part, n, excess, k).scale(coord)
     return {k: v for k, v in coords.items() if v}
@@ -371,7 +369,8 @@ def _render_monomial(m: Monomial) -> str:
 
 def render(a: USL2Element) -> str:
     """Canonical text form: terms sorted by (i, j, k) descending."""
-    return render_terms((_render_monomial(m), a.terms[m]) for m in sorted(a.terms, reverse=True))
+    terms = a.terms
+    return render_terms((_render_monomial(m), terms[m]) for m in sorted(terms, reverse=True))
 
 
 _GENERATORS = {"E": E, "F": F, "H": H}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -30,6 +31,15 @@ def dense(m) -> list[list[Fraction]]:
     for r, c, v in m.items():
         out[r][c] = v
     return out
+
+
+def assert_canonical(x) -> None:
+    """The storage of a Combination is canonical: nonzero integer numerators
+    and a positive denominator with gcd 1, so zero is stored over 1."""
+    num, den = x._num, x._den
+    assert type(den) is int and den > 0, den
+    assert all(type(c) is int and c for c in num.values()), num
+    assert gcd(den, *num.values()) == 1, (num, den)
 
 
 def ue_basis_recompose(coords):

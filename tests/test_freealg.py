@@ -13,7 +13,9 @@ from hahnsl2.freealg import (
     ideal_membership,
     substitute,
 )
+from hahnsl2.hahn import natural_images, tilde_rho
 from hahnsl2.linalg import SparseMatrix
+from tests.conftest import assert_canonical
 
 Q = Fraction
 AB = ("A", "B")
@@ -117,6 +119,21 @@ def test_membership_positive_and_replay():
     cert = ideal_membership(target, [g], degree_bound=6)
     assert cert is not None
     assert cert.replay() == target
+
+
+def test_membership_coefficients_follow_generator_denominators():
+    # the echelon columns hold each generator's integer numerators, so the
+    # certificate must put every generator's denominator back
+    g = FreePoly(AB, {"AB": Q(1), "BA": Q(-1)})
+    h = FreePoly(AB, {"A": Q(1), "BB": Q(1)})
+    a, b = gen("A"), gen("B")
+    target = fmultiply(fmultiply(a, g), b) + g.scale(2) + fmultiply(h, a).scale(Q(-1, 5))
+    plain = ideal_membership(target, [g, h], degree_bound=6)
+    scaled = ideal_membership(target, [g.scale(Q(2, 3)), h.scale(Q(-5, 7))], degree_bound=6)
+    assert plain is not None and scaled is not None
+    ratio = (Q(3, 2), Q(-7, 5))
+    assert scaled.triples == tuple((c * ratio[gi], u, gi, v) for c, u, gi, v in plain.triples)
+    assert scaled.replay() == plain.replay() == target
 
 
 def test_membership_raises_when_certificate_does_not_replay(monkeypatch):
@@ -268,3 +285,70 @@ def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
     assert (calls["insert"], calls["accepted"]) == (516, 327)
     # 2,238 here; numbering words by first appearance took 15,672
     assert calls["eliminate"] <= 2300
+
+
+# scales that mix new denominators into random_free_poly's 1..3
+MIXED_SCALES = [Q(1, 6), Q(3, 4), Q(-5, 2), Q(7, 9), Q(-2, 3), Q(11, 10), Q(4), Q(-1, 5)]
+
+
+def _fraction_fmultiply(a, b):
+    # reference oracle: the product term by term in Fractions
+    out = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            out[w1 + w2] = out.get(w1 + w2, Q(0)) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def test_integer_paths_match_fraction_oracles(rand_free_poly):
+    rng = Random(2027)
+    images = natural_images()
+    for _ in range(60):
+        a = rand_free_poly(rng).scale(rng.choice(MIXED_SCALES))
+        b = rand_free_poly(rng).scale(rng.choice(MIXED_SCALES))
+        ab = fmultiply(a, b)
+        assert ab.terms == _fraction_fmultiply(a, b), (a, b)
+        assert tilde_rho(a).terms == {w: c * (-1) ** w.count("A") for w, c in a.terms.items()}
+        expected = usl2.zero()
+        for w, c in a.terms.items():
+            img = usl2.one()
+            for s in w:
+                img = usl2.multiply(img, images[s])
+            expected = expected + usl2.USL2Element({m: c * x for m, x in img.terms.items()})
+        assert substitute(a, images, usl2.one()) == expected, a
+        for x in (ab, tilde_rho(a)):
+            assert all(type(c) is Fraction and c for c in x.terms.values())
+            assert_canonical(x)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_combination_storage_is_canonical(seed, rand_free_poly):
+    rng = Random(400 + seed)
+    a = rand_free_poly(rng).scale(rng.choice(MIXED_SCALES))
+    b = rand_free_poly(rng).scale(rng.choice(MIXED_SCALES))
+    zero = FreePoly.zero(AB)
+    results = [a + b, a - b, a - a, -a, a.scale(rng.choice(MIXED_SCALES)), a.scale(0),
+               fmultiply(a, b), fmultiply(zero, b), tilde_rho(a), a ** 2]
+    for x in results:
+        assert_canonical(x)
+        assert x.alphabet == AB
+    for x in (a - a, a.scale(0), fmultiply(zero, b)):
+        assert x.is_zero() and x._den == 1 and x == zero and hash(x) == hash(zero)
+    for x, y in [(a.scale(Q(1, 3)).scale(3), a), (a + b - b, a), (FreePoly(AB, a.terms), a),
+                 (a + a, a.scale(2)), (fmultiply(a, b).scale(Q(-2, 7)), fmultiply(a.scale(-2), b.scale(Q(1, 7))))]:
+        assert x == y and hash(x) == hash(y)
+        assert (x._num, x._den) == (y._num, y._den)
+    # the same storage over another alphabet is another element
+    assert FreePoly(("A", "B", "C"), a.terms) != a
+    before = a.terms
+    view = a.terms
+    view["BBBBBB"] = Q(1)
+    view.pop(next(iter(before)))
+    assert a.terms == before and a == FreePoly(AB, before)
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    for bad in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            FreePoly(AB, {"A": bad})
+        with pytest.raises(TypeError):
+            a.scale(bad)

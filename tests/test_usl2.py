@@ -8,7 +8,7 @@ from hahnsl2 import usl2
 from hahnsl2.linalg import SparseMatrix
 from hahnsl2.reps import build_L, build_L0, build_L1, evaluate
 from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, parse, render
-from tests.conftest import ue_basis_recompose
+from tests.conftest import assert_canonical, dense, ue_basis_recompose
 
 Q = Fraction
 
@@ -388,6 +388,7 @@ MIXED_SCALES = [Q(1, 6), Q(3, 4), Q(-5, 2), Q(7, 9), Q(-2, 3), Q(11, 10), Q(4), 
 
 def _assert_clean(x):
     assert all(type(c) is Fraction and c != 0 for c in x.terms.values()), x.terms
+    assert_canonical(x)
 
 
 def test_integer_product_and_rho_match_fraction_oracles(rand_usl2):
@@ -414,3 +415,87 @@ def test_integer_product_and_rho_match_fraction_oracles(rand_usl2):
             assert image == _fraction_rho(x), x
             _assert_clean(image)
     assert multiply(E + F, E - F) == monomial(2, 0, 0) - H - monomial(0, 2, 0)
+
+
+def _fraction_sum(a, b):
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        out[m] = out.get(m, Q(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_ue_basis_element(part, n, i, k):
+    # E^(2n) Lam^i H^k (part 1), F^(2n) Lam^i H^k (part -1) or Lam^i H^k,
+    # each product and the H shift taken term by term in Fractions
+    out = one()
+    for _ in range(i):
+        out = _fraction_multiply(out, casimir())
+    if part:
+        out = _fraction_multiply(monomial(2 * n, 0, 0) if part == 1 else monomial(0, 2 * n, 0), out)
+    return {(x, y, z + k): c for (x, y, z), c in out.terms.items()}
+
+
+def test_sums_components_and_even_basis_match_fraction_oracles(rand_usl2):
+    rng = Random(2025)
+    for _ in range(80):
+        a = rand_usl2(rng).scale(rng.choice(MIXED_SCALES))
+        b = rand_usl2(rng).scale(rng.choice(MIXED_SCALES))
+        s = rng.choice(MIXED_SCALES)
+        assert (a + b).terms == _fraction_sum(a, b), (a, b)
+        assert (a - b).terms == _fraction_sum(a, usl2.USL2Element({m: -c for m, c in b.terms.items()}))
+        assert a.scale(s).terms == {m: s * c for m, c in a.terms.items()}
+        assert (-a).terms == {m: -c for m, c in a.terms.items()}
+        components = usl2.degree_components(a)
+        assert sorted(components) == sorted({usl2.degree(m) for m in a.terms})
+        for d, comp in components.items():
+            assert comp.terms == {m: c for m, c in a.terms.items() if usl2.degree(m) == d}
+            _assert_clean(comp)
+        for x in (a + b, a - b, a.scale(s)):
+            _assert_clean(x)
+    for part, n, i, k in product((-1, 0, 1), range(3), range(4), range(3)):
+        if (part == 0) != (n == 0):
+            continue
+        x = usl2.ue_basis_element(part, n, i, k)
+        assert x.terms == _fraction_ue_basis_element(part, n, i, k), (part, n, i, k)
+        _assert_clean(x)
+
+
+def test_evaluate_matches_dense_fraction_oracle(rand_usl2):
+    rep = build_L(2)
+    rng = Random(2026)
+    for _ in range(20):
+        a = rand_usl2(rng, max_exp=2).scale(rng.choice(MIXED_SCALES))
+        assert dense(evaluate(a, rep)) == _dense_eval(a, L2_MATS), a
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_combination_storage_is_canonical(seed, rand_usl2):
+    rng = Random(300 + seed)
+    a = rand_usl2(rng).scale(rng.choice(MIXED_SCALES))
+    b = rand_usl2(rng).scale(rng.choice(MIXED_SCALES))
+    zero = usl2.zero()
+    results = [a + b, a - b, a - a, -a, a.scale(rng.choice(MIXED_SCALES)), a.scale(0),
+               multiply(a, b), multiply(a, zero), usl2.rho(a), usl2.rho(zero), a ** 2,
+               *usl2.degree_components(a).values()]
+    for x in results:
+        assert_canonical(x)
+    for x in (a - a, a.scale(0), multiply(a, zero), usl2.rho(zero)):
+        assert x.is_zero() and x._den == 1 and x == zero and hash(x) == hash(zero)
+    # one element reached by different paths has one storage
+    for x, y in [(a.scale(Q(1, 3)).scale(3), a), (a + b - b, a), (usl2.USL2Element(a.terms), a),
+                 (a + a, a.scale(2)), (multiply(a, b).scale(Q(-2, 7)), multiply(a.scale(-2), b.scale(Q(1, 7))))]:
+        assert x == y and hash(x) == hash(y)
+        assert (x._num, x._den) == (y._num, y._den)
+    # terms is a fresh view: mutating it leaves the element alone
+    before = a.terms
+    view = a.terms
+    view[(9, 9, 9)] = Q(1)
+    view.pop(next(iter(before)))
+    assert a.terms == before and a == usl2.USL2Element(before)
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    for bad in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            usl2.USL2Element({(1, 0, 0): bad})
+        with pytest.raises(TypeError):
+            a.scale(bad)
