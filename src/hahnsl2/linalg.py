@@ -12,7 +12,11 @@ one positive common denominator, reduced to a canonical form, and an echelon
 basis keeps primitive integer rows, so the inner loops add and multiply
 plain ints: a fraction-free elimination in the style of Bareiss ("Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-22, 1968).  ``Fraction`` lives at the API edge: constructors and scalar
+22, 1968).  Every kernel follows the sparse support: ``matmul`` accumulates
+each row of a product in a map over the columns its terms touch, so a
+product of N x N matrices with k entries a row costs about N k^2 steps, not
+N^2, and an echelon insert back-reduces only the rows whose pivot comes
+before the new one.  ``Fraction`` lives at the API edge: constructors and scalar
 multiples take ints, Fractions or strings (never floats), and every entry,
 vector or coefficient handed back is a ``Fraction``, built when it is read.
 Matrix and combination operations return new values and never mutate their
@@ -22,7 +26,7 @@ in place, so each basis belongs to the computation that builds it.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -42,9 +46,11 @@ def as_fraction(value) -> Fraction:
 
 def _ratio(value) -> tuple[int, int]:
     """Numerator and positive denominator of an exact scalar, as
-    ``as_fraction`` reads it; an int costs no Fraction."""
+    ``as_fraction`` reads it; an int or a Fraction costs no new Fraction."""
     if type(value) is int:
         return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     value = as_fraction(value)
     return value.numerator, value.denominator
 
@@ -72,13 +78,16 @@ class Combination:
 
     def __init__(self, terms: dict | None = None):
         cleaned: dict = {}
+        exact = True  # every coefficient an int: the numerators over 1
         if terms:
             for key, c in terms.items():
                 key = self._key(key)
-                c = as_fraction(c)
+                if type(c) is not int:
+                    c = as_fraction(c)
+                    exact = False
                 if c:
                     cleaned[key] = c
-        self._num, self._den = _clear(cleaned)
+        self._num, self._den = (cleaned, 1) if exact else _clear(cleaned)
 
     @property
     def terms(self) -> dict:
@@ -358,18 +367,18 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
         onum = other._num
-        ncols = other.cols
         num: dict[int, IntVector] = {}
         for r, d in self._num.items():
-            acc = [0] * ncols  # a dense row accumulator beats dict.get here
+            acc: IntVector = {}  # only the columns the row's terms touch
             for k, a in d.items():
                 brow = onum.get(k)
                 if brow:
                     for c, b in brow.items():
-                        acc[c] += a * b
-            row = {c: x for c, x in enumerate(acc) if x}
-            if row:
-                num[r] = row
+                        acc[c] = acc.get(c, 0) + a * b
+            if not all(acc.values()):
+                acc = {c: x for c, x in acc.items() if x}
+            if acc:
+                num[r] = acc
         return SparseMatrix._new(self.rows, other.cols, num, self._den * other._den)
 
     def apply(self, v: Vector) -> Vector:
@@ -417,6 +426,9 @@ class EchelonBasis:
     reduction cheap: eliminating one pivot brings no other pivot column into
     a vector, so a reduction visits only the pivots in the vector's own
     support, looked up in the map from pivot to row, not every row.
+    Back-reduction visits only the rows whose pivot comes before the new
+    pivot p: a row with a later pivot is zero up to that pivot, so it has
+    no entry in column p.
     """
 
     __slots__ = ("pivots", "_rows", "_monic")
@@ -468,10 +480,12 @@ class EchelonBasis:
         p = min(w)
         w = _primitive(w, p)
         rows = self._rows
-        for q, other in rows.items():
-            if other.get(p):
+        k = bisect_left(self.pivots, p)
+        for q in self.pivots[:k]:
+            other = rows[q]
+            if p in other:
                 rows[q] = _primitive(_eliminate(other, w, p)[0], q)
-        insort(self.pivots, p)
+        self.pivots.insert(k, p)
         rows[p] = w
         self._monic = None
         return True

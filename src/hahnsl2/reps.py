@@ -238,10 +238,11 @@ def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
     forward: list[set[int]] = [set() for _ in range(d)]
     backward: list[set[int]] = [set() for _ in range(d)]
     for m in operators:
-        for r, c, _ in m.items():
-            if r != c:
-                forward[c].add(r)
-                backward[r].add(c)
+        for r, row in m._num.items():
+            for c in row:
+                if r != c:
+                    forward[c].add(r)
+                    backward[r].add(c)
     for edges in (forward, backward):
         seen, todo = {0}, [0]
         while todo:
@@ -378,7 +379,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         items += [
             check(
                 f"L_{n}: parity blocks are invariant under the pullback action",
-                all((r - c) % 2 == 0 for m in pullback for r, c, _ in m.items()),
+                all((r - c) % 2 == 0 for m in pullback for r, d in m._num.items() for c in d),
             ),
             check(
                 f"L_{n}: both blocks are irreducible under the pullback action",

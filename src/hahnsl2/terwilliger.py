@@ -53,7 +53,7 @@ from functools import cached_property
 from math import comb, prod
 
 from . import usl2
-from .linalg import SparseMatrix, Vector, span_closure
+from .linalg import IntVector, SparseMatrix, Vector, span_closure
 from .reps import ModuleLabel, SL2Rep, evaluate
 
 
@@ -78,6 +78,15 @@ def _poly(roots) -> list[Fraction]:
     return coeffs
 
 
+def _mirror(m: SparseMatrix, swap: list[int]) -> SparseMatrix:
+    """The matrix with entry (swap[c], swap[r]) for each entry (r, c) of m."""
+    num: dict[int, IntVector] = {}
+    for r, d in m._num.items():
+        for c, x in d.items():
+            num.setdefault(swap[c], {})[swap[r]] = x
+    return SparseMatrix._new(m.rows, m.cols, num, m._den)
+
+
 class CubeAlgebra:
     """The Terwilliger algebra of the D-cube, as functions on the orbit
     triples: the four multiplication operators, each N x N with N = C(D+3, 3),
@@ -97,22 +106,21 @@ class CubeAlgebra:
         self.orbits = _orbits(D)
         index = self.index = {o: k for k, o in enumerate(self.orbits)}
         n = len(self.orbits)
-        a: dict[tuple[int, int], int] = {}
+        a: dict[int, IntVector] = {}
         for r, (i, j, t) in enumerate(self.orbits):
-            for source, c in _adjacency_stencil(D, i, j, t):
-                if c:
-                    a[r, index[source]] = c
-        self.left_a = SparseMatrix(n, n, a)
-        self.left_astar = SparseMatrix(n, n, {(k, k): D - 2 * i for k, (i, _, _) in enumerate(self.orbits)})
+            row = {index[source]: c for source, c in _adjacency_stencil(D, i, j, t) if c}
+            if row:
+                a[r] = row
+        self.left_a = SparseMatrix._new(n, n, a, 1)
+        self.left_astar = SparseMatrix._new(
+            n, n, {k: {k: D - 2 * i} for k, (i, _, _) in enumerate(self.orbits) if D != 2 * i}, 1)
         bracket = self.left_a * self.left_astar - self.left_astar * self.left_a
         half_a = self.left_a.scale(Fraction(1, 2))
         self.rep = SL2Rep(n, half_a - bracket.scale(Fraction(1, 4)),
                           half_a + bracket.scale(Fraction(1, 4)), self.left_astar)
         # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
         swap = [index[j, i, t] for i, j, t in self.orbits]
-        self.right_a, self.right_astar = (
-            SparseMatrix(n, n, {(swap[c], swap[r]): v for r, c, v in m.items()})
-            for m in (self.left_a, self.left_astar))
+        self.right_a, self.right_astar = (_mirror(m, swap) for m in (self.left_a, self.left_astar))
 
     def identity(self, weights) -> Vector:
         """The orbit function of the identity on the vertices at the
@@ -209,12 +217,12 @@ def te_dimension(cube: CubeAlgebra) -> int:
     with a zero diagonal, else ArithmeticError.
     """
     D, n = cube.D, len(cube.orbits)
-    even_identity = SparseMatrix(1, n, {(0, k): x for k, x in cube.identity(range(0, D + 1, 2)).items()})
+    even_identity = SparseMatrix._new(1, n, {0: {cube.index[i, i, i]: 1 for i in range(0, D + 1, 2)}}, 1)
     a2 = cube.right_a * cube.right_a
     halved = (even_identity * a2 - even_identity.scale(D)).scale(Fraction(1, 2))
-    for _, c, v in halved.items():
+    for c, x in halved._num.get(0, {}).items():
         i, j, t = cube.orbits[c]
-        if v != 1 or i == j == t:
+        if x != 1 or halved._den != 1 or i == j == t:
             raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
     _, dim = span_closure(even_identity, [a2, cube.right_astar])
     return dim

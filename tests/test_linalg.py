@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from random import Random
 
 import pytest
@@ -186,11 +187,7 @@ def test_floats_are_refused_at_the_matrix_boundary():
     assert SparseMatrix(1, 1, {(0, 0): "1/10"}).get(0, 0) == F(1, 10)
 
 
-def test_echelon_insert_keeps_reduced_invariants():
-    rng = Random(5)
-    basis = EchelonBasis()
-    for _ in range(12):
-        basis.insert({i: F(rng.randint(-3, 3)) for i in range(6)})
+def _assert_reduced(basis: EchelonBasis) -> None:
     assert basis.pivots == sorted(basis.pivots)
     assert sorted(basis._rows) == basis.pivots
     for p, row in zip(basis.pivots, basis.rows):
@@ -198,6 +195,33 @@ def test_echelon_insert_keeps_reduced_invariants():
         for q, other in zip(basis.pivots, basis.rows):
             if q != p:
                 assert p not in other
+    for p, w in basis._rows.items():  # primitive integer rows, pivot entry positive
+        assert min(w) == p and w[p] > 0 and gcd(*w.values()) == 1
+
+
+def test_echelon_insert_keeps_reduced_invariants():
+    rng = Random(5)
+    basis = EchelonBasis()
+    for _ in range(12):
+        basis.insert({i: F(rng.randint(-3, 3)) for i in range(6)})
+    _assert_reduced(basis)
+    # sparse vectors over 24 columns, so pivots arrive in a random order and
+    # a new pivot often lands between stored ones
+    for seed in range(8):
+        rng = Random(50 + seed)
+        basis = EchelonBasis()
+        inserted = []
+        for _ in range(30):
+            v = {i: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                 for i in rng.sample(range(24), rng.randint(1, 5))}
+            before = list(basis.pivots)
+            grew = basis.insert(v)
+            assert grew == (len(basis.pivots) == len(before) + 1)
+            inserted.append(v)
+            _assert_reduced(basis)
+        assert all(basis.reduce(v) == {} for v in inserted)
+        stacked = sympy.Matrix([[_q(v.get(i, F(0))) for i in range(24)] for v in inserted])
+        assert len(basis) == stacked.rank()
 
 
 def test_operations_are_reproducible():
@@ -254,6 +278,38 @@ def test_echelon_reduce_eliminates_only_the_pivots_in_the_support(monkeypatch):
     # the rows are fully reduced, so only pivots 3 and 17 are eliminated
     assert basis.reduce({3: F(1), 17: F(2), 41: F(1)}) != {}
     assert calls == [3, 17]
+
+
+def test_echelon_back_reduction_visits_only_earlier_pivots(monkeypatch):
+    from hahnsl2 import linalg
+
+    basis = EchelonBasis()
+    for v in ({0: 1, 6: 1, 11: 1}, {2: 1, 8: 1}, {5: 1, 6: 2}, {7: 1, 11: 3}, {9: 1, 10: 1}):
+        basis.insert(v)
+    assert basis.pivots == [0, 2, 5, 7, 9]
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+    read, eliminated = [], []
+    eliminate = linalg._eliminate
+
+    def counting(w, row, p):
+        eliminated.append((min(w), p))
+        return eliminate(w, row, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    basis._rows = Reads(basis._rows)
+    # no stored pivot lies in the support, so the new pivot 6 is eliminated
+    # from the rows with pivots 0 and 5; the rows with pivots 7 and 9 start
+    # after column 6 and are never read
+    assert basis.insert({6: 1, 10: 1})
+    assert eliminated == [(0, 6), (5, 6)]
+    assert read == [0, 2, 5]
+    assert basis.pivots == [0, 2, 5, 6, 7, 9]
+    _assert_reduced(basis)
 
 
 def test_restrict_to_subspace():
@@ -431,3 +487,67 @@ def test_matrix_storage_is_canonical(seed):
     assert m * SparseMatrix.identity(cols) == m == SparseMatrix.identity(rows) * m
     assert vstack(m, SparseMatrix.zero(1, cols)) == SparseMatrix.from_rows(
         dense(m) + [[0] * cols])
+
+
+def _assert_canonical_matrix(m: SparseMatrix) -> None:
+    """No stored zero, no empty row, a positive denominator, and gcd 1."""
+    assert type(m._den) is int and m._den > 0
+    assert all(d and all(type(x) is int and x for x in d.values()) for d in m._num.values())
+    assert all(0 <= r < m.rows and all(0 <= c < m.cols for c in d) for r, d in m._num.items())
+    assert gcd(m._den, *(x for d in m._num.values() for x in d.values())) == 1
+
+
+def _random_fill(rng: Random, rows: int, cols: int, per_row: int) -> SparseMatrix:
+    """At most per_row entries a row, in a random subset of the columns (so
+    some columns stay empty), with one row in four left empty."""
+    live = [c for c in range(cols) if rng.random() < 0.8] or [0]
+    entries = {}
+    for r in range(rows):
+        if rng.random() < 0.25:
+            continue
+        for c in rng.sample(live, min(per_row, len(live))):
+            entries[r, c] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return SparseMatrix(rows, cols, entries)
+
+
+def _dense_product(a: SparseMatrix, b: SparseMatrix) -> list[list[F]]:
+    da, db = dense(a), dense(b)
+    return [[sum((da[i][k] * db[k][j] for k in range(a.cols)), F(0)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_matmul_agrees_with_the_dense_fraction_product(seed):
+    # odd seeds: at most four entries a row, like the orbit operators of the
+    # cube; even seeds: every live column filled
+    rng = Random(700 + seed)
+    rows, inner, cols = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
+    a = _random_fill(rng, rows, inner, 4 if seed % 2 else inner)
+    b = _random_fill(rng, inner, cols, 4 if seed % 2 else cols)
+    ab = a * b
+    assert dense(ab) == _dense_product(a, b)
+    _assert_canonical_matrix(ab)
+    # products whose terms cancel: b's rows come in pairs r, -r and a has one
+    # entry for both rows of a pair, so a * pairs is zero and a * (pairs + e)
+    # is a * e, reached through terms that cancel
+    half = _random_fill(rng, rng.randint(1, 6), cols, 4 if seed % 2 else cols)
+    pairs = SparseMatrix(2 * half.rows, cols, {(2 * r + s, c): v if s == 0 else -v
+                                               for r, c, v in half.items() for s in (0, 1)})
+    left = _random_fill(rng, rows, half.rows, half.rows)
+    a = SparseMatrix(rows, pairs.rows, {(r, 2 * k + s): v for r, k, v in left.items() for s in (0, 1)})
+    zero = a * pairs
+    assert zero == SparseMatrix.zero(rows, cols) and zero._num == {} and zero._den == 1
+    e = _random_fill(rng, pairs.rows, cols, 2)
+    assert a * (pairs + e) == a * e
+    assert dense(a * (pairs + e)) == _dense_product(a, e)
+    _assert_canonical_matrix(a * (pairs + e))
+
+
+def test_matmul_drops_cancelled_entries_and_rows():
+    a = SparseMatrix.from_rows([[1, 1], [1, -1], [0, 0]])
+    b = SparseMatrix.from_rows([[2, F(1, 2), 3], [-2, F(-1, 2), 5]])
+    p = a * b
+    # row 0 cancels in columns 0 and 1, row 2 is empty
+    assert p == SparseMatrix.from_rows([[0, 0, 8], [4, 1, -2], [0, 0, 0]])
+    assert p._num == {0: {2: 8}, 1: {0: 4, 1: 1, 2: -2}} and p._den == 1
+    _assert_canonical_matrix(p)

@@ -236,6 +236,33 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
             assert _expand(cube, pairs, cube.right_astar.row(k)) == m * astar
 
 
+@pytest.mark.parametrize("D", range(2, 10))
+def test_orbit_operators_match_the_public_constructor(D):
+    # the four operators read off the stencil entry by entry, through the
+    # checked public constructor: X -> A X and X -> A* X on columns, and
+    # X -> X A and X -> X A* on rows, where (X A)(i, j, t) is the stencil
+    # with i and j swapped and (X A*)(i, j, t) = (D - 2j) X(i, j, t)
+    cube = CubeAlgebra(D)
+    n = len(cube.orbits)
+    index = {o: k for k, o in enumerate(cube.orbits)}
+    left_a, right_a, left_astar, right_astar = {}, {}, {}, {}
+    for r, (i, j, t) in enumerate(cube.orbits):
+        for (si, sj, st), c in terwilliger._adjacency_stencil(D, i, j, t):
+            if c:
+                left_a[r, index[si, sj, st]] = c
+        for (sj, si, st), c in terwilliger._adjacency_stencil(D, j, i, t):
+            if c:
+                right_a[index[si, sj, st], r] = c
+        left_astar[r, r] = D - 2 * i
+        right_astar[r, r] = D - 2 * j
+    assert cube.left_a == SparseMatrix(n, n, left_a)
+    assert cube.right_a == SparseMatrix(n, n, right_a)
+    assert cube.left_astar == SparseMatrix(n, n, left_astar)
+    assert cube.right_astar == SparseMatrix(n, n, right_astar)
+    # no zero stored: the rows of A* at i = D/2 are empty
+    assert all(x for m in (cube.left_astar, cube.right_astar) for d in m._num.values() for x in d.values())
+
+
 PER_D_CASES = (
     [(D, base) for D in range(2, 9) for base in sorted({0, _all_ones_even(D), 0b101 % (1 << D)})
      if bin(base).count("1") % 2 == 0]

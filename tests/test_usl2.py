@@ -499,3 +499,28 @@ def test_combination_storage_is_canonical(seed, rand_usl2):
             usl2.USL2Element({(1, 0, 0): bad})
         with pytest.raises(TypeError):
             a.scale(bad)
+
+
+def test_int_coefficients_build_no_fraction(monkeypatch):
+    from hahnsl2 import linalg
+
+    calls = []
+    real = linalg.as_fraction
+
+    def counting(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(linalg, "as_fraction", counting)
+    x = usl2.USL2Element({(1, 0, 0): 3, (0, 1, 0): 0, (0, 0, 2): -6})
+    for y in (x, usl2.zero(), one(), monomial(2, 1, 0), monomial(2, 1, 0, 0)):
+        assert_canonical(y)
+    assert calls == []
+    assert x._num == {(1, 0, 0): 3, (0, 0, 2): -6} and x._den == 1
+    assert monomial(2, 1, 0, 0) == usl2.zero()
+    # a Fraction, a str or a bool still goes through as_fraction, and a
+    # mixture is cleared to one common denominator
+    mixed = usl2.USL2Element({(1, 0, 0): 3, (0, 1, 0): Q(1, 2), (0, 0, 1): "-2/3", (1, 1, 0): True})
+    assert len(calls) == 3
+    assert mixed._num == {(1, 0, 0): 18, (0, 1, 0): 3, (0, 0, 1): -4, (1, 1, 0): 6} and mixed._den == 6
+    assert mixed == usl2.USL2Element({m: Q(c) for m, c in mixed.terms.items()})
