@@ -10,7 +10,6 @@ from .linalg import (
     SparseMatrix,
     kernel_basis,
     rref,
-    span_closure,
 )
 from .usl2 import (
     USL2Element,
@@ -32,8 +31,6 @@ from .reps import (
     SL2Rep,
     UeRep,
     build_L,
-    build_L0,
-    build_L1,
     classify_ue_irreducible,
     evaluate,
     is_irreducible,
@@ -56,7 +53,6 @@ __all__ = [
     "SparseMatrix",
     "kernel_basis",
     "rref",
-    "span_closure",
     "USL2Element",
     "casimir",
     "commutator",
@@ -80,8 +76,6 @@ __all__ = [
     "SL2Rep",
     "UeRep",
     "build_L",
-    "build_L0",
-    "build_L1",
     "classify_ue_irreducible",
     "evaluate",
     "is_irreducible",

@@ -402,18 +402,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def vstack(top: SparseMatrix, bottom: SparseMatrix) -> SparseMatrix:
-    """The rows of top followed by the rows of bottom."""
-    if top.cols != bottom.cols:
-        raise ValueError("column mismatch in stack")
-    den = lcm(top._den, bottom._den)
-    st, sb = den // top._den, den // bottom._den
-    num = {r: {c: st * x for c, x in d.items()} for r, d in top._num.items()}
-    for r, d in bottom._num.items():
-        num[top.rows + r] = {c: sb * x for c, x in d.items()}
-    return SparseMatrix._new(top.rows + bottom.rows, top.cols, num, den)
-
-
 class EchelonBasis:
     """Reduced row-echelon basis built by inserting one vector at a time.
 
@@ -523,43 +511,6 @@ def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
     if m.rows != m.cols or any(d.keys() != {r} for r, d in m._num.items()):
         return None
     return [m.get(i, i) for i in range(m.rows)]
-
-
-def _vectorize(m: SparseMatrix) -> IntVector:
-    """The numerators of m, flattened row-major."""
-    n = m.cols
-    return {r * n + c: x for r, d in m._num.items() for c, x in d.items()}
-
-
-def span_closure(start: SparseMatrix, generators: Sequence[SparseMatrix]) -> tuple[EchelonBasis, int]:
-    """Linear basis of the span of start·w over all words w in the
-    generators, the empty word included.  With start the identity this is
-    the unital matrix algebra the generators generate.
-
-    Worklist closure: keep right-multiplying newly accepted matrices by the
-    generators until nothing new appears.  Discarding products that reduce
-    into the current span is sound because right multiplication is linear.
-    A matrix and its numerators span the same line, so the basis takes the
-    numerators, flattened row-major.
-    """
-    if not generators:
-        raise ValueError("span_closure needs at least one generator")
-    n = generators[0].rows
-    for g in generators:
-        if g.rows != g.cols or g.rows != n:
-            raise ValueError("span_closure generators must be square and same size")
-    if start.cols != n:
-        raise ValueError("span_closure start must have as many columns as the generators")
-    basis = EchelonBasis()
-    work = [start]
-    head = 0
-    while head < len(work):
-        m = work[head]
-        head += 1
-        if basis._insert(_vectorize(m)):
-            for g in generators:
-                work.append(m.matmul(g))
-    return basis, len(basis)
 
 
 def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:

@@ -128,11 +128,11 @@ class ModuleLabel:
         H v_m = (n-2m) v_m."""
         n, dim = self.n, self.dim
         m = [2 * i + self.parity for i in range(dim)]
-        e2 = SparseMatrix(dim, dim, {(i - 1, i): Fraction((n - m[i] + 1) * (n - m[i] + 2))
-                                     for i in range(1, dim)})
-        f2 = SparseMatrix(dim, dim, {(i + 1, i): Fraction((m[i] + 1) * (m[i] + 2))
-                                     for i in range(dim - 1)})
-        h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 2 * m[i]) for i in range(dim)})
+        # m <= n, so every E^2 and F^2 coefficient is a positive int
+        e2 = SparseMatrix._new(dim, dim, {i - 1: {i: (n - m[i] + 1) * (n - m[i] + 2)}
+                                          for i in range(1, dim)}, 1)
+        f2 = SparseMatrix._new(dim, dim, {i + 1: {i: (m[i] + 1) * (m[i] + 2)} for i in range(dim - 1)}, 1)
+        h = SparseMatrix._new(dim, dim, {i: {i: n - 2 * m[i]} for i in range(dim) if n != 2 * m[i]}, 1)
         lam = SparseMatrix.identity(dim).scale(self.casimir)
         return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
 
@@ -151,9 +151,9 @@ def build_L(n: int) -> SL2Rep:
     if n < 0:
         raise ValueError("n must be nonnegative")
     dim = n + 1
-    e = SparseMatrix(dim, dim, {(i - 1, i): Fraction(n - i + 1) for i in range(1, dim)})
-    f = SparseMatrix(dim, dim, {(i + 1, i): Fraction(i + 1) for i in range(dim - 1)})
-    h = SparseMatrix(dim, dim, {(i, i): Fraction(n - 2 * i) for i in range(dim)})
+    e = SparseMatrix._new(dim, dim, {i - 1: {i: n - i + 1} for i in range(1, dim)}, 1)
+    f = SparseMatrix._new(dim, dim, {i + 1: {i: i + 1} for i in range(dim - 1)}, 1)
+    h = SparseMatrix._new(dim, dim, {i: {i: n - 2 * i} for i in range(dim) if n != 2 * i}, 1)
     return SL2Rep(dim=dim, E=e, F=f, H=h)
 
 
@@ -182,16 +182,6 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
             m = m * g
         out = out + m.scale(c)
     return out if a._den == 1 else out.scale(Fraction(1, a._den))
-
-
-def build_L0(n: int) -> UeRep:
-    """Even half of the ladder module: basis u_i = v_{2i}."""
-    return ModuleLabel(n, 0).build()
-
-
-def build_L1(n: int) -> UeRep:
-    """Odd half of the ladder module: basis u_i = v_{2i+1}; needs n >= 1."""
-    return ModuleLabel(n, 1).build()
 
 
 def _parity_indices(n: int) -> tuple[range, range]:

@@ -4,9 +4,9 @@ orbit coordinates.
 Fix a base vertex b of the D-cube, whose vertices are the bitstrings of
 length D.  The adjacency A and the dual adjacency A* = diag(D - 2|y^b|)
 commute with the coordinate permutations of x^b, the automorphisms that fix
-b; so do E, F = A/2 -/+ [A, A*]/4, H = A* and the Casimir, every operator of
-the cube suite.  A matrix M that commutes with them is constant on each
-orbit of vertex pairs (x, y), and the orbit of (x, y) is the triple
+b; so do E, F = A/2 -/+ [A, A*]/4 (below), H = A* and the Casimir, every
+operator of the cube suite.  A matrix M that commutes with them is constant
+on each orbit of vertex pairs (x, y), and the orbit of (x, y) is the triple
 
     i = |x^b|,  j = |y^b|,  t = |(x^b) & (y^b)|,
     with t <= min(i, j) and i + j - t <= D.
@@ -31,6 +31,13 @@ Hence
 Transposition maps M_(i,j,t) to M_(j,i,t) and fixes the symmetric A and A*,
 so right multiplication X -> X A is the same stencil with i and j swapped.
 
+E and F.  A* X is X scaled by D - 2i, and each term of A X moves i by 1, so
+[A, A*] is 2A on the terms whose source has i - 1 and -2A on those whose
+source has i + 1.  Hence E = A/2 - [A, A*]/4 is exactly the two stencil
+terms whose source has i + 1, F = A/2 + [A, A*]/4 the two whose source has
+i - 1, and A = E + F: the sl2 action is read off the stencil, with no
+product.
+
 Faithfulness.  Left multiplication X -> L_Y X is the left regular
 representation of the centralizer algebra, and L_Y applied to the identity
 I (the function 1 on the triples (i,i,i)) is Y itself.  So a polynomial in
@@ -47,13 +54,14 @@ even i, and its term at i is the trace on the weight-(D - 2i) space.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
 
 from . import usl2
-from .linalg import IntVector, SparseMatrix, Vector, span_closure
+from .linalg import EchelonBasis, IntVector, SparseMatrix, Vector
 from .reps import ModuleLabel, SL2Rep, evaluate
 
 
@@ -89,14 +97,16 @@ def _mirror(m: SparseMatrix, swap: list[int]) -> SparseMatrix:
 
 class CubeAlgebra:
     """The Terwilliger algebra of the D-cube, as functions on the orbit
-    triples: the four multiplication operators, each N x N with N = C(D+3, 3),
-    and the cube module's sl2 action.
+    triples: the three multiplication operators, each N x N with N =
+    C(D+3, 3), and the cube module's sl2 action.
 
     ``left_a`` and ``left_astar`` send X to A X and A* X, acting on orbit
     functions as columns; ``rep`` is the ``SL2Rep`` of the left
-    multiplications by E, F and H = A*, certified at construction.
-    ``right_a`` and ``right_astar`` send X to X A and X A*, acting on orbit
-    functions as rows (X -> X R), the form ``span_closure`` multiplies.
+    multiplications by E, F and H = A*, certified at construction, with E
+    and F the two halves of the adjacency stencil (see the module
+    docstring) and ``left_a`` = E + F.  ``right_a`` sends X to X A, acting
+    on orbit functions as rows (X -> X R), the form ``te_dimension``
+    multiplies.
     """
 
     def __init__(self, D: int):
@@ -106,21 +116,19 @@ class CubeAlgebra:
         self.orbits = _orbits(D)
         index = self.index = {o: k for k, o in enumerate(self.orbits)}
         n = len(self.orbits)
-        a: dict[int, IntVector] = {}
+        e: dict[int, IntVector] = {}
+        f: dict[int, IntVector] = {}
         for r, (i, j, t) in enumerate(self.orbits):
-            row = {index[source]: c for source, c in _adjacency_stencil(D, i, j, t) if c}
-            if row:
-                a[r] = row
-        self.left_a = SparseMatrix._new(n, n, a, 1)
+            for source, c in _adjacency_stencil(D, i, j, t):
+                if c:
+                    (e if source[0] > i else f).setdefault(r, {})[index[source]] = c
+        e_op, f_op = SparseMatrix._new(n, n, e, 1), SparseMatrix._new(n, n, f, 1)
+        self.left_a = e_op + f_op
         self.left_astar = SparseMatrix._new(
             n, n, {k: {k: D - 2 * i} for k, (i, _, _) in enumerate(self.orbits) if D != 2 * i}, 1)
-        bracket = self.left_a * self.left_astar - self.left_astar * self.left_a
-        half_a = self.left_a.scale(Fraction(1, 2))
-        self.rep = SL2Rep(n, half_a - bracket.scale(Fraction(1, 4)),
-                          half_a + bracket.scale(Fraction(1, 4)), self.left_astar)
+        self.rep = SL2Rep(n, e_op, f_op, self.left_astar)
         # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
-        swap = [index[j, i, t] for i, j, t in self.orbits]
-        self.right_a, self.right_astar = (_mirror(m, swap) for m in (self.left_a, self.left_astar))
+        self.right_a = _mirror(self.left_a, [index[j, i, t] for i, j, t in self.orbits])
 
     def identity(self, weights) -> Vector:
         """The orbit function of the identity on the vertices at the
@@ -138,7 +146,9 @@ class CubeAlgebra:
         checked, else ArithmeticError: then Lam is diagonalizable on the cube
         module with eigenvalues among the c_n, each e_n is the projection on
         the c_n-eigenspace, which is the L_n-isotypic part since c_n
-        determines n, and a trace of e_n is a dimension.
+        determines n, and a trace of e_n is a dimension.  Only the D + 1
+        diagonal entries of each e_n are formed, from those of the Krylov
+        vectors.
         """
         D = self.D
         lam = evaluate(usl2.casimir(), self.rep)
@@ -149,13 +159,14 @@ class CubeAlgebra:
         powers = SparseMatrix.from_columns(krylov, len(self.orbits))
         if powers.apply(dict(enumerate(_poly(values.values())))):
             raise ArithmeticError("the Casimir values of L_D, L_(D-2), ... do not annihilate the cube module")
-        diagonal = [self.index[i, i, i] for i in range(D + 1)]
+        rows = [powers._num.get(self.index[i, i, i]) for i in range(D + 1)]
+        diagonal = SparseMatrix._new(D + 1, powers.cols, {i: d for i, d in enumerate(rows) if d}, powers._den)
         out = {}
         for n, c in values.items():
             others = [x for m, x in values.items() if m != n]
             scale = prod(c - x for x in others)
-            e = powers.apply({k: x / scale for k, x in enumerate(_poly(others))})
-            out[n] = [e.get(r, Fraction(0)) for r in diagonal]
+            e = diagonal.apply({k: x / scale for k, x in enumerate(_poly(others))})
+            out[n] = [e.get(i, Fraction(0)) for i in range(D + 1)]
         return out
 
 
@@ -206,15 +217,28 @@ def decompose_standard(cube: CubeAlgebra) -> StandardDecomposition:
 
 def te_dimension(cube: CubeAlgebra) -> int:
     """Dimension of the halved-cube Terwilliger algebra T, generated by A^2
-    and A* on the even half.
+    and A* on the even half, closed block by block.
 
     Both preserve the parity of |x^b|, so for I_e, the identity on the even
     half, I_e w is the word w in the two operators restricted to the even
-    half, and T is the span of I_e w over all words w: the closure of the
-    row I_e under right multiplication by A^2 and A*.  An orbit function is
-    its matrix, so the dimension of that span of rows is dim T.  I_e A^2 is
-    first checked to give a halved-graph adjacency (A^2 - D)/2 that is 0/1
-    with a zero diagonal, else ArithmeticError.
+    half, and T is the span of I_e w over all words w.  An orbit function is
+    its matrix, so T is a span of rows.  I_e A^2 is first checked to give a
+    halved-graph adjacency (A^2 - D)/2 that is 0/1 with a zero diagonal,
+    else ArithmeticError.
+
+    On the even half A* has the distinct eigenvalue D - 2j on each even j,
+    so the projection E*_j onto that weight space, the row of the identity
+    at (j, j, j), is a polynomial in A* and lies in T (Terwilliger, "The
+    subconstituent algebra of an association scheme I", J. Algebraic
+    Combin. 1, 1992).  The E*_i sum to I_e, so T = (+)_i E*_i T, and E*_i T
+    is the closure of the row E*_i under right multiplication by A^2 and
+    by every E*_j: right multiplication by A* = sum_j (D - 2j) E*_j adds
+    nothing to it, and none of these changes i.  X E*_j is the part of a
+    row X on the triples with that j, so each product of an accepted row
+    with A^2 is split by j and each piece is inserted in the echelon basis
+    of its own block E*_i T E*_j; only accepted pieces are multiplied
+    again.  The blocks live on disjoint triples, so dim T is the sum of
+    their ranks.
     """
     D, n = cube.D, len(cube.orbits)
     even_identity = SparseMatrix._new(1, n, {0: {cube.index[i, i, i]: 1 for i in range(0, D + 1, 2)}}, 1)
@@ -224,8 +248,30 @@ def te_dimension(cube: CubeAlgebra) -> int:
         i, j, t = cube.orbits[c]
         if x != 1 or halved._den != 1 or i == j == t:
             raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
-    _, dim = span_closure(even_identity, [a2, cube.right_astar])
-    return dim
+    # row k of A^2, split by the j of its columns
+    split: dict[int, dict[int, IntVector]] = {}
+    for k, d in a2._num.items():
+        for c, x in d.items():
+            split.setdefault(k, {}).setdefault(cube.orbits[c][1], {})[c] = x
+    blocks: defaultdict[tuple[int, int], EchelonBasis] = defaultdict(EchelonBasis)
+    work: list[tuple[int, IntVector]] = []
+    for i in range(0, D + 1, 2):
+        row = {cube.index[i, i, i]: 1}
+        blocks[i, i]._insert(row)
+        work.append((i, row))
+    while work:
+        i, row = work.pop()
+        pieces: dict[int, IntVector] = {}
+        for k, x in row.items():
+            for j, part in split.get(k, {}).items():
+                piece = pieces.setdefault(j, {})
+                for c, y in part.items():
+                    piece[c] = piece.get(c, 0) + x * y
+        for j, piece in pieces.items():
+            piece = {c: x for c, x in piece.items() if x}
+            if piece and blocks[i, j]._insert(piece):
+                work.append((i, piece))
+    return sum(len(basis) for basis in blocks.values())
 
 
 def te_dimension_formula(D: int) -> int:

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
 
 from hahnsl2.hahn import random_free_poly
-from hahnsl2.linalg import SparseMatrix, kernel_basis
+from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis
 from hahnsl2.reporting import PASS
 from hahnsl2.usl2 import random_element as random_usl2_element
 from hahnsl2.usl2 import ue_basis_element, zero
@@ -63,3 +63,47 @@ def invert(m):
         return None
     return SparseMatrix.from_rows([[Fraction(int(x.p), int(x.q)) for x in row]
                                    for row in sm.inv().tolist()])
+
+
+def vstack(top, bottom):
+    """The rows of top followed by the rows of bottom."""
+    if top.cols != bottom.cols:
+        raise ValueError("column mismatch in stack")
+    den = lcm(top._den, bottom._den)
+    st, sb = den // top._den, den // bottom._den
+    num = {r: {c: st * x for c, x in d.items()} for r, d in top._num.items()}
+    for r, d in bottom._num.items():
+        num[top.rows + r] = {c: sb * x for c, x in d.items()}
+    return SparseMatrix._new(top.rows + bottom.rows, top.cols, num, den)
+
+
+def span_closure(start, generators) -> tuple:
+    """Oracle: a linear basis (an ``EchelonBasis``) of the span of start·w
+    over all words w in the generators, the empty word included, and its
+    dimension.  With start the identity this is the unital matrix algebra
+    the generators generate.
+
+    Worklist closure: keep right-multiplying newly accepted matrices by the
+    generators until nothing new appears.  Discarding products that reduce
+    into the current span is sound because right multiplication is linear.
+    A matrix and its numerators span the same line, so the basis takes the
+    numerators, flattened row-major.
+    """
+    if not generators:
+        raise ValueError("span_closure needs at least one generator")
+    n = generators[0].rows
+    for g in generators:
+        if g.rows != g.cols or g.rows != n:
+            raise ValueError("span_closure generators must be square and same size")
+    if start.cols != n:
+        raise ValueError("span_closure start must have as many columns as the generators")
+    basis = EchelonBasis()
+    work = [start]
+    head = 0
+    while head < len(work):
+        m = work[head]
+        head += 1
+        if basis._insert({r * n + c: x for r, d in m._num.items() for c, x in d.items()}):
+            for g in generators:
+                work.append(m.matmul(g))
+    return basis, len(basis)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from hahnsl2 import reps
-from hahnsl2.linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace, span_closure, vstack
+from hahnsl2.linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep
 from hahnsl2.terwilliger import (
     HalvedDecomposition,
@@ -23,6 +23,7 @@ from hahnsl2.terwilliger import (
     standard_multiplicity,
     te_dimension_formula,
 )
+from tests.conftest import span_closure, vstack
 
 
 def _weight(v: int) -> int:

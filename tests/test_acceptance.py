@@ -10,8 +10,8 @@ from fractions import Fraction
 from random import Random
 
 from hahnsl2 import hahn, reps, terwilliger, usl2
-from hahnsl2.linalg import SparseMatrix, span_closure
-from tests.conftest import all_pass, random_free_poly, random_usl2_element
+from hahnsl2.linalg import SparseMatrix
+from tests.conftest import all_pass, random_free_poly, random_usl2_element, span_closure
 
 Q = Fraction
 
@@ -81,18 +81,13 @@ def test_criterion_5_module_facts():
     ok = len(items) == 53 and all_pass(items)
     # classification round-trip across all four families for d <= 5
     for d in range(6):
-        for builder, n, parity in (
-            (reps.build_L0, 2 * d, 0),
-            (reps.build_L0, 2 * d + 1, 0),
-            (reps.build_L1, 2 * d + 1, 1),
-            (reps.build_L1, 2 * d + 2, 1),
-        ):
-            label, _ = reps.classify_ue_irreducible(builder(n))
+        for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
+            label, _ = reps.classify_ue_irreducible(reps.ModuleLabel(n, parity).build())
             ok = ok and (label.n, label.parity, label.d) == (n, parity, d)
     # every half is irreducible by its weight graph, and by Burnside: its
     # operators span the full matrix algebra
     for n in range(13):
-        for half in [reps.build_L0(n)] + ([reps.build_L1(n)] if n >= 1 else []):
+        for half in [reps.ModuleLabel(n, p).build() for p in ((0, 1) if n else (0,))]:
             ok = ok and reps.is_irreducible(half.operators())
             ok = ok and span_closure(SparseMatrix.identity(half.dim), half.operators())[1] == half.dim ** 2
     elapsed = time.perf_counter() - t0

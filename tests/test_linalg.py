@@ -16,10 +16,8 @@ from hahnsl2.linalg import (
     restrict_to_subspace,
     rref,
     solve,
-    span_closure,
-    vstack,
 )
-from tests.conftest import dense
+from tests.conftest import dense, span_closure, vstack
 
 F = Fraction
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -6,14 +6,12 @@ import re
 import pytest
 
 from hahnsl2 import reps, usl2
-from hahnsl2.linalg import SparseMatrix, diagonal, span_closure
+from hahnsl2.linalg import SparseMatrix, diagonal
 from hahnsl2.reps import (
     ModuleLabel,
     SL2Rep,
     UeRep,
     build_L,
-    build_L0,
-    build_L1,
     classify_ue_irreducible,
     evaluate,
     is_irreducible,
@@ -22,7 +20,7 @@ from hahnsl2.reps import (
     verify_ladder_modules,
 )
 from hahnsl2.terwilliger import CubeAlgebra
-from tests.conftest import all_pass, dense, invert
+from tests.conftest import all_pass, dense, invert, span_closure
 
 Q = Fraction
 
@@ -106,30 +104,46 @@ def test_evaluate_multiplies_no_identity_factors(monkeypatch):
 
 
 def test_build_L0_L1_examples():
-    rep = build_L0(4)
+    rep = ModuleLabel(4, 0).build()
     assert rep.H == SparseMatrix.from_rows([[4, 0, 0], [0, 0, 0], [0, 0, -4]])
     assert rep.dim == 3
-    rep = build_L1(2)
+    rep = ModuleLabel(2, 1).build()
     assert rep.dim == 1
     assert rep.H.is_zero() and rep.E2.is_zero() and rep.F2.is_zero()
     assert rep.Lam == SparseMatrix.identity(1).scale(4)
-    rep = build_L0(0)
+    rep = ModuleLabel(0, 0).build()
     assert rep.dim == 1
     assert rep.E2.is_zero() and rep.F2.is_zero() and rep.H.is_zero() and rep.Lam.is_zero()
     with pytest.raises(ValueError):
-        build_L1(0)
+        ModuleLabel(0, 1).build()
+
+
+def test_built_modules_store_what_the_public_constructor_stores():
+    # the integer rows of build and build_L against the checked constructor
+    # on their Fraction entries: no zero stored (H vanishes at n = 2m), and
+    # the same canonical numerators and denominator
+    def rebuilt(op):
+        return SparseMatrix(op.rows, op.cols, {(r, c): v for r, c, v in op.items()})
+
+    for n in range(9):
+        modules = [build_L(n)] + [ModuleLabel(n, p).build() for p in ((0, 1) if n else (0,))]
+        for rep in modules:
+            ops = (rep.E, rep.F, rep.H) if isinstance(rep, SL2Rep) else rep.operators()
+            for op in ops:
+                assert op == rebuilt(op)
+                assert all(x for d in op._num.values() for x in d.values())
 
 
 def test_restrict_even_matches_built_blocks():
     for n in range(13):
         rep = build_L(n)
         block0, block1 = restrict_even(rep)
-        assert block0.operators() == build_L0(n).operators()
+        assert block0.operators() == ModuleLabel(n, 0).build().operators()
         if n == 0:
             assert block1 is None
         else:
             assert block1 is not None
-            assert block1.operators() == build_L1(n).operators()
+            assert block1.operators() == ModuleLabel(n, 1).build().operators()
 
 
 def test_restrict_even_block_dims():
@@ -167,12 +181,12 @@ def _direct_sum(a: UeRep, b: UeRep) -> UeRep:
 
 
 def test_is_irreducible_and_direct_sum():
-    assert is_irreducible(build_L0(6).operators())
-    assert is_irreducible(build_L1(5).operators())
-    assert not is_irreducible(_direct_sum(build_L0(2), build_L1(2)).operators())
+    assert is_irreducible(ModuleLabel(6, 0).build().operators())
+    assert is_irreducible(ModuleLabel(5, 1).build().operators())
+    assert not is_irreducible(_direct_sum(ModuleLabel(2, 0).build(), ModuleLabel(2, 1).build()).operators())
     # Scalar Casimir (12 on both summands) but a two-dimensional E^2 kernel:
     # not a single ladder, so classification and signature both refuse it.
-    doubled = _direct_sum(build_L0(4), build_L0(4))
+    doubled = _direct_sum(ModuleLabel(4, 0).build(), ModuleLabel(4, 0).build())
     assert not is_irreducible(doubled.operators())
     with pytest.raises(ValueError):
         classify_ue_irreducible(doubled)
@@ -182,7 +196,8 @@ def test_is_irreducible_and_direct_sum():
         with pytest.raises(ValueError, match="empty module"):
             is_irreducible(empty)
     # oracle: Burnside, the operators span the full matrix algebra
-    for rep in (build_L0(6), build_L1(5), _direct_sum(build_L0(2), build_L1(2)), doubled):
+    mixed = _direct_sum(ModuleLabel(2, 0).build(), ModuleLabel(2, 1).build())
+    for rep in (ModuleLabel(6, 0).build(), ModuleLabel(5, 1).build(), mixed, doubled):
         ops = rep.operators()
         assert is_irreducible(ops) == (span_closure(SparseMatrix.identity(rep.dim), ops)[1] == rep.dim ** 2)
 
@@ -225,7 +240,7 @@ def test_is_irreducible_agrees_with_burnside_on_every_ladder_module(monkeypatch)
 
 
 def test_ue_rep_names_the_first_failing_relation():
-    e2, f2, lam, h = build_L0(4).operators()
+    e2, f2, lam, h = ModuleLabel(4, 0).build().operators()
     ident = SparseMatrix.identity(3)
     # diag(12, 12, 24) takes the other root of the E^2 F^2 relation at u_2,
     # so only the F^2 E^2 relation and the commutations can catch it
@@ -241,46 +256,41 @@ def test_ue_rep_names_the_first_failing_relation():
 
 
 def test_signature_examples():
-    sig = signature(build_L0(4))
+    sig = signature(ModuleLabel(4, 0).build())
     assert (sig.dim, sig.casimir_scalar) == (3, Q(12))
     assert sorted(sig.h_spectrum) == [Q(-4), Q(0), Q(4)]
-    sig = signature(build_L1(4))
+    sig = signature(ModuleLabel(4, 1).build())
     assert (sig.dim, sig.casimir_scalar) == (2, Q(12))
     assert sorted(sig.h_spectrum) == [Q(-2), Q(2)]
-    sig = signature(build_L0(0))
+    sig = signature(ModuleLabel(0, 0).build())
     assert (sig.dim, sig.casimir_scalar, sig.h_spectrum) == (1, Q(0), (Q(0),))
 
 
 def test_signatures_pairwise_distinct_up_to_12():
-    sigs = [signature(build_L0(n)) for n in range(13)]
-    sigs += [signature(build_L1(n)) for n in range(1, 13)]
+    sigs = [signature(ModuleLabel(n, 0).build()) for n in range(13)]
+    sigs += [signature(ModuleLabel(n, 1).build()) for n in range(1, 13)]
     assert len(set(sigs)) == len(sigs)
 
 
 def test_classification_examples():
-    label, p = classify_ue_irreducible(build_L1(5))
+    label, p = classify_ue_irreducible(ModuleLabel(5, 1).build())
     assert (label.n, label.parity, label.d) == (5, 1, 2)
     assert str(label) == "L_5^(1)"
-    label, _ = classify_ue_irreducible(build_L0(4))
+    label, _ = classify_ue_irreducible(ModuleLabel(4, 0).build())
     assert (label.n, label.parity, label.d) == (4, 0, 2)
-    label, _ = classify_ue_irreducible(build_L0(0))
+    label, _ = classify_ue_irreducible(ModuleLabel(0, 0).build())
     assert (label.n, label.parity, label.d) == (0, 0, 0)
 
 
 def test_classification_round_trip_all_families():
     for d in range(6):
-        for builder, n, parity in (
-            (build_L0, 2 * d, 0),
-            (build_L0, 2 * d + 1, 0),
-            (build_L1, 2 * d + 1, 1),
-            (build_L1, 2 * d + 2, 1),
-        ):
-            rep = builder(n)
+        for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
+            rep = ModuleLabel(n, parity).build()
             assert rep.dim == d + 1
             label, p = classify_ue_irreducible(rep)
             assert (label.n, label.parity) == (n, parity)
             # the returned map intertwines all four operators exactly
-            target = builder(n)
+            target = ModuleLabel(n, parity).build()
             for op_in, op_tgt in zip(rep.operators(), target.operators()):
                 assert op_in * p == p * op_tgt
 
@@ -298,13 +308,8 @@ def test_classification_of_conjugated_module():
     # basis, so H, E^2 and F^2 are in general not diagonal or bidiagonal.
     rng = Random(4)
     for d in range(5):
-        for builder, n, parity in (
-            (build_L0, 2 * d, 0),
-            (build_L0, 2 * d + 1, 0),
-            (build_L1, 2 * d + 1, 1),
-            (build_L1, 2 * d + 2, 1),
-        ):
-            base = builder(n)
+        for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
+            base = ModuleLabel(n, parity).build()
             for _ in range(3):
                 m, mi = _random_invertible(rng, base.dim)
                 conj = UeRep(base.dim, *(m * op * mi for op in base.operators()))
@@ -325,7 +330,8 @@ def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity()
 
 
 def test_classification_rejects_non_scalar_casimir():
-    mixed = _direct_sum(build_L0(1), build_L1(2))  # both one-dimensional, Casimir 3/2 vs 4
+    # both one-dimensional, Casimir 3/2 vs 4
+    mixed = _direct_sum(ModuleLabel(1, 0).build(), ModuleLabel(2, 1).build())
     with pytest.raises(ValueError):
         classify_ue_irreducible(mixed)
 

@@ -4,14 +4,7 @@ from math import comb
 import pytest
 
 from hahnsl2 import cli, reps, terwilliger, usl2
-from hahnsl2.linalg import (
-    SparseMatrix,
-    kernel_basis,
-    restrict_to_subspace,
-    solve,
-    span_closure,
-    vstack,
-)
+from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, restrict_to_subspace, solve
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep, classify_ue_irreducible, evaluate
 from hahnsl2.terwilliger import (
     CubeAlgebra,
@@ -22,7 +15,7 @@ from hahnsl2.terwilliger import (
     te_dimension_formula,
 )
 from tests import cube_oracle
-from tests.conftest import dense, eigenspace
+from tests.conftest import dense, eigenspace, span_closure, vstack
 from tests.cube_oracle import CubeContext, adjacency, cube_rho, dual_adjacency, even_half, halved_operators
 
 Q = Fraction
@@ -219,7 +212,7 @@ def _expand(cube, pairs, X):
 
 @pytest.mark.parametrize("D", range(2, 7))
 def test_orbit_operators_expand_to_the_vertex_products(D):
-    # left A, left A*, right A and right A* on each basis matrix M_(i,j,t),
+    # left A, left A* and right A on each basis matrix M_(i,j,t),
     # at three base vertices, one of odd weight: the full-cube stencils
     # need no even base
     cube = CubeAlgebra(D)
@@ -233,19 +226,18 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
             assert _expand(cube, pairs, cube.left_a.apply({k: Q(1)})) == a * m
             assert _expand(cube, pairs, cube.left_astar.apply({k: Q(1)})) == astar * m
             assert _expand(cube, pairs, cube.right_a.row(k)) == m * a
-            assert _expand(cube, pairs, cube.right_astar.row(k)) == m * astar
 
 
 @pytest.mark.parametrize("D", range(2, 10))
 def test_orbit_operators_match_the_public_constructor(D):
-    # the four operators read off the stencil entry by entry, through the
+    # the three operators read off the stencil entry by entry, through the
     # checked public constructor: X -> A X and X -> A* X on columns, and
-    # X -> X A and X -> X A* on rows, where (X A)(i, j, t) is the stencil
-    # with i and j swapped and (X A*)(i, j, t) = (D - 2j) X(i, j, t)
+    # X -> X A on rows, where (X A)(i, j, t) is the stencil with i and j
+    # swapped
     cube = CubeAlgebra(D)
     n = len(cube.orbits)
     index = {o: k for k, o in enumerate(cube.orbits)}
-    left_a, right_a, left_astar, right_astar = {}, {}, {}, {}
+    left_a, right_a, left_astar = {}, {}, {}
     for r, (i, j, t) in enumerate(cube.orbits):
         for (si, sj, st), c in terwilliger._adjacency_stencil(D, i, j, t):
             if c:
@@ -254,13 +246,11 @@ def test_orbit_operators_match_the_public_constructor(D):
             if c:
                 right_a[index[si, sj, st], r] = c
         left_astar[r, r] = D - 2 * i
-        right_astar[r, r] = D - 2 * j
     assert cube.left_a == SparseMatrix(n, n, left_a)
     assert cube.right_a == SparseMatrix(n, n, right_a)
     assert cube.left_astar == SparseMatrix(n, n, left_astar)
-    assert cube.right_astar == SparseMatrix(n, n, right_astar)
     # no zero stored: the rows of A* at i = D/2 are empty
-    assert all(x for m in (cube.left_astar, cube.right_astar) for d in m._num.values() for x in d.values())
+    assert all(x for d in cube.left_astar._num.values() for x in d.values())
 
 
 PER_D_CASES = (
@@ -284,6 +274,17 @@ def test_cube_rho_relations_certified():
         rep = cube_rho(CubeContext(D=D))  # and the oracle's on vertices
         assert rep.E + rep.F == adjacency(CubeContext(D=D))
         assert rep.H == dual_adjacency(CubeContext(D=D))
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+def test_e_and_f_are_the_two_halves_of_the_stencil(D):
+    # oracle: E, F = A/2 -/+ [A, A*]/4 through the public products
+    cube = CubeAlgebra(D)
+    a, astar = cube.left_a, cube.left_astar
+    bracket = (a * astar - astar * a).scale(Q(1, 4))
+    assert cube.rep.E == a.scale(Q(1, 2)) - bracket
+    assert cube.rep.F == a.scale(Q(1, 2)) + bracket
+    assert cube.left_a == cube.rep.E + cube.rep.F
 
 
 def test_cube_rho_natural_pullback_of_B():
@@ -382,17 +383,48 @@ def test_te_dimension_matches_brute_force_closure(D, base):
     assert te_dimension(CubeAlgebra(D)) == brute
 
 
-def test_te_dimension_closes_once_on_the_even_identity_row(monkeypatch):
-    calls = []
-    real = terwilliger.span_closure
+@pytest.mark.parametrize("D", range(2, 13))
+def test_te_dimension_matches_the_orbit_level_closure(D):
+    # oracle: the closure of the even-identity row under X -> X A^2 and
+    # X -> X A*, with (X A*)(i, j, t) = (D - 2j) X(i, j, t)
+    cube = CubeAlgebra(D)
+    n = len(cube.orbits)
+    even_identity = SparseMatrix(1, n, {(0, cube.index[i, i, i]): 1 for i in range(0, D + 1, 2)})
+    right_astar = SparseMatrix(n, n, {(k, k): D - 2 * j for k, (_, j, _) in enumerate(cube.orbits)})
+    assert te_dimension(cube) == span_closure(even_identity, [cube.right_a * cube.right_a, right_astar])[1]
 
-    def recorded(start, generators):
-        calls.append(((start.rows, start.cols), [(g.rows, g.cols) for g in generators]))
-        return real(start, generators)
 
-    monkeypatch.setattr(terwilliger, "span_closure", recorded)
-    assert te_dimension(CubeAlgebra(7)) == 30
-    assert calls == [((1, 120), [(120, 120), (120, 120)])]
+@pytest.mark.parametrize("D", range(2, 21))
+def test_te_dimension_matches_the_formula_up_to_d20(D):
+    assert te_dimension(CubeAlgebra(D)) == te_dimension_formula(D)
+
+
+def test_te_dimension_closes_each_block_on_its_own(monkeypatch):
+    # at D = 7: one echelon basis per nonempty block E*_i T E*_j, i and j
+    # even, of rank min(i, j) - max(0, i + j - 7) + 1, its number of triples
+    made = []
+
+    class Recorded(EchelonBasis):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(terwilliger, "EchelonBasis", Recorded)
+    cube = CubeAlgebra(7)
+    assert te_dimension(cube) == 30
+    blocks = {}
+    for basis in made:
+        (block,) = {cube.orbits[p][:2] for p in basis.pivots}
+        assert block not in blocks
+        blocks[block] = len(basis)
+    assert blocks == {
+        (0, 0): 1, (0, 2): 1, (0, 4): 1, (0, 6): 1,
+        (2, 0): 1, (2, 2): 3, (2, 4): 3, (2, 6): 2,
+        (4, 0): 1, (4, 2): 3, (4, 4): 4, (4, 6): 2,
+        (6, 0): 1, (6, 2): 2, (6, 4): 2, (6, 6): 2,
+    }
+    assert sum(blocks.values()) == 30
+    assert not hasattr(terwilliger, "span_closure")
 
 
 def _orbit_triples(D):

@@ -6,7 +6,7 @@ import pytest
 
 from hahnsl2 import usl2
 from hahnsl2.linalg import SparseMatrix
-from hahnsl2.reps import build_L, build_L0, build_L1, evaluate
+from hahnsl2.reps import ModuleLabel, build_L, evaluate
 from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, parse, render
 from tests.conftest import assert_canonical, dense, ue_basis_recompose
 
@@ -208,7 +208,7 @@ def test_even_relations_vanish_in_pbw_form_and_on_the_halves():
     assert len(residuals) == 7
     assert all(r.is_zero() for r in residuals)
     for n in range(9):
-        for half in (build_L0(n), build_L1(n)) if n else (build_L0(n),):
+        for half in [ModuleLabel(n, p).build() for p in ((0, 1) if n else (0,))]:
             residuals = usl2.even_relations(*half.operators(), SparseMatrix.identity(half.dim))
             assert len(residuals) == 7
             assert all(r.is_zero() for r in residuals)
