@@ -35,7 +35,6 @@ from .reps import (
     evaluate,
     is_irreducible,
     restrict_even,
-    signature,
     verify_ladder_modules,
 )
 from .terwilliger import (
@@ -80,7 +79,6 @@ __all__ = [
     "evaluate",
     "is_irreducible",
     "restrict_even",
-    "signature",
     "verify_ladder_modules",
     "CubeAlgebra",
     "decompose_halved",

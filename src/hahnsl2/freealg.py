@@ -223,11 +223,9 @@ def ideal_membership(
     basis = EchelonBasis()
     accepted: list[tuple[Word, int, Word]] = []
     columns: list[IntVector] = []
-    target_vec = {column(w): c for w, c in target.terms.items()}
-    residual = target_vec  # running reduction of the target
-
-    # A candidate's column holds its generator's integer numerators, read
-    # once here: den times its coefficient vector, which spans the same line.
+    # The residual (the target reduced so far) and a candidate's column hold
+    # integer numerators: den times the coefficient vector, on the same line.
+    residual = {column(w): x for w, x in target._num.items()}
     gen_nums = [g._num.items() for g in generators]
     gen_degrees = [g.degree() for g in generators]
     min_total = min(gen_degrees)
@@ -248,7 +246,7 @@ def ideal_membership(
                         if residual:
                             continue
                         matrix = SparseMatrix.from_columns(columns, top)
-                        coeffs = solve(matrix, target_vec)
+                        coeffs = solve(matrix, {column(w): c for w, c in target.terms.items()})
                         # column t is den times its candidate, so the
                         # candidate's coefficient is den times coeffs[t]
                         triples = tuple((coeffs[t] * generators[accepted[t][1]]._den, *accepted[t])

@@ -22,6 +22,7 @@ from random import Random
 
 from . import usl2
 from .freealg import FreePoly, fcommutator, ideal_membership, substitute
+from .linalg import random_terms
 from .reporting import PASS, UNRESOLVED, CheckItem, check
 
 ALPHABET = ("A", "B")
@@ -188,12 +189,9 @@ def verify_image_gradings() -> list[CheckItem]:
 
 
 def random_free_poly(rng: Random, max_terms: int = 4, max_len: int = 4) -> FreePoly:
-    terms: dict[str, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        w = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        terms[w] = terms.get(w, Fraction(0)) + c
-    return FreePoly(ALPHABET, terms)
+    """A seeded random polynomial with 1..max_terms words of length <= max_len."""
+    draw = lambda: "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
+    return FreePoly(ALPHABET, random_terms(rng, draw, max_terms, 4, 3))
 
 
 def verify_intertwining(samples: int = 25, seed: int = 20230814) -> list[CheckItem]:

@@ -19,9 +19,11 @@ N^2, and an echelon insert back-reduces only the rows whose pivot comes
 before the new one.  ``Fraction`` lives at the API edge: constructors and scalar
 multiples take ints, Fractions or strings (never floats), and every entry,
 vector or coefficient handed back is a ``Fraction``, built when it is read.
-Matrix and combination operations return new values and never mutate their
-inputs.  An ``EchelonBasis`` is the one mutable object: ``insert`` grows it
-in place, so each basis belongs to the computation that builds it.
+An ``EchelonBasis`` takes and returns integer vectors instead, because a row
+space does not change under scaling.  Matrix and combination operations
+return new values and never mutate their inputs.  An ``EchelonBasis`` is the
+one mutable object: ``insert`` grows it in place, so each basis belongs to
+the computation that builds it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from random import Random
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # Sparse vector: index -> nonzero Fraction.
 Vector = dict[int, Fraction]
@@ -189,6 +192,18 @@ def render_terms(pairs: Iterable[tuple[str, Fraction]]) -> str:
     return text or "0"
 
 
+def random_terms(rng: Random, draw_key: Callable, max_terms: int, num: int, den: int) -> dict:
+    """The seeded random terms of one sample: 1..max_terms draws, each of a
+    key (``draw_key``), then a numerator in [-num, num], then a denominator
+    in [1, den], in that order; the coefficients of a repeated key add."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        key = draw_key()
+        c = Fraction(rng.randint(-num, num), rng.randint(1, den))
+        terms[key] = terms.get(key, 0) + c
+    return terms
+
+
 def _clear(v: Vector) -> tuple[IntVector, int]:
     """Integer numerators of v over the least common denominator of its
     entries, zeros dropped."""
@@ -204,8 +219,8 @@ def _primitive(w: IntVector, p: int) -> IntVector:
     return w if g == 1 else {i: x // g for i, x in w.items()}
 
 
-def _eliminate(w: IntVector, row: IntVector, p: int) -> tuple[IntVector, int]:
-    """(a*w - b*row, a) for the least a > 0 and integer b that make column p
+def _eliminate(w: IntVector, row: IntVector, p: int) -> IntVector:
+    """a*w - b*row for the least a > 0 and integer b that make column p
     vanish; row[p] must be positive."""
     a, b = row[p], w[p]
     g = gcd(a, b)
@@ -218,7 +233,7 @@ def _eliminate(w: IntVector, row: IntVector, p: int) -> tuple[IntVector, int]:
             out[i] = x
         else:
             del out[i]
-    return out, a
+    return out
 
 
 class SparseMatrix:
@@ -275,16 +290,6 @@ class SparseMatrix:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "SparseMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        for row in rows:
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-        return SparseMatrix(nr, nc, {(r, c): v for r, row in enumerate(rows)
-                                     for c, v in enumerate(row)})
-
-    @staticmethod
     def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
         return SparseMatrix(rows, len(columns), {(r, c): v for c, col in enumerate(columns)
                                                  for r, v in col.items()})
@@ -293,18 +298,10 @@ class SparseMatrix:
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix._new(n, n, {i: {i: 1} for i in range(n)}, 1)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "SparseMatrix":
-        return SparseMatrix(rows, cols)
-
     # -- access ---------------------------------------------------------------
 
     def get(self, r: int, c: int) -> Fraction:
         return Fraction(self._num.get(r, {}).get(c, 0), self._den)
-
-    def row(self, r: int) -> Vector:
-        den = self._den
-        return {c: Fraction(x, den) for c, x in self._num.get(r, {}).items()}
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
         den = self._den
@@ -405,10 +402,12 @@ class SparseMatrix:
 class EchelonBasis:
     """Reduced row-echelon basis built by inserting one vector at a time.
 
+    A row space does not change under scaling, so vectors in and out are
+    ``IntVector``s: rational entries are passed as their numerators over a
+    common denominator.  ``gcd`` raises TypeError on a Fraction or a float.
     Invariants: pivot columns strictly increase, and pivot columns vanish in
     all other rows.  Rows are stored as primitive integer vectors (gcd 1)
-    with a positive pivot entry, which fixes each of them uniquely; ``rows``
-    hands out the same rows scaled to pivot entry 1, as Fractions.
+    with a positive pivot entry, which fixes each of them uniquely.
     Insertion reduces the incoming vector first and then back-reduces the
     stored rows, so the basis stays fully reduced.  That is what makes
     reduction cheap: eliminating one pivot brings no other pivot column into
@@ -416,53 +415,33 @@ class EchelonBasis:
     support, looked up in the map from pivot to row, not every row.
     Back-reduction visits only the rows whose pivot comes before the new
     pivot p: a row with a later pivot is zero up to that pivot, so it has
-    no entry in column p.
+    no entry in column p.  The basis may keep an inserted dict, which the
+    caller must then leave unmodified.
     """
 
-    __slots__ = ("pivots", "_rows", "_monic")
+    __slots__ = ("pivots", "_rows")
 
     def __init__(self):
         self.pivots: list[int] = []
         self._rows: dict[int, IntVector] = {}  # pivot -> row
-        self._monic: Optional[list[Vector]] = None
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def rows(self) -> list[Vector]:
-        """The monic reduced rows (pivot entry 1), kept until the next insert."""
-        if self._monic is None:
-            rows = self._rows
-            self._monic = [{i: Fraction(x, rows[p][p]) for i, x in rows[p].items()}
-                           for p in self.pivots]
-        return self._monic
-
-    def _reduce(self, w: IntVector) -> tuple[IntVector, int]:
-        """(u, s) with s > 0 and u = s*w minus integer multiples of the rows,
-        zero in every pivot column."""
-        s = 1
+    def reduce(self, w: IntVector) -> IntVector:
+        """A positive multiple of w minus integer multiples of the rows, zero
+        in every pivot column: empty exactly when w lies in the span.
+        Explicit zero entries of w are ignored."""
+        if not all(w.values()):
+            w = {i: x for i, x in w.items() if x}
         rows = self._rows
         for p in sorted(rows.keys() & w.keys()):
-            w, a = _eliminate(w, rows[p], p)
-            s *= a
-        return w, s
+            w = _eliminate(w, rows[p], p)
+        return w
 
-    def reduce(self, v: Vector) -> Vector:
-        """Fully reduce v against the basis; returns a new sparse vector."""
-        w, den = _clear(v)
-        u, s = self._reduce(w)
-        den *= s
-        return {i: Fraction(x, den) for i, x in u.items()}
-
-    def insert(self, v: Vector) -> bool:
-        """Insert v, whose entries may be ints or Fractions; returns True when
-        it enlarges the span."""
-        return self._insert(_clear(v)[0])
-
-    def _insert(self, w: IntVector) -> bool:
-        """Insert the integer vector w; the one elimination path of ``insert``."""
-        w, _ = self._reduce(w)
+    def insert(self, w: IntVector) -> bool:
+        """Insert w; returns True when it enlarges the span."""
+        w = self.reduce(w)
         if not w:
             return False
         p = min(w)
@@ -472,10 +451,9 @@ class EchelonBasis:
         for q in self.pivots[:k]:
             other = rows[q]
             if p in other:
-                rows[q] = _primitive(_eliminate(other, w, p)[0], q)
+                rows[q] = _primitive(_eliminate(other, w, p), q)
         self.pivots.insert(k, p)
         rows[p] = w
-        self._monic = None
         return True
 
 
@@ -483,7 +461,7 @@ def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     basis = EchelonBasis()
     for r in sorted(m._num):
-        basis._insert(m._num[r])
+        basis.insert(m._num[r])
     return basis, len(basis)
 
 
@@ -525,7 +503,7 @@ def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:
         row = {c: bden * x for c, x in m._num.get(r, {}).items()}
         if r in bw:
             row[aug_col] = m._den * bw[r]
-        basis._insert(row)
+        basis.insert(row)
     x: Vector = {}
     for p in basis.pivots:
         row = basis._rows[p]

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from . import usl2
@@ -122,10 +123,11 @@ class ModuleLabel:
         """The scalar by which the Casimir acts."""
         return Fraction(self.n * (self.n + 2), 2)
 
+    @cache
     def build(self) -> UeRep:
         """The family in its ladder basis u_i = v_m, m = 2i + parity, where
         E^2 v_m = (n-m+1)(n-m+2) v_{m-2}, F^2 v_m = (m+1)(m+2) v_{m+2} and
-        H v_m = (n-2m) v_m."""
+        H v_m = (n-2m) v_m.  Cached: each label is built and checked once."""
         n, dim = self.n, self.dim
         m = [2 * i + self.parity for i in range(dim)]
         # m <= n, so every E^2 and F^2 coefficient is a positive int
@@ -173,7 +175,7 @@ def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
                 cache[name, j] = g if j == 1 else cache[name, j - 1] * g
         return cache[name, k]
 
-    out = SparseMatrix.zero(dim, dim)
+    out = SparseMatrix(dim, dim)
     for (i, j, k), c in a._num.items():
         # identity factors are left out, not multiplied
         factors = [power(name, e) for name, e in (("E", i), ("F", j), ("H", k)) if e]
@@ -307,16 +309,6 @@ def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
     if phi is None:
         raise ValueError("constructed map fails to intertwine the operators")
     return label, phi
-
-
-def signature(rep: UeRep) -> IsoSignature:
-    """Isomorphism-separating data: dimension, Casimir scalar, H-spectrum.
-
-    The module must be one of the four ladder families
-    (``classify_ue_irreducible``), else ValueError; the signature is its
-    label's.
-    """
-    return classify_ue_irreducible(rep)[0].signature()
 
 
 def verify_ladder_modules(n_max: int) -> list[CheckItem]:

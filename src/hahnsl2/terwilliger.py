@@ -257,7 +257,7 @@ def te_dimension(cube: CubeAlgebra) -> int:
     work: list[tuple[int, IntVector]] = []
     for i in range(0, D + 1, 2):
         row = {cube.index[i, i, i]: 1}
-        blocks[i, i]._insert(row)
+        blocks[i, i].insert(row)
         work.append((i, row))
     while work:
         i, row = work.pop()
@@ -269,7 +269,7 @@ def te_dimension(cube: CubeAlgebra) -> int:
                     piece[c] = piece.get(c, 0) + x * y
         for j, piece in pieces.items():
             piece = {c: x for c, x in piece.items() if x}
-            if piece and blocks[i, j]._insert(piece):
+            if piece and blocks[i, j].insert(piece):
                 work.append((i, piece))
     return sum(len(basis) for basis in blocks.values())
 

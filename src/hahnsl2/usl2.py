@@ -34,7 +34,7 @@ from functools import lru_cache
 from random import Random
 import re
 
-from .linalg import Combination, render_terms
+from .linalg import Combination, random_terms, render_terms
 from .reporting import CheckItem, check
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
@@ -117,12 +117,8 @@ H = monomial(0, 0, 1)
 
 def random_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> USL2Element:
     """A seeded random element with 1..max_terms monomials of bounded exponents."""
-    out = zero()
-    for _ in range(rng.randint(1, max_terms)):
-        mono = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
-        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        out = out + monomial(*mono, coeff)
-    return out
+    draw = lambda: (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+    return USL2Element(random_terms(rng, draw, max_terms, 5, 4))
 
 
 def multiply(a: USL2Element, b: USL2Element) -> USL2Element:

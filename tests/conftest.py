@@ -33,6 +33,13 @@ def dense(m) -> list[list[Fraction]]:
     return out
 
 
+def from_dense(rows) -> SparseMatrix:
+    """The matrix with the given list of rows, each a list of int, Fraction
+    or str entries of one length."""
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0,
+                        {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
+
+
 def assert_canonical(x) -> None:
     """The storage of a Combination is canonical: nonzero integer numerators
     and a positive denominator with gcd 1, so zero is stored over 1."""
@@ -40,6 +47,18 @@ def assert_canonical(x) -> None:
     assert type(den) is int and den > 0, den
     assert all(type(c) is int and c for c in num.values()), num
     assert gcd(den, *num.values()) == 1, (num, den)
+
+
+def assert_echelon_invariants(basis) -> None:
+    """The integer contract of an EchelonBasis: pivots strictly increase and
+    key the stored rows; each row is primitive, starts at its pivot with a
+    positive entry, and every other row is zero in its pivot column."""
+    assert all(p < q for p, q in zip(basis.pivots, basis.pivots[1:]))
+    assert sorted(basis._rows) == basis.pivots
+    for p, row in basis._rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        assert all(p not in other for q, other in basis._rows.items() if q != p)
 
 
 def ue_basis_recompose(coords):
@@ -61,8 +80,7 @@ def invert(m):
     sm = sympy.Matrix(dense(m))
     if sm.det() == 0:
         return None
-    return SparseMatrix.from_rows([[Fraction(int(x.p), int(x.q)) for x in row]
-                                   for row in sm.inv().tolist()])
+    return from_dense([[Fraction(int(x.p), int(x.q)) for x in row] for row in sm.inv().tolist()])
 
 
 def vstack(top, bottom):
@@ -103,7 +121,7 @@ def span_closure(start, generators) -> tuple:
     while head < len(work):
         m = work[head]
         head += 1
-        if basis._insert({r * n + c: x for r, d in m._num.items() for c, x in d.items()}):
+        if basis.insert({r * n + c: x for r, d in m._num.items() for c, x in d.items()}):
             for g in generators:
                 work.append(m.matmul(g))
     return basis, len(basis)

@@ -13,9 +13,9 @@ from hahnsl2.freealg import (
     ideal_membership,
     substitute,
 )
-from hahnsl2.hahn import natural_images, tilde_rho
+from hahnsl2.hahn import _identity_targets, natural_images, presentation, tilde_rho
 from hahnsl2.linalg import SparseMatrix
-from tests.conftest import assert_canonical
+from tests.conftest import assert_canonical, from_dense
 
 Q = Fraction
 AB = ("A", "B")
@@ -78,7 +78,7 @@ def test_substitute_into_usl2():
 
 
 def test_substitute_unit_and_matrices():
-    images = {"A": SparseMatrix.from_rows([[1, 0], [0, -1]]), "B": SparseMatrix.identity(2)}
+    images = {"A": from_dense([[1, 0], [0, -1]]), "B": SparseMatrix.identity(2)}
     assert substitute(FreePoly.one(AB), images, SparseMatrix.identity(2)) == SparseMatrix.identity(2)
     sq = substitute(FreePoly(AB, {"AA": Q(1)}), images, SparseMatrix.identity(2))
     assert sq == SparseMatrix.identity(2)
@@ -285,6 +285,27 @@ def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
     assert (calls["insert"], calls["accepted"]) == (516, 327)
     # 2,238 here; numbering words by first appearance took 15,672
     assert calls["eliminate"] <= 2300
+
+
+def test_ideal_membership_is_linear_in_its_target():
+    # the search reduces the target's integer numerators, which a scale
+    # changes only by a factor: the same candidates certify a scaled target,
+    # with the scaled coefficients, and a nonmember stays one
+    relators = list(presentation().relators)
+    scale = Q(3, 7)
+    certified = 0
+    for name, residual in _identity_targets():
+        if residual.is_zero():
+            continue
+        bound = max(residual.degree(), 4)
+        cert = ideal_membership(residual, relators, bound)
+        scaled = ideal_membership(residual.scale(scale), relators, bound)
+        assert [t[1:] for t in scaled.triples] == [t[1:] for t in cert.triples], name
+        assert [t[0] for t in scaled.triples] == [scale * t[0] for t in cert.triples], name
+        certified += 1
+    assert certified == 8
+    for target in (NONMEMBER, NONMEMBER.scale(scale), NONMEMBER.scale(-7)):
+        assert ideal_membership(target, relators, 8) is None
 
 
 # scales that mix new denominators into random_free_poly's 1..3

@@ -141,5 +141,5 @@ def test_relators_span_three_dimensions():
     words = sorted({w for r in relators for w in r.terms})
     basis = EchelonBasis()
     for r in relators:
-        basis.insert({words.index(w): c for w, c in r.terms.items()})
+        basis.insert({words.index(w): x for w, x in r._num.items()})
     assert len(basis) == 3

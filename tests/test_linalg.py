@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -17,46 +17,46 @@ from hahnsl2.linalg import (
     rref,
     solve,
 )
-from tests.conftest import dense, span_closure, vstack
+from tests.conftest import assert_echelon_invariants, dense, from_dense, span_closure, vstack
 
 F = Fraction
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def test_rref_proportional_rows():
-    m = SparseMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_dense([[1, 2], [2, 4]])
     basis, rank = rref(m)
     assert rank == 1
-    assert basis.rows[0] == {0: F(1), 1: F(2)}
+    assert basis._rows == {0: {0: 1, 1: 2}}
 
 
 def test_rref_identity_and_zero():
     basis, rank = rref(SparseMatrix.identity(3))
     assert rank == 3
-    basis, rank = rref(SparseMatrix.zero(4, 4))
+    basis, rank = rref(SparseMatrix(4, 4))
     assert rank == 0
     assert len(basis) == 0
 
 
 def test_rref_row_equivalence_mutual_span():
     rng = Random(7)
-    m = SparseMatrix.from_rows(
+    m = from_dense(
         [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
     )
     basis, rank = rref(m)
     # every original row is in the span of the basis
     for r in range(m.rows):
-        assert not basis.reduce(m.row(r))
+        assert not basis.reduce(m._num.get(r, {}))
     # and every basis row is a combination of original rows
     orig, _ = rref(m)
-    for row in basis.rows:
+    for row in basis._rows.values():
         assert not orig.reduce(row)
 
 
 def test_kernel_basis_counts():
     assert kernel_basis(SparseMatrix.identity(4)) == []
-    assert len(kernel_basis(SparseMatrix.zero(2, 2))) == 2
-    m = SparseMatrix.from_rows([[1, 1], [0, 0]])
+    assert len(kernel_basis(SparseMatrix(2, 2))) == 2
+    m = from_dense([[1, 1], [0, 0]])
     vecs = kernel_basis(m)
     assert len(vecs) == 1
     v = vecs[0]
@@ -66,7 +66,7 @@ def test_kernel_basis_counts():
 
 def test_kernel_vectors_are_exact_kernel():
     rng = Random(3)
-    m = SparseMatrix.from_rows(
+    m = from_dense(
         [[rng.randint(-2, 2) for _ in range(6)] for _ in range(4)]
     )
     vecs = kernel_basis(m)
@@ -77,12 +77,12 @@ def test_kernel_vectors_are_exact_kernel():
 
 
 def test_diagonal():
-    h = SparseMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, F(-1, 2)]])
+    h = from_dense([[2, 0, 0], [0, 0, 0], [0, 0, F(-1, 2)]])
     assert diagonal(h) == [F(2), F(0), F(-1, 2)]
-    assert diagonal(SparseMatrix.zero(2, 2)) == [F(0), F(0)]
-    assert diagonal(SparseMatrix.zero(0, 0)) == []
+    assert diagonal(SparseMatrix(2, 2)) == [F(0), F(0)]
+    assert diagonal(SparseMatrix(0, 0)) == []
     assert diagonal(h + SparseMatrix(3, 3, {(2, 1): 1})) is None
-    assert diagonal(SparseMatrix.zero(2, 3)) is None
+    assert diagonal(SparseMatrix(2, 3)) is None
 
 
 def test_span_closure_identity_only():
@@ -92,7 +92,7 @@ def test_span_closure_identity_only():
 
 def test_span_closure_refuses_a_start_of_another_width():
     gens = [SparseMatrix.identity(3)]
-    for start in (SparseMatrix.identity(2), SparseMatrix.zero(3, 4)):
+    for start in (SparseMatrix.identity(2), SparseMatrix(3, 4)):
         with pytest.raises(ValueError, match="columns"):
             span_closure(start, gens)
 
@@ -140,7 +140,7 @@ def test_span_closure_two_dim_ladder_is_full_algebra():
     flat = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in words]
     assert _dense_rank(flat) == 4
 
-    gens = [SparseMatrix.from_rows(x) for x in (e, f, h)]
+    gens = [from_dense(x) for x in (e, f, h)]
     _, dim = span_closure(SparseMatrix.identity(2), gens)
     assert dim == 4
 
@@ -148,35 +148,38 @@ def test_span_closure_two_dim_ladder_is_full_algebra():
 def test_span_closure_output_closed_under_generators():
     rng = Random(11)
     gens = [
-        SparseMatrix.from_rows([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
+        from_dense([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
         for _ in range(2)
     ]
     basis, dim = span_closure(SparseMatrix.identity(3), gens)
     # post-hoc certification: basis times generator stays in the span
     n = 3
-    for row in basis.rows:
+    for row in basis._rows.values():
         m = SparseMatrix(n, n, {(i // n, i % n): c for i, c in row.items()})
         for g in gens:
             prod = m * g
-            vec = {r * n + c: v for r, c, v in prod.items()}
+            vec = {r * n + c: x for r, d in prod._num.items() for c, x in d.items()}
             assert not basis.reduce(vec)
 
 
 def test_in_span_basics():
     basis = EchelonBasis()
-    basis.insert({0: F(1), 2: F(2)})
-    basis.insert({1: F(1)})
-    assert not basis.reduce(dict(basis.rows[0]))
+    basis.insert({0: 2, 2: 1})
+    basis.insert({1: 1})
+    assert not basis.reduce({0: 6, 2: 3})
     assert not basis.reduce({})
-    assert basis.reduce({3: F(1)})
+    # a positive multiple of what is left: 2 * {0: 1, 3: 1} - {0: 2, 2: 1},
+    # and 2 * {0: -1, 3: -1} + {0: 2, 2: 1}
+    assert basis.reduce({0: 1, 3: 1}) == {2: -1, 3: 2}
+    assert basis.reduce({0: -1, 3: -1}) == {2: 1, 3: -2}
 
 
 def test_floats_are_refused_at_the_matrix_boundary():
     for build in (
         lambda: SparseMatrix(1, 1, {(0, 0): 0.1}),
-        lambda: SparseMatrix.from_rows([[0.5]]),
+        lambda: from_dense([[0.5]]),
         lambda: SparseMatrix.from_columns([{0: 0.5}], 1),
-        lambda: SparseMatrix.from_rows([[1, 0.0]]),
+        lambda: from_dense([[1, 0.0]]),
         lambda: SparseMatrix.from_columns([{0: 0.0}], 1),
         lambda: SparseMatrix.identity(2).scale(0.5),
     ):
@@ -185,24 +188,12 @@ def test_floats_are_refused_at_the_matrix_boundary():
     assert SparseMatrix(1, 1, {(0, 0): "1/10"}).get(0, 0) == F(1, 10)
 
 
-def _assert_reduced(basis: EchelonBasis) -> None:
-    assert basis.pivots == sorted(basis.pivots)
-    assert sorted(basis._rows) == basis.pivots
-    for p, row in zip(basis.pivots, basis.rows):
-        assert row[p] == 1
-        for q, other in zip(basis.pivots, basis.rows):
-            if q != p:
-                assert p not in other
-    for p, w in basis._rows.items():  # primitive integer rows, pivot entry positive
-        assert min(w) == p and w[p] > 0 and gcd(*w.values()) == 1
-
-
 def test_echelon_insert_keeps_reduced_invariants():
     rng = Random(5)
     basis = EchelonBasis()
-    for _ in range(12):
-        basis.insert({i: F(rng.randint(-3, 3)) for i in range(6)})
-    _assert_reduced(basis)
+    for _ in range(12):  # dense rows, explicit zero entries included
+        basis.insert({i: rng.randint(-3, 3) for i in range(6)})
+    assert_echelon_invariants(basis)
     # sparse vectors over 24 columns, so pivots arrive in a random order and
     # a new pivot often lands between stored ones
     for seed in range(8):
@@ -210,41 +201,40 @@ def test_echelon_insert_keeps_reduced_invariants():
         basis = EchelonBasis()
         inserted = []
         for _ in range(30):
-            v = {i: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-                 for i in rng.sample(range(24), rng.randint(1, 5))}
+            v = {i: rng.choice([-3, -2, -1, 1, 2, 3]) for i in rng.sample(range(24), rng.randint(1, 5))}
             before = list(basis.pivots)
             grew = basis.insert(v)
             assert grew == (len(basis.pivots) == len(before) + 1)
             inserted.append(v)
-            _assert_reduced(basis)
+            assert_echelon_invariants(basis)
         assert all(basis.reduce(v) == {} for v in inserted)
-        stacked = sympy.Matrix([[_q(v.get(i, F(0))) for i in range(24)] for v in inserted])
+        stacked = sympy.Matrix([[v.get(i, 0) for i in range(24)] for v in inserted])
         assert len(basis) == stacked.rank()
 
 
 def test_operations_are_reproducible():
-    m = SparseMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    m = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     b1, r1 = rref(m)
     b2, r2 = rref(m)
     assert r1 == r2
-    assert b1.rows == b2.rows and b1.pivots == b2.pivots
+    assert b1._rows == b2._rows and b1.pivots == b2.pivots
 
 
 def test_vstack_values_and_column_mismatch():
-    top = SparseMatrix.from_rows([[1, 0, F(1, 2)]])
-    bottom = SparseMatrix.from_rows([[0, 0, 0], [-3, 2, 0]])
+    top = from_dense([[1, 0, F(1, 2)]])
+    bottom = from_dense([[0, 0, 0], [-3, 2, 0]])
     stacked = vstack(top, bottom)
-    assert stacked == SparseMatrix.from_rows([[1, 0, F(1, 2)], [0, 0, 0], [-3, 2, 0]])
-    assert top == SparseMatrix.from_rows([[1, 0, F(1, 2)]])
+    assert stacked == from_dense([[1, 0, F(1, 2)], [0, 0, 0], [-3, 2, 0]])
+    assert top == from_dense([[1, 0, F(1, 2)]])
     with pytest.raises(ValueError):
-        vstack(top, SparseMatrix.zero(1, 2))
+        vstack(top, SparseMatrix(1, 2))
 
 
 def test_solve():
-    m = SparseMatrix.from_rows([[2, 1], [1, 1]])
+    m = from_dense([[2, 1], [1, 1]])
     x = solve(m, {0: F(3), 1: F(2)})
     assert m.apply(x) == {0: F(3), 1: F(2)}
-    assert solve(SparseMatrix.from_rows([[1, 1], [1, 1]]), {0: F(1), 1: F(2)}) is None
+    assert solve(from_dense([[1, 1], [1, 1]]), {0: F(1), 1: F(2)}) is None
 
 
 def test_solve_and_kernel_walk_only_the_stored_rows():
@@ -264,7 +254,7 @@ def test_echelon_reduce_eliminates_only_the_pivots_in_the_support(monkeypatch):
 
     basis = EchelonBasis()
     for i in range(40):
-        basis.insert({i: F(1), i + 1: F(i + 2)})
+        basis.insert({i: 1, i + 1: i + 2})
     calls = []
     eliminate = linalg._eliminate
 
@@ -274,7 +264,7 @@ def test_echelon_reduce_eliminates_only_the_pivots_in_the_support(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     # the rows are fully reduced, so only pivots 3 and 17 are eliminated
-    assert basis.reduce({3: F(1), 17: F(2), 41: F(1)}) != {}
+    assert basis.reduce({3: 1, 17: 2, 41: 1}) != {}
     assert calls == [3, 17]
 
 
@@ -307,24 +297,24 @@ def test_echelon_back_reduction_visits_only_earlier_pivots(monkeypatch):
     assert eliminated == [(0, 6), (5, 6)]
     assert read == [0, 2, 5]
     assert basis.pivots == [0, 2, 5, 6, 7, 9]
-    _assert_reduced(basis)
+    assert_echelon_invariants(basis)
 
 
 def test_restrict_to_subspace():
-    m = SparseMatrix.from_rows([[1, 4, 5], [0, 2, 0], [0, 6, 3]])
-    swap = SparseMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    m = from_dense([[1, 4, 5], [0, 2, 0], [0, 6, 3]])
+    swap = from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     # the rows and columns at the indices, in the order given
     assert restrict_to_subspace([m, m * m], [2, 0]) == [
-        SparseMatrix.from_rows([[3, 0], [5, 1]]),
-        SparseMatrix.from_rows([[9, 0], [20, 1]]),
+        from_dense([[3, 0], [5, 1]]),
+        from_dense([[9, 0], [20, 1]]),
     ]
-    swap_2 = SparseMatrix.from_rows([[0, 1], [1, 0]])
+    swap_2 = from_dense([[0, 1], [1, 0]])
     assert restrict_to_subspace([swap], [1, 0]) == [swap_2]
     assert restrict_to_subspace([swap.scale(F(1, 3))], range(2)) == [swap_2.scale(F(1, 3))]
-    assert restrict_to_subspace([m], []) == [SparseMatrix.zero(0, 0)]
+    assert restrict_to_subspace([m], []) == [SparseMatrix(0, 0)]
     # the common denominator is made canonical again: 2/6 is stored as 1/3
-    halves = SparseMatrix.from_rows([[F(1, 2), 0], [0, F(1, 3)]])
-    assert restrict_to_subspace([halves], [1]) == [SparseMatrix.from_rows([[F(1, 3)]])]
+    halves = from_dense([[F(1, 2), 0], [0, F(1, 3)]])
+    assert restrict_to_subspace([halves], [1]) == [from_dense([[F(1, 3)]])]
     with pytest.raises(ValueError):
         restrict_to_subspace([m, swap], [0, 2])  # not invariant under swap
     with pytest.raises(ValueError):
@@ -338,7 +328,7 @@ def test_restrict_to_subspace():
     with pytest.raises(ValueError):
         restrict_to_subspace([m, SparseMatrix.identity(2)], [0])  # mixed sizes
     with pytest.raises(ValueError):
-        restrict_to_subspace([SparseMatrix.zero(3, 2)], [0])  # not square
+        restrict_to_subspace([SparseMatrix(3, 2)], [0])  # not square
 
 
 def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
@@ -352,7 +342,7 @@ def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
         else:
             dense.append([F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else F(0)
                           for _ in range(cols)])
-    return SparseMatrix.from_rows(dense)
+    return from_dense(dense)
 
 
 def _q(x: F) -> sympy.Rational:
@@ -368,7 +358,7 @@ def _f(x: sympy.Rational) -> F:
 
 
 def _from_sym(s: sympy.Matrix) -> SparseMatrix:
-    return SparseMatrix.from_rows([[_f(x) for x in row] for row in s.tolist()])
+    return from_dense([[_f(x) for x in row] for row in s.tolist()])
 
 
 SHAPES = [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (4, 6), (6, 4), (5, 5)]
@@ -393,16 +383,21 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
     reduced, pivots = sm.rref()
     assert rank == sm.rank() == len(pivots)
     assert basis.pivots == list(pivots)
-    assert [[row.get(j, 0) for j in range(cols)] for row in basis.rows] == [
-        [_f(x) for x in reduced.row(i)] for i in range(rank)
-    ]
+    # each stored row is its pivot entry times the monic rref row
+    assert [[F(basis._rows[p].get(j, 0), basis._rows[p][p]) for j in range(cols)]
+            for p in basis.pivots] == [[_f(x) for x in reduced.row(i)] for i in range(rank)]
 
-    # reduce leaves v minus v[p] times the monic rref row of each pivot p
+    # reduce leaves a positive multiple of v minus v[p] times the monic rref
+    # row of each pivot p; v is passed as its numerators over den
     v = {j: F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(cols) if rng.random() < 0.7}
     left = sympy.Matrix(1, cols, [_q(v.get(j, F(0))) for j in range(cols)])
     for i, p in enumerate(pivots):
         left -= _q(v.get(p, F(0))) * reduced.row(i)
-    assert basis.reduce(v) == {j: _f(x) for j, x in enumerate(left) if x}
+    expected = {j: _f(x) for j, x in enumerate(left) if x}
+    den = lcm(*(x.denominator for x in v.values()))
+    u = basis.reduce({j: int(x * den) for j, x in v.items()})
+    assert u.keys() == expected.keys()
+    assert len({u[j] / expected[j] for j in u}) <= 1 and all(u[j] / expected[j] > 0 for j in u)
 
     kernel = kernel_basis(m)
     assert len(kernel) == cols - rank
@@ -439,11 +434,11 @@ def test_restrict_to_subspace_agrees_with_sympy(seed):
     n = rng.randint(2, 6)
     idx = rng.sample(range(n), rng.randint(1, n - 1))
     m = _block_triangular(rng, n, idx)
-    sub = _sym(SparseMatrix.from_rows(m)).extract(idx, idx)
-    assert restrict_to_subspace([SparseMatrix.from_rows(m)], idx) == [_from_sym(sub)]
+    sub = _sym(from_dense(m)).extract(idx, idx)
+    assert restrict_to_subspace([from_dense(m)], idx) == [_from_sym(sub)]
     m[rng.choice(sorted(set(range(n)) - set(idx)))][rng.choice(idx)] = F(1, 2)
     with pytest.raises(ValueError):
-        restrict_to_subspace([SparseMatrix.from_rows(m)], idx)
+        restrict_to_subspace([from_dense(m)], idx)
 
 
 ENTRIES = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=3))
@@ -475,15 +470,15 @@ def test_matrix_storage_is_canonical(seed):
     third = F(1, 3)
     assert m.scale(third).scale(3) == m
     assert m + m == m.scale(2) == m * 2
-    assert (m - m).is_zero() and m - m == SparseMatrix.zero(rows, cols)
-    assert m.scale(0) == SparseMatrix.zero(rows, cols)
+    assert (m - m).is_zero() and m - m == SparseMatrix(rows, cols)
+    assert m.scale(0) == SparseMatrix(rows, cols)
     assert m.scale(F(-1, 7)).scale(-7) == m == -(-m)
     entries = {(r, c): v for r, c, v in m.items()}
     assert SparseMatrix(rows, cols, entries) == m
     assert SparseMatrix.from_columns([{r: v for (r, c), v in entries.items() if c == j}
                                       for j in range(cols)], rows) == m
     assert m * SparseMatrix.identity(cols) == m == SparseMatrix.identity(rows) * m
-    assert vstack(m, SparseMatrix.zero(1, cols)) == SparseMatrix.from_rows(
+    assert vstack(m, SparseMatrix(1, cols)) == from_dense(
         dense(m) + [[0] * cols])
 
 
@@ -534,7 +529,7 @@ def test_matmul_agrees_with_the_dense_fraction_product(seed):
     left = _random_fill(rng, rows, half.rows, half.rows)
     a = SparseMatrix(rows, pairs.rows, {(r, 2 * k + s): v for r, k, v in left.items() for s in (0, 1)})
     zero = a * pairs
-    assert zero == SparseMatrix.zero(rows, cols) and zero._num == {} and zero._den == 1
+    assert zero == SparseMatrix(rows, cols) and zero._num == {} and zero._den == 1
     e = _random_fill(rng, pairs.rows, cols, 2)
     assert a * (pairs + e) == a * e
     assert dense(a * (pairs + e)) == _dense_product(a, e)
@@ -542,10 +537,10 @@ def test_matmul_agrees_with_the_dense_fraction_product(seed):
 
 
 def test_matmul_drops_cancelled_entries_and_rows():
-    a = SparseMatrix.from_rows([[1, 1], [1, -1], [0, 0]])
-    b = SparseMatrix.from_rows([[2, F(1, 2), 3], [-2, F(-1, 2), 5]])
+    a = from_dense([[1, 1], [1, -1], [0, 0]])
+    b = from_dense([[2, F(1, 2), 3], [-2, F(-1, 2), 5]])
     p = a * b
     # row 0 cancels in columns 0 and 1, row 2 is empty
-    assert p == SparseMatrix.from_rows([[0, 0, 8], [4, 1, -2], [0, 0, 0]])
+    assert p == from_dense([[0, 0, 8], [4, 1, -2], [0, 0, 0]])
     assert p._num == {0: {2: 8}, 1: {0: 4, 1: 1, 2: -2}} and p._den == 1
     _assert_canonical_matrix(p)

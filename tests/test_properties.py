@@ -1,8 +1,7 @@
 """Property tests.  Every run is derandomized and uses no example database,
 so the suite draws the same examples each time."""
 
-from fractions import Fraction
-
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,25 +10,35 @@ from hahnsl2.freealg import FreePoly, fmultiply, ideal_membership
 from hahnsl2.hahn import presentation
 from hahnsl2.linalg import EchelonBasis
 from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, parse, render, rho, zero
+from tests.conftest import assert_echelon_invariants
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 COLS = 6
-entries = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=3))
-rows = st.lists(st.lists(entries, min_size=COLS, max_size=COLS), min_size=1, max_size=8)
+rows = st.lists(st.lists(st.integers(-4, 4), min_size=COLS, max_size=COLS), min_size=1, max_size=8)
+non_integers = st.one_of(st.fractions(-4, 4, max_denominator=3), st.floats(-4, 4)).filter(bool)
 
 
 @PROPERTY
-@given(rows)
-def test_echelon_basis_invariants_and_rank(dense_rows):
-    basis = EchelonBasis()
-    for row in dense_rows:
-        basis.insert({i: c for i, c in enumerate(row) if c})
-    assert all(p < q for p, q in zip(basis.pivots, basis.pivots[1:]))
-    for p, row in zip(basis.pivots, basis.rows):
-        assert min(row) == p and row[p] == 1
-        assert all(p not in other for other in basis.rows if other is not row)
+@given(rows, st.integers(0, COLS - 1), non_integers)
+def test_echelon_basis_invariants_and_rank(dense_rows, col, bad):
+    """The integer contract: primitive rows with a positive pivot entry,
+    strictly increasing pivots that vanish in every other row, every
+    inserted vector reducing to {}, explicit zero entries ignored, and an
+    entry that is not an int refused by gcd."""
+    vectors = [dict(enumerate(row)) for row in dense_rows]  # zeros stored
+    basis, sparse = EchelonBasis(), EchelonBasis()
+    for v in vectors:
+        size = len(basis)
+        assert basis.insert(v) == (len(basis) == size + 1)
+        sparse.insert({i: x for i, x in v.items() if x})
+    assert_echelon_invariants(basis)
+    assert all(basis.reduce(v) == {} for v in vectors)
     assert len(basis) == sympy.Matrix(dense_rows).rank()
+    assert (sparse.pivots, sparse._rows) == (basis.pivots, basis._rows)
+    with pytest.raises(TypeError):
+        basis.insert({col: bad})
+    assert (sparse.pivots, sparse._rows) == (basis.pivots, basis._rows)
 
 
 GENERATORS = {"E": E, "F": F, "H": H}

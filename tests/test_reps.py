@@ -16,27 +16,26 @@ from hahnsl2.reps import (
     evaluate,
     is_irreducible,
     restrict_even,
-    signature,
     verify_ladder_modules,
 )
 from hahnsl2.terwilliger import CubeAlgebra
-from tests.conftest import all_pass, dense, invert, span_closure
+from tests.conftest import all_pass, dense, from_dense, invert, span_closure
 
 Q = Fraction
 
 
 def test_build_L_small():
     rep = build_L(1)
-    assert rep.E == SparseMatrix.from_rows([[0, 1], [0, 0]])
-    assert rep.F == SparseMatrix.from_rows([[0, 0], [1, 0]])
-    assert rep.H == SparseMatrix.from_rows([[1, 0], [0, -1]])
+    assert rep.E == from_dense([[0, 1], [0, 0]])
+    assert rep.F == from_dense([[0, 0], [1, 0]])
+    assert rep.H == from_dense([[1, 0], [0, -1]])
     rep0 = build_L(0)
     assert rep0.E.is_zero() and rep0.F.is_zero() and rep0.H.is_zero()
-    assert build_L(2).H == SparseMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
+    assert build_L(2).H == from_dense([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
 
 
 def test_defining_relations_certified_at_construction():
-    bad_h = SparseMatrix.from_rows([[1, 0], [0, 1]])
+    bad_h = from_dense([[1, 0], [0, 1]])
     good = build_L(1)
     with pytest.raises(ValueError):
         type(good)(dim=2, E=good.E, F=good.F, H=bad_h)
@@ -105,7 +104,7 @@ def test_evaluate_multiplies_no_identity_factors(monkeypatch):
 
 def test_build_L0_L1_examples():
     rep = ModuleLabel(4, 0).build()
-    assert rep.H == SparseMatrix.from_rows([[4, 0, 0], [0, 0, 0], [0, 0, -4]])
+    assert rep.H == from_dense([[4, 0, 0], [0, 0, 0], [0, 0, -4]])
     assert rep.dim == 3
     rep = ModuleLabel(2, 1).build()
     assert rep.dim == 1
@@ -155,7 +154,7 @@ def test_restrict_even_needs_the_ladder_basis():
     # conjugated by I + e_01, H has the entry n - 2 - n = -2 at (0, 1), so
     # the odd ladder vector v_1 is no longer sent into the odd block
     rep = build_L(3)
-    m = SparseMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    m = from_dense([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     mi = invert(m)
     conj = SL2Rep(dim=4, E=m * rep.E * mi, F=m * rep.F * mi, H=m * rep.H * mi)
     assert conj.H.get(0, 1) == -2
@@ -185,14 +184,12 @@ def test_is_irreducible_and_direct_sum():
     assert is_irreducible(ModuleLabel(5, 1).build().operators())
     assert not is_irreducible(_direct_sum(ModuleLabel(2, 0).build(), ModuleLabel(2, 1).build()).operators())
     # Scalar Casimir (12 on both summands) but a two-dimensional E^2 kernel:
-    # not a single ladder, so classification and signature both refuse it.
+    # not a single ladder, so classification refuses it.
     doubled = _direct_sum(ModuleLabel(4, 0).build(), ModuleLabel(4, 0).build())
     assert not is_irreducible(doubled.operators())
     with pytest.raises(ValueError):
         classify_ue_irreducible(doubled)
-    with pytest.raises(ValueError):
-        signature(doubled)
-    for empty in ([], [SparseMatrix.zero(0, 0)]):
+    for empty in ([], [SparseMatrix(0, 0)]):
         with pytest.raises(ValueError, match="empty module"):
             is_irreducible(empty)
     # oracle: Burnside, the operators span the full matrix algebra
@@ -205,14 +202,14 @@ def test_is_irreducible_and_direct_sum():
 def test_is_irreducible_needs_paths_both_ways():
     # the edge 0 -> 1 alone: the span of e_1 is invariant, and Burnside
     # closes to the lower triangular matrices, 3 < 4 dimensions
-    ops = [SparseMatrix.from_rows([[1, 0], [0, 2]]), SparseMatrix.from_rows([[0, 0], [1, 0]])]
+    ops = [from_dense([[1, 0], [0, 2]]), from_dense([[0, 0], [1, 0]])]
     assert not is_irreducible(ops)
     assert span_closure(SparseMatrix.identity(2), ops)[1] == 3
 
 
 def test_is_irreducible_refuses_a_graph_it_cannot_decide():
     # strongly connected, but no operator is diagonal with distinct entries
-    swap = SparseMatrix.from_rows([[0, 1], [1, 0]])
+    swap = from_dense([[0, 1], [1, 0]])
     for ops in ([swap], [SparseMatrix.identity(2), swap]):
         with pytest.raises(ValueError, match="diagonal with distinct entries"):
             is_irreducible(ops)
@@ -256,19 +253,19 @@ def test_ue_rep_names_the_first_failing_relation():
 
 
 def test_signature_examples():
-    sig = signature(ModuleLabel(4, 0).build())
+    sig = classify_ue_irreducible(ModuleLabel(4, 0).build())[0].signature()
     assert (sig.dim, sig.casimir_scalar) == (3, Q(12))
     assert sorted(sig.h_spectrum) == [Q(-4), Q(0), Q(4)]
-    sig = signature(ModuleLabel(4, 1).build())
+    sig = classify_ue_irreducible(ModuleLabel(4, 1).build())[0].signature()
     assert (sig.dim, sig.casimir_scalar) == (2, Q(12))
     assert sorted(sig.h_spectrum) == [Q(-2), Q(2)]
-    sig = signature(ModuleLabel(0, 0).build())
+    sig = classify_ue_irreducible(ModuleLabel(0, 0).build())[0].signature()
     assert (sig.dim, sig.casimir_scalar, sig.h_spectrum) == (1, Q(0), (Q(0),))
 
 
 def test_signatures_pairwise_distinct_up_to_12():
-    sigs = [signature(ModuleLabel(n, 0).build()) for n in range(13)]
-    sigs += [signature(ModuleLabel(n, 1).build()) for n in range(1, 13)]
+    sigs = [classify_ue_irreducible(ModuleLabel(n, 0).build())[0].signature() for n in range(13)]
+    sigs += [classify_ue_irreducible(ModuleLabel(n, 1).build())[0].signature() for n in range(1, 13)]
     assert len(set(sigs)) == len(sigs)
 
 
@@ -297,7 +294,7 @@ def test_classification_round_trip_all_families():
 
 def _random_invertible(rng: Random, dim: int) -> tuple[SparseMatrix, SparseMatrix]:
     while True:
-        m = SparseMatrix.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+        m = from_dense([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
         mi = invert(m)
         if mi is not None:
             return m, mi
@@ -317,7 +314,7 @@ def test_classification_of_conjugated_module():
                 assert (label.n, label.parity) == (n, parity)
                 for op_in, op_tgt in zip(conj.operators(), base.operators()):
                     assert op_in * p == p * op_tgt
-                assert signature(conj) == signature(base)
+                assert label.signature() == classify_ue_irreducible(base)[0].signature()
 
 
 def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity():
@@ -368,7 +365,7 @@ def test_pullback_splitting_small():
 
     rep = build_L(1)
     a_mat = evaluate(natural(presentation().A), rep)
-    assert a_mat == SparseMatrix.from_rows([[Q(1, 4), 0], [0, Q(-1, 4)]])
+    assert a_mat == from_dense([[Q(1, 4), 0], [0, Q(-1, 4)]])
 
 
 def test_module_family_suite():
@@ -378,9 +375,11 @@ def test_module_family_suite():
 
 
 def test_ladder_modules_classify_each_half_once(monkeypatch):
-    # 25 halves for n <= 12: each is classified once, and three UeReps are
-    # built per half (its restricted block, the built half that the
-    # classification embeds, and the built half of the entrywise item)
+    # 25 halves for n <= 12: each is classified once, and two UeReps are
+    # built per half: its restricted block, and the built half, which the
+    # classification embeds and the entrywise item reuses.  The cache of
+    # built halves is cleared first, so earlier tests cannot warm it.
+    ModuleLabel.build.cache_clear()
     classified = []
     constructed = []
     real_classify = reps.classify_ue_irreducible
@@ -398,4 +397,4 @@ def test_ladder_modules_classify_each_half_once(monkeypatch):
     monkeypatch.setattr(UeRep, "__post_init__", counted_post_init)
     assert all_pass(verify_ladder_modules(12))
     assert len(classified) == 25
-    assert len(constructed) == 75
+    assert len(constructed) == 50

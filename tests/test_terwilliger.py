@@ -15,7 +15,7 @@ from hahnsl2.terwilliger import (
     te_dimension_formula,
 )
 from tests import cube_oracle
-from tests.conftest import dense, eigenspace, span_closure, vstack
+from tests.conftest import dense, eigenspace, from_dense, span_closure, vstack
 from tests.cube_oracle import CubeContext, adjacency, cube_rho, dual_adjacency, even_half, halved_operators
 
 Q = Fraction
@@ -32,7 +32,7 @@ def _dense_square(m, n):
 def test_adjacency_basics():
     ctx = CubeContext(D=2)
     a = adjacency(ctx)
-    assert all(sum(a.row(r).values()) == 2 for r in range(4))
+    assert all(sum(row) == 2 for row in dense(a))
     # oracle: A^2 = 2I + 2P with P the antipodal swap, by direct squaring
     sq = _dense_square(a, 4)
     p = [[Q(1) if (u ^ 3) == v else Q(0) for v in range(4)] for u in range(4)]
@@ -62,9 +62,9 @@ def _even_half(ctx):
 
 def test_halved_operators_d2():
     a2e, astar_e, halved = halved_operators(*_even_half(CubeContext(D=2)))
-    assert a2e == SparseMatrix.from_rows([[2, 2], [2, 2]])
-    assert astar_e == SparseMatrix.from_rows([[2, 0], [0, -2]])
-    assert halved == SparseMatrix.from_rows([[0, 1], [1, 0]])
+    assert a2e == from_dense([[2, 2], [2, 2]])
+    assert astar_e == from_dense([[2, 0], [0, -2]])
+    assert halved == from_dense([[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("base", (0, 0b11))
@@ -216,6 +216,7 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
     # at three base vertices, one of odd weight: the full-cube stencils
     # need no even base
     cube = CubeAlgebra(D)
+    right_a = dense(cube.right_a)
     for base in (0, 1, (1 << D) - 1):
         ctx = CubeContext(D=D, base=base)
         a, astar = adjacency(ctx), dual_adjacency(ctx)
@@ -225,7 +226,7 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
             m = _expand(cube, pairs, {k: Q(1)})
             assert _expand(cube, pairs, cube.left_a.apply({k: Q(1)})) == a * m
             assert _expand(cube, pairs, cube.left_astar.apply({k: Q(1)})) == astar * m
-            assert _expand(cube, pairs, cube.right_a.row(k)) == m * a
+            assert _expand(cube, pairs, dict(enumerate(right_a[k]))) == m * a
 
 
 @pytest.mark.parametrize("D", range(2, 10))
