@@ -11,17 +11,18 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
 
 # Largest D the cube suite accepts: the suite works on functions on the
-# C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D vertices, and
-# at one D takes about 0.02 s at D = 10, 0.07 s at D = 16 and 0.08 s at
-# D = 17 on a 2-vCPU machine (Python 3.11, in process).  At D = 16 about a
-# third of it builds the orbit operators and certifies their sl2 relations,
-# a third evaluates the Casimir and its Krylov vectors, and a quarter closes
-# the Terwilliger algebra, one block E*_i T E*_j at a time.
+# C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D vertices.  At
+# one D it takes about 0.02 s at D = 10, 0.08 s at D = 16 and 0.16 s at D = 20
+# (2-vCPU machine, Python 3.11, in process), about 1.2 times more with each D;
+# at D = 16 a third of it builds and certifies the orbit operators, two fifths
+# evaluates the Casimir and its Krylov vectors, and a fifth closes the
+# Terwilliger algebra block by block.
 D_MAX_CAP = 16
 
 
@@ -165,6 +166,7 @@ def emit(report: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@cache  # one argparse tree per process: main only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hahnsl2",
@@ -229,7 +231,7 @@ def _validate(args, parser) -> None:
             parser.error("need 2 <= d-min <= d-max")
         if args.d_max > D_MAX_CAP:
             parser.error(f"--d-max is capped at {D_MAX_CAP}: the cube suite costs "
-                         "about 1.4 times more with each D beyond it")
+                         "about 1.2 times more with each D beyond it")
         if args.base_vertex is not None:
             if args.d_min != args.d_max:
                 parser.error("--base-vertex needs a single D (set d-min = d-max)")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from .linalg import Combination, EchelonBasis, IntVector, SparseMatrix, render_terms, solve
+from .linalg import Combination, EchelonBasis, IntVector, render_terms, solve
 
 Word = str
 
@@ -225,7 +225,7 @@ def ideal_membership(
     columns: list[IntVector] = []
     # The residual (the target reduced so far) and a candidate's column hold
     # integer numerators: den times the coefficient vector, on the same line.
-    residual = {column(w): x for w, x in target._num.items()}
+    residual = goal = {column(w): x for w, x in target._num.items()}
     gen_nums = [g._num.items() for g in generators]
     gen_degrees = [g.degree() for g in generators]
     min_total = min(gen_degrees)
@@ -245,12 +245,11 @@ def ideal_membership(
                         residual = basis.reduce(residual)
                         if residual:
                             continue
-                        matrix = SparseMatrix.from_columns(columns, top)
-                        coeffs = solve(matrix, {column(w): c for w, c in target.terms.items()})
-                        # column t is den times its candidate, so the
-                        # candidate's coefficient is den times coeffs[t]
-                        triples = tuple((coeffs[t] * generators[accepted[t][1]]._den, *accepted[t])
-                                        for t in sorted(coeffs))
+                        # column t is its generator's den times its
+                        # candidate, goal the target's den times the target
+                        coeffs = solve(columns, goal)
+                        triples = tuple((coeffs[t] * generators[accepted[t][1]]._den / target._den,
+                                         *accepted[t]) for t in sorted(coeffs))
                         cert = MembershipCertificate(alphabet, tuple(generators), triples)
                         if cert.replay() != target:
                             raise ArithmeticError("certificate does not replay to the target")

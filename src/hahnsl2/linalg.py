@@ -491,31 +491,33 @@ def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
     return [m.get(i, i) for i in range(m.rows)]
 
 
-def solve(m: SparseMatrix, b: Vector) -> Optional[Vector]:
-    """One exact solution of M x = b (free variables set to 0), or None."""
-    aug_col = m.cols
-    bw, bden = _clear(b)
+def solve(columns: Sequence[dict], b: dict) -> Optional[Vector]:
+    """One exact x with sum_t x[t] columns[t] = b, or None; the vectors are
+    sparse, of ints or Fractions.  Column t's numerators go into one echelon
+    basis with its denominator at tag + t, past every index in use, and b's
+    numerators, with its denominator at a marker after those, reduce to a
+    multiple of b minus a combination of the columns, read off the tags and
+    checked exactly: ArithmeticError if it does not give b."""
+    tag = 1 + max((i for v in (*columns, b) for i in v), default=-1)
     basis = EchelonBasis()
-    # row r of [M | b], times the denominators of M and b; a row that is
-    # zero in both adds nothing, so only the stored rows and b's support
-    # are visited
-    for r in sorted(m._num.keys() | bw.keys()):
-        row = {c: bden * x for c, x in m._num.get(r, {}).items()}
-        if r in bw:
-            row[aug_col] = m._den * bw[r]
-        basis.insert(row)
-    x: Vector = {}
-    for p in basis.pivots:
-        row = basis._rows[p]
-        if p == aug_col:
-            return None  # inconsistent system
-        # rows are fully reduced; with free variables at 0 the pivot is forced
-        c = row.get(aug_col)
-        if c:
-            x[p] = Fraction(c, row[p])
-    if m.apply(x) != {i: c for i, c in b.items() if c}:
-        return None
-    return x
+    for t, col in enumerate(columns):
+        w, den = _clear(col)
+        w[tag + t] = den
+        basis.insert(w)
+    w, den = _clear(b)
+    marker = tag + len(columns)
+    w[marker] = den
+    w = basis.reduce(w)
+    if min(w) < tag:
+        return None  # b is not in the span
+    scale = w.pop(marker)  # w is now -scale * x, at the tags
+    rest = {i: scale * y for i, y in b.items()}
+    for i, c in w.items():
+        for j, y in columns[i - tag].items():
+            rest[j] = rest.get(j, 0) + c * y
+    if any(rest.values()):
+        raise ArithmeticError("solve: the solution does not reproduce b")
+    return {i - tag: Fraction(-c, scale) for i, c in w.items()}
 
 
 def restrict_to_subspace(ms: Sequence[SparseMatrix], indices: Sequence[int]) -> list[SparseMatrix]:

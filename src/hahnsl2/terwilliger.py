@@ -140,8 +140,8 @@ class CubeAlgebra:
         """n -> [e_n(i,i,i) for i = 0..D], for n = D, D - 2, ..., where e_n
         is the idempotent of the L_n-isotypic part of the cube module.
 
-        e_n is the Lagrange polynomial in the Casimir Lam that is 1 at c_n =
-        n(n+2)/2 and 0 at the other c_m, applied to I, so a combination of
+        e_n is the Lagrange polynomial in the Casimir Lam that is 1 at c_n
+        (Lam on L_n) and 0 at the other c_m, applied to I, so a combination of
         the Krylov vectors Lam^k I.  First prod_n (Lam - c_n) I = 0 is
         checked, else ArithmeticError: then Lam is diagonalizable on the cube
         module with eigenvalues among the c_n, each e_n is the projection on
@@ -152,7 +152,7 @@ class CubeAlgebra:
         """
         D = self.D
         lam = evaluate(usl2.casimir(), self.rep)
-        values = {n: Fraction(n * (n + 2), 2) for n in range(D, -1, -2)}
+        values = {n: ModuleLabel(n, 0).casimir for n in range(D, -1, -2)}
         krylov = [self.identity(range(D + 1))]
         for _ in values:
             krylov.append(lam.apply(krylov[-1]))
@@ -248,11 +248,6 @@ def te_dimension(cube: CubeAlgebra) -> int:
         i, j, t = cube.orbits[c]
         if x != 1 or halved._den != 1 or i == j == t:
             raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
-    # row k of A^2, split by the j of its columns
-    split: dict[int, dict[int, IntVector]] = {}
-    for k, d in a2._num.items():
-        for c, x in d.items():
-            split.setdefault(k, {}).setdefault(cube.orbits[c][1], {})[c] = x
     blocks: defaultdict[tuple[int, int], EchelonBasis] = defaultdict(EchelonBasis)
     work: list[tuple[int, IntVector]] = []
     for i in range(0, D + 1, 2):
@@ -262,14 +257,10 @@ def te_dimension(cube: CubeAlgebra) -> int:
     while work:
         i, row = work.pop()
         pieces: dict[int, IntVector] = {}
-        for k, x in row.items():
-            for j, part in split.get(k, {}).items():
-                piece = pieces.setdefault(j, {})
-                for c, y in part.items():
-                    piece[c] = piece.get(c, 0) + x * y
+        for c, x in (SparseMatrix._new(1, n, {0: row}, 1) * a2)._num.get(0, {}).items():
+            pieces.setdefault(cube.orbits[c][1], {})[c] = x
         for j, piece in pieces.items():
-            piece = {c: x for c, x in piece.items() if x}
-            if piece and blocks[i, j].insert(piece):
+            if blocks[i, j].insert(piece):
                 work.append((i, piece))
     return sum(len(basis) for basis in blocks.values())
 

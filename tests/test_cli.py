@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -185,6 +186,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify-usl2", "--n-max", "0"])
     assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # the argparse tree is built on the first call and shared by the later
+    # ones, and a usage error on a later call still exits 2
+    cli.build_parser.cache_clear()
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kwargs: built.append(self) or real(self, **kwargs))
+    assert main(["repr", "--n-max", "0"]) == 0
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["cube", "--d-max", "17"])
+        assert exc.value.code == 2
+    assert main(["cube", "--d-min", "2", "--d-max", "2"]) == 0
+    assert len(built) == 1 and built[0] is cli.build_parser()
+    capsys.readouterr()
 
 
 def test_out_file_and_determinism(tmp_path, capsys):

@@ -136,6 +136,22 @@ def test_membership_coefficients_follow_generator_denominators():
     assert scaled.replay() == plain.replay() == target
 
 
+def test_certification_builds_no_matrix(monkeypatch):
+    # the kept integer columns and the target's numerators go straight to
+    # linalg.solve; no SparseMatrix is built on the way
+    def refused(*args, **kwargs):
+        raise AssertionError("ideal_membership built a SparseMatrix")
+
+    monkeypatch.setattr(SparseMatrix, "__init__", refused)
+    monkeypatch.setattr(SparseMatrix, "_new", refused)
+    g = FreePoly(AB, {"AB": Q(1), "BA": Q(-1)})
+    h = FreePoly(AB, {"A": Q(1), "BB": Q(1)})
+    a, b = gen("A"), gen("B")
+    target = fmultiply(fmultiply(a, g), b).scale(Q(3, 4)) + fmultiply(h, a).scale(Q(-1, 5))
+    cert = ideal_membership(target, [g.scale(Q(2, 3)), h], degree_bound=6)
+    assert cert is not None and cert.replay() == target
+
+
 def test_membership_raises_when_certificate_does_not_replay(monkeypatch):
     # an explicit check, not an assert, so it also runs under python -O
     g = FreePoly(AB, {"AB": Q(1), "BA": Q(-1)})

@@ -231,19 +231,38 @@ def test_vstack_values_and_column_mismatch():
 
 
 def test_solve():
-    m = from_dense([[2, 1], [1, 1]])
-    x = solve(m, {0: F(3), 1: F(2)})
-    assert m.apply(x) == {0: F(3), 1: F(2)}
-    assert solve(from_dense([[1, 1], [1, 1]]), {0: F(1), 1: F(2)}) is None
+    # the columns of [[2, 1], [1, 1]], ints or Fractions alike
+    columns = [{0: 2, 1: 1}, {0: F(1), 1: 1}]
+    assert solve(columns, {0: 3, 1: F(2)}) == {0: F(1), 1: F(1)}
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: F(1), 1: F(2)}) is None
+    # a zero column and a dependent one: any solution will do
+    columns = [{0: F(1, 2)}, {}, {0: 1, 1: 0}]
+    x = solve(columns, {0: 3})
+    assert x is not None and sum(c * columns[t].get(0, 0) for t, c in x.items()) == 3
+    assert solve([], {}) == {}
+    assert solve([], {4: 1}) is None
+    assert solve([{}], {0: 0}) == {}
+
+
+def test_solve_checks_the_combination_it_returns(monkeypatch):
+    # columns at 0 and 1, b at 0: tags at 2 and 3, marker at 4; an
+    # elimination that claims b = -column 1 is caught, not returned
+    monkeypatch.setattr(EchelonBasis, "reduce", lambda self, w: {3: 1, 4: 1})
+    with pytest.raises(ArithmeticError):
+        solve([{0: 1}, {1: 1}], {0: 1})
 
 
 def test_solve_and_kernel_walk_only_the_stored_rows():
-    # 2^40 rows and three nonzero entries: a loop over every row would not end
+    # indices up to 2^39: a loop over every index would not end, and the
+    # tags of solve follow the largest index any vector uses, b's included
+    columns = [{0: 2}, {7: F(1, 3)}, {2**39: -1}]
+    assert solve(columns, {0: F(4), 7: F(1), 2**39: F(5)}) == {0: F(2), 1: F(3), 2: F(-5)}
+    assert solve(columns, {}) == {}
+    # no column has an entry at 5, or at the index after the largest column
+    # index, where a tag that ignored b would sit: inconsistent
+    assert solve(columns, {0: F(4), 5: F(1)}) is None
+    assert solve(columns, {2**39 + 1: F(1)}) is None
     m = SparseMatrix(2**40, 3, {(0, 0): 2, (7, 1): F(1, 3), (2**39, 2): -1})
-    assert solve(m, {0: F(4), 7: F(1), 2**39: F(5)}) == {0: F(2), 1: F(3), 2: F(-5)}
-    assert solve(m, {}) == {}
-    # row 5 of M is zero, but b is not there: inconsistent
-    assert solve(m, {0: F(4), 5: F(1)}) is None
     assert kernel_basis(m) == []
     assert rref(m)[1] == 3
     assert kernel_basis(SparseMatrix(2**40, 2, {(3, 0): 1})) == [{1: F(1)}]
@@ -403,16 +422,21 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
     assert len(kernel) == cols - rank
     assert all(m.apply(u) == {} for u in kernel)
 
-    x0 = {j: F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(cols)}
-    x = solve(m, m.apply(x0))
-    assert x is not None and m.apply(x) == m.apply(x0)
+    # solve over the columns of m, a zero column and a dependent one, so
+    # the column rank is still rank
+    columns = [{r: v for r, c, v in m.items() if c == j} for j in range(cols)]
+    columns += [{}, {r: 2 * v for r, v in columns[0].items()}]
+    wide = SparseMatrix.from_columns(columns, rows)
+    x0 = {t: F(rng.randint(-5, 5), rng.randint(1, 4)) for t in range(len(columns))}
+    x = solve(columns, wide.apply(x0))
+    assert x is not None and wide.apply(x) == wide.apply(x0)
     b = {i: F(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(rows)}
     aug = sm.row_join(sympy.Matrix(rows, 1, [_q(b[i]) for i in range(rows)]))
-    x = solve(m, b)
+    x = solve(columns, b)
     if aug.rank() > rank:
         assert x is None
     else:
-        assert x is not None and m.apply(x) == {i: v for i, v in b.items() if v}
+        assert x is not None and wide.apply(x) == {i: v for i, v in b.items() if v}
 
 
 def _block_triangular(rng: Random, n: int, idx: list[int]) -> list[list[F]]:

@@ -428,6 +428,23 @@ def test_te_dimension_closes_each_block_on_its_own(monkeypatch):
     assert not hasattr(terwilliger, "span_closure")
 
 
+@pytest.mark.parametrize("D", range(2, 13))
+def test_te_dimension_multiplies_through_matmul(monkeypatch, D):
+    # A^2, then I_e A^2, then one product with A^2 for each accepted row
+    cube = CubeAlgebra(D)
+    calls = []
+    real = SparseMatrix.matmul
+
+    def counted(a, b):
+        calls.append((a.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "matmul", counted)
+    dim = te_dimension(cube)
+    assert dim == te_dimension_formula(D)
+    assert len(calls) == 2 + dim
+
+
 def _orbit_triples(D):
     """The triples (i, j, t) with i, j even, t <= min(i, j) and i + j - t <= D."""
     count = 0
@@ -482,10 +499,9 @@ def _ladder_summand(ue, n, parity):
     chain = [w]
     for _ in range(ModuleLabel(n, parity).dim - 1):
         chain.append(ue.F2.apply(chain[-1]))
-    ladder = SparseMatrix.from_columns(chain, ue.dim)
     ops = []
     for op in ue.operators():
-        columns = [solve(ladder, op.apply(v)) for v in chain]
+        columns = [solve(chain, op.apply(v)) for v in chain]
         assert all(x is not None for x in columns)  # the span is invariant
         ops.append(SparseMatrix.from_columns(columns, len(chain)))
     return UeRep(len(chain), *ops)
