@@ -8,19 +8,18 @@ membership certificates, module decompositions and matrix-algebra closures.
 from .linalg import (
     EchelonBasis,
     SparseMatrix,
+    commutator,
     kernel_basis,
     rref,
 )
 from .usl2 import (
     USL2Element,
     casimir,
-    commutator,
     degree_components,
     is_even,
     multiply,
     power_identity_suite,
     rho,
-    ue_basis_decompose,
     verify_ue_presentation,
 )
 from .freealg import FreePoly, MembershipCertificate, fmultiply, ideal_membership, substitute
@@ -50,17 +49,16 @@ __version__ = "0.1.0"
 __all__ = [
     "EchelonBasis",
     "SparseMatrix",
+    "commutator",
     "kernel_basis",
     "rref",
     "USL2Element",
     "casimir",
-    "commutator",
     "degree_components",
     "is_even",
     "multiply",
     "power_identity_suite",
     "rho",
-    "ue_basis_decompose",
     "verify_ue_presentation",
     "FreePoly",
     "MembershipCertificate",

@@ -216,8 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser) -> None:
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        parser.error(f"--out: directory {os.path.dirname(args.out)} does not exist")
+    if args.out is not None:
+        if os.path.isdir(args.out):
+            parser.error(f"--out: {args.out} is a directory, not a file")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            parser.error(f"--out: directory {os.path.dirname(args.out)} does not exist")
     if hasattr(args, "n_max"):
         floor = 1 if args.command in ("verify-usl2", "verify-all") else 0
         if args.n_max < floor:

@@ -4,10 +4,10 @@ Words are plain strings over a declared alphabet of single-character
 generator names; the empty word is the unit.  A polynomial is a
 ``linalg.Combination``, stored as integer numerators per word over one
 common denominator.  ``fmultiply`` multiplies numerators and denominators as
-plain ints, ``substitute`` scales each word's image by its numerator and
-divides the sum by the denominator once, and the ideal search reads each
-generator's numerators once; coefficients become ``Fraction``s only when
-read through ``terms``.
+plain ints, ``substitute`` starts each word at the image of its first
+letter, scales the word's image by its numerator and divides the sum by the
+denominator once, and the ideal search reads each generator's numerators
+once; coefficients become ``Fraction``s only when read through ``terms``.
 
 Ideal membership in a two-sided ideal is decided positively only: the
 search enumerates products left*generator*right of bounded degree and
@@ -102,24 +102,22 @@ def fmultiply(a: FreePoly, b: FreePoly) -> FreePoly:
     return a._new({w: n for w, n in out.items() if n}, a._den * b._den)
 
 
-def fcommutator(a: FreePoly, b: FreePoly) -> FreePoly:
-    return fmultiply(a, b) - fmultiply(b, a)
-
-
 def substitute(p: FreePoly, images: dict, one):
     """Apply the homomorphic extension of generator -> image to p.
 
     ``one`` is the unit of the target algebra; targets only need +, * and
-    scalar multiplication by int and Fraction.  Each word's image is scaled
-    by its integer numerator, and the sum is divided by p's denominator once.
+    scalar multiplication by int and Fraction.  A word's image starts at the
+    image of its first letter, so it costs len(w) - 1 products and the unit
+    is used only for the empty word.  Each word's image is scaled by its
+    integer numerator, and the sum is divided by p's denominator once.
     """
     missing = [g for g in p.alphabet if g not in images]
     if missing:
         raise KeyError(f"missing images for generators {missing}")
     acc = None
     for w, c in sorted(p._num.items(), key=lambda t: (len(t[0]), t[0])):
-        val = one
-        for s in w:
+        val = images[w[0]] if w else one
+        for s in w[1:]:
             val = val * images[s]
         val = val * c
         acc = val if acc is None else acc + val

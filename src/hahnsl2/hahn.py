@@ -21,8 +21,8 @@ from functools import lru_cache
 from random import Random
 
 from . import usl2
-from .freealg import FreePoly, fcommutator, ideal_membership, substitute
-from .linalg import random_terms
+from .freealg import FreePoly, ideal_membership, substitute
+from .linalg import commutator, random_terms
 from .reporting import PASS, UNRESOLVED, CheckItem, check
 
 ALPHABET = ("A", "B")
@@ -35,9 +35,9 @@ class HahnPresentation:
         one = FreePoly.one(ALPHABET)
         A = FreePoly.gen(ALPHABET, "A")
         B = FreePoly.gen(ALPHABET, "B")
-        C = fcommutator(A, B)
-        alpha = fcommutator(C, A) + (A * A).scale(2) + B
-        beta = fcommutator(B, C) + (B * A).scale(4) + C.scale(2)
+        C = commutator(A, B)
+        alpha = commutator(C, A) + (A * A).scale(2) + B
+        beta = commutator(B, C) + (B * A).scale(4) + C.scale(2)
         omega = (
             (A * B * A).scale(4)
             + B * B
@@ -53,10 +53,10 @@ class HahnPresentation:
         self.beta = beta
         self.omega = omega
         self.relators = (
-            fcommutator(alpha, A),
-            fcommutator(alpha, B),
-            fcommutator(beta, A),
-            fcommutator(beta, B),
+            commutator(alpha, A),
+            commutator(alpha, B),
+            commutator(beta, A),
+            commutator(beta, B),
         )
         if tuple(r.degree() for r in self.relators) != (4, 4, 4, 4):
             raise AssertionError("relator degrees changed; presentation is broken")
@@ -110,33 +110,29 @@ def verify_natural_well_defined() -> list[CheckItem]:
     e2 = usl2.monomial(2, 0, 0)
     f2 = usl2.monomial(0, 2, 0)
     h3 = usl2.monomial(0, 0, 3)
-
-    def comm(x, y):
-        return usl2.commutator(x, y)
-
     checks = [
-        ("[A,B] image equals (E^2 - F^2)/4", comm(a_img, b_img), (e2 - f2).scale(Fraction(1, 4))),
-        ("[C,A] image equals -(E^2 + F^2)/4", comm(c_img, a_img), (e2 + f2).scale(Fraction(-1, 4))),
+        ("[A,B] image equals (E^2 - F^2)/4", commutator(a_img, b_img), (e2 - f2).scale(Fraction(1, 4))),
+        ("[C,A] image equals -(E^2 + F^2)/4", commutator(c_img, a_img), (e2 + f2).scale(Fraction(-1, 4))),
         (
             "[C,A] + 2A^2 + B image equals (Lam - 1)/4",
-            comm(c_img, a_img) + usl2.multiply(a_img, a_img).scale(2) + b_img,
+            commutator(c_img, a_img) + usl2.multiply(a_img, a_img).scale(2) + b_img,
             (lam - usl2.one()).scale(Fraction(1, 4)),
         ),
         (
             "[B,C] + 4BA + 2C image vanishes",
-            comm(b_img, c_img) + usl2.multiply(b_img, a_img).scale(4) + c_img.scale(2),
+            commutator(b_img, c_img) + usl2.multiply(b_img, a_img).scale(4) + c_img.scale(2),
             usl2.zero(),
         ),
         (
             "[B,C] image equals (1 - E^2 - F^2 - Lam)H/4 + H^3/8 + (F^2 - E^2)/2",
-            comm(b_img, c_img),
+            commutator(b_img, c_img),
             usl2.multiply(usl2.one() - e2 - f2 - lam, usl2.H).scale(Fraction(1, 4))
             + h3.scale(Fraction(1, 8))
             + (f2 - e2).scale(Fraction(1, 2)),
         ),
-        ("alpha image commutes with A image", comm(alpha_img, a_img), usl2.zero()),
-        ("alpha image commutes with B image", comm(alpha_img, b_img), usl2.zero()),
-        ("alpha image commutes with C image", comm(alpha_img, c_img), usl2.zero()),
+        ("alpha image commutes with A image", commutator(alpha_img, a_img), usl2.zero()),
+        ("alpha image commutes with B image", commutator(alpha_img, b_img), usl2.zero()),
+        ("alpha image commutes with C image", commutator(alpha_img, c_img), usl2.zero()),
     ]
     items = [check(name, lhs == rhs) for name, lhs, rhs in checks]
     for idx, rel in enumerate(pres.relators):
@@ -235,15 +231,15 @@ def _identity_targets() -> list[tuple[str, FreePoly]]:
     targets = [
         (
             "commutator-AC-expansion",
-            fcommutator(A, C) - (A2.scale(2) + B - alpha),
+            commutator(A, C) - (A2.scale(2) + B - alpha),
         ),
         (
             "commutator-A2C-expansion",
-            fcommutator(A2, C) - ((A2 * A).scale(4) + (A * B).scale(2) - (alpha * A).scale(2) - C),
+            commutator(A2, C) - ((A2 * A).scale(4) + (A * B).scale(2) - (alpha * A).scale(2) - C),
         ),
         (
             "double-commutator-ACC-expansion",
-            fcommutator(fcommutator(A, C), C) - ((A2 * A).scale(8) - (alpha * A).scale(4) + beta),
+            commutator(commutator(A, C), C) - ((A2 * A).scale(8) - (alpha * A).scale(4) + beta),
         ),
         (
             "casimir-rewrite-BA2",
@@ -257,8 +253,8 @@ def _identity_targets() -> list[tuple[str, FreePoly]]:
         ("hatted-HF2-commutator", hf2),
         ("hatted-E2F2-product", e2f2 - _hatted_kernel_term(pres, -1)),
         ("hatted-F2E2-product", f2e2 - _hatted_kernel_term(pres, 1)),
-        ("omega-central-A", fcommutator(omega, A)),
-        ("omega-central-B", fcommutator(omega, B)),
+        ("omega-central-A", commutator(omega, A)),
+        ("omega-central-B", commutator(omega, B)),
     ]
     return targets
 

@@ -4,8 +4,8 @@ There is no floating point anywhere, so results are reproducible bit for bit.
 ``as_fraction`` is the one place a float is refused.  ``Combination`` is the
 one exact linear-combination type: U(sl2) elements (``usl2.USL2Element``) and
 free polynomials (``freealg.FreePoly``) are its subclasses, so coefficient
-cleaning, sums, scalar multiples, equality, hashing and the signed text of
-``render_terms`` are written once, here.
+cleaning, sums, scalar multiples, equality, hashing, the signed text of
+``render_terms`` and the bracket ``commutator`` are written once, here.
 
 Internally a matrix and a combination are maps of integer numerators over
 one positive common denominator, reduced to a canonical form, and an echelon
@@ -176,6 +176,12 @@ class Combination:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
+
+
+def commutator(a, b):
+    """The bracket [a, b] = a*b - b*a of two combinations of one kind or of
+    two square matrices of one size."""
+    return a * b - b * a
 
 
 def render_terms(pairs: Iterable[tuple[str, Fraction]]) -> str:

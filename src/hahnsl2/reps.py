@@ -29,8 +29,9 @@ from functools import cache
 from math import factorial
 
 from . import usl2
+from .freealg import FreePoly, substitute
 from .hahn import natural_images
-from .linalg import SparseMatrix, Vector, diagonal, kernel_basis, restrict_to_subspace
+from .linalg import SparseMatrix, Vector, commutator, diagonal, kernel_basis, restrict_to_subspace
 from .reporting import CheckItem, check
 
 
@@ -47,12 +48,11 @@ class SL2Rep:
         for m in (self.E, self.F, self.H):
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError("operator size does not match dim")
-        comm = lambda a, b: a * b - b * a
-        if comm(self.H, self.E) != self.E.scale(2):
+        if commutator(self.H, self.E) != self.E.scale(2):
             raise ValueError("[H,E] = 2E fails")
-        if comm(self.H, self.F) != self.F.scale(-2):
+        if commutator(self.H, self.F) != self.F.scale(-2):
             raise ValueError("[H,F] = -2F fails")
-        if comm(self.E, self.F) != self.H:
+        if commutator(self.E, self.F) != self.H:
             raise ValueError("[E,F] = H fails")
 
     def even_operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
@@ -160,30 +160,12 @@ def build_L(n: int) -> SL2Rep:
 
 
 def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
-    """Homomorphic evaluation of a PBW element on a module: the terms are
-    scaled by a's integer numerators, and the sum is divided by its
-    denominator once."""
-    dim = rep.dim
-    cache: dict[tuple[str, int], SparseMatrix] = {}
-
-    def power(name: str, k: int) -> SparseMatrix:
-        # bottom-up, not recursive: a closure that calls itself is a
-        # reference cycle, which would keep rep alive after the call
-        for j in range(1, k + 1):
-            if (name, j) not in cache:
-                g = getattr(rep, name)
-                cache[name, j] = g if j == 1 else cache[name, j - 1] * g
-        return cache[name, k]
-
-    out = SparseMatrix(dim, dim)
-    for (i, j, k), c in a._num.items():
-        # identity factors are left out, not multiplied
-        factors = [power(name, e) for name, e in (("E", i), ("F", j), ("H", k)) if e]
-        m = factors[0] if factors else SparseMatrix.identity(dim)
-        for g in factors[1:]:
-            m = m * g
-        out = out + m.scale(c)
-    return out if a._den == 1 else out.scale(Fraction(1, a._den))
+    """Homomorphic evaluation of a PBW element on a module: the monomial
+    E^i F^j H^k is the word "E"*i + "F"*j + "H"*k, sent through
+    ``substitute`` with E, F, H mapped to their matrices."""
+    word = FreePoly("EFH")._new({"E" * i + "F" * j + "H" * k: c for (i, j, k), c in a._num.items()},
+                                a._den)
+    return substitute(word, {"E": rep.E, "F": rep.F, "H": rep.H}, SparseMatrix.identity(rep.dim))
 
 
 def _parity_indices(n: int) -> tuple[range, range]:
@@ -354,7 +336,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
 
         a_mat = evaluate(images["A"], rep)
         b_mat = evaluate(images["B"], rep)
-        pullback = [a_mat, b_mat, a_mat * b_mat - b_mat * a_mat]
+        pullback = [a_mat, b_mat, commutator(a_mat, b_mat)]
         if n == 0:
             items.append(check("pullback of L_0 is irreducible", is_irreducible(pullback)))
             continue

@@ -171,18 +171,15 @@ class CubeAlgebra:
 
 
 def _count(x: Fraction) -> int:
-    """A trace that is a dimension, as an int."""
+    """A rational count (a dimension or a multiplicity), as an int."""
     if x.denominator != 1:
-        raise ArithmeticError(f"a dimension came out as {x}")
+        raise ArithmeticError(f"a count came out as {x}")
     return int(x)
 
 
 def standard_multiplicity(D: int, k: int) -> int:
     """Closed-form multiplicity of the weight-(D-2k) summand in the cube module."""
-    m = Fraction(D - 2 * k + 1, D - k + 1) * comb(D, k)
-    if m.denominator != 1:
-        raise ArithmeticError("multiplicity formula did not give an integer")
-    return int(m)
+    return _count(Fraction(D - 2 * k + 1, D - k + 1) * comb(D, k))
 
 
 @dataclass(frozen=True)

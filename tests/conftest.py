@@ -8,7 +8,8 @@ from hahnsl2.hahn import random_free_poly
 from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis
 from hahnsl2.reporting import PASS
 from hahnsl2.usl2 import random_element as random_usl2_element
-from hahnsl2.usl2 import ue_basis_element, zero
+from hahnsl2.usl2 import zero
+from tests.usl2_extra import ue_basis_element
 
 
 @pytest.fixture

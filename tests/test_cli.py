@@ -227,6 +227,18 @@ def test_out_to_a_missing_directory_is_refused(tmp_path, capsys, monkeypatch):
     assert runs == [] and not out.parent.exists()
 
 
+def test_out_naming_a_directory_is_refused(tmp_path, capsys, monkeypatch):
+    # a directory passes the parent-directory check but cannot be written:
+    # refused while parsing, with the usage exit code, not a failed check
+    runs = []
+    monkeypatch.setattr(cli, "run_repr", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["repr", "--n-max", "0", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert runs == [] and list(tmp_path.iterdir()) == []
+
+
 def test_verify_all_json_validates_and_accepts_one_job(capsys):
     argv = VERIFY_ALL_SMALL_ARGV + ["--format", "json"]
     code, out = _run(capsys, argv)

@@ -8,13 +8,12 @@ from hahnsl2 import usl2
 from hahnsl2.freealg import (
     FreePoly,
     MembershipCertificate,
-    fcommutator,
     fmultiply,
     ideal_membership,
     substitute,
 )
 from hahnsl2.hahn import _identity_targets, natural_images, presentation, tilde_rho
-from hahnsl2.linalg import SparseMatrix
+from hahnsl2.linalg import SparseMatrix, commutator
 from tests.conftest import assert_canonical, from_dense
 
 Q = Fraction
@@ -72,7 +71,7 @@ def test_substitute_into_usl2():
     # AB - BA with A -> H/4 and B -> the natural B-image lands on (E^2-F^2)/4
     from hahnsl2.hahn import natural_images
 
-    p = fcommutator(gen("A"), gen("B"))
+    p = commutator(gen("A"), gen("B"))
     img = substitute(p, natural_images(), usl2.one())
     assert img == (usl2.monomial(2, 0, 0) - usl2.monomial(0, 2, 0)).scale(Q(1, 4))
 

@@ -4,6 +4,7 @@ from random import Random
 from hahnsl2 import usl2
 from hahnsl2.hahn import (
     natural,
+    natural_images,
     presentation,
     tilde_rho,
     verify_hahn_identities,
@@ -14,6 +15,7 @@ from hahnsl2.hahn import (
 )
 from hahnsl2.reporting import PASS
 from tests.conftest import all_pass, ue_basis_recompose
+from tests.usl2_extra import ue_basis_decompose
 
 Q = Fraction
 
@@ -40,7 +42,7 @@ def test_natural_surjectivity_witnesses():
     # every generator image decomposes in the even basis, and the hatted
     # preimages hit the four generators on the nose
     for p in (pres.A, pres.B, pres.C, pres.alpha, pres.omega):
-        coords = usl2.ue_basis_decompose(natural(p))
+        coords = ue_basis_decompose(natural(p))
         assert ue_basis_recompose(coords) == natural(p)
     assert natural(pres.e2_hat) == usl2.monomial(2, 0, 0)
     assert natural(pres.f2_hat) == usl2.monomial(0, 2, 0)
@@ -143,3 +145,22 @@ def test_relators_span_three_dimensions():
     for r in relators:
         basis.insert({words.index(w): x for w, x in r._num.items()})
     assert len(basis) == 3
+
+
+def test_natural_starts_each_word_at_its_first_image(monkeypatch):
+    # a word of length l costs l - 1 PBW products, and the unit none
+    natural_images()
+    pres = presentation()
+    products = []
+    real = usl2.multiply
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(usl2, "multiply", counted)
+    for p in (pres.A, pres.B, pres.C, pres.alpha, pres.beta, pres.omega, pres.one,
+              pres.e2_hat, pres.f2_hat, pres.lam_hat, pres.h_hat):
+        products.clear()
+        natural(p)
+        assert len(products) == sum(len(w) - 1 for w in p.terms if w), p

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -37,6 +38,43 @@ def test_names_the_benchmark_calls_resolve():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def unread_module_names(sources) -> list[str]:
+    """The module-level functions, classes and assigned names of the given
+    module sources that none of them reads, as a Name, an Attribute or an
+    import alias."""
+    trees = [ast.parse(text) for text in sources]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(defined - read)
+
+
+def test_every_module_level_name_in_src_has_a_reader_in_src():
+    # a name that only tests, the package's __init__ or the benchmark read
+    # is API with no caller in the package: it belongs in the tests
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "hahnsl2").glob("*.py"))
+               if p.name != "__init__.py"]
+    assert unread_module_names(sources) == []
+
+
+def test_unread_module_names_sees_each_kind_of_read():
+    sources = ["from .b import f\nimport c\nX = 1\nclass K: pass\ndef g(): return X\n",
+               "def f(): pass\ndef h(): return c.K\nY: int = 2\n"]
+    assert unread_module_names(sources) == ["Y", "g", "h"]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hahnsl2.freealg import FreePoly, fmultiply, ideal_membership
 from hahnsl2.hahn import presentation
 from hahnsl2.linalg import EchelonBasis
-from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, parse, render, rho, zero
+from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, render, rho, zero
 from tests.conftest import assert_echelon_invariants
+from tests.usl2_extra import parse
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

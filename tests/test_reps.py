@@ -102,6 +102,30 @@ def test_evaluate_multiplies_no_identity_factors(monkeypatch):
     assert lam == rep.E * rep.F + rep.F * rep.E + (rep.H * rep.H).scale(Q(1, 2))
 
 
+def test_evaluate_goes_through_substitute(monkeypatch, rand_usl2):
+    # one homomorphic evaluator: reps.evaluate is a substitute call
+    calls = []
+    real = reps.substitute
+
+    def counted(p, images, one):
+        calls.append(p)
+        return real(p, images, one)
+
+    monkeypatch.setattr(reps, "substitute", counted)
+    rep = build_L(3)
+    a = rand_usl2(Random(5), max_exp=2)
+    got = evaluate(a, rep)
+    assert len(calls) == 1
+    assert sorted(calls[0].terms) == sorted("E" * i + "F" * j + "H" * k for i, j, k in a.terms)
+    want = SparseMatrix(4, 4)
+    for (i, j, k), c in a.terms.items():
+        m = SparseMatrix.identity(4)
+        for g in [rep.E] * i + [rep.F] * j + [rep.H] * k:
+            m = m * g
+        want = want + m.scale(c)
+    assert got == want
+
+
 def test_build_L0_L1_examples():
     rep = ModuleLabel(4, 0).build()
     assert rep.H == from_dense([[4, 0, 0], [0, 0, 0], [0, 0, -4]])

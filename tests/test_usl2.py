@@ -7,8 +7,9 @@ import pytest
 from hahnsl2 import usl2
 from hahnsl2.linalg import SparseMatrix
 from hahnsl2.reps import ModuleLabel, build_L, evaluate
-from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, parse, render
+from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, render
 from tests.conftest import assert_canonical, dense, ue_basis_recompose
+from tests.usl2_extra import parse, ue_basis_decompose, ue_basis_element
 
 Q = Fraction
 
@@ -219,16 +220,16 @@ def test_even_relations_vanish_in_pbw_form_and_on_the_halves():
 
 def test_ue_basis_decompose_simple():
     h3 = monomial(0, 0, 3)
-    coords = usl2.ue_basis_decompose(h3)
+    coords = ue_basis_decompose(h3)
     assert coords == {(0, 0, 0, 3): Q(1)}
     lam2 = casimir() ** 2
-    coords = usl2.ue_basis_decompose(lam2)
+    coords = ue_basis_decompose(lam2)
     assert coords == {(0, 0, 2, 0): Q(1)}
 
 
 def test_ue_basis_decompose_e2f2():
     e2f2 = multiply(monomial(2, 0, 0), monomial(0, 2, 0))
-    coords = usl2.ue_basis_decompose(e2f2)
+    coords = ue_basis_decompose(e2f2)
     assert ue_basis_recompose(coords) == e2f2
     # compare against the expansion of the n=2 product identity
     lam = casimir()
@@ -247,13 +248,13 @@ def test_ue_basis_decompose_random_even(rand_usl2):
             (c for d, c in usl2.degree_components(a).items() if d % 2 == 0),
             usl2.zero(),
         )
-        coords = usl2.ue_basis_decompose(even_part)
+        coords = ue_basis_decompose(even_part)
         assert ue_basis_recompose(coords) == even_part
 
 
 def test_ue_basis_decompose_rejects_odd():
     with pytest.raises(ValueError):
-        usl2.ue_basis_decompose(E)
+        ue_basis_decompose(E)
 
 
 def _oracle_times_h(terms):
@@ -455,7 +456,7 @@ def test_sums_components_and_even_basis_match_fraction_oracles(rand_usl2):
     for part, n, i, k in product((-1, 0, 1), range(3), range(4), range(3)):
         if (part == 0) != (n == 0):
             continue
-        x = usl2.ue_basis_element(part, n, i, k)
+        x = ue_basis_element(part, n, i, k)
         assert x.terms == _fraction_ue_basis_element(part, n, i, k), (part, n, i, k)
         _assert_clean(x)
 
