@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from functools import cache
+from typing import Callable, NamedTuple
 
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
@@ -104,24 +105,48 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
     return _report("cube", config, items, per_d=per_d)
 
 
+class Option(NamedTuple):
+    """An integer option of a suite: typed as ``flag`` on the suite's
+    subcommand and as ``all_flag`` on verify-all, parsed into ``dest``."""
+    flag: str
+    all_flag: str
+    dest: str
+    default: int
+    least: int
+
+
+class Suite(NamedTuple):
+    help: str
+    options: list[Option]
+    run: Callable[[argparse.Namespace], dict]
+
+
+# The runners look the run_* functions up when called, so a function replaced
+# on this module is the one that runs.
+SUITES = {
+    "verify-usl2": Suite("PBW power identities and the even presentation",
+                         [Option("--n-max", "--n-max", "n_max", 8, 1)],
+                         lambda a: run_verify_usl2(a.n_max)),
+    "verify-hahn": Suite("natural-map identities and ideal certificates",
+                         [Option("--degree-bound", "--degree-bound", "degree_bound", 8, 0)],
+                         lambda a: run_verify_hahn(a.degree_bound)),
+    "repr": Suite("module family construction and classification",
+                  [Option("--n-max", "--repr-n-max", "repr_n_max", 12, 0)],
+                  lambda a: run_repr(a.repr_n_max)),
+    "cube": Suite("hypercube and halved-cube decompositions",
+                  [Option("--d-min", "--d-min", "d_min", 2, 2),
+                   Option("--d-max", "--d-max", "d_max", 6, 2)],
+                  lambda a: run_cube(a.d_min, a.d_max, a.base_vertex)),
+}
+
+
 def run_verify_all(args) -> dict:
-    reports = {
-        "verify-usl2": run_verify_usl2(args.n_max),
-        "verify-hahn": run_verify_hahn(args.degree_bound),
-        "repr": run_repr(args.repr_n_max),
-        "cube": run_cube(args.d_min, args.d_max, args.base_vertex),
-    }
+    reports = {command: suite.run(args) for command, suite in SUITES.items()}
+    config = {o.dest: getattr(args, o.dest) for suite in SUITES.values() for o in suite.options}
     summaries = [r["summary"] for r in reports.values()]
     return {
         "command": "verify-all",
-        "config": {
-            "n_max": args.n_max,
-            "degree_bound": args.degree_bound,
-            "repr_n_max": args.repr_n_max,
-            "d_min": args.d_min,
-            "d_max": args.d_max,
-            "jobs": 1,
-        },
+        "config": config | {"jobs": 1},
         "reports": reports,
         "ok": all(r["ok"] for r in reports.values()),
         "summary": _summary(
@@ -173,65 +198,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for the Hahn/sl2 correspondence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--out", default=None, help="write the report to this path")
-
-    p = sub.add_parser("verify-usl2", help="PBW power identities and the even presentation")
-    p.add_argument("--n-max", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("verify-hahn", help="natural-map identities and ideal certificates")
-    p.add_argument("--degree-bound", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("repr", help="module family construction and classification")
-    p.add_argument("--n-max", type=int, default=12)
-    common(p)
-
-    p = sub.add_parser("cube", help="hypercube and halved-cube decompositions")
-    p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--d-max", type=int, default=6)
-    p.add_argument("--base-vertex", default=None, help="base vertex as a bitstring")
-    common(p)
-
-    p = sub.add_parser("verify-all", help="run every suite")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--degree-bound", type=int, default=8)
-    p.add_argument("--repr-n-max", type=int, default=12)
-    p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--d-max", type=int, default=6)
-    p.add_argument("--base-vertex", default=None)
-    p.add_argument(
+    parsers = {command: sub.add_parser(command, help=suite.help) for command, suite in SUITES.items()}
+    parsers["verify-all"] = sub.add_parser("verify-all", help="run every suite")
+    for command, suite in SUITES.items():
+        for o in suite.options:
+            parsers[command].add_argument(o.flag, dest=o.dest, type=int, default=o.default)
+            parsers["verify-all"].add_argument(o.all_flag, dest=o.dest, type=int, default=o.default)
+    for command in ("cube", "verify-all"):
+        parsers[command].add_argument("--base-vertex", default=None, help="base vertex as a bitstring")
+    parsers["verify-all"].add_argument(
         "--jobs",
         type=int,
         choices=(1,),
         default=1,
         help="accepted for compatibility; the suites run one after another",
     )
-    common(p)
-
+    for p in parsers.values():
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.add_argument("--out", default=None, help="write the report to this path")
     return parser
 
 
 def _validate(args, parser) -> None:
     if args.out is not None:
+        if not args.out:
+            parser.error("--out: the path is empty")
         if os.path.isdir(args.out):
             parser.error(f"--out: {args.out} is a directory, not a file")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
             parser.error(f"--out: directory {os.path.dirname(args.out)} does not exist")
-    if hasattr(args, "n_max"):
-        floor = 1 if args.command in ("verify-usl2", "verify-all") else 0
-        if args.n_max < floor:
-            parser.error(f"--n-max must be at least {floor}")
-    if hasattr(args, "repr_n_max") and args.repr_n_max < 0:
-        parser.error("--repr-n-max must be nonnegative")
-    if hasattr(args, "degree_bound") and args.degree_bound < 0:
-        parser.error("--degree-bound must be nonnegative")
+    for suite in SUITES.values():
+        for o in suite.options:  # each dest is on the suite's subcommand and on verify-all only
+            if getattr(args, o.dest, o.least) < o.least:
+                flag = o.all_flag if args.command == "verify-all" else o.flag
+                parser.error(f"{flag} must be at least {o.least}")
     if hasattr(args, "d_min"):
-        if args.d_min < 2 or args.d_max < args.d_min:
-            parser.error("need 2 <= d-min <= d-max")
+        if args.d_max < args.d_min:
+            parser.error("--d-max must be at least --d-min")
         if args.d_max > D_MAX_CAP:
             parser.error(f"--d-max is capped at {D_MAX_CAP}: the cube suite costs "
                          "about 1.2 times more with each D beyond it")
@@ -248,16 +251,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
-    if args.command == "verify-usl2":
-        report = run_verify_usl2(args.n_max)
-    elif args.command == "verify-hahn":
-        report = run_verify_hahn(args.degree_bound)
-    elif args.command == "repr":
-        report = run_repr(args.n_max)
-    elif args.command == "cube":
-        report = run_cube(args.d_min, args.d_max, args.base_vertex)
-    else:
-        report = run_verify_all(args)
+    report = run_verify_all(args) if args.command == "verify-all" else SUITES[args.command].run(args)
     emit(report, args.format, args.out)
     return 0 if report["ok"] else 1
 

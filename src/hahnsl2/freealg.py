@@ -173,7 +173,7 @@ def _words_of_length(alphabet: tuple[str, ...], length: int) -> list[Word]:
 def ideal_membership(
     target: FreePoly,
     generators: list[FreePoly],
-    degree_bound: Optional[int] = None,
+    degree_bound: int,
 ) -> Optional[MembershipCertificate]:
     """Search for a membership certificate with all products of bounded degree.
 
@@ -184,7 +184,7 @@ def ideal_membership(
     one.  Once the target reduces to zero, a single solve over the kept
     candidates gives the certificate; they are linearly independent, so its
     coefficients are unique.  Returns None when the bound is exhausted (which
-    proves nothing).  The bound defaults to degree(target) + 4.
+    proves nothing).
 
     A word's column is computed from the word alone, with longer words first
     and words of one length in lexicographic order, so a candidate u*g*v
@@ -196,8 +196,6 @@ def ideal_membership(
         raise ValueError("no ideal generators given")
     for g in generators:
         target._require_same_space(g)
-    if degree_bound is None:
-        degree_bound = target.degree() + 4
     if degree_bound < target.degree():
         raise ValueError("degree bound is smaller than the degree of the target")
     if target.is_zero():

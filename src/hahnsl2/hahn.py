@@ -184,13 +184,13 @@ def verify_image_gradings() -> list[CheckItem]:
     return items
 
 
-def random_free_poly(rng: Random, max_terms: int = 4, max_len: int = 4) -> FreePoly:
-    """A seeded random polynomial with 1..max_terms words of length <= max_len."""
-    draw = lambda: "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
-    return FreePoly(ALPHABET, random_terms(rng, draw, max_terms, 4, 3))
+def random_free_poly(rng: Random) -> FreePoly:
+    """A seeded random polynomial with 1..4 words of length <= 4."""
+    draw = lambda: "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 4)))
+    return FreePoly(ALPHABET, random_terms(rng, draw, 4, 4, 3))
 
 
-def verify_intertwining(samples: int = 25, seed: int = 20230814) -> list[CheckItem]:
+def verify_intertwining() -> list[CheckItem]:
     """natural(tilde_rho(p)) == rho(natural(p)) on named elements and samples."""
     pres = presentation()
     named = [
@@ -206,15 +206,13 @@ def verify_intertwining(samples: int = 25, seed: int = 20230814) -> list[CheckIt
     for name, p in named:
         ok = natural(tilde_rho(p)) == usl2.rho(natural(p))
         items.append(check(f"intertwining on {name}", ok))
-    rng = Random(seed)
+    rng = Random(20230814)
     bad = 0
-    for _ in range(samples):
+    for _ in range(25):
         p = random_free_poly(rng)
         if natural(tilde_rho(p)) != usl2.rho(natural(p)):
             bad += 1
-    items.append(
-        check(f"intertwining on {samples} seeded random polynomials", bad == 0, f"failures: {bad}")
-    )
+    items.append(check("intertwining on 25 seeded random polynomials", bad == 0, f"failures: {bad}"))
     return items
 
 
@@ -267,13 +265,11 @@ def _hatted_relations(pres: HahnPresentation) -> list[FreePoly]:
 def _hatted_kernel_term(pres: HahnPresentation, sign: int) -> FreePoly:
     """The kernel-ideal element that the hatted E2F2 (sign -1) or F2E2
     (sign +1) identity subtracts from its quadratic relation residual."""
-    one = pres.one
-    return (pres.omega.scale(16) - pres.alpha.scale(24) + one.scale(3)).scale(4) + (
-        pres.beta * (pres.A.scale(2) + one.scale(sign))
-    ).scale(64)
+    return (pres.kernel_extra[1].scale(4)
+            + (pres.beta * (pres.A.scale(2) + pres.one.scale(sign))).scale(64))
 
 
-def verify_hahn_identities(degree_bound: int = 8) -> list[CheckItem]:
+def verify_hahn_identities(degree_bound: int) -> list[CheckItem]:
     """Certify each in-quotient identity in the relator ideal.
 
     Residuals that cancel identically in the free algebra short-circuit; the
@@ -302,14 +298,13 @@ def _certify(name: str, residual: FreePoly, generators: list[FreePoly], bound: i
     return CheckItem(name=name, status=PASS, bound=bound, certificate=cert)
 
 
-def verify_kernel_and_inverse(degree_bound: int = 8) -> list[CheckItem]:
+def verify_kernel_and_inverse(degree_bound: int) -> list[CheckItem]:
     """Kernel generators map to zero; hatted elements invert the generators;
     the even-presentation relations hold modulo the kernel ideal."""
     pres = presentation()
-    combo = pres.omega.scale(16) - pres.alpha.scale(24) + pres.one.scale(3)
     items = [
         check("beta maps to zero", natural(pres.beta).is_zero()),
-        check("16*Omega - 24*alpha + 3 maps to zero", natural(combo).is_zero()),
+        check("16*Omega - 24*alpha + 3 maps to zero", natural(pres.kernel_extra[1]).is_zero()),
     ]
 
     quarter = Fraction(1, 4)

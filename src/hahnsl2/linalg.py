@@ -254,18 +254,11 @@ class SparseMatrix:
 
     __slots__ = ("rows", "cols", "_num", "_den")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable | dict | None = None):
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        items: Iterable
-        if entries is None:
-            items = ()
-        elif isinstance(entries, dict):
-            items = entries.items()
-        else:
-            items = entries
         data = {}
-        for (r, c), val in items:
+        for (r, c), val in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
             val = as_fraction(val)

@@ -94,8 +94,8 @@ class IsoSignature:
 @dataclass(frozen=True)
 class ModuleLabel:
     """The ladder family L_n^(parity): the vectors v_m of L_n with m =
-    parity mod 2 under the even subalgebra, with d = dim - 1 the ladder
-    length.  Every fact of a family is read off its label."""
+    parity mod 2 under the even subalgebra.  Every fact of a family is read
+    off its label."""
 
     n: int
     parity: int
@@ -108,10 +108,6 @@ class ModuleLabel:
     @property
     def dim(self) -> int:
         return (self.n - self.parity) // 2 + 1
-
-    @property
-    def d(self) -> int:
-        return self.dim - 1
 
     @property
     def top_weight(self) -> int:
@@ -140,7 +136,7 @@ class ModuleLabel:
 
     def signature(self) -> IsoSignature:
         """Dimension, Casimir scalar and the H-spectrum theta, theta - 4,
-        ..., theta - 4d with theta the top weight."""
+        ..., theta - 4(dim - 1) with theta the top weight."""
         spectrum = tuple(sorted(Fraction(self.top_weight - 4 * i) for i in range(self.dim)))
         return IsoSignature(dim=self.dim, casimir_scalar=self.casimir, h_spectrum=spectrum)
 

@@ -61,7 +61,7 @@ from functools import cached_property
 from math import comb, prod
 
 from . import usl2
-from .linalg import EchelonBasis, IntVector, SparseMatrix, Vector
+from .linalg import EchelonBasis, IntVector, SparseMatrix
 from .reps import ModuleLabel, SL2Rep, evaluate
 
 
@@ -130,10 +130,10 @@ class CubeAlgebra:
         # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
         self.right_a = _mirror(self.left_a, [index[j, i, t] for i, j, t in self.orbits])
 
-    def identity(self, weights) -> Vector:
+    def identity(self, weights) -> IntVector:
         """The orbit function of the identity on the vertices at the
         distances i from the base vertex, for i in ``weights``."""
-        return {self.index[i, i, i]: Fraction(1) for i in weights}
+        return {self.index[i, i, i]: 1 for i in weights}
 
     @cached_property
     def isotypic_diagonals(self) -> dict[int, list[Fraction]]:
@@ -238,7 +238,7 @@ def te_dimension(cube: CubeAlgebra) -> int:
     their ranks.
     """
     D, n = cube.D, len(cube.orbits)
-    even_identity = SparseMatrix._new(1, n, {0: {cube.index[i, i, i]: 1 for i in range(0, D + 1, 2)}}, 1)
+    even_identity = SparseMatrix._new(1, n, {0: cube.identity(range(0, D + 1, 2))}, 1)
     a2 = cube.right_a * cube.right_a
     halved = (even_identity * a2 - even_identity.scale(D)).scale(Fraction(1, 2))
     for c, x in halved._num.get(0, {}).items():
@@ -248,7 +248,7 @@ def te_dimension(cube: CubeAlgebra) -> int:
     blocks: defaultdict[tuple[int, int], EchelonBasis] = defaultdict(EchelonBasis)
     work: list[tuple[int, IntVector]] = []
     for i in range(0, D + 1, 2):
-        row = {cube.index[i, i, i]: 1}
+        row = cube.identity([i])
         blocks[i, i].insert(row)
         work.append((i, row))
     while work:

@@ -188,6 +188,36 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+# Each integer option one below its least value, as typed on its suite's
+# subcommand and on verify-all
+BELOW_LEAST = [
+    (typed_on, flag, o.least)
+    for command, suite in cli.SUITES.items()
+    for o in suite.options
+    for typed_on, flag in ((command, o.flag), ("verify-all", o.all_flag))
+]
+
+
+@pytest.mark.parametrize("command, flag, least", BELOW_LEAST,
+                         ids=[f"{command}{flag}" for command, flag, _ in BELOW_LEAST])
+def test_a_value_below_its_least_is_refused_naming_the_flag(command, flag, least, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(least - 1)])
+    assert exc.value.code == 2
+    assert f"error: {flag} must be at least {least}\n" in capsys.readouterr().err
+    parser = cli.build_parser()
+    cli._validate(parser.parse_args([command, flag, str(least)]), parser)  # the least passes
+
+
+def test_verify_all_at_its_defaults_embeds_each_suite_at_its_defaults(capsys):
+    _, out = _run(capsys, ["verify-all", "--format", "json"])
+    reports = json.loads(out)["reports"]
+    assert set(reports) == set(cli.SUITES)
+    for command in cli.SUITES:
+        _, out = _run(capsys, [command, "--format", "json"])
+        assert reports[command] == json.loads(out), command
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     # the argparse tree is built on the first call and shared by the later
     # ones, and a usage error on a later call still exits 2
@@ -237,6 +267,19 @@ def test_out_naming_a_directory_is_refused(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "is a directory" in capsys.readouterr().err
     assert runs == [] and list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_out_path_is_refused(capsys, monkeypatch):
+    # an empty path used to pass, and the report went to stdout with exit 0
+    runs = []
+    for name in ("run_verify_usl2", "run_verify_hahn", "run_repr", "run_cube"):
+        monkeypatch.setattr(cli, name, lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--out", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--out: the path is empty" in captured.err and captured.out == ""
+    assert runs == []
 
 
 def test_verify_all_json_validates_and_accepts_one_job(capsys):

@@ -167,13 +167,6 @@ def test_membership_monotone_in_bound():
         assert cert is not None and cert.replay() == target
 
 
-def test_membership_default_bound_is_degree_plus_four():
-    g = FreePoly(AB, {"AB": Q(1), "BA": Q(-1)})
-    target = fmultiply(gen("A"), g)
-    cert = ideal_membership(target, [g])
-    assert cert is not None and cert.replay() == target
-
-
 def test_non_member_up_to_bound_with_natural_oracle():
     # A cannot lie in the relator ideal: the natural map kills every relator
     # but sends A to H/4, which is nonzero

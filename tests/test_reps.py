@@ -295,12 +295,12 @@ def test_signatures_pairwise_distinct_up_to_12():
 
 def test_classification_examples():
     label, p = classify_ue_irreducible(ModuleLabel(5, 1).build())
-    assert (label.n, label.parity, label.d) == (5, 1, 2)
+    assert (label.n, label.parity, label.dim - 1) == (5, 1, 2)
     assert str(label) == "L_5^(1)"
     label, _ = classify_ue_irreducible(ModuleLabel(4, 0).build())
-    assert (label.n, label.parity, label.d) == (4, 0, 2)
+    assert (label.n, label.parity, label.dim - 1) == (4, 0, 2)
     label, _ = classify_ue_irreducible(ModuleLabel(0, 0).build())
-    assert (label.n, label.parity, label.d) == (0, 0, 0)
+    assert (label.n, label.parity, label.dim - 1) == (0, 0, 0)
 
 
 def test_classification_round_trip_all_families():
@@ -364,7 +364,7 @@ def test_module_label_facts_match_the_built_module():
             label = ModuleLabel(n, parity)
             rep = label.build()
             weights = diagonal(rep.H)
-            assert rep.dim == label.dim == label.d + 1 == len(weights)
+            assert rep.dim == label.dim == len(weights)
             assert max(weights) == label.top_weight
             assert tuple(sorted(weights)) == label.signature().h_spectrum
             assert rep.Lam == SparseMatrix.identity(rep.dim).scale(label.casimir)
