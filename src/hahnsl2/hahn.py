@@ -17,7 +17,7 @@ hold freely are detected by exact cancellation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from random import Random
 
 from . import usl2
@@ -70,12 +70,12 @@ class HahnPresentation:
         self.kernel_generators = self.relators + self.kernel_extra
 
 
-@lru_cache(maxsize=1)
+@cache
 def presentation() -> HahnPresentation:
     return HahnPresentation()
 
 
-@lru_cache(maxsize=1)
+@cache
 def natural_images() -> dict[str, usl2.USL2Element]:
     lam = usl2.casimir()
     h2 = usl2.multiply(usl2.H, usl2.H)
@@ -206,13 +206,14 @@ def verify_intertwining() -> list[CheckItem]:
     for name, p in named:
         ok = natural(tilde_rho(p)) == usl2.rho(natural(p))
         items.append(check(f"intertwining on {name}", ok))
-    rng = Random(20230814)
+    rng, samples = Random(20230814), 25
     bad = 0
-    for _ in range(25):
+    for _ in range(samples):
         p = random_free_poly(rng)
         if natural(tilde_rho(p)) != usl2.rho(natural(p)):
             bad += 1
-    items.append(check("intertwining on 25 seeded random polynomials", bad == 0, f"failures: {bad}"))
+    items.append(check(f"intertwining on {samples} seeded random polynomials", bad == 0,
+                       f"failures: {bad}"))
     return items
 
 

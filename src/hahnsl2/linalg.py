@@ -159,7 +159,8 @@ class Combination:
         return self._new({key: a * x for key, x in self._num.items()}, self._den * b)
 
     def __mul__(self, other):
-        if type(other) is type(self):
+        if isinstance(other, Combination):
+            self._require_same_space(other)
             return self._product(other)
         return self.scale(other)
 

@@ -10,7 +10,8 @@ irreducibility is read off which coordinates the operators connect.
 
 ``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
 built.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its
-dimension, top weight, Casimir scalar, built module and signature.
+dimension, top weight, H-spectrum, Casimir scalar and built module.  A
+module's size is read off its operators.
 ``verify_ladder_modules`` is the ``repr`` suite: it builds each ladder
 module once and checks its Casimir, its two halves and its pullback along
 the natural map on that one module.
@@ -35,19 +36,28 @@ from .linalg import SparseMatrix, Vector, commutator, diagonal, kernel_basis, re
 from .reporting import CheckItem, check
 
 
+def _size(operators: Sequence[SparseMatrix]) -> int:
+    """The size d of operators that are d x d matrices, else ValueError."""
+    d = operators[0].rows
+    if any(m.rows != d or m.cols != d for m in operators):
+        raise ValueError("operators must be square and of one size")
+    return d
+
+
 @dataclass(frozen=True)
 class SL2Rep:
     """Matrices for E, F, H satisfying the defining relations exactly."""
 
-    dim: int
     E: SparseMatrix
     F: SparseMatrix
     H: SparseMatrix
 
+    @property
+    def dim(self) -> int:
+        return self.H.rows
+
     def __post_init__(self):
-        for m in (self.E, self.F, self.H):
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ValueError("operator size does not match dim")
+        _size((self.E, self.F, self.H))
         if commutator(self.H, self.E) != self.E.scale(2):
             raise ValueError("[H,E] = 2E fails")
         if commutator(self.H, self.F) != self.F.scale(-2):
@@ -65,16 +75,17 @@ class UeRep:
     """Matrices for E^2, F^2, the Casimir and H satisfying the even
     presentation exactly (checked at construction)."""
 
-    dim: int
     E2: SparseMatrix
     F2: SparseMatrix
     Lam: SparseMatrix
     H: SparseMatrix
 
+    @property
+    def dim(self) -> int:
+        return self.H.rows
+
     def __post_init__(self):
-        for m in self.operators():
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ValueError("operator size does not match dim")
+        _size(self.operators())
         residuals = usl2.even_relations(*self.operators(), SparseMatrix.identity(self.dim))
         for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
             if not residual.is_zero():
@@ -82,13 +93,6 @@ class UeRep:
 
     def operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
         return (self.E2, self.F2, self.Lam, self.H)
-
-
-@dataclass(frozen=True)
-class IsoSignature:
-    dim: int
-    casimir_scalar: Fraction
-    h_spectrum: tuple[Fraction, ...]  # sorted, with multiplicity
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,12 @@ class ModuleLabel:
         return self.n - 2 * self.parity
 
     @property
+    def h_spectrum(self) -> tuple[int, ...]:
+        """The H-eigenvalues theta, theta - 4, ..., theta - 4(dim - 1) of the
+        ladder basis u_0, u_1, ..., with theta the top weight."""
+        return tuple(range(self.top_weight, self.top_weight - 4 * self.dim, -4))
+
+    @property
     def casimir(self) -> Fraction:
         """The scalar by which the Casimir acts."""
         return Fraction(self.n * (self.n + 2), 2)
@@ -123,22 +133,17 @@ class ModuleLabel:
     def build(self) -> UeRep:
         """The family in its ladder basis u_i = v_m, m = 2i + parity, where
         E^2 v_m = (n-m+1)(n-m+2) v_{m-2}, F^2 v_m = (m+1)(m+2) v_{m+2} and
-        H v_m = (n-2m) v_m.  Cached: each label is built and checked once."""
+        H v_m = (n-2m) v_m, the H-spectrum.  Cached: each label is built and
+        checked once."""
         n, dim = self.n, self.dim
         m = [2 * i + self.parity for i in range(dim)]
         # m <= n, so every E^2 and F^2 coefficient is a positive int
         e2 = SparseMatrix._new(dim, dim, {i - 1: {i: (n - m[i] + 1) * (n - m[i] + 2)}
                                           for i in range(1, dim)}, 1)
         f2 = SparseMatrix._new(dim, dim, {i + 1: {i: (m[i] + 1) * (m[i] + 2)} for i in range(dim - 1)}, 1)
-        h = SparseMatrix._new(dim, dim, {i: {i: n - 2 * m[i]} for i in range(dim) if n != 2 * m[i]}, 1)
+        h = SparseMatrix._new(dim, dim, {i: {i: w} for i, w in enumerate(self.h_spectrum) if w}, 1)
         lam = SparseMatrix.identity(dim).scale(self.casimir)
-        return UeRep(dim=dim, E2=e2, F2=f2, Lam=lam, H=h)
-
-    def signature(self) -> IsoSignature:
-        """Dimension, Casimir scalar and the H-spectrum theta, theta - 4,
-        ..., theta - 4(dim - 1) with theta the top weight."""
-        spectrum = tuple(sorted(Fraction(self.top_weight - 4 * i) for i in range(self.dim)))
-        return IsoSignature(dim=self.dim, casimir_scalar=self.casimir, h_spectrum=spectrum)
+        return UeRep(E2=e2, F2=f2, Lam=lam, H=h)
 
     def __str__(self) -> str:
         return f"L_{self.n}^({self.parity})"
@@ -152,7 +157,7 @@ def build_L(n: int) -> SL2Rep:
     e = SparseMatrix._new(dim, dim, {i - 1: {i: n - i + 1} for i in range(1, dim)}, 1)
     f = SparseMatrix._new(dim, dim, {i + 1: {i: i + 1} for i in range(dim - 1)}, 1)
     h = SparseMatrix._new(dim, dim, {i: {i: n - 2 * i} for i in range(dim) if n != 2 * i}, 1)
-    return SL2Rep(dim=dim, E=e, F=f, H=h)
+    return SL2Rep(E=e, F=f, H=h)
 
 
 def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
@@ -181,7 +186,7 @@ def restrict_even(rep: SL2Rep):
     parity1 None when n = 0.
     """
     ops = rep.even_operators()
-    return tuple(UeRep(len(idx), *restrict_to_subspace(ops, idx)) if idx else None
+    return tuple(UeRep(*restrict_to_subspace(ops, idx)) if idx else None
                  for idx in _parity_indices(rep.dim - 1))
 
 
@@ -202,9 +207,7 @@ def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
     """
     if not operators or operators[0].rows < 1:
         raise ValueError("empty module")
-    d = operators[0].rows
-    if any(m.rows != d or m.cols != d for m in operators):
-        raise ValueError("operators must be square and of one size")
+    d = _size(operators)
     forward: list[set[int]] = [set() for _ in range(d)]
     backward: list[set[int]] = [set() for _ in range(d)]
     for m in operators:
@@ -296,16 +299,17 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     restriction to the even subalgebra (its blocks are invariant and together
     span L_n); the restricted halves, which must match the built halves
     entrywise, be irreducible and classify back to their own labels (each is
-    classified once, and its signature is its label's); and the pullback
-    along the natural map, whose parity blocks must be invariant and
-    irreducible (at n = 0 the whole module) with halves of distinct
-    signatures.  Last, the signatures of all halves must be pairwise distinct.
+    classified once); and the pullback along the natural map, whose parity
+    blocks must be invariant and irreducible (at n = 0 the whole module)
+    with halves of distinct signatures.  Last, the signatures of all halves
+    must be pairwise distinct.  A half's signature is its classified label:
+    its Casimir n(n+2)/2 fixes n, and its top weight n - 2p then fixes p.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     images = natural_images()
     items: list[CheckItem] = []
-    sigs: list[IsoSignature] = []
+    halves: list[ModuleLabel] = []
     for n in range(n_max + 1):
         rep = build_L(n)
         blocks = [b for b in restrict_even(rep) if b is not None]
@@ -327,8 +331,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
             ),
             check(f"halves of L_{n} classify back to their own labels", found == labels),
         ]
-        half_sigs = [label.signature() for label in found]
-        sigs.extend(half_sigs)
+        halves += found
 
         a_mat = evaluate(images["A"], rep)
         b_mat = evaluate(images["B"], rep)
@@ -345,12 +348,12 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
                 f"L_{n}: both blocks are irreducible under the pullback action",
                 all(is_irreducible(restrict_to_subspace(pullback, idx)) for idx in _parity_indices(n)),
             ),
-            check(f"L_{n}: the two blocks have distinct signatures", half_sigs[0] != half_sigs[1]),
+            check(f"L_{n}: the two blocks have distinct signatures", found[0] != found[1]),
         ]
     items.append(
         check(
             f"all module signatures up to n={n_max} are pairwise distinct",
-            len(set(sigs)) == len(sigs),
+            len(set(halves)) == len(halves),
         )
     )
     return items

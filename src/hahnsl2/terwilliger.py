@@ -97,16 +97,15 @@ def _mirror(m: SparseMatrix, swap: list[int]) -> SparseMatrix:
 
 class CubeAlgebra:
     """The Terwilliger algebra of the D-cube, as functions on the orbit
-    triples: the three multiplication operators, each N x N with N =
-    C(D+3, 3), and the cube module's sl2 action.
+    triples: its multiplication operators, each N x N with N = C(D+3, 3),
+    and the cube module's sl2 action.
 
-    ``left_a`` and ``left_astar`` send X to A X and A* X, acting on orbit
-    functions as columns; ``rep`` is the ``SL2Rep`` of the left
-    multiplications by E, F and H = A*, certified at construction, with E
-    and F the two halves of the adjacency stencil (see the module
-    docstring) and ``left_a`` = E + F.  ``right_a`` sends X to X A, acting
-    on orbit functions as rows (X -> X R), the form ``te_dimension``
-    multiplies.
+    ``rep`` is the ``SL2Rep`` of the left multiplications by E, F and H =
+    A*, acting on orbit functions as columns and certified at
+    construction, with E and F the two halves of the adjacency stencil (see
+    the module docstring), so that X -> A X is E + F.  ``right_a`` sends X
+    to X A, acting on orbit functions as rows (X -> X R), the form
+    ``te_dimension`` multiplies.
     """
 
     def __init__(self, D: int):
@@ -123,12 +122,11 @@ class CubeAlgebra:
                 if c:
                     (e if source[0] > i else f).setdefault(r, {})[index[source]] = c
         e_op, f_op = SparseMatrix._new(n, n, e, 1), SparseMatrix._new(n, n, f, 1)
-        self.left_a = e_op + f_op
-        self.left_astar = SparseMatrix._new(
+        h_op = SparseMatrix._new(
             n, n, {k: {k: D - 2 * i} for k, (i, _, _) in enumerate(self.orbits) if D != 2 * i}, 1)
-        self.rep = SL2Rep(n, e_op, f_op, self.left_astar)
+        self.rep = SL2Rep(e_op, f_op, h_op)
         # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
-        self.right_a = _mirror(self.left_a, [index[j, i, t] for i, j, t in self.orbits])
+        self.right_a = _mirror(e_op + f_op, [index[j, i, t] for i, j, t in self.orbits])
 
     def identity(self, weights) -> IntVector:
         """The orbit function of the identity on the vertices at the
@@ -136,9 +134,11 @@ class CubeAlgebra:
         return {self.index[i, i, i]: 1 for i in weights}
 
     @cached_property
-    def isotypic_diagonals(self) -> dict[int, list[Fraction]]:
-        """n -> [e_n(i,i,i) for i = 0..D], for n = D, D - 2, ..., where e_n
-        is the idempotent of the L_n-isotypic part of the cube module.
+    def isotypic_characters(self) -> dict[int, dict[int, Fraction]]:
+        """n -> {D - 2i: C(D, i) e_n(i,i,i) for i = 0..D}, for n = D, D - 2,
+        ..., where e_n is the idempotent of the L_n-isotypic part of the cube
+        module: the character of e_n, weight -> its trace on that weight
+        space (see Traces in the module docstring).
 
         e_n is the Lagrange polynomial in the Casimir Lam that is 1 at c_n
         (Lam on L_n) and 0 at the other c_m, applied to I, so a combination of
@@ -166,7 +166,7 @@ class CubeAlgebra:
             others = [x for m, x in values.items() if m != n]
             scale = prod(c - x for x in others)
             e = diagonal.apply({k: x / scale for k, x in enumerate(_poly(others))})
-            out[n] = [e.get(i, Fraction(0)) for i in range(D + 1)]
+            out[n] = {D - 2 * i: comb(D, i) * e.get(i, Fraction(0)) for i in range(D + 1)}
         return out
 
 
@@ -184,7 +184,6 @@ def standard_multiplicity(D: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class StandardDecomposition:
-    D: int
     multiplicities: dict[int, int]  # n -> multiplicity of the (n+1)-dim module
     formula_ok: bool
     dimension_ok: bool
@@ -199,13 +198,12 @@ def decompose_standard(cube: CubeAlgebra) -> StandardDecomposition:
     formula_ok = True
     for k in range(D // 2 + 1):
         n = D - 2 * k
-        trace = sum(comb(D, i) * x for i, x in enumerate(cube.isotypic_diagonals[n]))
+        trace = sum(cube.isotypic_characters[n].values())
         mults[n] = _count(trace / (n + 1))
         if mults[n] != standard_multiplicity(D, k):
             formula_ok = False
     total = sum(m * (n + 1) for n, m in mults.items())
     return StandardDecomposition(
-        D=D,
         multiplicities=mults,
         formula_ok=formula_ok,
         dimension_ok=(total == 1 << D),
@@ -268,7 +266,6 @@ def te_dimension_formula(D: int) -> int:
 
 @dataclass(frozen=True)
 class HalvedDecomposition:
-    D: int
     blocks: dict[tuple[int, int], int]  # (n, parity) -> multiplicity
     labels_ok: bool
     formula_ok: bool
@@ -280,10 +277,10 @@ def decompose_halved(cube: CubeAlgebra) -> HalvedDecomposition:
     """Isotypic decomposition of the even half of the cube module.
 
     A copy of L_n = L_(D-2k) meets the even half in the family L_n^(p), p =
-    k mod 2.  The character of e_n on the even half, weight D - 2i ->
-    C(D, i) e_n(i,i,i) for even i, must be m times the character of L_n^(p)
-    (its label's H-spectrum), where m, the multiplicity, is its value at the
-    top weight; else ``labels_ok`` is False.  The even half is a sum of such
+    k mod 2.  The character of e_n on the even half, its isotypic character
+    at the weights D - 2i with i even, must be m times the character of
+    L_n^(p) (its label's H-spectrum), where m, the multiplicity, is its value
+    at the top weight; else ``labels_ok`` is False.  The even half is a sum of such
     families, and within the four ladder families a U_e-irreducible is fixed
     by its top weight and its Casimir, so this check labels the block.
     Cross-checks: multiplicities match the closed form, dimensions sum to
@@ -299,8 +296,7 @@ def decompose_halved(cube: CubeAlgebra) -> HalvedDecomposition:
         if D - 2 * k < k % 2:
             continue  # L_0^(1) does not exist
         label = ModuleLabel(D - 2 * k, k % 2)
-        diagonal = cube.isotypic_diagonals[label.n]
-        character = {D - 2 * i: comb(D, i) * diagonal[i] for i in range(0, D + 1, 2)}
+        character = {w: x for w, x in cube.isotypic_characters[label.n].items() if (D - w) % 4 == 0}
         mult = _count(character[label.top_weight])
         blocks[(label.n, label.parity)] = mult
         total += mult * label.dim
@@ -309,12 +305,10 @@ def decompose_halved(cube: CubeAlgebra) -> HalvedDecomposition:
         if mult == 0:
             labels_ok = False
             continue
-        spectrum = label.signature().h_spectrum
-        if any(x != mult * spectrum.count(w) for w, x in character.items()):
+        if character != {w: mult * label.h_spectrum.count(w) for w in character}:
             labels_ok = False
         wedderburn += label.dim ** 2
     return HalvedDecomposition(
-        D=D,
         blocks=blocks,
         labels_ok=labels_ok,
         formula_ok=formula_ok,

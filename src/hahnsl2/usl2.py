@@ -216,9 +216,9 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
 
 def rho_property_suite() -> list[CheckItem]:
     """Seeded checks that rho is a homomorphism, an involution and flips the grading."""
-    rng = Random(74)
+    rng, samples = Random(74), 100
     bad_hom = bad_inv = bad_deg = 0
-    for _ in range(100):
+    for _ in range(samples):
         a = random_element(rng, max_terms=3)
         b = random_element(rng, max_terms=3)
         if rho(multiply(a, b)) != multiply(rho(a), rho(b)):
@@ -231,9 +231,9 @@ def rho_property_suite() -> list[CheckItem]:
                 bad_deg += 1
                 break
     return [
-        check("rho is a homomorphism on 100 seeded samples", bad_hom == 0),
-        check("rho is an involution on 100 seeded samples", bad_inv == 0),
-        check("rho flips the grading on 100 seeded samples", bad_deg == 0),
+        check(f"rho is a homomorphism on {samples} seeded samples", bad_hom == 0),
+        check(f"rho is an involution on {samples} seeded samples", bad_inv == 0),
+        check(f"rho flips the grading on {samples} seeded samples", bad_deg == 0),
     ]
 
 

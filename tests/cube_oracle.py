@@ -87,7 +87,7 @@ def cube_rho(ctx: CubeContext) -> SL2Rep:
     bracket = a * astar - astar * a
     e = a.scale(Fraction(1, 2)) - bracket.scale(Fraction(1, 4))
     f = a.scale(Fraction(1, 2)) + bracket.scale(Fraction(1, 4))
-    return SL2Rep(dim=ctx.size, E=e, F=f, H=astar)
+    return SL2Rep(E=e, F=f, H=astar)
 
 
 def _weight_space(h: SparseMatrix, theta: int) -> SparseMatrix:
@@ -116,7 +116,6 @@ def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
             formula_ok = False
     total = sum(m * (n + 1) for n, m in mults.items())
     return StandardDecomposition(
-        D=ctx.D,
         multiplicities=mults,
         formula_ok=formula_ok,
         dimension_ok=(total == ctx.size),
@@ -137,7 +136,7 @@ def even_half(ctx: CubeContext, rep: SL2Rep) -> UeRep:
     if _weight(ctx.base) % 2 != 0:
         raise ValueError("the base vertex of the halved cube must have even weight")
     vertices = evens(ctx)
-    return UeRep(len(vertices), *restrict_to_subspace(rep.even_operators(), vertices))
+    return UeRep(*restrict_to_subspace(rep.even_operators(), vertices))
 
 
 def halved_operators(ctx: CubeContext, ue: UeRep) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
@@ -218,7 +217,6 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
             labels_ok = False
         wedderburn += label.dim ** 2
     return HalvedDecomposition(
-        D=D,
         blocks=blocks,
         labels_ok=labels_ok,
         formula_ok=formula_ok,

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 from pathlib import Path
+import re
 
 import jsonschema
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from hahnsl2 import cli
 from hahnsl2.cli import main, run_cube, run_verify_hahn
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schemas" / "report.schema.json").read_text())
+README = ROOT / "README.md"
 
 
 def _run(capsys, argv):
@@ -207,6 +208,35 @@ def test_a_value_below_its_least_is_refused_naming_the_flag(command, flag, least
     assert f"error: {flag} must be at least {least}\n" in capsys.readouterr().err
     parser = cli.build_parser()
     cli._validate(parser.parse_args([command, flag, str(least)]), parser)  # the least passes
+
+
+def _readme_usage() -> dict[str, str]:
+    """The lines of the README's usage block by command, with each
+    continuation line joined to the line it continues."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    usage: dict[str, str] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("hahnsl2 "):
+            command = line.split()[1]
+            usage[command] = line
+        else:
+            usage[command] += " " + line.strip()
+    return usage
+
+
+def test_the_readme_usage_states_each_default_and_least_value():
+    # "hahnsl2 <suite> [--flag N ...]  # flag >= least", where a chain
+    # "a >= b >= least" gives both flags that least value
+    usage = _readme_usage()
+    assert set(usage) == set(cli.SUITES) | {"verify-all"}
+    for command, suite in cli.SUITES.items():
+        options, comment = usage[command].split("#")
+        assert dict(re.findall(r"(--[a-z-]+) (\d+)", options)) == {o.flag: str(o.default) for o in suite.options}
+        *flags, least = (t.strip() for t in comment.split(">="))
+        assert sorted("--" + f for f in flags) == sorted(o.flag for o in suite.options)
+        assert [o.least for o in suite.options] == [int(least)] * len(suite.options)
+    defaults = {o.all_flag: str(o.default) for suite in cli.SUITES.values() for o in suite.options}
+    assert dict(re.findall(r"(--[a-z-]+) (\d+)", usage["verify-all"])) == defaults | {"--jobs": "1"}
 
 
 def test_verify_all_at_its_defaults_embeds_each_suite_at_its_defaults(capsys):

@@ -47,6 +47,18 @@ def test_alphabet_mismatch():
         gen("A") + usl2.H
 
 
+def test_products_of_two_kinds_are_refused():
+    # the product checks its operands as the sum does, both ways round
+    a = presentation().A
+    for x, y, message in ((a, usl2.H, "FreePoly with USL2Element"), (usl2.H, a, "USL2Element with FreePoly")):
+        with pytest.raises(TypeError, match=f"cannot combine {message}"):
+            x * y
+        with pytest.raises(TypeError, match=f"cannot combine {message}"):
+            x + y
+    with pytest.raises(ValueError, match="different alphabets"):
+        a * FreePoly.gen(("A", "C"), "A")
+
+
 def test_words_are_checked_even_with_zero_coefficient():
     with pytest.raises(ValueError):
         FreePoly(AB, {"AC": 0})

@@ -1,7 +1,8 @@
 from fractions import Fraction
 from random import Random
+import re
 
-from hahnsl2 import usl2
+from hahnsl2 import hahn, usl2
 from hahnsl2.hahn import (
     natural,
     natural_images,
@@ -85,6 +86,20 @@ def test_image_gradings_suite():
 
 def test_intertwining_suite():
     assert all_pass(verify_intertwining())
+
+
+def test_intertwining_draws_as_many_polynomials_as_its_item_names(monkeypatch):
+    draws = []
+    real = hahn.random_free_poly
+
+    def counted(rng):
+        draws.append(1)
+        return real(rng)
+
+    monkeypatch.setattr(hahn, "random_free_poly", counted)
+    names = [i.name for i in verify_intertwining() if "random" in i.name]
+    assert len(names) == 1
+    assert int(re.search(r"on (\d+) seeded random polynomials", names[0]).group(1)) == len(draws)
 
 
 def test_hahn_identities_all_certify_at_default_bound():

@@ -179,12 +179,12 @@ def test_decompositions_need_the_vertex_basis():
         mi = SparseMatrix.identity(op.rows) - SparseMatrix(op.rows, op.rows, {(0, 1): 1})
         return m * op * mi
 
-    conj = SL2Rep(rep.dim, conjugate(rep.E), conjugate(rep.F), conjugate(rep.H))
+    conj = SL2Rep(conjugate(rep.E), conjugate(rep.F), conjugate(rep.H))
     assert conj.H.get(0, 1) == -2
     with pytest.raises(ValueError, match="not diagonal"):
         cube_oracle.decompose_standard(ctx, conj)
     ue = even_half(ctx, rep)
-    conj_ue = UeRep(ue.dim, *(conjugate(op) for op in ue.operators()))
+    conj_ue = UeRep(*(conjugate(op) for op in ue.operators()))
     assert conj_ue.H.get(0, 1) == -4
     with pytest.raises(ValueError, match="not diagonal"):
         cube_oracle.decompose_halved(ctx, conj_ue)
@@ -216,7 +216,7 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
     # at three base vertices, one of odd weight: the full-cube stencils
     # need no even base
     cube = CubeAlgebra(D)
-    right_a = dense(cube.right_a)
+    left_a, right_a = cube.rep.E + cube.rep.F, dense(cube.right_a)
     for base in (0, 1, (1 << D) - 1):
         ctx = CubeContext(D=D, base=base)
         a, astar = adjacency(ctx), dual_adjacency(ctx)
@@ -224,19 +224,16 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
         assert sorted(pairs) == cube.orbits
         for k in range(len(cube.orbits)):
             m = _expand(cube, pairs, {k: Q(1)})
-            assert _expand(cube, pairs, cube.left_a.apply({k: Q(1)})) == a * m
-            assert _expand(cube, pairs, cube.left_astar.apply({k: Q(1)})) == astar * m
+            assert _expand(cube, pairs, left_a.apply({k: Q(1)})) == a * m
+            assert _expand(cube, pairs, cube.rep.H.apply({k: Q(1)})) == astar * m
             assert _expand(cube, pairs, dict(enumerate(right_a[k]))) == m * a
 
 
-@pytest.mark.parametrize("D", range(2, 10))
-def test_orbit_operators_match_the_public_constructor(D):
-    # the three operators read off the stencil entry by entry, through the
-    # checked public constructor: X -> A X and X -> A* X on columns, and
-    # X -> X A on rows, where (X A)(i, j, t) is the stencil with i and j
-    # swapped
-    cube = CubeAlgebra(D)
-    n = len(cube.orbits)
+def _stencil_operators(cube):
+    """X -> A X and X -> A* X on columns, and X -> X A on rows, where
+    (X A)(i, j, t) is the stencil with i and j swapped, read off the stencil
+    entry by entry through the checked public constructor."""
+    D, n = cube.D, len(cube.orbits)
     index = {o: k for k, o in enumerate(cube.orbits)}
     left_a, right_a, left_astar = {}, {}, {}
     for r, (i, j, t) in enumerate(cube.orbits):
@@ -247,11 +244,19 @@ def test_orbit_operators_match_the_public_constructor(D):
             if c:
                 right_a[index[si, sj, st], r] = c
         left_astar[r, r] = D - 2 * i
-    assert cube.left_a == SparseMatrix(n, n, left_a)
-    assert cube.right_a == SparseMatrix(n, n, right_a)
-    assert cube.left_astar == SparseMatrix(n, n, left_astar)
+    return SparseMatrix(n, n, left_a), SparseMatrix(n, n, right_a), SparseMatrix(n, n, left_astar)
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+def test_orbit_operators_match_the_public_constructor(D):
+    # left A is E + F, and left A* is H
+    cube = CubeAlgebra(D)
+    left_a, right_a, left_astar = _stencil_operators(cube)
+    assert cube.rep.E + cube.rep.F == left_a
+    assert cube.right_a == right_a
+    assert cube.rep.H == left_astar
     # no zero stored: the rows of A* at i = D/2 are empty
-    assert all(x for d in cube.left_astar._num.values() for x in d.values())
+    assert all(x for d in cube.rep.H._num.values() for x in d.values())
 
 
 PER_D_CASES = (
@@ -269,9 +274,7 @@ def test_every_per_d_field_matches_the_vertex_path(D, base):
 
 def test_cube_rho_relations_certified():
     for D in range(2, 6):
-        cube = CubeAlgebra(D)  # SL2Rep checks the relations on orbit functions
-        assert cube.rep.E + cube.rep.F == cube.left_a
-        assert cube.rep.H == cube.left_astar
+        CubeAlgebra(D)  # SL2Rep checks the relations on orbit functions
         rep = cube_rho(CubeContext(D=D))  # and the oracle's on vertices
         assert rep.E + rep.F == adjacency(CubeContext(D=D))
         assert rep.H == dual_adjacency(CubeContext(D=D))
@@ -279,13 +282,13 @@ def test_cube_rho_relations_certified():
 
 @pytest.mark.parametrize("D", range(2, 10))
 def test_e_and_f_are_the_two_halves_of_the_stencil(D):
-    # oracle: E, F = A/2 -/+ [A, A*]/4 through the public products
+    # oracle: E, F = A/2 -/+ [A, A*]/4 through the public products, with A
+    # and A* read off the stencil
     cube = CubeAlgebra(D)
-    a, astar = cube.left_a, cube.left_astar
+    a, _, astar = _stencil_operators(cube)
     bracket = (a * astar - astar * a).scale(Q(1, 4))
     assert cube.rep.E == a.scale(Q(1, 2)) - bracket
     assert cube.rep.F == a.scale(Q(1, 2)) + bracket
-    assert cube.left_a == cube.rep.E + cube.rep.F
 
 
 def test_cube_rho_natural_pullback_of_B():
@@ -294,7 +297,8 @@ def test_cube_rho_natural_pullback_of_B():
 
     b = natural(presentation().B)
     cube = CubeAlgebra(3)
-    expected = (cube.left_a * cube.left_a - SparseMatrix.identity(len(cube.orbits))).scale(Q(1, 4))
+    a = cube.rep.E + cube.rep.F
+    expected = (a * a - SparseMatrix.identity(len(cube.orbits))).scale(Q(1, 4))
     assert evaluate(b, cube.rep) == expected
     ctx = CubeContext(D=3)
     a = adjacency(ctx)
@@ -476,13 +480,8 @@ def test_decompose_halved_examples():
 def test_decompose_halved_refuses_a_wrong_character(monkeypatch):
     # every label's H-spectrum shifted by 4: the traces of the isotypic
     # idempotents no longer match it, but the multiplicities still do
-    real = ModuleLabel.signature
-
-    def shifted(label):
-        sig = real(label)
-        return reps.IsoSignature(sig.dim, sig.casimir_scalar, tuple(w + 4 for w in sig.h_spectrum))
-
-    monkeypatch.setattr(ModuleLabel, "signature", shifted)
+    real = ModuleLabel.h_spectrum.fget
+    monkeypatch.setattr(ModuleLabel, "h_spectrum", property(lambda label: tuple(w + 4 for w in real(label))))
     hd = decompose_halved(CubeAlgebra(4))
     assert not hd.labels_ok
     assert hd.formula_ok and hd.dimension_ok
@@ -504,7 +503,7 @@ def _ladder_summand(ue, n, parity):
         columns = [solve(chain, op.apply(v)) for v in chain]
         assert all(x is not None for x in columns)  # the span is invariant
         ops.append(SparseMatrix.from_columns(columns, len(chain)))
-    return UeRep(len(chain), *ops)
+    return UeRep(*ops)
 
 
 @pytest.mark.parametrize("D", range(2, 8))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 from random import Random
+import re
 
 import pytest
 
@@ -196,6 +197,20 @@ def test_rho_property_suite():
         "rho flips the grading on 100 seeded samples",
     ]
     assert all(i.status == "pass" for i in items)
+
+
+def test_rho_property_suite_draws_as_many_samples_as_its_items_name(monkeypatch):
+    # two elements a, b per sample
+    draws = []
+    real = usl2.random_element
+
+    def counted(rng, **kwargs):
+        draws.append(1)
+        return real(rng, **kwargs)
+
+    monkeypatch.setattr(usl2, "random_element", counted)
+    for item in usl2.rho_property_suite():
+        assert int(re.search(r"on (\d+) seeded samples", item.name).group(1)) * 2 == len(draws)
 
 def test_verify_ue_presentation():
     items = usl2.verify_ue_presentation()
