@@ -22,10 +22,9 @@ integers small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import Combination, EchelonBasis, IntVector, render_terms, solve
 
@@ -130,8 +129,7 @@ def substitute(p: FreePoly, images: dict, one):
 # ideal membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """Expression of a target as sum of coeff * left * generator * right.
 
     ``triples`` entries are (coefficient, left word, generator index,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .freealg import MembershipCertificate
@@ -13,8 +12,7 @@ FAIL = "fail"
 UNRESOLVED = "unresolved-at-bound"
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     """Outcome of one named identity or structural check; a certified item
     carries its ideal-membership certificate."""
 

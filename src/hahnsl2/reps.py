@@ -24,10 +24,10 @@ E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}, H v_i = (n-2i) v_i.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 from . import usl2
 from .freealg import FreePoly, substitute
@@ -44,70 +44,93 @@ def _size(operators: Sequence[SparseMatrix]) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class SL2Rep:
-    """Matrices for E, F, H satisfying the defining relations exactly."""
+# A named tuple's _make and _replace skip __new__; the records that check
+# their fields when built route both through it.
+_make_checked = classmethod(lambda cls, fields: cls(*fields))
 
+
+class _SL2Fields(NamedTuple):
     E: SparseMatrix
     F: SparseMatrix
     H: SparseMatrix
 
+
+class SL2Rep(_SL2Fields):
+    """Matrices for E, F, H satisfying the defining relations exactly
+    (checked when built)."""
+
+    __slots__ = ()
+    _make = _make_checked
+
+    def __new__(cls, E: SparseMatrix, F: SparseMatrix, H: SparseMatrix) -> SL2Rep:
+        self = super().__new__(cls, E, F, H)
+        _size(self)
+        if commutator(H, E) != E.scale(2):
+            raise ValueError("[H,E] = 2E fails")
+        if commutator(H, F) != F.scale(-2):
+            raise ValueError("[H,F] = -2F fails")
+        if commutator(E, F) != H:
+            raise ValueError("[E,F] = H fails")
+        return self
+
     @property
     def dim(self) -> int:
         return self.H.rows
-
-    def __post_init__(self):
-        _size((self.E, self.F, self.H))
-        if commutator(self.H, self.E) != self.E.scale(2):
-            raise ValueError("[H,E] = 2E fails")
-        if commutator(self.H, self.F) != self.F.scale(-2):
-            raise ValueError("[H,F] = -2F fails")
-        if commutator(self.E, self.F) != self.H:
-            raise ValueError("[E,F] = H fails")
 
     def even_operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
         """E^2, F^2, the Casimir and H, in the order of ``UeRep.operators``."""
         return (self.E * self.E, self.F * self.F, evaluate(usl2.casimir(), self), self.H)
 
 
-@dataclass(frozen=True)
-class UeRep:
-    """Matrices for E^2, F^2, the Casimir and H satisfying the even
-    presentation exactly (checked at construction)."""
-
+class _UeFields(NamedTuple):
     E2: SparseMatrix
     F2: SparseMatrix
     Lam: SparseMatrix
     H: SparseMatrix
 
-    @property
-    def dim(self) -> int:
-        return self.H.rows
 
-    def __post_init__(self):
-        _size(self.operators())
-        residuals = usl2.even_relations(*self.operators(), SparseMatrix.identity(self.dim))
+class UeRep(_UeFields):
+    """Matrices for E^2, F^2, the Casimir and H satisfying the even
+    presentation exactly (checked when built)."""
+
+    __slots__ = ()
+    _make = _make_checked
+
+    def __new__(cls, E2: SparseMatrix, F2: SparseMatrix, Lam: SparseMatrix, H: SparseMatrix) -> UeRep:
+        self = super().__new__(cls, E2, F2, Lam, H)
+        identity = SparseMatrix.identity(_size(self))
+        residuals = usl2.even_relations(*self, identity)
         for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
             if not residual.is_zero():
                 raise ValueError(f"even relation fails: {name}")
+        return self
+
+    @property
+    def dim(self) -> int:
+        return self.H.rows
 
     def operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
         return (self.E2, self.F2, self.Lam, self.H)
 
 
-@dataclass(frozen=True)
-class ModuleLabel:
+class _LabelFields(NamedTuple):
+    n: int
+    parity: int
+
+
+class ModuleLabel(_LabelFields):
     """The ladder family L_n^(parity): the vectors v_m of L_n with m =
     parity mod 2 under the even subalgebra.  Every fact of a family is read
     off its label."""
 
-    n: int
-    parity: int
+    __slots__ = ()
+    _make = _make_checked
 
-    def __post_init__(self):
-        if self.parity not in (0, 1) or self.n < self.parity:
-            raise ValueError(f"no ladder family with n = {self.n}, parity = {self.parity}: "
+    def __new__(cls, n: int, parity: int) -> ModuleLabel:
+        if parity not in (0, 1) or n < parity:
+            raise ValueError(f"no ladder family with n = {n}, parity = {parity}: "
                              "need parity 0 or 1 and n >= parity")
+        return super().__new__(cls, n, parity)
 
     @property
     def dim(self) -> int:

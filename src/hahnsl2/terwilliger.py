@@ -55,10 +55,10 @@ even i, and its term at i is the trace on the weight-(D - 2i) space.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
+from typing import NamedTuple
 
 from . import usl2
 from .linalg import EchelonBasis, IntVector, SparseMatrix
@@ -182,8 +182,7 @@ def standard_multiplicity(D: int, k: int) -> int:
     return _count(Fraction(D - 2 * k + 1, D - k + 1) * comb(D, k))
 
 
-@dataclass(frozen=True)
-class StandardDecomposition:
+class StandardDecomposition(NamedTuple):
     multiplicities: dict[int, int]  # n -> multiplicity of the (n+1)-dim module
     formula_ok: bool
     dimension_ok: bool
@@ -264,8 +263,7 @@ def te_dimension_formula(D: int) -> int:
     return comb(D // 2 + 3, 3) + comb((D + 1) // 2 + 1, 3)
 
 
-@dataclass(frozen=True)
-class HalvedDecomposition:
+class HalvedDecomposition(NamedTuple):
     blocks: dict[tuple[int, int], int]  # (n, parity) -> multiplicity
     labels_ok: bool
     formula_ok: bool

@@ -1,8 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 from pathlib import Path
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -146,6 +149,16 @@ def test_cube_command(capsys):
     jsonschema.validate(report, SCHEMA)
     assert [e["te_dimension"] for e in report["per_d"]] == [4, 5]
     assert all(e["match"] for e in report["per_d"])
+
+
+def test_python_dash_m_runs_main(capsys):
+    # __main__.py in a fresh interpreter: its report is the one main prints
+    argv = ["cube", "--d-min", "2", "--d-max", "3", "--format", "json"]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "hahnsl2", *argv], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert _run(capsys, argv) == (0, proc.stdout.decode())
 
 
 def test_cube_base_vertex_flag(capsys):

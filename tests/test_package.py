@@ -67,6 +67,31 @@ def test_unread_module_names_sees_each_kind_of_read():
     sources = ["from .b import f\nimport c\nX = 1\nclass K: pass\ndef g(): return X\n",
                "def f(): pass\ndef h(): return c.K\nY: int = 2\n"]
     assert unread_module_names(sources) == ["Y", "g", "h"]
+
+
+# dataclasses and the modules it pulls in cost a cold run several
+# milliseconds of start-up, and no record in src/ needs them
+HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_importing_the_package_loads_no_heavy_stdlib_module():
+    # the imports of bench/child.py in a fresh interpreter; modules that were
+    # loaded before the import (by site hooks, say) do not count
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "before = set(sys.modules)\n"
+        "import hahnsl2\n"
+        "from hahnsl2 import cli, freealg, hahn, usl2\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "hahnsl2.cli" in loaded
+    assert loaded & HEAVY_IMPORTS == set()
+
+
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 

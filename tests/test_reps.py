@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from random import Random
 import re
@@ -7,6 +6,7 @@ import pytest
 
 from hahnsl2 import reps, usl2
 from hahnsl2.linalg import SparseMatrix, diagonal
+from hahnsl2.reporting import check
 from hahnsl2.reps import (
     ModuleLabel,
     SL2Rep,
@@ -53,8 +53,25 @@ def test_modules_refuse_operators_of_two_sizes():
 
 
 def test_sl2_rep_is_a_plain_value():
-    # no cache hides in the frozen dataclass: its fields are the module
-    assert [f.name for f in dataclasses.fields(SL2Rep)] == ["E", "F", "H"]
+    # no cache hides in the record: its fields are the module
+    assert SL2Rep._fields == ("E", "F", "H")
+    assert not hasattr(build_L(2), "__dict__")
+
+
+def test_records_are_immutable_and_checked_when_built():
+    rep = build_L(1)
+    for record, field in ((check("x", True), "status"), (rep, "H"), (ModuleLabel(4, 0), "n")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    for n, parity in ((0, 1), (3, 2)):
+        with pytest.raises(ValueError, match="no ladder family"):
+            ModuleLabel(n, parity)
+        with pytest.raises(ValueError, match="no ladder family"):
+            ModuleLabel(4, 0)._replace(n=n, parity=parity)
+    with pytest.raises(ValueError, match=r"\[H,E\] = 2E fails"):
+        rep._replace(H=rep.H.scale(2))
+    assert ModuleLabel(4, 0).build() is ModuleLabel(n=4, parity=0).build()
+
 
 def test_evaluate_casimir_scalar():
     for n in range(7):
@@ -422,18 +439,19 @@ def test_ladder_modules_classify_each_half_once(monkeypatch):
     classified = []
     constructed = []
     real_classify = reps.classify_ue_irreducible
-    real_post_init = UeRep.__post_init__
+    real_new = UeRep.__new__
 
     def counted_classify(rep):
         classified.append(rep.dim)
         return real_classify(rep)
 
-    def counted_post_init(self):
-        constructed.append(self.dim)
-        real_post_init(self)
+    def counted_new(cls, *fields, **named):
+        rep = real_new(cls, *fields, **named)
+        constructed.append(rep.dim)
+        return rep
 
     monkeypatch.setattr(reps, "classify_ue_irreducible", counted_classify)
-    monkeypatch.setattr(UeRep, "__post_init__", counted_post_init)
+    monkeypatch.setattr(UeRep, "__new__", counted_new)
     assert all_pass(verify_ladder_modules(12))
     assert len(classified) == 25
     assert len(constructed) == 50
