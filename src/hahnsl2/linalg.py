@@ -2,14 +2,16 @@
 
 There is no floating point anywhere, so results are reproducible bit for bit.
 ``as_fraction`` is the one place a float is refused.  ``Combination`` is the
-one exact linear-combination type: U(sl2) elements (``usl2.USL2Element``) and
-free polynomials (``freealg.FreePoly``) are its subclasses, so coefficient
-cleaning, sums, scalar multiples, equality, hashing, the signed text of
-``render_terms`` and the bracket ``commutator`` are written once, here.
+one exact linear-combination type: U(sl2) elements (``usl2.USL2Element``),
+free polynomials (``freealg.FreePoly``) and matrices (``SparseMatrix``, a
+combination of the matrix units E_rc) are its subclasses, so coefficient
+cleaning, the canonical form, sums, scalar multiples, equality, hashing and
+the bracket ``commutator`` are written once, here, as is the signed text of
+``render_terms``.
 
-Internally a matrix and a combination are maps of integer numerators over
-one positive common denominator, reduced to a canonical form, and an echelon
-basis keeps primitive integer rows, so the inner loops add and multiply
+Internally a combination is a map of integer numerators over one positive
+common denominator, reduced to a canonical form, and an echelon basis keeps
+primitive integer rows, so the inner loops add and multiply
 plain ints: a fraction-free elimination in the style of Bareiss ("Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math. Comp.
 22, 1968).  Every kernel follows the sparse support: ``matmul`` accumulates
@@ -20,8 +22,9 @@ before the new one.  ``Fraction`` lives at the API edge: constructors and scalar
 multiples take ints, Fractions or strings (never floats), and every entry,
 vector or coefficient handed back is a ``Fraction``, built when it is read.
 An ``EchelonBasis`` takes and returns integer vectors instead, because a row
-space does not change under scaling.  Matrix and combination operations
-return new values and never mutate their inputs.  An ``EchelonBasis`` is the
+space does not change under scaling.  Combination operations return new
+values and never mutate their inputs; the row view a matrix builds for
+``matmul`` on first use is no part of its value.  An ``EchelonBasis`` is the
 one mutable object: ``insert`` grows it in place, so each basis belongs to
 the computation that builds it.
 """
@@ -61,23 +64,27 @@ def _ratio(value) -> tuple[int, int]:
 class Combination:
     """A finite exact linear combination: a map from key to nonzero rational.
 
-    The elements of U(sl2) and of the free algebra are both of this kind.  A
+    The elements of U(sl2) and of the free algebra are of this kind, and so
+    is a matrix, a combination of matrix units keyed by (row, col).  A
     subclass supplies ``_key`` (check one key and return it), ``_product``
     (multiply two combinations of its kind) and ``UNIT`` (the key of the
-    unit); a kind whose elements live over a choice of generators (an
-    alphabet) also overrides ``_space`` and ``_new``, so that the choice must
-    match and is carried along.
+    unit); a matrix, whose shapes need only chain in a product, overrides
+    ``__mul__`` instead.  A kind whose elements live over a choice of
+    generators (an alphabet) or a shape also overrides ``_space`` and
+    ``_new``, so that the choice must match and is carried along, and names
+    it in ``_SPACE``.
 
     The coefficients are stored as integer numerators (``_num``, key ->
-    nonzero int) over one positive common denominator (``_den``), in the
-    canonical form of ``SparseMatrix``: the numerators and the denominator
-    have gcd 1 and the zero combination has denominator 1, so equality and
-    hashing compare storage.  The public constructor cleans keys and refuses
-    floats, once; ``terms`` hands the coefficients out as Fractions, in a
-    new dict on every read.  Every operation returns a new combination.
+    nonzero int) over one positive common denominator (``_den``), in a
+    canonical form: the numerators and the denominator have gcd 1 and the
+    zero combination has denominator 1, so equality and hashing compare
+    storage.  The public constructor cleans keys and refuses floats, once;
+    ``terms`` hands the coefficients out as Fractions, in a new dict on
+    every read.  Every operation returns a new combination.
     """
 
     __slots__ = ("_num", "_den")
+    _SPACE = "alphabets"  # what _space returns, named in a mismatch error
 
     def __init__(self, terms: dict | None = None):
         cleaned: dict = {}
@@ -118,7 +125,8 @@ class Combination:
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if other._space() != self._space():
-            raise ValueError(f"{type(self).__name__} operands over different alphabets")
+            raise ValueError(f"{type(self).__name__} operands over different {self._SPACE}: "
+                             f"{self._space()} and {other._space()}")
 
     def is_zero(self) -> bool:
         return not self._num
@@ -180,8 +188,8 @@ class Combination:
 
 
 def commutator(a, b):
-    """The bracket [a, b] = a*b - b*a of two combinations of one kind or of
-    two square matrices of one size."""
+    """The bracket [a, b] = a*b - b*a of two combinations of one kind; two
+    matrices must be square and of one size."""
     return a * b - b * a
 
 
@@ -243,49 +251,51 @@ def _eliminate(w: IntVector, row: IntVector, p: int) -> IntVector:
     return out
 
 
-class SparseMatrix:
-    """Immutable sparse matrix; zero entries are never stored.
+class SparseMatrix(Combination):
+    """Immutable sparse matrix: a ``Combination`` of the matrix units E_rc,
+    keyed by (row, col) within its shape (rows, cols), which it carries the
+    way a free polynomial carries its alphabet.  So zero entries are never
+    stored, and the canonical form, sums, scalar multiples, equality and
+    hashing are the combination's own.
 
-    Entries are integer numerators kept row-major (dict of row -> dict of
-    col -> int) over one positive common denominator, so that matrix products
-    only touch structurally nonzero positions and add plain ints.  The form
-    is canonical: the numerators and the denominator have gcd 1, and the zero
-    matrix has denominator 1, so equal matrices have equal storage.
+    ``matmul`` is the one product.  It pairs each entry (r, k) of the left
+    factor with row k of the right one, read from the numerators grouped by
+    row ({row: {col: int}}): a view built on first use and no part of
+    equality or hashing.  So a product touches only structurally nonzero
+    positions and adds plain ints.
     """
 
-    __slots__ = ("rows", "cols", "_num", "_den")
+    __slots__ = ("rows", "cols", "_row_view")
+    _SPACE = "shapes"
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data = {}
-        for (r, c), val in (entries or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
-            val = as_fraction(val)
-            if val:
-                data[r, c] = val
-        flat, den = _clear(data)
-        num: dict[int, IntVector] = {}
-        for (r, c), x in flat.items():
-            num.setdefault(r, {})[c] = x
-        self.rows = rows
-        self.cols = cols
-        self._num, self._den = num, den
+        self.rows, self.cols, self._row_view = rows, cols, None
+        super().__init__(entries)
 
-    @classmethod
-    def _new(cls, rows: int, cols: int, num: dict[int, IntVector], den: int) -> "SparseMatrix":
-        """The matrix num/den; num holds no zero entry and no empty row."""
-        if den != 1:  # divide out the gcd of the numerators and the denominator
-            g = gcd(den, *(x for d in num.values() for x in d.values()))
-            if g != 1:
-                num = {r: {c: x // g for c, x in d.items()} for r, d in num.items()}
-                den //= g
-        m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._num, m._den = num, den
-        return m
+    def _key(self, key: tuple[int, int]) -> tuple[int, int]:
+        r, c = key
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols} matrix")
+        return r, c
+
+    def _space(self) -> tuple[int, int]:
+        return self.rows, self.cols
+
+    def _new(self, num: dict[tuple[int, int], int], den: int) -> "SparseMatrix":
+        out = super()._new(num, den)
+        out.rows, out.cols, out._row_view = self.rows, self.cols, None
+        return out
+
+    def _by_row(self) -> dict[int, IntVector]:
+        """The numerators as {row: {col: int}}, built on first use."""
+        view = self._row_view
+        if view is None:
+            view = self._row_view = {}
+            for (r, c), x in self._num.items():
+                view.setdefault(r, {})[c] = x
+        return view
 
     # -- construction helpers -------------------------------------------------
 
@@ -296,104 +306,56 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix._new(n, n, {i: {i: 1} for i in range(n)}, 1)
+        return SparseMatrix(n, n)._new({(i, i): 1 for i in range(n)}, 1)
 
     # -- access ---------------------------------------------------------------
 
     def get(self, r: int, c: int) -> Fraction:
-        return Fraction(self._num.get(r, {}).get(c, 0), self._den)
+        return Fraction(self._num.get((r, c), 0), self._den)
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
         den = self._den
-        for r, d in self._num.items():
-            for c, x in d.items():
-                yield r, c, Fraction(x, den)
+        for (r, c), x in self._num.items():
+            yield r, c, Fraction(x, den)
 
     def nnz(self) -> int:
-        return sum(len(d) for d in self._num.values())
-
-    def is_zero(self) -> bool:
-        return not self._num
+        return len(self._num)
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _require_same_shape(self, other: "SparseMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape mismatch")
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._require_same_shape(other)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        num = {r: {c: sa * x for c, x in d.items()} for r, d in self._num.items()}
-        for r, d in other._num.items():
-            tgt = num.setdefault(r, {})
-            for c, x in d.items():
-                n = tgt.get(c, 0) + sb * x
-                if n:
-                    tgt[c] = n
-                else:
-                    del tgt[c]
-            if not tgt:
-                del num[r]
-        return SparseMatrix._new(self.rows, self.cols, num, den)
-
-    def __neg__(self) -> "SparseMatrix":
-        num = {r: {c: -x for c, x in d.items()} for r, d in self._num.items()}
-        return SparseMatrix._new(self.rows, self.cols, num, self._den)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
-
-    def scale(self, c) -> "SparseMatrix":
-        a, b = _ratio(c)
-        if not a:
-            return SparseMatrix(self.rows, self.cols)
-        num = {r: {j: a * x for j, x in d.items()} for r, d in self._num.items()}
-        return SparseMatrix._new(self.rows, self.cols, num, self._den * b)
 
     def __mul__(self, other):
         if isinstance(other, SparseMatrix):
             return self.matmul(other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
-        onum = other._num
-        num: dict[int, IntVector] = {}
-        for r, d in self._num.items():
-            acc: IntVector = {}  # only the columns the row's terms touch
-            for k, a in d.items():
-                brow = onum.get(k)
-                if brow:
-                    for c, b in brow.items():
-                        acc[c] = acc.get(c, 0) + a * b
-            if not all(acc.values()):
-                acc = {c: x for c, x in acc.items() if x}
-            if acc:
-                num[r] = acc
-        return SparseMatrix._new(self.rows, other.cols, num, self._den * other._den)
+        right = other._by_row()
+        rows: dict[int, IntVector] = {}  # each row over the columns its terms touch
+        for (r, k), a in self._num.items():
+            brow = right.get(k)
+            if brow:
+                acc = rows.get(r)
+                if acc is None:
+                    acc = rows[r] = {}
+                for c, b in brow.items():
+                    acc[c] = acc.get(c, 0) + a * b
+        num = {(r, c): x for r, acc in rows.items() for c, x in acc.items() if x}
+        out = self._new(num, self._den * other._den)
+        out.cols = other.cols  # the product has self's rows and other's columns
+        return out
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product M v for a sparse column vector."""
         w, den = _clear(v)
         den *= self._den
         out: Vector = {}
-        for r, d in self._num.items():
+        for r, d in self._by_row().items():
             s = sum(a * w[c] for c, a in d.items() if c in w)
             if s:
                 out[r] = Fraction(s, den)
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return ((self.rows, self.cols, self._den) == (other.rows, other.cols, other._den)
-                and self._num == other._num)
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -460,8 +422,9 @@ class EchelonBasis:
 def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     basis = EchelonBasis()
-    for r in sorted(m._num):
-        basis.insert(m._num[r])
+    rows = m._by_row()
+    for r in sorted(rows):
+        basis.insert(rows[r])
     return basis, len(basis)
 
 
@@ -486,7 +449,7 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
 
 def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
     """The diagonal entries of m, or None unless m is square and diagonal."""
-    if m.rows != m.cols or any(d.keys() != {r} for r, d in m._num.items()):
+    if m.rows != m.cols or any(r != c for r, c in m._num):
         return None
     return [m.get(i, i) for i in range(m.rows)]
 
@@ -520,30 +483,35 @@ def solve(columns: Sequence[dict], b: dict) -> Optional[Vector]:
     return {i - tag: Fraction(-c, scale) for i, c in w.items()}
 
 
+def square_size(ms: Sequence[SparseMatrix]) -> int:
+    """The size d of matrices that are all d x d, else ValueError."""
+    d = ms[0].rows
+    if any(m.rows != d or m.cols != d for m in ms):
+        raise ValueError("matrices must be square and of one size")
+    return d
+
+
 def restrict_to_subspace(ms: Sequence[SparseMatrix], indices: Sequence[int]) -> list[SparseMatrix]:
     """Matrices of each of ms on the span of the coordinate vectors at
     indices, in that order: the rows and columns of each matrix at indices.
 
-    The matrices must be square and of one size, and the indices distinct
-    and in range.  Raises ValueError otherwise, and when the span is not
-    invariant under some matrix: a nonzero entry in a column at indices lies
-    in a row outside them.
+    The matrices must be square and of one size (``square_size``), and the
+    indices distinct and in range.  Raises ValueError otherwise, and when
+    the span is not invariant under some matrix: a nonzero entry in a column
+    at indices lies in a row outside them.
     """
-    n = ms[0].rows
-    if any(m.rows != n or m.cols != n for m in ms):
-        raise ValueError("restrict_to_subspace needs square matrices of one size")
+    n = square_size(ms)
     pos = {i: k for k, i in enumerate(indices)}
     if len(pos) != len(indices) or not all(0 <= i < n for i in pos):
         raise ValueError("indices must be distinct and in range")
+    shape = SparseMatrix(len(pos), len(pos))
     out = []
     for m in ms:
-        num: dict[int, IntVector] = {}
-        for r, d in m._num.items():
-            row = {pos[c]: x for c, x in d.items() if c in pos}
-            if not row:
-                continue
-            if r not in pos:
-                raise ValueError("subspace is not invariant under the matrix")
-            num[pos[r]] = row
-        out.append(SparseMatrix._new(len(pos), len(pos), num, m._den))
+        num: dict[tuple[int, int], int] = {}
+        for (r, c), x in m._num.items():
+            if c in pos:
+                if r not in pos:
+                    raise ValueError("subspace is not invariant under the matrix")
+                num[pos[r], pos[c]] = x
+        out.append(shape._new(num, m._den))
     return out

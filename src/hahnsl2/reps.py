@@ -32,16 +32,9 @@ from typing import NamedTuple
 from . import usl2
 from .freealg import FreePoly, substitute
 from .hahn import natural_images
-from .linalg import SparseMatrix, Vector, commutator, diagonal, kernel_basis, restrict_to_subspace
+from .linalg import (SparseMatrix, Vector, commutator, diagonal, kernel_basis, restrict_to_subspace,
+                     square_size)
 from .reporting import CheckItem, check
-
-
-def _size(operators: Sequence[SparseMatrix]) -> int:
-    """The size d of operators that are d x d matrices, else ValueError."""
-    d = operators[0].rows
-    if any(m.rows != d or m.cols != d for m in operators):
-        raise ValueError("operators must be square and of one size")
-    return d
 
 
 # A named tuple's _make and _replace skip __new__; the records that check
@@ -64,7 +57,7 @@ class SL2Rep(_SL2Fields):
 
     def __new__(cls, E: SparseMatrix, F: SparseMatrix, H: SparseMatrix) -> SL2Rep:
         self = super().__new__(cls, E, F, H)
-        _size(self)
+        square_size(self)
         if commutator(H, E) != E.scale(2):
             raise ValueError("[H,E] = 2E fails")
         if commutator(H, F) != F.scale(-2):
@@ -78,7 +71,7 @@ class SL2Rep(_SL2Fields):
         return self.H.rows
 
     def even_operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
-        """E^2, F^2, the Casimir and H, in the order of ``UeRep.operators``."""
+        """E^2, F^2, the Casimir and H, in the order of ``UeRep``'s fields."""
         return (self.E * self.E, self.F * self.F, evaluate(usl2.casimir(), self), self.H)
 
 
@@ -98,7 +91,7 @@ class UeRep(_UeFields):
 
     def __new__(cls, E2: SparseMatrix, F2: SparseMatrix, Lam: SparseMatrix, H: SparseMatrix) -> UeRep:
         self = super().__new__(cls, E2, F2, Lam, H)
-        identity = SparseMatrix.identity(_size(self))
+        identity = SparseMatrix.identity(square_size(self))
         residuals = usl2.even_relations(*self, identity)
         for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
             if not residual.is_zero():
@@ -108,9 +101,6 @@ class UeRep(_UeFields):
     @property
     def dim(self) -> int:
         return self.H.rows
-
-    def operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
-        return (self.E2, self.F2, self.Lam, self.H)
 
 
 class _LabelFields(NamedTuple):
@@ -160,11 +150,9 @@ class ModuleLabel(_LabelFields):
         checked once."""
         n, dim = self.n, self.dim
         m = [2 * i + self.parity for i in range(dim)]
-        # m <= n, so every E^2 and F^2 coefficient is a positive int
-        e2 = SparseMatrix._new(dim, dim, {i - 1: {i: (n - m[i] + 1) * (n - m[i] + 2)}
-                                          for i in range(1, dim)}, 1)
-        f2 = SparseMatrix._new(dim, dim, {i + 1: {i: (m[i] + 1) * (m[i] + 2)} for i in range(dim - 1)}, 1)
-        h = SparseMatrix._new(dim, dim, {i: {i: w} for i, w in enumerate(self.h_spectrum) if w}, 1)
+        e2 = SparseMatrix(dim, dim, {(i - 1, i): (n - m[i] + 1) * (n - m[i] + 2) for i in range(1, dim)})
+        f2 = SparseMatrix(dim, dim, {(i + 1, i): (m[i] + 1) * (m[i] + 2) for i in range(dim - 1)})
+        h = SparseMatrix(dim, dim, {(i, i): w for i, w in enumerate(self.h_spectrum)})
         lam = SparseMatrix.identity(dim).scale(self.casimir)
         return UeRep(E2=e2, F2=f2, Lam=lam, H=h)
 
@@ -177,9 +165,9 @@ def build_L(n: int) -> SL2Rep:
     if n < 0:
         raise ValueError("n must be nonnegative")
     dim = n + 1
-    e = SparseMatrix._new(dim, dim, {i - 1: {i: n - i + 1} for i in range(1, dim)}, 1)
-    f = SparseMatrix._new(dim, dim, {i + 1: {i: i + 1} for i in range(dim - 1)}, 1)
-    h = SparseMatrix._new(dim, dim, {i: {i: n - 2 * i} for i in range(dim) if n != 2 * i}, 1)
+    e = SparseMatrix(dim, dim, {(i - 1, i): n - i + 1 for i in range(1, dim)})
+    f = SparseMatrix(dim, dim, {(i + 1, i): i + 1 for i in range(dim - 1)})
+    h = SparseMatrix(dim, dim, {(i, i): n - 2 * i for i in range(dim)})
     return SL2Rep(E=e, F=f, H=h)
 
 
@@ -230,15 +218,14 @@ def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
     """
     if not operators or operators[0].rows < 1:
         raise ValueError("empty module")
-    d = _size(operators)
+    d = square_size(operators)
     forward: list[set[int]] = [set() for _ in range(d)]
     backward: list[set[int]] = [set() for _ in range(d)]
     for m in operators:
-        for r, row in m._num.items():
-            for c in row:
-                if r != c:
-                    forward[c].add(r)
-                    backward[r].add(c)
+        for r, c in m._num:
+            if r != c:
+                forward[c].add(r)
+                backward[r].add(c)
     for edges in (forward, backward):
         seen, todo = {0}, [0]
         while todo:
@@ -283,7 +270,7 @@ def ladder_embedding(rep: UeRep, w: Vector, label: ModuleLabel) -> SparseMatrix 
         chain.append(rep.F2.apply(chain[-1]))
     phi = SparseMatrix.from_columns([{r: x / factorial(2 * i + label.parity) for r, x in v.items()}
                                      for i, v in enumerate(chain)], rep.dim)
-    if any(op * phi != phi * op_b for op, op_b in zip(rep.operators(), built.operators())):
+    if any(op * phi != phi * op_b for op, op_b in zip(rep, built)):
         return None
     return phi
 
@@ -346,11 +333,11 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
             ),
             check(
                 f"restriction of L_{n} matches the built halves entrywise",
-                [b.operators() for b in blocks] == [label.build().operators() for label in labels],
+                blocks == [label.build() for label in labels],
             ),
             check(
                 f"halves of L_{n} are irreducible (full matrix algebra)",
-                all(is_irreducible(b.operators()) for b in blocks),
+                all(is_irreducible(b) for b in blocks),
             ),
             check(f"halves of L_{n} classify back to their own labels", found == labels),
         ]
@@ -365,7 +352,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         items += [
             check(
                 f"L_{n}: parity blocks are invariant under the pullback action",
-                all((r - c) % 2 == 0 for m in pullback for r, d in m._num.items() for c in d),
+                all((r - c) % 2 == 0 for m in pullback for r, c in m._num),
             ),
             check(
                 f"L_{n}: both blocks are irreducible under the pullback action",

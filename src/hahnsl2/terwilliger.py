@@ -87,12 +87,8 @@ def _poly(roots) -> list[Fraction]:
 
 
 def _mirror(m: SparseMatrix, swap: list[int]) -> SparseMatrix:
-    """The matrix with entry (swap[c], swap[r]) for each entry (r, c) of m."""
-    num: dict[int, IntVector] = {}
-    for r, d in m._num.items():
-        for c, x in d.items():
-            num.setdefault(swap[c], {})[swap[r]] = x
-    return SparseMatrix._new(m.rows, m.cols, num, m._den)
+    """The square matrix with entry (swap[c], swap[r]) for each entry (r, c) of m."""
+    return m._new({(swap[c], swap[r]): x for (r, c), x in m._num.items()}, m._den)
 
 
 class CubeAlgebra:
@@ -115,15 +111,14 @@ class CubeAlgebra:
         self.orbits = _orbits(D)
         index = self.index = {o: k for k, o in enumerate(self.orbits)}
         n = len(self.orbits)
-        e: dict[int, IntVector] = {}
-        f: dict[int, IntVector] = {}
+        e: dict[tuple[int, int], int] = {}
+        f: dict[tuple[int, int], int] = {}
         for r, (i, j, t) in enumerate(self.orbits):
             for source, c in _adjacency_stencil(D, i, j, t):
                 if c:
-                    (e if source[0] > i else f).setdefault(r, {})[index[source]] = c
-        e_op, f_op = SparseMatrix._new(n, n, e, 1), SparseMatrix._new(n, n, f, 1)
-        h_op = SparseMatrix._new(
-            n, n, {k: {k: D - 2 * i} for k, (i, _, _) in enumerate(self.orbits) if D != 2 * i}, 1)
+                    (e if source[0] > i else f)[r, index[source]] = c
+        e_op, f_op = SparseMatrix(n, n, e), SparseMatrix(n, n, f)
+        h_op = SparseMatrix(n, n, {(k, k): D - 2 * i for k, (i, _, _) in enumerate(self.orbits)})
         self.rep = SL2Rep(e_op, f_op, h_op)
         # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
         self.right_a = _mirror(e_op + f_op, [index[j, i, t] for i, j, t in self.orbits])
@@ -159,8 +154,9 @@ class CubeAlgebra:
         powers = SparseMatrix.from_columns(krylov, len(self.orbits))
         if powers.apply(dict(enumerate(_poly(values.values())))):
             raise ArithmeticError("the Casimir values of L_D, L_(D-2), ... do not annihilate the cube module")
-        rows = [powers._num.get(self.index[i, i, i]) for i in range(D + 1)]
-        diagonal = SparseMatrix._new(D + 1, powers.cols, {i: d for i, d in enumerate(rows) if d}, powers._den)
+        at = {self.index[i, i, i]: i for i in range(D + 1)}
+        diagonal = SparseMatrix(D + 1, powers.cols)._new(
+            {(at[r], c): x for (r, c), x in powers._num.items() if r in at}, powers._den)
         out = {}
         for n, c in values.items():
             others = [x for m, x in values.items() if m != n]
@@ -235,10 +231,11 @@ def te_dimension(cube: CubeAlgebra) -> int:
     their ranks.
     """
     D, n = cube.D, len(cube.orbits)
-    even_identity = SparseMatrix._new(1, n, {0: cube.identity(range(0, D + 1, 2))}, 1)
+    row_shape = SparseMatrix(1, n)
+    even_identity = row_shape._new({(0, c): x for c, x in cube.identity(range(0, D + 1, 2)).items()}, 1)
     a2 = cube.right_a * cube.right_a
     halved = (even_identity * a2 - even_identity.scale(D)).scale(Fraction(1, 2))
-    for c, x in halved._num.get(0, {}).items():
+    for (_, c), x in halved._num.items():
         i, j, t = cube.orbits[c]
         if x != 1 or halved._den != 1 or i == j == t:
             raise ArithmeticError("halved adjacency is not a 0/1 matrix with zero diagonal")
@@ -251,7 +248,7 @@ def te_dimension(cube: CubeAlgebra) -> int:
     while work:
         i, row = work.pop()
         pieces: dict[int, IntVector] = {}
-        for c, x in (SparseMatrix._new(1, n, {0: row}, 1) * a2)._num.get(0, {}).items():
+        for (_, c), x in (row_shape._new({(0, c): x for c, x in row.items()}, 1) * a2)._num.items():
             pieces.setdefault(cube.orbits[c][1], {})[c] = x
         for j, piece in pieces.items():
             if blocks[i, j].insert(piece):

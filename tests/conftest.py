@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 import sympy
@@ -88,12 +88,9 @@ def vstack(top, bottom):
     """The rows of top followed by the rows of bottom."""
     if top.cols != bottom.cols:
         raise ValueError("column mismatch in stack")
-    den = lcm(top._den, bottom._den)
-    st, sb = den // top._den, den // bottom._den
-    num = {r: {c: st * x for c, x in d.items()} for r, d in top._num.items()}
-    for r, d in bottom._num.items():
-        num[top.rows + r] = {c: sb * x for c, x in d.items()}
-    return SparseMatrix._new(top.rows + bottom.rows, top.cols, num, den)
+    entries = {(r, c): v for r, c, v in top.items()}
+    entries.update({(top.rows + r, c): v for r, c, v in bottom.items()})
+    return SparseMatrix(top.rows + bottom.rows, top.cols, entries)
 
 
 def span_closure(start, generators) -> tuple:
@@ -122,7 +119,7 @@ def span_closure(start, generators) -> tuple:
     while head < len(work):
         m = work[head]
         head += 1
-        if basis.insert({r * n + c: x for r, d in m._num.items() for c, x in d.items()}):
+        if basis.insert({r * n + c: x for (r, c), x in m._num.items()}):
             for g in generators:
                 work.append(m.matmul(g))
     return basis, len(basis)

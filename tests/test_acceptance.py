@@ -88,8 +88,8 @@ def test_criterion_5_module_facts():
     # operators span the full matrix algebra
     for n in range(13):
         for half in [reps.ModuleLabel(n, p).build() for p in ((0, 1) if n else (0,))]:
-            ok = ok and reps.is_irreducible(half.operators())
-            ok = ok and span_closure(SparseMatrix.identity(half.dim), half.operators())[1] == half.dim ** 2
+            ok = ok and reps.is_irreducible(half)
+            ok = ok and span_closure(SparseMatrix.identity(half.dim), half)[1] == half.dim ** 2
     elapsed = time.perf_counter() - t0
     _report(5, "module family facts and classification round-trip (n <= 12)", ok, elapsed, 120.0)
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from random import Random
 
 import pytest
@@ -17,7 +17,8 @@ from hahnsl2.linalg import (
     rref,
     solve,
 )
-from tests.conftest import assert_echelon_invariants, dense, from_dense, span_closure, vstack
+from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, span_closure,
+                            vstack)
 
 F = Fraction
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -46,7 +47,7 @@ def test_rref_row_equivalence_mutual_span():
     basis, rank = rref(m)
     # every original row is in the span of the basis
     for r in range(m.rows):
-        assert not basis.reduce(m._num.get(r, {}))
+        assert not basis.reduce({c: x for (q, c), x in m._num.items() if q == r})
     # and every basis row is a combination of original rows
     orig, _ = rref(m)
     for row in basis._rows.values():
@@ -158,7 +159,7 @@ def test_span_closure_output_closed_under_generators():
         m = SparseMatrix(n, n, {(i // n, i % n): c for i, c in row.items()})
         for g in gens:
             prod = m * g
-            vec = {r * n + c: x for r, d in prod._num.items() for c, x in d.items()}
+            vec = {r * n + c: x for (r, c), x in prod._num.items()}
             assert not basis.reduce(vec)
 
 
@@ -507,11 +508,10 @@ def test_matrix_storage_is_canonical(seed):
 
 
 def _assert_canonical_matrix(m: SparseMatrix) -> None:
-    """No stored zero, no empty row, a positive denominator, and gcd 1."""
-    assert type(m._den) is int and m._den > 0
-    assert all(d and all(type(x) is int and x for x in d.values()) for d in m._num.values())
-    assert all(0 <= r < m.rows and all(0 <= c < m.cols for c in d) for r, d in m._num.items())
-    assert gcd(m._den, *(x for d in m._num.values() for x in d.values())) == 1
+    """The canonical form of a combination (no stored zero, a positive
+    denominator, gcd 1), keyed by (row, col) pairs inside the shape."""
+    assert_canonical(m)
+    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m._num)
 
 
 def _random_fill(rng: Random, rows: int, cols: int, per_row: int) -> SparseMatrix:
@@ -566,5 +566,34 @@ def test_matmul_drops_cancelled_entries_and_rows():
     p = a * b
     # row 0 cancels in columns 0 and 1, row 2 is empty
     assert p == from_dense([[0, 0, 8], [4, 1, -2], [0, 0, 0]])
-    assert p._num == {0: {2: 8}, 1: {0: 4, 1: 1, 2: -2}} and p._den == 1
+    assert p._num == {(0, 2): 8, (1, 0): 4, (1, 1): 1, (1, 2): -2} and p._den == 1
     _assert_canonical_matrix(p)
+
+
+def test_the_row_view_is_derived():
+    # matmul, apply and rref read the entries grouped by row, a view built on
+    # first use; equality and hashing read the canonical form alone, and the
+    # sums, scalar multiples, equality and hashing are the Combination's own
+    rng = Random(11)
+    a, b = _random_fill(rng, 5, 4, 3), _random_fill(rng, 4, 6, 3)
+
+    def copy(m: SparseMatrix, warm: bool) -> SparseMatrix:
+        out = SparseMatrix(m.rows, m.cols, {(r, c): v for r, c, v in m.items()})
+        if warm:
+            out._by_row()
+        return out
+
+    assert copy(a, True) == copy(a, False) and hash(copy(a, True)) == hash(copy(a, False))
+    assert len({copy(a, True), copy(a, False), a}) == 1
+    assert dense(a * b) == _dense_product(a, b)
+    for warm_a, warm_b in product((False, True), repeat=2):
+        x, y = copy(a, warm_a), copy(b, warm_b)
+        assert x * y == a * b
+        # both views are built now, and neither is carried to a sum or a multiple
+        assert (x + x) * y.scale(-1) == (a * b).scale(-2)
+    with pytest.raises(ValueError, match=r"different shapes: \(5, 4\) and \(4, 6\)"):
+        a + b
+    with pytest.raises(ValueError, match="different shapes"):
+        b - a
+    forks = {"__add__", "__neg__", "__sub__", "scale", "__eq__", "__hash__", "is_zero"}
+    assert not forks & SparseMatrix.__dict__.keys()

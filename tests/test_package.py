@@ -30,6 +30,24 @@ def test_names_the_benchmark_calls_resolve():
     assert isinstance(linalg.Combination.terms, property)
 
 
+def test_a_matrix_product_reaches_the_traced_matmul(monkeypatch):
+    # bench/tracer.py wraps the class attribute SparseMatrix.matmul, so the
+    # product operator must call it there, once a product, or the traced
+    # linalg.matmul figures read 0
+    calls = []
+    real = linalg.SparseMatrix.matmul
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(linalg.SparseMatrix, "matmul", counted)
+    a = linalg.SparseMatrix(2, 3, {(0, 1): 2, (1, 2): -1})
+    b = linalg.SparseMatrix(3, 2, {(1, 0): 1, (2, 1): 5})
+    assert a * b == linalg.SparseMatrix(2, 2, {(0, 0): 2, (1, 1): -5})
+    assert calls == [(a, b)]
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

@@ -178,22 +178,21 @@ def test_built_modules_store_what_the_public_constructor_stores():
     for n in range(9):
         modules = [build_L(n)] + [ModuleLabel(n, p).build() for p in ((0, 1) if n else (0,))]
         for rep in modules:
-            ops = (rep.E, rep.F, rep.H) if isinstance(rep, SL2Rep) else rep.operators()
-            for op in ops:
+            for op in rep:
                 assert op == rebuilt(op)
-                assert all(x for d in op._num.values() for x in d.values())
+                assert all(op._num.values())
 
 
 def test_restrict_even_matches_built_blocks():
     for n in range(13):
         rep = build_L(n)
         block0, block1 = restrict_even(rep)
-        assert block0.operators() == ModuleLabel(n, 0).build().operators()
+        assert block0 == ModuleLabel(n, 0).build()
         if n == 0:
             assert block1 is None
         else:
             assert block1 is not None
-            assert block1.operators() == ModuleLabel(n, 1).build().operators()
+            assert block1 == ModuleLabel(n, 1).build()
 
 
 def test_restrict_even_block_dims():
@@ -230,13 +229,13 @@ def _direct_sum(a: UeRep, b: UeRep) -> UeRep:
 
 
 def test_is_irreducible_and_direct_sum():
-    assert is_irreducible(ModuleLabel(6, 0).build().operators())
-    assert is_irreducible(ModuleLabel(5, 1).build().operators())
-    assert not is_irreducible(_direct_sum(ModuleLabel(2, 0).build(), ModuleLabel(2, 1).build()).operators())
+    assert is_irreducible(ModuleLabel(6, 0).build())
+    assert is_irreducible(ModuleLabel(5, 1).build())
+    assert not is_irreducible(_direct_sum(ModuleLabel(2, 0).build(), ModuleLabel(2, 1).build()))
     # Scalar Casimir (12 on both summands) but a two-dimensional E^2 kernel:
     # not a single ladder, so classification refuses it.
     doubled = _direct_sum(ModuleLabel(4, 0).build(), ModuleLabel(4, 0).build())
-    assert not is_irreducible(doubled.operators())
+    assert not is_irreducible(doubled)
     with pytest.raises(ValueError):
         classify_ue_irreducible(doubled)
     for empty in ([], [SparseMatrix(0, 0)]):
@@ -245,8 +244,7 @@ def test_is_irreducible_and_direct_sum():
     # oracle: Burnside, the operators span the full matrix algebra
     mixed = _direct_sum(ModuleLabel(2, 0).build(), ModuleLabel(2, 1).build())
     for rep in (ModuleLabel(6, 0).build(), ModuleLabel(5, 1).build(), mixed, doubled):
-        ops = rep.operators()
-        assert is_irreducible(ops) == (span_closure(SparseMatrix.identity(rep.dim), ops)[1] == rep.dim ** 2)
+        assert is_irreducible(rep) == (span_closure(SparseMatrix.identity(rep.dim), rep)[1] == rep.dim ** 2)
 
 
 def test_is_irreducible_needs_paths_both_ways():
@@ -287,7 +285,7 @@ def test_is_irreducible_agrees_with_burnside_on_every_ladder_module(monkeypatch)
 
 
 def test_ue_rep_names_the_first_failing_relation():
-    e2, f2, lam, h = ModuleLabel(4, 0).build().operators()
+    e2, f2, lam, h = ModuleLabel(4, 0).build()
     ident = SparseMatrix.identity(3)
     # diag(12, 12, 24) takes the other root of the E^2 F^2 relation at u_2,
     # so only the F^2 E^2 relation and the commutations can catch it
@@ -345,7 +343,7 @@ def test_classification_round_trip_all_families():
             assert (label.n, label.parity) == (n, parity)
             # the returned map intertwines all four operators exactly
             target = ModuleLabel(n, parity).build()
-            for op_in, op_tgt in zip(rep.operators(), target.operators()):
+            for op_in, op_tgt in zip(rep, target):
                 assert op_in * p == p * op_tgt
 
 
@@ -366,10 +364,10 @@ def test_classification_of_conjugated_module():
             base = ModuleLabel(n, parity).build()
             for _ in range(3):
                 m, mi = _random_invertible(rng, base.dim)
-                conj = UeRep(*(m * op * mi for op in base.operators()))
+                conj = UeRep(*(m * op * mi for op in base))
                 label, p = classify_ue_irreducible(conj)
                 assert (label.n, label.parity) == (n, parity)
-                for op_in, op_tgt in zip(conj.operators(), base.operators()):
+                for op_in, op_tgt in zip(conj, base):
                     assert op_in * p == p * op_tgt
                 assert label == classify_ue_irreducible(base)[0]
 

@@ -225,7 +225,7 @@ def test_even_relations_vanish_in_pbw_form_and_on_the_halves():
     assert all(r.is_zero() for r in residuals)
     for n in range(9):
         for half in [ModuleLabel(n, p).build() for p in ((0, 1) if n else (0,))]:
-            residuals = usl2.even_relations(*half.operators(), SparseMatrix.identity(half.dim))
+            residuals = usl2.even_relations(*half, SparseMatrix.identity(half.dim))
             assert len(residuals) == 7
             assert all(r.is_zero() for r in residuals)
     # a wrong image of H breaks the two commutator relations with E^2 and F^2
