@@ -19,11 +19,11 @@ from .reporting import PASS, CheckItem, check
 
 # Largest D the cube suite accepts: the suite works on functions on the
 # C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D vertices, so
-# its cost grows as a power of D.  At one D, run_cube takes 0.007 s at D = 7,
-# 0.013 s at D = 10, 0.065 s at D = 16 and 0.13 s at D = 20 (the least of 5
-# runs in one process; 2-vCPU Intel Xeon, Python 3.11).  At D = 16 a third of
-# it builds and certifies the orbit operators, two fifths evaluates the
-# Casimir and its Krylov vectors, and a fifth closes the Terwilliger algebra
+# its cost grows as a power of D.  At one D, run_cube takes 0.004 s at D = 7,
+# 0.009 s at D = 10, 0.034 s at D = 16 and 0.062 s at D = 20 (the least of 5
+# runs in one process; 2-vCPU Intel Xeon, Python 3.11).  At D = 16 it takes
+# about a third each to build and certify the orbit operators, to evaluate
+# the Casimir and its Krylov vectors, and to close the Terwilliger algebra
 # block by block.
 D_MAX_CAP = 16
 

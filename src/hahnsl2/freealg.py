@@ -35,7 +35,6 @@ class FreePoly(Combination):
     """Finite rational combination of words over a fixed alphabet."""
 
     __slots__ = ("alphabet",)
-    UNIT = ""
 
     def __init__(self, alphabet, terms: dict[Word, Fraction] | None = None):
         alphabet = tuple(alphabet)

@@ -18,15 +18,17 @@ identity and multistep integer-preserving Gaussian elimination", Math. Comp.
 each row of a product in a map over the columns its terms touch, so a
 product of N x N matrices with k entries a row costs about N k^2 steps, not
 N^2, and an echelon insert back-reduces only the rows whose pivot comes
-before the new one.  ``Fraction`` lives at the API edge: constructors and scalar
-multiples take ints, Fractions or strings (never floats), and every entry,
-vector or coefficient handed back is a ``Fraction``, built when it is read.
-An ``EchelonBasis`` takes and returns integer vectors instead, because a row
-space does not change under scaling.  Combination operations return new
-values and never mutate their inputs; the row view a matrix builds for
-``matmul`` on first use is no part of its value.  An ``EchelonBasis`` is the
-one mutable object: ``insert`` grows it in place, so each basis belongs to
-the computation that builds it.
+before the new one.  A vector is a one-column matrix, so ``matmul`` is also
+the one matrix-vector product.  ``Fraction`` lives at the API edge:
+constructors and scalar multiples take ints, Fractions or strings (never
+floats), and every entry or coefficient handed back is a ``Fraction``,
+built when it is read.  An ``EchelonBasis`` takes and returns integer
+vectors instead, because a row space does not change under scaling, and
+``solve``, which works in one, takes integer vectors too.  Combination
+operations return new values and never mutate their inputs; the row view a
+matrix builds for ``matmul`` on first use is no part of its value.  An
+``EchelonBasis`` is the one mutable object: ``insert`` grows it in place, so
+each basis belongs to the computation that builds it.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from math import gcd, lcm
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-# Sparse vector: index -> nonzero Fraction.
-Vector = dict[int, Fraction]
-# The same over the integers; the internal form of rows and matrix rows.
+# Sparse integer vector, index -> int: the internal form of rows and matrix rows.
 IntVector = dict[int, int]
 
 
@@ -66,13 +66,12 @@ class Combination:
 
     The elements of U(sl2) and of the free algebra are of this kind, and so
     is a matrix, a combination of matrix units keyed by (row, col).  A
-    subclass supplies ``_key`` (check one key and return it), ``_product``
-    (multiply two combinations of its kind) and ``UNIT`` (the key of the
-    unit); a matrix, whose shapes need only chain in a product, overrides
-    ``__mul__`` instead.  A kind whose elements live over a choice of
-    generators (an alphabet) or a shape also overrides ``_space`` and
-    ``_new``, so that the choice must match and is carried along, and names
-    it in ``_SPACE``.
+    subclass supplies ``_key`` (check one key and return it) and
+    ``_product`` (multiply two combinations of its kind); a matrix, whose
+    shapes need only chain in a product, overrides ``__mul__`` instead.  A
+    kind whose elements live over a choice of generators (an alphabet) or a
+    shape also overrides ``_space`` and ``_new``, so that the choice must
+    match and is carried along, and names it in ``_SPACE``.
 
     The coefficients are stored as integer numerators (``_num``, key ->
     nonzero int) over one positive common denominator (``_den``), in a
@@ -175,14 +174,6 @@ class Combination:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, n: int) -> "Combination":
-        if n < 0:
-            raise ValueError("negative power")
-        acc = self._new({self.UNIT: 1}, 1)
-        for _ in range(n):
-            acc = acc._product(self)
-        return acc
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
 
@@ -219,7 +210,7 @@ def random_terms(rng: Random, draw_key: Callable, max_terms: int, num: int, den:
     return terms
 
 
-def _clear(v: Vector) -> tuple[IntVector, int]:
+def _clear(v: dict) -> tuple[dict, int]:
     """Integer numerators of v over the least common denominator of its
     entries, zeros dropped."""
     den = lcm(*{x.denominator for x in v.values()})
@@ -258,11 +249,12 @@ class SparseMatrix(Combination):
     stored, and the canonical form, sums, scalar multiples, equality and
     hashing are the combination's own.
 
-    ``matmul`` is the one product.  It pairs each entry (r, k) of the left
-    factor with row k of the right one, read from the numerators grouped by
-    row ({row: {col: int}}): a view built on first use and no part of
-    equality or hashing.  So a product touches only structurally nonzero
-    positions and adds plain ints.
+    ``matmul`` is the one product, and a vector is a one-column matrix, so
+    it is also the one matrix-vector product.  It pairs each entry (r, k)
+    of the left factor with row k of the right one, read from the
+    numerators grouped by row ({row: {col: int}}): a view built on first
+    use and no part of equality or hashing.  So a product touches only
+    structurally nonzero positions and adds plain ints.
     """
 
     __slots__ = ("rows", "cols", "_row_view")
@@ -298,11 +290,6 @@ class SparseMatrix(Combination):
         return view
 
     # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
-        return SparseMatrix(rows, len(columns), {(r, c): v for c, col in enumerate(columns)
-                                                 for r, v in col.items()})
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
@@ -344,17 +331,6 @@ class SparseMatrix(Combination):
         num = {(r, c): x for r, acc in rows.items() for c, x in acc.items() if x}
         out = self._new(num, self._den * other._den)
         out.cols = other.cols  # the product has self's rows and other's columns
-        return out
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product M v for a sparse column vector."""
-        w, den = _clear(v)
-        den *= self._den
-        out: Vector = {}
-        for r, d in self._by_row().items():
-            s = sum(a * w[c] for c, a in d.items() if c in w)
-            if s:
-                out[r] = Fraction(s, den)
         return out
 
     def __repr__(self) -> str:
@@ -428,23 +404,20 @@ def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
     return basis, len(basis)
 
 
-def kernel_basis(m: SparseMatrix) -> list[Vector]:
-    """Basis of the right kernel {v : Mv = 0}, one sparse vector per free column."""
+def kernel_basis(m: SparseMatrix) -> SparseMatrix:
+    """The right kernel {v : m v = 0} as the columns of one m.cols x
+    (m.cols - rank) matrix K, with m K = 0: column k is 1 at the k-th free
+    (non-pivot) column of m and 0 at the other free columns."""
     basis, rank = rref(m)
-    pivot_set = set(basis.pivots)
-    out: list[Vector] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v: Vector = {free: Fraction(1)}
-        for p in basis.pivots:
-            row = basis._rows[p]
-            c = row.get(free)
+    free = [c for c in range(m.cols) if c not in basis._rows]
+    entries: dict[tuple[int, int], Fraction] = {}
+    for k, f in enumerate(free):
+        entries[f, k] = Fraction(1)
+        for p, row in basis._rows.items():
+            c = row.get(f)
             if c:
-                v[p] = Fraction(-c, row[p])
-        out.append(v)
-    assert len(out) == m.cols - rank
-    return out
+                entries[p, k] = Fraction(-c, row[p])
+    return SparseMatrix(m.cols, m.cols - rank, entries)
 
 
 def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
@@ -454,23 +427,20 @@ def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
     return [m.get(i, i) for i in range(m.rows)]
 
 
-def solve(columns: Sequence[dict], b: dict) -> Optional[Vector]:
+def solve(columns: Sequence[IntVector], b: IntVector) -> Optional[dict[int, Fraction]]:
     """One exact x with sum_t x[t] columns[t] = b, or None; the vectors are
-    sparse, of ints or Fractions.  Column t's numerators go into one echelon
-    basis with its denominator at tag + t, past every index in use, and b's
-    numerators, with its denominator at a marker after those, reduce to a
-    multiple of b minus a combination of the columns, read off the tags and
-    checked exactly: ArithmeticError if it does not give b."""
+    sparse integer maps, and a Fraction in a column raises TypeError, as it
+    does in ``EchelonBasis``.  Column t goes into one echelon basis with a 1
+    at tag + t, past every index in use, and b, with a 1 at a marker after
+    those, reduces to a multiple of b minus a combination of the columns,
+    read off the tags and checked exactly: ArithmeticError if it does not
+    give b."""
     tag = 1 + max((i for v in (*columns, b) for i in v), default=-1)
     basis = EchelonBasis()
     for t, col in enumerate(columns):
-        w, den = _clear(col)
-        w[tag + t] = den
-        basis.insert(w)
-    w, den = _clear(b)
+        basis.insert({**col, tag + t: 1})
     marker = tag + len(columns)
-    w[marker] = den
-    w = basis.reduce(w)
+    w = basis.reduce({**b, marker: 1})
     if min(w) < tag:
         return None  # b is not in the span
     scale = w.pop(marker)  # w is now -scale * x, at the tags
@@ -484,9 +454,9 @@ def solve(columns: Sequence[dict], b: dict) -> Optional[Vector]:
 
 
 def square_size(ms: Sequence[SparseMatrix]) -> int:
-    """The size d of matrices that are all d x d, else ValueError."""
-    d = ms[0].rows
-    if any(m.rows != d or m.cols != d for m in ms):
+    """The size d of one or more matrices that are all d x d, else ValueError."""
+    d = ms[0].rows if ms else -1
+    if d < 0 or any(m.rows != d or m.cols != d for m in ms):
         raise ValueError("matrices must be square and of one size")
     return d
 

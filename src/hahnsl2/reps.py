@@ -16,8 +16,10 @@ module's size is read off its operators.
 module once and checks its Casimir, its two halves and its pullback along
 the natural map on that one module.
 
-All matrices act on column vectors; basis vectors are indexed 0..dim-1 in
-decreasing H-eigenvalue order, matching the ladder conventions
+All matrices act on column vectors, and a vector is a one-column
+``SparseMatrix``, so a matrix acts on it by the one matrix product.  Basis
+vectors are indexed 0..dim-1 in decreasing H-eigenvalue order, matching the
+ladder conventions
 E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}, H v_i = (n-2i) v_i.
 """
 
@@ -32,8 +34,7 @@ from typing import NamedTuple
 from . import usl2
 from .freealg import FreePoly, substitute
 from .hahn import natural_images
-from .linalg import (SparseMatrix, Vector, commutator, diagonal, kernel_basis, restrict_to_subspace,
-                     square_size)
+from .linalg import SparseMatrix, commutator, diagonal, kernel_basis, restrict_to_subspace, square_size
 from .reporting import CheckItem, check
 
 
@@ -241,35 +242,34 @@ def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
     raise ValueError("no operator is diagonal with distinct entries")
 
 
-def _top_vector(rep: UeRep) -> tuple[Fraction, Vector]:
-    """The top vector w, spanning the kernel of E^2, which must be
+def _top_vector(rep: UeRep) -> tuple[Fraction, SparseMatrix]:
+    """The top vector w, a column spanning the kernel of E^2, which must be
     one-dimensional, and its H-eigenvalue theta.  Since [H,E^2] = 4E^2, H
     maps that kernel into itself, so w is an H-eigenvector."""
-    top = kernel_basis(rep.E2)
-    if len(top) != 1:
+    w = kernel_basis(rep.E2)
+    if w.cols != 1:
         raise ValueError("the kernel of E^2 is not one-dimensional")
-    w = top[0]
-    i = min(w)
-    return rep.H.apply(w).get(i, Fraction(0)) / w[i], w
+    i = min(w._num)[0]  # the first row where w is nonzero
+    return (rep.H * w).get(i, 0) / w.get(i, 0), w
 
 
-def ladder_embedding(rep: UeRep, w: Vector, label: ModuleLabel) -> SparseMatrix | None:
+def ladder_embedding(rep: UeRep, w: SparseMatrix, label: ModuleLabel) -> SparseMatrix | None:
     """The map Phi from the built half ``label.build()`` into ``rep`` with
-    Phi u_i = (F^2)^i w / (2i + parity)!, or None unless w is nonzero and
-    op * Phi == Phi * op_built for all four operators.
+    Phi u_i = (F^2)^i w / (2i + parity)!, for a column w, or None unless w
+    is nonzero and op * Phi == Phi * op_built for all four operators.
 
     The built half is irreducible and Phi u_0 = w / parity! is not zero, so
     by Schur's lemma a Phi that is returned is injective: it embeds
     L_n^(parity) in ``rep``.
     """
-    if not w:
+    if w.is_zero():
         return None
     built = label.build()
-    chain: list[Vector] = [w]
+    chain = [w]
     for _ in range(built.dim - 1):
-        chain.append(rep.F2.apply(chain[-1]))
-    phi = SparseMatrix.from_columns([{r: x / factorial(2 * i + label.parity) for r, x in v.items()}
-                                     for i, v in enumerate(chain)], rep.dim)
+        chain.append(rep.F2 * chain[-1])
+    phi = SparseMatrix(rep.dim, built.dim, {(r, i): x / factorial(2 * i + label.parity)
+                                            for i, v in enumerate(chain) for r, _, x in v.items()})
     if any(op * phi != phi * op_b for op, op_b in zip(rep, built)):
         return None
     return phi

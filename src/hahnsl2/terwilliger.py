@@ -141,28 +141,30 @@ class CubeAlgebra:
         checked, else ArithmeticError: then Lam is diagonalizable on the cube
         module with eigenvalues among the c_n, each e_n is the projection on
         the c_n-eigenspace, which is the L_n-isotypic part since c_n
-        determines n, and a trace of e_n is a dimension.  Only the D + 1
-        diagonal entries of each e_n are formed, from those of the Krylov
-        vectors.
+        determines n, and a trace of e_n is a dimension.  The vectors are
+        one-column matrices.  Only the D + 1 diagonal entries of each e_n
+        are formed: row i of ``diagonal`` holds the Krylov vectors' entries
+        at (i, i, i), and its product with the column of e_n's Lagrange
+        coefficients gives e_n's.
         """
-        D = self.D
+        D, size = self.D, len(self.orbits)
         lam = evaluate(usl2.casimir(), self.rep)
         values = {n: ModuleLabel(n, 0).casimir for n in range(D, -1, -2)}
-        krylov = [self.identity(range(D + 1))]
+        krylov = [SparseMatrix(size, 1, {(k, 0): 1 for k in self.identity(range(D + 1))})]
         for _ in values:
-            krylov.append(lam.apply(krylov[-1]))
-        powers = SparseMatrix.from_columns(krylov, len(self.orbits))
-        if powers.apply(dict(enumerate(_poly(values.values())))):
+            krylov.append(lam * krylov[-1])
+        residual = sum((v.scale(a) for a, v in zip(_poly(values.values()), krylov)), SparseMatrix(size, 1))
+        if not residual.is_zero():
             raise ArithmeticError("the Casimir values of L_D, L_(D-2), ... do not annihilate the cube module")
-        at = {self.index[i, i, i]: i for i in range(D + 1)}
-        diagonal = SparseMatrix(D + 1, powers.cols)._new(
-            {(at[r], c): x for (r, c), x in powers._num.items() if r in at}, powers._den)
+        diagonal = SparseMatrix(D + 1, len(krylov), {(i, k): v.get(self.index[i, i, i], 0)
+                                                     for k, v in enumerate(krylov) for i in range(D + 1)})
         out = {}
         for n, c in values.items():
             others = [x for m, x in values.items() if m != n]
             scale = prod(c - x for x in others)
-            e = diagonal.apply({k: x / scale for k, x in enumerate(_poly(others))})
-            out[n] = {D - 2 * i: comb(D, i) * e.get(i, Fraction(0)) for i in range(D + 1)}
+            lagrange = SparseMatrix(len(krylov), 1, {(k, 0): x / scale for k, x in enumerate(_poly(others))})
+            e = diagonal * lagrange
+            out[n] = {D - 2 * i: comb(D, i) * e.get(i, 0) for i in range(D + 1)}
         return out
 
 

@@ -80,7 +80,6 @@ class USL2Element(Combination):
     """A PBW-normal-form element: map from (i, j, k) to a nonzero rational."""
 
     __slots__ = ()
-    UNIT = (0, 0, 0)
 
     def _key(self, m) -> Monomial:
         i, j, k = m

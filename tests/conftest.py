@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
 
 from hahnsl2.hahn import random_free_poly
-from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis
+from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, solve
 from hahnsl2.reporting import PASS
 from hahnsl2.usl2 import random_element as random_usl2_element
 from hahnsl2.usl2 import zero
@@ -70,9 +70,34 @@ def ue_basis_recompose(coords):
     return out
 
 
-def eigenspace(m, lam) -> list:
-    """Oracle: a basis of ker(M - lam*I), empty when lam is not an eigenvalue."""
+def eigenspace(m, lam) -> SparseMatrix:
+    """Oracle: a basis of ker(M - lam*I), as the columns of one matrix, which
+    has none when lam is not an eigenvalue."""
     return kernel_basis(m - SparseMatrix.identity(m.rows).scale(lam))
+
+
+def column(m: SparseMatrix, k: int) -> SparseMatrix:
+    """Column k of m, as a one-column matrix."""
+    return SparseMatrix(m.rows, 1, {(r, 0): v for r, c, v in m.items() if c == k})
+
+
+def solve_columns(a: SparseMatrix, b: SparseMatrix):
+    """Oracle: X with a * X = b, one ``linalg.solve`` per column of b, or None
+    when some column of b lies outside the column span of a.  ``solve``
+    takes integer maps, so the entries of a and b are put over one common
+    denominator, a scaling that leaves X unchanged."""
+    den = lcm(a._den, b._den)
+
+    def columns(m: SparseMatrix) -> list[dict[int, int]]:
+        out: list[dict[int, int]] = [{} for _ in range(m.cols)]
+        for r, c, v in m.items():
+            out[c][r] = int(v * den)
+        return out
+
+    xs = [solve(columns(a), target) for target in columns(b)]
+    if None in xs:
+        return None
+    return SparseMatrix(a.cols, b.cols, {(t, k): v for k, x in enumerate(xs) for t, v in x.items()})
 
 
 def invert(m):

@@ -23,7 +23,7 @@ from hahnsl2.terwilliger import (
     standard_multiplicity,
     te_dimension_formula,
 )
-from tests.conftest import span_closure, vstack
+from tests.conftest import column, span_closure, vstack
 
 
 def _weight(v: int) -> int:
@@ -97,8 +97,8 @@ def _weight_space(h: SparseMatrix, theta: int) -> SparseMatrix:
     weights = diagonal(h)
     if weights is None:
         raise ValueError("H is not diagonal: the module must be in the vertex basis")
-    return SparseMatrix.from_columns([{v: Fraction(1)} for v, x in enumerate(weights) if x == theta],
-                                     h.rows)
+    vertices = [v for v, x in enumerate(weights) if x == theta]
+    return SparseMatrix(h.rows, len(vertices), {(v, k): 1 for k, v in enumerate(vertices)})
 
 
 def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
@@ -110,7 +110,7 @@ def decompose_standard(ctx: CubeContext, rep: SL2Rep) -> StandardDecomposition:
     formula_ok = True
     for k in range(ctx.D // 2 + 1):
         n = ctx.D - 2 * k
-        mult = len(kernel_basis(rep.E * _weight_space(rep.H, n)))
+        mult = kernel_basis(rep.E * _weight_space(rep.H, n)).cols
         mults[n] = mult
         if mult != standard_multiplicity(ctx.D, k):
             formula_ok = False
@@ -205,7 +205,7 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         b = _weight_space(ue.H, label.top_weight)
         stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(label.casimir)) * b)
         tops = kernel_basis(stacked)
-        mult = len(tops)
+        mult = tops.cols
         blocks[(label.n, label.parity)] = mult
         total += mult * label.dim
         if mult != standard_multiplicity(D, k):
@@ -213,7 +213,7 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         if mult == 0:
             labels_ok = False
             continue
-        if reps.ladder_embedding(ue, b.apply(tops[0]), label) is None:
+        if reps.ladder_embedding(ue, b * column(tops, 0), label) is None:
             labels_ok = False
         wedderburn += label.dim ** 2
     return HalvedDecomposition(

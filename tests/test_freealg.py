@@ -15,6 +15,7 @@ from hahnsl2.freealg import (
 from hahnsl2.hahn import _identity_targets, natural_images, presentation, tilde_rho
 from hahnsl2.linalg import SparseMatrix, commutator
 from tests.conftest import assert_canonical, from_dense
+from tests.usl2_extra import power
 
 Q = Fraction
 AB = ("A", "B")
@@ -369,7 +370,7 @@ def test_combination_storage_is_canonical(seed, rand_free_poly):
     b = rand_free_poly(rng).scale(rng.choice(MIXED_SCALES))
     zero = FreePoly.zero(AB)
     results = [a + b, a - b, a - a, -a, a.scale(rng.choice(MIXED_SCALES)), a.scale(0),
-               fmultiply(a, b), fmultiply(zero, b), tilde_rho(a), a ** 2]
+               fmultiply(a, b), fmultiply(zero, b), tilde_rho(a), power(a, 2)]
     for x in results:
         assert_canonical(x)
         assert x.alphabet == AB

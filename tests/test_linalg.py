@@ -17,8 +17,8 @@ from hahnsl2.linalg import (
     rref,
     solve,
 )
-from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, span_closure,
-                            vstack)
+from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, solve_columns,
+                            span_closure, vstack)
 
 F = Fraction
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -55,14 +55,10 @@ def test_rref_row_equivalence_mutual_span():
 
 
 def test_kernel_basis_counts():
-    assert kernel_basis(SparseMatrix.identity(4)) == []
-    assert len(kernel_basis(SparseMatrix(2, 2))) == 2
-    m = from_dense([[1, 1], [0, 0]])
-    vecs = kernel_basis(m)
-    assert len(vecs) == 1
-    v = vecs[0]
-    # spans (1, -1) up to scale
-    assert v[0] * F(-1) == v[1] * F(1) or v == {0: F(-1), 1: F(1)}
+    assert kernel_basis(SparseMatrix.identity(4)) == SparseMatrix(4, 0)
+    assert kernel_basis(SparseMatrix(2, 2)) == SparseMatrix.identity(2)
+    # one column, spanning (1, -1), scaled to 1 at the free column 1
+    assert kernel_basis(from_dense([[1, 1], [0, 0]])) == from_dense([[-1], [1]])
 
 
 def test_kernel_vectors_are_exact_kernel():
@@ -70,11 +66,10 @@ def test_kernel_vectors_are_exact_kernel():
     m = from_dense(
         [[rng.randint(-2, 2) for _ in range(6)] for _ in range(4)]
     )
-    vecs = kernel_basis(m)
+    k = kernel_basis(m)
     _, rank = rref(m)
-    assert len(vecs) + rank == m.cols
-    for v in vecs:
-        assert m.apply(v) == {}
+    assert k.rows == m.cols and k.cols + rank == m.cols
+    assert (m * k).is_zero()
 
 
 def test_diagonal():
@@ -179,9 +174,7 @@ def test_floats_are_refused_at_the_matrix_boundary():
     for build in (
         lambda: SparseMatrix(1, 1, {(0, 0): 0.1}),
         lambda: from_dense([[0.5]]),
-        lambda: SparseMatrix.from_columns([{0: 0.5}], 1),
         lambda: from_dense([[1, 0.0]]),
-        lambda: SparseMatrix.from_columns([{0: 0.0}], 1),
         lambda: SparseMatrix.identity(2).scale(0.5),
     ):
         with pytest.raises(TypeError):
@@ -232,17 +225,20 @@ def test_vstack_values_and_column_mismatch():
 
 
 def test_solve():
-    # the columns of [[2, 1], [1, 1]], ints or Fractions alike
-    columns = [{0: 2, 1: 1}, {0: F(1), 1: 1}]
-    assert solve(columns, {0: 3, 1: F(2)}) == {0: F(1), 1: F(1)}
-    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: F(1), 1: F(2)}) is None
+    # the columns of [[2, 1], [1, 1]]
+    columns = [{0: 2, 1: 1}, {0: 1, 1: 1}]
+    assert solve(columns, {0: 3, 1: 2}) == {0: F(1), 1: F(1)}
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2}) is None
     # a zero column and a dependent one: any solution will do
-    columns = [{0: F(1, 2)}, {}, {0: 1, 1: 0}]
-    x = solve(columns, {0: 3})
-    assert x is not None and sum(c * columns[t].get(0, 0) for t, c in x.items()) == 3
+    columns = [{0: 1}, {}, {0: 2, 1: 0}]
+    x = solve(columns, {0: 6})
+    assert x is not None and sum(c * columns[t].get(0, 0) for t, c in x.items()) == 6
     assert solve([], {}) == {}
     assert solve([], {4: 1}) is None
     assert solve([{}], {0: 0}) == {}
+    # the vectors are integer maps: a Fraction is refused, as in EchelonBasis
+    with pytest.raises(TypeError):
+        solve([{0: F(1, 2)}], {0: 1})
 
 
 def test_solve_checks_the_combination_it_returns(monkeypatch):
@@ -256,17 +252,17 @@ def test_solve_checks_the_combination_it_returns(monkeypatch):
 def test_solve_and_kernel_walk_only_the_stored_rows():
     # indices up to 2^39: a loop over every index would not end, and the
     # tags of solve follow the largest index any vector uses, b's included
-    columns = [{0: 2}, {7: F(1, 3)}, {2**39: -1}]
-    assert solve(columns, {0: F(4), 7: F(1), 2**39: F(5)}) == {0: F(2), 1: F(3), 2: F(-5)}
+    columns = [{0: 6}, {7: 1}, {2**39: -3}]
+    assert solve(columns, {0: 12, 7: 3, 2**39: 15}) == {0: F(2), 1: F(3), 2: F(-5)}
     assert solve(columns, {}) == {}
     # no column has an entry at 5, or at the index after the largest column
     # index, where a tag that ignored b would sit: inconsistent
-    assert solve(columns, {0: F(4), 5: F(1)}) is None
-    assert solve(columns, {2**39 + 1: F(1)}) is None
+    assert solve(columns, {0: 12, 5: 3}) is None
+    assert solve(columns, {2**39 + 1: 3}) is None
     m = SparseMatrix(2**40, 3, {(0, 0): 2, (7, 1): F(1, 3), (2**39, 2): -1})
-    assert kernel_basis(m) == []
+    assert kernel_basis(m) == SparseMatrix(3, 0)
     assert rref(m)[1] == 3
-    assert kernel_basis(SparseMatrix(2**40, 2, {(3, 0): 1})) == [{1: F(1)}]
+    assert kernel_basis(SparseMatrix(2**40, 2, {(3, 0): 1})) == SparseMatrix(2, 1, {(1, 0): 1})
 
 
 def test_echelon_reduce_eliminates_only_the_pivots_in_the_support(monkeypatch):
@@ -349,6 +345,8 @@ def test_restrict_to_subspace():
         restrict_to_subspace([m, SparseMatrix.identity(2)], [0])  # mixed sizes
     with pytest.raises(ValueError):
         restrict_to_subspace([SparseMatrix(3, 2)], [0])  # not square
+    with pytest.raises(ValueError):
+        restrict_to_subspace([], [0])  # no matrix to read the size off
 
 
 def _random_rational(rng: Random, rows: int, cols: int) -> SparseMatrix:
@@ -419,25 +417,29 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
     assert u.keys() == expected.keys()
     assert len({u[j] / expected[j] for j in u}) <= 1 and all(u[j] / expected[j] > 0 for j in u)
 
+    # the kernel is m * K = 0, one column of K per free column, which holds
+    # the 1 at its own free column: K's rows at the free columns are I
     kernel = kernel_basis(m)
-    assert len(kernel) == cols - rank
-    assert all(m.apply(u) == {} for u in kernel)
+    free = [j for j in range(cols) if j not in pivots]
+    assert kernel.rows == cols and kernel.cols == cols - rank
+    assert (m * kernel).is_zero()
+    assert [dense(kernel)[j] for j in free] == dense(SparseMatrix.identity(len(free)))
 
     # solve over the columns of m, a zero column and a dependent one, so
     # the column rank is still rank
-    columns = [{r: v for r, c, v in m.items() if c == j} for j in range(cols)]
-    columns += [{}, {r: 2 * v for r, v in columns[0].items()}]
-    wide = SparseMatrix.from_columns(columns, rows)
-    x0 = {t: F(rng.randint(-5, 5), rng.randint(1, 4)) for t in range(len(columns))}
-    x = solve(columns, wide.apply(x0))
-    assert x is not None and wide.apply(x) == wide.apply(x0)
+    wide = SparseMatrix(rows, cols + 2, {**{(r, c): v for r, c, v in m.items()},
+                                         **{(r, cols + 1): 2 * v for r, c, v in m.items() if c == 0}})
+    x0 = SparseMatrix(cols + 2, 1, {(t, 0): F(rng.randint(-5, 5), rng.randint(1, 4)) for t in range(cols + 2)})
+    x = solve_columns(wide, wide * x0)
+    assert x is not None and wide * x == wide * x0
     b = {i: F(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(rows)}
     aug = sm.row_join(sympy.Matrix(rows, 1, [_q(b[i]) for i in range(rows)]))
-    x = solve(columns, b)
+    b_column = SparseMatrix(rows, 1, {(i, 0): v for i, v in b.items()})
+    x = solve_columns(wide, b_column)
     if aug.rank() > rank:
         assert x is None
     else:
-        assert x is not None and wide.apply(x) == {i: v for i, v in b.items() if v}
+        assert x is not None and wide * x == b_column
 
 
 def _block_triangular(rng: Random, n: int, idx: list[int]) -> list[list[F]]:
@@ -498,13 +500,13 @@ def test_matrix_storage_is_canonical(seed):
     assert (m - m).is_zero() and m - m == SparseMatrix(rows, cols)
     assert m.scale(0) == SparseMatrix(rows, cols)
     assert m.scale(F(-1, 7)).scale(-7) == m == -(-m)
-    entries = {(r, c): v for r, c, v in m.items()}
-    assert SparseMatrix(rows, cols, entries) == m
-    assert SparseMatrix.from_columns([{r: v for (r, c), v in entries.items() if c == j}
-                                      for j in range(cols)], rows) == m
+    assert SparseMatrix(rows, cols, {(r, c): v for r, c, v in m.items()}) == m
     assert m * SparseMatrix.identity(cols) == m == SparseMatrix.identity(rows) * m
     assert vstack(m, SparseMatrix(1, cols)) == from_dense(
         dense(m) + [[0] * cols])
+    # no power: every product of matrices is a matmul
+    with pytest.raises(TypeError):
+        m ** 2
 
 
 def _assert_canonical_matrix(m: SparseMatrix) -> None:
@@ -571,7 +573,7 @@ def test_matmul_drops_cancelled_entries_and_rows():
 
 
 def test_the_row_view_is_derived():
-    # matmul, apply and rref read the entries grouped by row, a view built on
+    # matmul and rref read the entries grouped by row, a view built on
     # first use; equality and hashing read the canonical form alone, and the
     # sums, scalar multiples, equality and hashing are the Combination's own
     rng = Random(11)

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -51,19 +52,39 @@ def test_a_matrix_product_reaches_the_traced_matmul(monkeypatch):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# class-body names that collections.namedtuple reads, as _replace reads
+# _make: an override has a reader that no source shows
+NAMEDTUPLE_PROTOCOL = {name for name in dir(namedtuple("T", ""))
+                       if name.startswith("_") and not name.startswith("__")}
+
+
+def _defined_names(body) -> set[str]:
+    """The functions, classes and assigned names of a module or class body."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def unread_module_names(sources) -> list[str]:
     """The module-level functions, classes and assigned names of the given
-    module sources that none of them reads, as a Name, an Attribute or an
-    import alias."""
+    module sources, and the methods, class attributes and named-tuple
+    fields of their module-level classes, that none of them reads, as a
+    Name, an Attribute or an import alias.  Dunders and the named-tuple
+    protocol are excepted in a class: the language and ``collections``
+    read them."""
     trees = [ast.parse(text) for text in sources]
     defined, read = set(), set()
     for tree in trees:
+        defined |= _defined_names(tree.body)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                defined |= {name for name in _defined_names(node.body) if name not in NAMEDTUPLE_PROTOCOL
+                            and not (name.startswith("__") and name.endswith("__"))}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -85,6 +106,12 @@ def test_unread_module_names_sees_each_kind_of_read():
     sources = ["from .b import f\nimport c\nX = 1\nclass K: pass\ndef g(): return X\n",
                "def f(): pass\ndef h(): return c.K\nY: int = 2\n"]
     assert unread_module_names(sources) == ["Y", "g", "h"]
+    # in a class body: fields, attributes and methods; dunders and the
+    # named-tuple protocol have readers outside the sources, so never count
+    record = ("class R(T):\n    x: int\n    y: int\n    UNIT = 0\n    __slots__ = ()\n    _make = None\n"
+              "    def used(self): return self.x\n    def unused(self): pass\n"
+              "    def __len__(self): return 0\n")
+    assert unread_module_names([record, "def f(r): return R, r.used()\nf(0)\n"]) == ["UNIT", "unused", "y"]
 
 
 # dataclasses and the modules it pulls in cost a cold run several

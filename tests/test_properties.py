@@ -11,7 +11,7 @@ from hahnsl2.hahn import presentation
 from hahnsl2.linalg import EchelonBasis
 from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, render, rho, zero
 from tests.conftest import assert_echelon_invariants
-from tests.usl2_extra import parse
+from tests.usl2_extra import parse, power
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -132,7 +132,7 @@ def _substitute_rho(a):
     # E -> F, F -> E, H -> -H, applied term by term with multiply
     out = zero()
     for (i, j, k), c in a.terms.items():
-        out = out + multiply(multiply(F ** i, E ** j), (-H) ** k).scale(c)
+        out = out + multiply(multiply(power(F, i), power(E, j)), power(-H, k)).scale(c)
     return out
 
 

@@ -376,15 +376,17 @@ def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity()
     # (F^2)^i u_0 = (2i + p)! u_i on the built half L_n^(p)
     for label in (ModuleLabel(6, 0), ModuleLabel(7, 1)):
         rep = label.build()
-        assert reps.ladder_embedding(rep, {0: Q(1)}, label) == SparseMatrix.identity(rep.dim)
-        assert reps.ladder_embedding(rep, {1: Q(1)}, label) is None
-        assert reps.ladder_embedding(rep, {}, label) is None
+        u0, u1 = (SparseMatrix(rep.dim, 1, {(i, 0): 1}) for i in range(2))
+        assert reps.ladder_embedding(rep, u0, label) == SparseMatrix.identity(rep.dim)
+        assert reps.ladder_embedding(rep, u1, label) is None
+        assert reps.ladder_embedding(rep, SparseMatrix(rep.dim, 1), label) is None
 
 
-def test_classification_rejects_non_scalar_casimir():
-    # both one-dimensional, Casimir 3/2 vs 4
+def test_classification_rejects_a_two_dimensional_kernel_of_e2():
+    # both summands one-dimensional, so E^2 = 0: its kernel is the whole
+    # module, and the top vector is refused before the Casimir is compared
     mixed = _direct_sum(ModuleLabel(1, 0).build(), ModuleLabel(2, 1).build())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not one-dimensional"):
         classify_ue_irreducible(mixed)
 
 

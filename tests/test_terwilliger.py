@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from hahnsl2 import cli, reps, terwilliger, usl2
-from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, restrict_to_subspace, solve
+from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, restrict_to_subspace
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep, classify_ue_irreducible, evaluate
 from hahnsl2.terwilliger import (
     CubeAlgebra,
@@ -15,7 +15,7 @@ from hahnsl2.terwilliger import (
     te_dimension_formula,
 )
 from tests import cube_oracle
-from tests.conftest import dense, eigenspace, from_dense, span_closure, vstack
+from tests.conftest import column, dense, eigenspace, from_dense, solve_columns, span_closure, vstack
 from tests.cube_oracle import CubeContext, adjacency, cube_rho, dual_adjacency, even_half, halved_operators
 
 Q = Fraction
@@ -97,8 +97,7 @@ def test_even_split_matches_dual_eigenvalue_classes():
     for i in range(-ctx.D, ctx.D + 1):
         val = ctx.D - 4 * i
         if abs(val) <= ctx.D:
-            for v in eigenspace(astar, Q(val)):
-                by_eigenvalue.update(v.keys())
+            by_eigenvalue.update(r for r, _, _ in eigenspace(astar, Q(val)).items())
     evens = sorted(v for v in ctx.vertices() if bin(v).count("1") % 2 == 0)
     assert by_eigenvalue == set(evens)
     # the even half is the cube module on exactly these vertices, in order
@@ -205,9 +204,9 @@ def _orbit_pairs(D, base):
 
 
 def _expand(cube, pairs, X):
-    """The 2^D x 2^D matrix of the orbit function X (orbit index -> value)."""
+    """The 2^D x 2^D matrix of the orbit function X, a one-column matrix."""
     n = 1 << cube.D
-    return SparseMatrix(n, n, {xy: v for k, v in X.items() for xy in pairs[cube.orbits[k]]})
+    return SparseMatrix(n, n, {xy: v for k, _, v in X.items() for xy in pairs[cube.orbits[k]]})
 
 
 @pytest.mark.parametrize("D", range(2, 7))
@@ -223,10 +222,12 @@ def test_orbit_operators_expand_to_the_vertex_products(D):
         pairs = _orbit_pairs(D, base)
         assert sorted(pairs) == cube.orbits
         for k in range(len(cube.orbits)):
-            m = _expand(cube, pairs, {k: Q(1)})
-            assert _expand(cube, pairs, left_a.apply({k: Q(1)})) == a * m
-            assert _expand(cube, pairs, cube.rep.H.apply({k: Q(1)})) == astar * m
-            assert _expand(cube, pairs, dict(enumerate(right_a[k]))) == m * a
+            unit = SparseMatrix(len(cube.orbits), 1, {(k, 0): 1})
+            m = _expand(cube, pairs, unit)
+            assert _expand(cube, pairs, left_a * unit) == a * m
+            assert _expand(cube, pairs, cube.rep.H * unit) == astar * m
+            row = SparseMatrix(len(cube.orbits), 1, {(c, 0): v for c, v in enumerate(right_a[k])})
+            assert _expand(cube, pairs, row) == m * a
 
 
 def _stencil_operators(cube):
@@ -363,7 +364,7 @@ def test_casimir_block_scalars_match_decomposition():
         sd = decompose_standard(CubeAlgebra(D))
         for n, mult in sd.multiplicities.items():
             space = eigenspace(lam, Q(n * (n + 2), 2))
-            assert len(space) == mult * (n + 1)
+            assert space.cols == mult * (n + 1)
 
 
 def test_te_dimension_small():
@@ -492,17 +493,14 @@ def _ladder_summand(ue, n, parity):
     first top vector of the family L_n^(parity), with the four operators in
     the ladder basis, each column found by solving against the ladder."""
     theta = n if parity == 0 else n - 2
-    b = SparseMatrix.from_columns(eigenspace(ue.H, Q(theta)), ue.dim)
+    b = eigenspace(ue.H, Q(theta))
     lam = SparseMatrix.identity(ue.dim).scale(Q(n * (n + 2), 2))
-    w = b.apply(kernel_basis(vstack(ue.E2 * b, (ue.Lam - lam) * b))[0])
-    chain = [w]
+    chain = [b * column(kernel_basis(vstack(ue.E2 * b, (ue.Lam - lam) * b)), 0)]
     for _ in range(ModuleLabel(n, parity).dim - 1):
-        chain.append(ue.F2.apply(chain[-1]))
-    ops = []
-    for op in ue:
-        columns = [solve(chain, op.apply(v)) for v in chain]
-        assert all(x is not None for x in columns)  # the span is invariant
-        ops.append(SparseMatrix.from_columns(columns, len(chain)))
+        chain.append(ue.F2 * chain[-1])
+    ladder = SparseMatrix(ue.dim, len(chain), {(r, i): v for i, w in enumerate(chain) for r, _, v in w.items()})
+    ops = [solve_columns(ladder, op * ladder) for op in ue]
+    assert None not in ops  # the span is invariant
     return UeRep(*ops)
 
 

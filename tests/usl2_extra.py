@@ -3,13 +3,16 @@
 ``parse`` reads the ``usl2.render`` text back, for the render round trip.
 ``ue_basis_decompose`` gives the exact coordinates of an even element in
 the basis of the even subalgebra, so a test can show that an element (the
-image of the natural map, say) lies in it.
+image of the natural map, say) lies in it.  ``power`` raises a U(sl2)
+element or a free polynomial to a power, which no computation in the
+package does.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import re
 
+from hahnsl2.freealg import FreePoly
 from hahnsl2.usl2 import (
     E,
     F,
@@ -20,6 +23,7 @@ from hahnsl2.usl2 import (
     is_even,
     monomial,
     multiply,
+    one,
     zero,
 )
 
@@ -31,9 +35,18 @@ from hahnsl2.usl2 import (
 UeBasisKey = tuple[int, int, int, int]
 
 
+def power(a, n: int):
+    """a multiplied by itself n times, the unit for n = 0; a is a U(sl2)
+    element or a free polynomial."""
+    out = one() if isinstance(a, USL2Element) else FreePoly(a.alphabet, {"": 1})
+    for _ in range(n):
+        out = out * a
+    return out
+
+
 @lru_cache(maxsize=None)
 def _lam_power(i: int) -> USL2Element:
-    return casimir() ** i
+    return power(casimir(), i)
 
 
 def ue_basis_element(part: int, n: int, i: int, k: int) -> USL2Element:
@@ -111,7 +124,7 @@ def parse(text: str) -> USL2Element:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {chunk!r}") from None
         term = monomial(0, 0, 0, sign * coeff)
-        for letter, power in re.findall(r"([EFH])(?:\^([0-9]+))?", m.group("mono") or ""):
-            term = multiply(term, _GENERATORS[letter] ** (int(power) if power else 1))
+        for letter, exponent in re.findall(r"([EFH])(?:\^([0-9]+))?", m.group("mono") or ""):
+            term = multiply(term, power(_GENERATORS[letter], int(exponent) if exponent else 1))
         out = out + term
     return out
