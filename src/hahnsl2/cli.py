@@ -74,7 +74,6 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
     per_d = []
     # the report names the base vertex b, but x -> x^b is an automorphism of
     # the cube, so the orbit computation does not depend on it
-    base = int(base_bits, 2) if base_bits else 0
     for D in range(d_min, d_max + 1):
         cube = terwilliger.CubeAlgebra(D)
         sd = terwilliger.decompose_standard(cube)
@@ -93,7 +92,7 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
         per_d.append(
             {
                 "D": D,
-                "base_vertex": format(base, f"0{D}b"),
+                "base_vertex": base_bits or "0" * D,
                 "standard_decomposition": [[n, m] for n, m in sorted(sd.multiplicities.items())],
                 "halved_decomposition": [
                     [str(reps.ModuleLabel(n, p)), m] for (n, p), m in sorted(hd.blocks.items())
@@ -109,12 +108,16 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
 
 class Option(NamedTuple):
     """An integer option of a suite: typed as ``flag`` on the suite's
-    subcommand and as ``all_flag`` on verify-all, parsed into ``dest``."""
+    subcommand and as ``all_flag`` on verify-all, parsed into ``dest``,
+    which is ``all_flag`` without its dashes and with - as _."""
     flag: str
     all_flag: str
-    dest: str
     default: int
     least: int
+
+    @property
+    def dest(self) -> str:
+        return self.all_flag[2:].replace("-", "_")
 
 
 class Suite(NamedTuple):
@@ -127,17 +130,17 @@ class Suite(NamedTuple):
 # on this module is the one that runs.
 SUITES = {
     "verify-usl2": Suite("PBW power identities and the even presentation",
-                         [Option("--n-max", "--n-max", "n_max", 8, 1)],
+                         [Option("--n-max", "--n-max", 8, 1)],
                          lambda a: run_verify_usl2(a.n_max)),
     "verify-hahn": Suite("natural-map identities and ideal certificates",
-                         [Option("--degree-bound", "--degree-bound", "degree_bound", 8, 0)],
+                         [Option("--degree-bound", "--degree-bound", 8, 0)],
                          lambda a: run_verify_hahn(a.degree_bound)),
     "repr": Suite("module family construction and classification",
-                  [Option("--n-max", "--repr-n-max", "repr_n_max", 12, 0)],
+                  [Option("--n-max", "--repr-n-max", 12, 0)],
                   lambda a: run_repr(a.repr_n_max)),
     "cube": Suite("hypercube and halved-cube decompositions",
-                  [Option("--d-min", "--d-min", "d_min", 2, 2),
-                   Option("--d-max", "--d-max", "d_max", 6, 2)],
+                  [Option("--d-min", "--d-min", 2, 2),
+                   Option("--d-max", "--d-max", 6, 2)],
                   lambda a: run_cube(a.d_min, a.d_max, a.base_vertex)),
 }
 

@@ -63,10 +63,6 @@ class FreePoly(Combination):
         return out
 
     @staticmethod
-    def zero(alphabet) -> "FreePoly":
-        return FreePoly(alphabet)
-
-    @staticmethod
     def one(alphabet) -> "FreePoly":
         return FreePoly(alphabet, {"": Fraction(1)})
 
@@ -141,7 +137,7 @@ class MembershipCertificate(NamedTuple):
     triples: tuple[tuple[Fraction, Word, int, Word], ...]
 
     def replay(self) -> FreePoly:
-        acc = FreePoly.zero(self.alphabet)
+        acc = FreePoly(self.alphabet)
         for coeff, left, gi, right in self.triples:
             lw = FreePoly(self.alphabet, {left: Fraction(1)})
             rw = FreePoly(self.alphabet, {right: Fraction(1)})

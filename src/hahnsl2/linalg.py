@@ -305,9 +305,6 @@ class SparseMatrix(Combination):
         for (r, c), x in self._num.items():
             yield r, c, Fraction(x, den)
 
-    def nnz(self) -> int:
-        return len(self._num)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other):
@@ -334,7 +331,7 @@ class SparseMatrix(Combination):
         return out
 
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self._num)})"
 
 
 class EchelonBasis:
@@ -369,7 +366,10 @@ class EchelonBasis:
     def reduce(self, w: IntVector) -> IntVector:
         """A positive multiple of w minus integer multiples of the rows, zero
         in every pivot column: empty exactly when w lies in the span.
-        Explicit zero entries of w are ignored."""
+        Explicit zero entries of w are ignored.  w must be an integer
+        vector, which is not checked here: a Fraction entry raises TypeError
+        where it meets a pivot and is handed back elsewhere, so a caller
+        with outside vectors refuses them first, as ``solve`` does."""
         if not all(w.values()):
             w = {i: x for i, x in w.items() if x}
         rows = self._rows
@@ -395,20 +395,20 @@ class EchelonBasis:
         return True
 
 
-def rref(m: SparseMatrix) -> tuple[EchelonBasis, int]:
-    """Reduced row-echelon basis of the row space of m, with its rank."""
+def rref(m: SparseMatrix) -> EchelonBasis:
+    """Reduced row-echelon basis of the row space of m; its length is the rank."""
     basis = EchelonBasis()
     rows = m._by_row()
     for r in sorted(rows):
         basis.insert(rows[r])
-    return basis, len(basis)
+    return basis
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     """The right kernel {v : m v = 0} as the columns of one m.cols x
     (m.cols - rank) matrix K, with m K = 0: column k is 1 at the k-th free
     (non-pivot) column of m and 0 at the other free columns."""
-    basis, rank = rref(m)
+    basis = rref(m)
     free = [c for c in range(m.cols) if c not in basis._rows]
     entries: dict[tuple[int, int], Fraction] = {}
     for k, f in enumerate(free):
@@ -417,7 +417,7 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
             c = row.get(f)
             if c:
                 entries[p, k] = Fraction(-c, row[p])
-    return SparseMatrix(m.cols, m.cols - rank, entries)
+    return SparseMatrix(m.cols, len(free), entries)
 
 
 def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
@@ -429,12 +429,15 @@ def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
 
 def solve(columns: Sequence[IntVector], b: IntVector) -> Optional[dict[int, Fraction]]:
     """One exact x with sum_t x[t] columns[t] = b, or None; the vectors are
-    sparse integer maps, and a Fraction in a column raises TypeError, as it
-    does in ``EchelonBasis``.  Column t goes into one echelon basis with a 1
-    at tag + t, past every index in use, and b, with a 1 at a marker after
-    those, reduces to a multiple of b minus a combination of the columns,
-    read off the tags and checked exactly: ArithmeticError if it does not
-    give b."""
+    sparse integer maps.  A Fraction in a column raises TypeError, as it
+    does in ``EchelonBasis``, and so does any entry of b that is not an int,
+    checked before the elimination.  Column t goes into one echelon basis
+    with a 1 at tag + t, past every index in use, and b, with a 1 at a
+    marker after those, reduces to a multiple of b minus a combination of
+    the columns, read off the tags and checked exactly: ArithmeticError if
+    it does not give b."""
+    if any(type(x) is not int for x in b.values()):
+        raise TypeError("solve: b must be an integer vector")
     tag = 1 + max((i for v in (*columns, b) for i in v), default=-1)
     basis = EchelonBasis()
     for t, col in enumerate(columns):

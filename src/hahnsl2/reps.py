@@ -187,19 +187,18 @@ def _parity_indices(n: int) -> tuple[range, range]:
     return range(0, n + 1, 2), range(1, n + 1, 2)
 
 
-def restrict_even(rep: SL2Rep):
+def restrict_even(rep: SL2Rep) -> list[UeRep]:
     """Split the ladder module L_n, n = rep.dim - 1, into its two
     even-subalgebra blocks.
 
     rep must be in the ladder basis, where H is diagonal with entries n - 2m:
     the blocks are the rows and columns at the ladder vectors v_m with m even
     (parity 0) and with m odd (parity 1), in increasing m, and ValueError is
-    raised when a block is not invariant.  Returns (parity0, parity1), with
-    parity1 None when n = 0.
+    raised when a block is not invariant.  Returns [parity0, parity1], or
+    [parity0] alone when n = 0, where the odd block is empty.
     """
     ops = rep.even_operators()
-    return tuple(UeRep(*restrict_to_subspace(ops, idx)) if idx else None
-                 for idx in _parity_indices(rep.dim - 1))
+    return [UeRep(*restrict_to_subspace(ops, idx)) for idx in _parity_indices(rep.dim - 1) if idx]
 
 
 def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
@@ -322,7 +321,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     halves: list[ModuleLabel] = []
     for n in range(n_max + 1):
         rep = build_L(n)
-        blocks = [b for b in restrict_even(rep) if b is not None]
+        blocks = restrict_even(rep)
         labels = [ModuleLabel(n, p) for p in range(len(blocks))]
         found = [classify_ue_irreducible(b)[0] for b in blocks]
         lam = labels[0].casimir

@@ -2,16 +2,18 @@
 
 Elements are finite rational combinations of ordered monomials E^i F^j H^k.
 From [H,E] = 2E, [H,F] = -2F and [F,E^i] = -i E^(i-1) (H + i - 1), left
-multiplication of a normal-form monomial by H or F has a closed form:
+multiplication by a power of H or by F has a closed form.  H E = E (H + 2)
+and H F = F (H - 2), so H^k passes E^i F^j in one step, as a binomial:
 
-    H E^i F^j H^k = E^i F^j H^(k+1) + 2(i - j) E^i F^j H^k,
+    H^k E^i F^j = E^i F^j (H + 2(i - j))^k,
     F E^i F^j H^k = E^i F^(j+1) H^k - i E^(i-1) F^j H^(k+1)
                     - i(i - 1 - 2j) E^(i-1) F^j H^k.
 
-A product of two monomials needs only these two rules: its leading E powers
-and trailing H powers are already in place.  The PBW theorem makes the normal
-form unique, and elements only ever exist in normal form, so every identity
-check in the package is a plain equality of term maps.
+A product of two monomials needs only these two rules, the F rule applied
+once for each factor of F: its leading E powers and trailing H powers are
+already in place.  The PBW theorem makes the normal form unique, and
+elements only ever exist in normal form, so every identity check in the
+package is a plain equality of term maps.
 
 The rules have integer coefficients, so ``multiply`` and ``rho`` work
 fraction-free on the storage of ``linalg.Combination``: integer numerators
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from random import Random
 
 from .linalg import Combination, commutator, random_terms, render_terms
@@ -40,40 +43,22 @@ from .reporting import CheckItem, check
 Monomial = tuple[int, int, int]
 
 
-def _times_generator(letter: str, terms: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Left-multiply a normal-form term map by H or F."""
-    out: dict[Monomial, int] = {}
-
-    def put(m: Monomial, c: int) -> None:
-        n = out.get(m, 0) + c
-        if n:
-            out[m] = n
-        else:
-            out.pop(m, None)
-
-    for (i, j, k), c in terms.items():
-        if letter == "H":
-            put((i, j, k + 1), c)
-            put((i, j, k), 2 * (i - j) * c)
-        else:
-            put((i, j + 1, k), c)
-            if i:
-                put((i - 1, j, k + 1), -i * c)
-                put((i - 1, j, k), -i * (i - 1 - 2 * j) * c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, int], ...]:
     # Normal form of F^j1 H^k1 E^i2 F^j2; leading E powers and trailing H
     # powers of a full monomial product commute past nothing, so they are
     # re-attached by the caller.  The coefficients are integers.
-    terms = {(i2, j2, 0): 1}
-    for _ in range(k1):
-        terms = _times_generator("H", terms)
+    s = 2 * (i2 - j2)  # H^k1 E^i2 F^j2 = E^i2 F^j2 (H + s)^k1
+    terms = {(i2, j2, m): comb(k1, m) * s ** (k1 - m) for m in range(0 if s else k1, k1 + 1)}
     for _ in range(j1):
-        terms = _times_generator("F", terms)
-    return tuple(sorted(terms.items()))
+        out: dict[Monomial, int] = {}
+        for (i, j, k), c in terms.items():
+            out[i, j + 1, k] = out.get((i, j + 1, k), 0) + c
+            if i:
+                out[i - 1, j, k + 1] = out.get((i - 1, j, k + 1), 0) - i * c
+                out[i - 1, j, k] = out.get((i - 1, j, k), 0) - i * (i - 1 - 2 * j) * c
+        terms = out
+    return tuple(sorted((m, c) for m, c in terms.items() if c))
 
 
 class USL2Element(Combination):
@@ -168,10 +153,6 @@ def degree_components(a: USL2Element) -> dict[int, USL2Element]:
     for m, c in a._num.items():
         out.setdefault(degree(m), {})[m] = c
     return {d: a._new(t, a._den) for d, t in sorted(out.items())}
-
-
-def is_even(a: USL2Element) -> bool:
-    return all(degree(m) % 2 == 0 for m in a._num)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ ideal_products = st.lists(
 @given(ideal_products)
 def test_certificates_replay_random_ideal_members(products):
     relators = list(presentation().relators)
-    target = FreePoly.zero(AB)
+    target = FreePoly(AB)
     for c, u, gi, v in products:
         left, right = FreePoly(AB, {u: 1}), FreePoly(AB, {v: 1})
         target = target + fmultiply(fmultiply(left, relators[gi]), right).scale(c)

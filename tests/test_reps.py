@@ -186,13 +186,13 @@ def test_built_modules_store_what_the_public_constructor_stores():
 def test_restrict_even_matches_built_blocks():
     for n in range(13):
         rep = build_L(n)
-        block0, block1 = restrict_even(rep)
-        assert block0 == ModuleLabel(n, 0).build()
+        blocks = restrict_even(rep)
+        assert blocks[0] == ModuleLabel(n, 0).build()
         if n == 0:
-            assert block1 is None
+            assert len(blocks) == 1
         else:
-            assert block1 is not None
-            assert block1 == ModuleLabel(n, 1).build()
+            assert len(blocks) == 2
+            assert blocks[1] == ModuleLabel(n, 1).build()
 
 
 def test_restrict_even_block_dims():

@@ -147,12 +147,6 @@ def test_degree_components():
     assert comps[0] == middle
 
 
-def test_is_even():
-    assert usl2.is_even(monomial(2, 0, 0))
-    assert not usl2.is_even(E)
-    assert usl2.is_even(casimir())
-
-
 def test_associativity_sample(rand_usl2):
     rng = Random(4242)
     for _ in range(60):
@@ -330,6 +324,18 @@ def test_multiply_against_ladder_recurrence_oracle(rand_usl2):
         for _ in range(f):
             terms = _oracle_times_h(terms)
         assert multiply(a, monomial(d, e, f)) == usl2.USL2Element(terms)
+
+
+def test_core_product_matches_the_right_multiplication_oracle_up_to_h_power_9():
+    # F^j1 H^k1 times E, i2 times, then times F, j2 times, by the oracles'
+    # rules; the ladder-module check below stops at exponent 4
+    for j1, k1, i2, j2 in product(range(4), range(10), range(4), range(4)):
+        terms = {(0, j1, k1): Q(1)}
+        for _ in range(i2):
+            terms = _oracle_times_e(terms)
+        for _ in range(j2):
+            terms = _oracle_times_f(terms)
+        assert dict(usl2._core_product(j1, k1, i2, j2)) == terms
 
 
 def test_core_product_matches_ladder_modules_up_to_exponent_4():

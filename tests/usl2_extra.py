@@ -20,7 +20,6 @@ from hahnsl2.usl2 import (
     USL2Element,
     casimir,
     degree_components,
-    is_even,
     monomial,
     multiply,
     one,
@@ -74,10 +73,11 @@ def ue_basis_decompose(a: USL2Element) -> dict[UeBasisKey, Fraction]:
     2^i E^(2n+i) F^i H^k (all other terms carry a smaller F exponent), so
     eliminating the largest F exponent first makes the system triangular.
     """
-    if not is_even(a):
+    components = degree_components(a)
+    if any(d % 2 for d in components):
         raise ValueError("ue_basis_decompose requires an even element")
     coords: dict[UeBasisKey, Fraction] = {}
-    for d, comp in degree_components(a).items():
+    for d, comp in components.items():
         part = 0 if d == 0 else (1 if d > 0 else -1)
         n = abs(d) // 2
         remaining = comp
