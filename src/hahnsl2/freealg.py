@@ -4,10 +4,12 @@ Words are plain strings over a declared alphabet of single-character
 generator names; the empty word is the unit.  A polynomial is a
 ``linalg.Combination``, stored as integer numerators per word over one
 common denominator.  ``fmultiply`` multiplies numerators and denominators as
-plain ints, ``substitute`` starts each word at the image of its first
-letter, scales the word's image by its numerator and divides the sum by the
-denominator once, and the ideal search reads each generator's numerators
-once; coefficients become ``Fraction``s only when read through ``terms``.
+plain ints, ``substitute`` forms each distinct nonempty prefix of the
+words once, as the image of the prefix one letter shorter times the image of
+its last letter, scales each word's image by its numerator and divides the
+sum by the denominator once, and the ideal search reads each generator's
+numerators once; coefficients become ``Fraction``s only when read through
+``terms``.
 
 Ideal membership in a two-sided ideal is decided positively only: the
 search enumerates products left*generator*right of bounded degree and
@@ -96,28 +98,45 @@ def fmultiply(a: FreePoly, b: FreePoly) -> FreePoly:
     return a._new({w: n for w, n in out.items() if n}, a._den * b._den)
 
 
-def substitute(p: FreePoly, images: dict, one):
+def substitute(p: FreePoly, images, one, memo: dict | None = None):
     """Apply the homomorphic extension of generator -> image to p.
 
     ``one`` is the unit of the target algebra; targets only need +, * and
-    scalar multiplication by int and Fraction.  A word's image starts at the
-    image of its first letter, so it costs len(w) - 1 products and the unit
-    is used only for the empty word.  Each word's image is scaled by its
-    integer numerator, and the sum is divided by p's denominator once.
+    scalar multiplication by int and Fraction.  ``memo`` maps words to their
+    images; a word's image is the image of the word without its last letter
+    times the image of that letter, so each distinct prefix of length l >= 2
+    costs one product, once per memo, and the unit is used only for the
+    empty word.  A caller whose images stay fixed may keep one memo across
+    calls; without one, a fresh memo serves this call alone.  Each word's
+    image is scaled by its integer numerator, and the sum is divided by p's
+    denominator once.
     """
     missing = [g for g in p.alphabet if g not in images]
     if missing:
         raise KeyError(f"missing images for generators {missing}")
+    if memo is None:
+        memo = {}
     acc = None
     for w, c in sorted(p._num.items(), key=lambda t: (len(t[0]), t[0])):
-        val = images[w[0]] if w else one
-        for s in w[1:]:
-            val = val * images[s]
-        val = val * c
+        val = _word_image(w, images, memo) * c if w else one * c
         acc = val if acc is None else acc + val
     if acc is None:
         return one * 0
     return acc if p._den == 1 else acc * Fraction(1, p._den)
+
+
+def _word_image(w: Word, images, memo: dict):
+    """The image of a nonempty word: extend its longest prefix in ``memo``
+    (or its first letter's image) one letter at a time, recording each new
+    prefix of length >= 2."""
+    k = len(w)
+    while k > 1 and w[:k] not in memo:
+        k -= 1
+    val = memo[w[:k]] if k > 1 else images[w[0]]
+    for i in range(k, len(w)):
+        val = val * images[w[i]]
+        memo[w[:i + 1]] = val
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ hold freely are detected by exact cancellation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from random import Random
+from types import MappingProxyType
 
 from . import usl2
 from .freealg import FreePoly, ideal_membership, substitute
@@ -76,18 +78,28 @@ def presentation() -> HahnPresentation:
 
 
 @cache
-def natural_images() -> dict[str, usl2.USL2Element]:
+def natural_images() -> Mapping[str, usl2.USL2Element]:
+    """The images of A and B, read-only: ``natural``'s memo relies on them
+    staying fixed."""
     lam = usl2.casimir()
     h2 = usl2.multiply(usl2.H, usl2.H)
     b_img = (
         usl2.monomial(2, 0, 0) + usl2.monomial(0, 2, 0) + lam - usl2.one()
     ).scale(Fraction(1, 4)) - h2.scale(Fraction(1, 8))
-    return {"A": usl2.H.scale(Fraction(1, 4)), "B": b_img}
+    return MappingProxyType({"A": usl2.H.scale(Fraction(1, 4)), "B": b_img})
+
+
+@cache
+def _natural_memo() -> dict[str, usl2.USL2Element]:
+    """Word -> image under ``natural``, shared by every call in the process;
+    ``_natural_memo.cache_clear()`` empties it."""
+    return {}
 
 
 def natural(p: FreePoly) -> usl2.USL2Element:
-    """The homomorphism into U(sl2) determined by A -> H/4 and B -> B-image."""
-    return substitute(p, natural_images(), usl2.one())
+    """The homomorphism into U(sl2) determined by A -> H/4 and B -> B-image.
+    Each distinct word prefix costs one PBW product, once per process."""
+    return substitute(p, natural_images(), usl2.one(), _natural_memo())
 
 
 def tilde_rho(p: FreePoly) -> FreePoly:

@@ -9,7 +9,8 @@ diagonally.  Weight spaces are then sets of coordinates, and
 irreducibility is read off which coordinates the operators connect.
 
 ``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
-built.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its
+built, once per value: a restricted half and the equal built half share one
+check.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its
 dimension, top weight, H-spectrum, Casimir scalar and built module.  A
 module's size is read off its operators.
 ``verify_ladder_modules`` is the ``repr`` suite: it builds each ladder
@@ -76,6 +77,17 @@ class SL2Rep(_SL2Fields):
         return (self.E * self.E, self.F * self.F, evaluate(usl2.casimir(), self), self.H)
 
 
+@cache
+def _check_even_presentation(ops: tuple[SparseMatrix, ...]) -> None:
+    """Raise ValueError naming the first even relation that the four
+    matrices fail.  Cached on the value, so an equal value is checked once
+    per process; a value that fails raises and so is never recorded."""
+    residuals = usl2.even_relations(*ops, SparseMatrix.identity(square_size(ops)))
+    for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
+        if not residual.is_zero():
+            raise ValueError(f"even relation fails: {name}")
+
+
 class _UeFields(NamedTuple):
     E2: SparseMatrix
     F2: SparseMatrix
@@ -92,11 +104,7 @@ class UeRep(_UeFields):
 
     def __new__(cls, E2: SparseMatrix, F2: SparseMatrix, Lam: SparseMatrix, H: SparseMatrix) -> UeRep:
         self = super().__new__(cls, E2, F2, Lam, H)
-        identity = SparseMatrix.identity(square_size(self))
-        residuals = usl2.even_relations(*self, identity)
-        for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
-            if not residual.is_zero():
-                raise ValueError(f"even relation fails: {name}")
+        _check_even_presentation(tuple(self))
         return self
 
     @property

@@ -96,6 +96,28 @@ def test_substitute_unit_and_matrices():
     assert sq == SparseMatrix.identity(2)
 
 
+def test_substitute_extends_the_longest_prefix_in_its_memo(monkeypatch):
+    # the identity homomorphism of the free algebra, counted by fmultiply:
+    # a word costs one product per prefix of length >= 2 not yet in the memo
+    import hahnsl2.freealg as freealg
+
+    products = []
+    real = freealg.fmultiply
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(freealg, "fmultiply", counted)
+    images, one, memo = {"A": gen("A"), "B": gen("B")}, FreePoly.one(AB), {}
+    for words, cost in ((["ABA"], 2), (["ABAB", "AB"], 1), (["ABBA", "B", ""], 2), (["ABAB"], 0)):
+        p = FreePoly(AB, {w: Q(k + 1, 3) for k, w in enumerate(words)})
+        products.clear()
+        assert substitute(p, images, one, memo) == p
+        assert len(products) == cost, words
+    assert memo == {w: FreePoly(AB, {w: Q(1)}) for w in ("AB", "ABA", "ABAB", "ABB", "ABBA")}
+
+
 def test_substitute_missing_image():
     with pytest.raises(KeyError):
         substitute(gen("B"), {"A": usl2.H}, usl2.one())

@@ -2,7 +2,10 @@ from fractions import Fraction
 from random import Random
 import re
 
+import pytest
+
 from hahnsl2 import hahn, usl2
+from hahnsl2.freealg import substitute
 from hahnsl2.hahn import (
     natural,
     natural_images,
@@ -162,9 +165,16 @@ def test_relators_span_three_dimensions():
     assert len(basis) == 3
 
 
-def test_natural_starts_each_word_at_its_first_image(monkeypatch):
-    # a word of length l costs l - 1 PBW products, and the unit none
+def _prefixes(p):
+    """The distinct prefixes of length >= 2 of the words of p."""
+    return {w[:k] for w in p._num for k in range(2, len(w) + 1)}
+
+
+def test_natural_makes_one_product_per_new_prefix(monkeypatch):
+    # from an empty memo, a call costs one PBW product per prefix of length
+    # >= 2 that no earlier call has formed, and a repeated call costs none
     natural_images()
+    hahn._natural_memo.cache_clear()
     pres = presentation()
     products = []
     real = usl2.multiply
@@ -174,8 +184,46 @@ def test_natural_starts_each_word_at_its_first_image(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(usl2, "multiply", counted)
-    for p in (pres.A, pres.B, pres.C, pres.alpha, pres.beta, pres.omega, pres.one,
-              pres.e2_hat, pres.f2_hat, pres.lam_hat, pres.h_hat):
+    seen = set()
+    for p in (pres.A, pres.B, pres.C, pres.alpha, pres.e2_hat, pres.beta, pres.omega, pres.one,
+              pres.f2_hat, pres.lam_hat, pres.h_hat, pres.relators[0], pres.kernel_extra[1]):
         products.clear()
         natural(p)
-        assert len(products) == sum(len(w) - 1 for w in p.terms if w), p
+        assert len(products) == len(_prefixes(p) - seen), p
+        seen |= _prefixes(p)
+        products.clear()
+        natural(p)
+        assert products == [], p
+    assert set(hahn._natural_memo()) == seen
+
+
+def test_warm_natural_memo_agrees_with_a_fresh_memo_and_plain_products(rand_free_poly):
+    rng = Random(3131)
+    polys = [rand_free_poly(rng) for _ in range(30)]
+    for p in polys:
+        natural(p)  # every word of every sample is now in the memo
+    images = natural_images()
+    for p in polys:
+        plain = usl2.zero()
+        for w, c in p.terms.items():
+            img = usl2.one()
+            for s in w:
+                img = usl2.multiply(img, images[s])
+            plain = plain + img.scale(c)
+        assert natural(p) == substitute(p, images, usl2.one(), {}) == plain, p
+
+
+def test_natural_memo_cache_clear_empties_it():
+    natural(presentation().omega)
+    assert hahn._natural_memo()
+    hahn._natural_memo.cache_clear()
+    assert hahn._natural_memo() == {}
+    assert natural(presentation().omega) == (usl2.casimir().scale(2) - usl2.one().scale(3)).scale(Q(3, 16))
+
+
+def test_natural_images_are_read_only():
+    images = natural_images()
+    with pytest.raises(TypeError):
+        images["A"] = usl2.one()
+    assert natural_images() is images
+    assert dict(images) == {"A": usl2.H.scale(Q(1, 4)), "B": natural(presentation().B)}

@@ -151,6 +151,62 @@ def test_importing_the_package_loads_no_heavy_stdlib_module():
     assert loaded & HEAVY_IMPORTS == set()
 
 
+def test_importing_the_package_computes_no_natural_image_and_checks_no_module():
+    # the imports of bench/child.py, and reps, in a fresh interpreter: the
+    # memo of natural and the record of checked UeRep values start empty, so
+    # no work moves into import time
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import hahnsl2\n"
+        "from hahnsl2 import cli, freealg, hahn, reps, usl2\n"
+        "print(len(hahn._natural_memo()), reps._check_even_presentation.cache_info().currsize,\n"
+        "      hahn.natural_images.cache_info().currsize, usl2._core_product.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
+def test_verify_all_computes_each_value_once():
+    # verify-all at --n-max 10 (the benchmark's verify-all run) in a fresh
+    # interpreter, counting PBW products, those made inside natural, and
+    # matrix products; the three counts were 986, 389 and 1,372 when every
+    # word image, Casimir product and UeRep check was recomputed
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from hahnsl2 import cli, hahn, linalg, usl2\n"
+        "counts = {'multiply': 0, 'natural': 0, 'matmul': 0}\n"
+        "inside = []\n"
+        "real_multiply, real_natural, real_matmul = usl2.multiply, hahn.natural, linalg.SparseMatrix.matmul\n"
+        "def multiply(a, b):\n"
+        "    counts['multiply'] += 1\n"
+        "    counts['natural'] += bool(inside)\n"
+        "    return real_multiply(a, b)\n"
+        "def natural(p):\n"
+        "    inside.append(p)\n"
+        "    try:\n"
+        "        return real_natural(p)\n"
+        "    finally:\n"
+        "        inside.pop()\n"
+        "def matmul(a, b):\n"
+        "    counts['matmul'] += 1\n"
+        "    return real_matmul(a, b)\n"
+        "usl2.multiply, hahn.natural, linalg.SparseMatrix.matmul = multiply, natural, matmul\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify-all', '--n-max', '10', '--format', 'json'])\n"
+        "print(status, counts['multiply'], counts['natural'], counts['matmul'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, products, natural_products, matrix_products = map(int, proc.stdout.split())
+    assert status == 0
+    assert products <= 450
+    assert natural_products <= 30
+    assert matrix_products <= 1000
+
+
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 

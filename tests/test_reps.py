@@ -300,6 +300,29 @@ def test_ue_rep_names_the_first_failing_relation():
             UeRep(*ops)
 
 
+def test_ue_rep_checks_each_value_once_and_never_records_a_failure(monkeypatch):
+    good = ModuleLabel(4, 0).build()
+    e2, f2, lam, h = good
+    calls = []
+    real = usl2.even_relations
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(usl2, "even_relations", counted)
+    reps._check_even_presentation.cache_clear()
+    assert UeRep(*good) == good and len(calls) == 1
+    # an equal value built from new matrices makes no even_relations call
+    copy = [SparseMatrix(m.rows, m.cols, m.terms) for m in good]
+    assert UeRep(*copy) == good and len(calls) == 1
+    # a perturbed value is checked, fails, and fails again
+    for attempt in (2, 3):
+        with pytest.raises(ValueError, match=re.escape("even relation fails: 16*E^2*F^2 ==")):
+            UeRep(e2.scale(2), f2, lam, h)
+        assert len(calls) == attempt
+
+
 def _signature(label):
     return label.dim, label.casimir, label.h_spectrum
 

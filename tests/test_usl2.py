@@ -177,6 +177,24 @@ def test_power_identity_suite_small():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("n_max, products", [(4, 77), (8, 141), (10, 173)])
+def test_power_identity_suite_makes_linearly_many_products(monkeypatch, n_max, products):
+    # 12 products for each n (four brackets, (H -+ n) times E^n and F^n,
+    # E^n F^n and F^n E^n), 4 more for n >= 1 (two Casimir factors and one
+    # factor on each running product) and one for H^2.  Rebuilding the
+    # running products for every n would cost O(n^2).
+    calls = []
+    real = usl2.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(usl2, "multiply", counted)
+    usl2.power_identity_suite(n_max)
+    assert len(calls) == products == 16 * n_max + 13
+
+
 def test_power_identity_suite_rejects_zero():
     with pytest.raises(ValueError):
         usl2.power_identity_suite(0)
