@@ -94,9 +94,7 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
                 "D": D,
                 "base_vertex": base_bits or "0" * D,
                 "standard_decomposition": [[n, m] for n, m in sorted(sd.multiplicities.items())],
-                "halved_decomposition": [
-                    [str(reps.ModuleLabel(n, p)), m] for (n, p), m in sorted(hd.blocks.items())
-                ],
+                "halved_decomposition": [[str(label), m] for label, m in sorted(hd.blocks.items())],
                 "te_dimension": dim,
                 "formula_value": formula,
                 "match": all(c.status == PASS for c in checks),

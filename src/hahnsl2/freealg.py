@@ -13,13 +13,15 @@ numerators once; coefficients become ``Fraction``s only when read through
 
 Ideal membership in a two-sided ideal is decided positively only: the
 search enumerates products left*generator*right of bounded degree and
-row-reduces their coefficient vectors, so a returned certificate is an
-exact, replayable linear combination, while "not found up to the bound"
-proves nothing.  The columns of those vectors are words in a degree-first
-order (longest first, then lexicographic), the column order of an F4
-Macaulay matrix (Faugere, J. Pure Appl. Algebra 139, 1999): each product
-pivots on its leading word, so the echelon rows stay sparse and their
-integers small.
+row-reduces their coefficient vectors, and once the target lies in their
+span it reads the certificate off the one linear dependency
+(``linalg.kernel_vectors``) of the kept vectors and the target's, so a
+returned certificate is an exact, replayable linear combination, while
+"not found up to the bound" proves nothing.  The columns of those vectors
+are words in a degree-first order (longest first, then lexicographic), the
+column order of an F4 Macaulay matrix (Faugere, J. Pure Appl. Algebra 139,
+1999): each product pivots on its leading word, so the echelon rows stay
+sparse and their integers small.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import NamedTuple, Optional
 
-from .linalg import Combination, EchelonBasis, IntVector, render_terms, solve
+from .linalg import Combination, EchelonBasis, IntVector, kernel_vectors, render_terms
 
 Word = str
 
@@ -193,10 +195,11 @@ def ideal_membership(
     index, then length-lexicographically in (left, right).  Their word
     coefficient vectors go into one echelon basis, which keeps the candidates
     that enlarge its span, and the target is reduced against it after each
-    one.  Once the target reduces to zero, a single solve over the kept
-    candidates gives the certificate; they are linearly independent, so its
-    coefficients are unique.  Returns None when the bound is exhausted (which
-    proves nothing).
+    one.  Once the target reduces to zero, the certificate is read off the
+    kernel vector of [kept candidates | target] (``kernel_vectors``): the
+    kept candidates are linearly independent, so the target's column is the
+    one free column and the coefficients are unique.  Returns None when the
+    bound is exhausted (which proves nothing).
 
     A word's column is computed from the word alone, with longer words first
     and words of one length in lexicographic order, so a candidate u*g*v
@@ -254,10 +257,12 @@ def ideal_membership(
                         if residual:
                             continue
                         # column t is its generator's den times its
-                        # candidate, goal the target's den times the target
-                        coeffs = solve(columns, goal)
-                        triples = tuple((coeffs[t] * generators[accepted[t][1]]._den / target._den,
-                                         *accepted[t]) for t in sorted(coeffs))
+                        # candidate, goal the target's den times the target,
+                        # and x[t] columns[t] sum to -x[goal] goal
+                        x = kernel_vectors([*columns, goal])[len(columns)]
+                        scale = x.pop(len(columns)) * target._den
+                        triples = tuple((Fraction(-x[t] * generators[accepted[t][1]]._den, scale),
+                                         *accepted[t]) for t in sorted(x))
                         cert = MembershipCertificate(alphabet, tuple(generators), triples)
                         if cert.replay() != target:
                             raise ArithmeticError("certificate does not replay to the target")

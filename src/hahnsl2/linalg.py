@@ -24,7 +24,8 @@ constructors and scalar multiples take ints, Fractions or strings (never
 floats), and every entry or coefficient handed back is a ``Fraction``,
 built when it is read.  An ``EchelonBasis`` takes and returns integer
 vectors instead, because a row space does not change under scaling, and
-``solve``, which works in one, takes integer vectors too.  Combination
+``kernel_vectors``, the one elimination for kernels and linear
+dependencies, works in one on integer columns too.  Combination
 operations return new values and never mutate their inputs; the row view a
 matrix builds for ``matmul`` on first use is no part of its value.  An
 ``EchelonBasis`` is the one mutable object: ``insert`` grows it in place, so
@@ -369,7 +370,7 @@ class EchelonBasis:
         Explicit zero entries of w are ignored.  w must be an integer
         vector, which is not checked here: a Fraction entry raises TypeError
         where it meets a pivot and is handed back elsewhere, so a caller
-        with outside vectors refuses them first, as ``solve`` does."""
+        with outside vectors refuses them first, as ``kernel_vectors`` does."""
         if not all(w.values()):
             w = {i: x for i, x in w.items() if x}
         rows = self._rows
@@ -395,29 +396,47 @@ class EchelonBasis:
         return True
 
 
-def rref(m: SparseMatrix) -> EchelonBasis:
-    """Reduced row-echelon basis of the row space of m; its length is the rank."""
+def kernel_vectors(columns: Sequence[IntVector]) -> dict[int, IntVector]:
+    """The linear dependencies among integer columns, one for each column
+    that depends on earlier ones: {t: x} with sum_s x[s] columns[s] = 0, x
+    primitive, positive at t and 0 at the other such (free) columns t'.
+
+    Column t goes into one echelon basis with a 1 at a tag of its own, tag +
+    t, past every index the columns use, so the tags of a reduced vector
+    record which combination of columns it is.  A column whose part below
+    the tags reduces to zero is free and is not inserted; its tagged part is
+    its kernel vector.  The free columns are the greedy left-to-right ones,
+    the non-pivot columns of the reduced row-echelon form of the matrix with
+    these columns, and their vectors span the kernel.  An entry that is not
+    an int raises TypeError.
+    """
+    if any(type(x) is not int for col in columns for x in col.values()):
+        raise TypeError("kernel_vectors: the columns must be integer vectors")
+    tag = 1 + max((i for col in columns for i in col), default=-1)
     basis = EchelonBasis()
-    rows = m._by_row()
-    for r in sorted(rows):
-        basis.insert(rows[r])
-    return basis
+    out: dict[int, IntVector] = {}
+    for t, col in enumerate(columns):
+        w = basis.reduce({**col, tag + t: 1})
+        if min(w) < tag:
+            basis.insert(w)
+        else:
+            out[t] = {i - tag: x for i, x in _primitive(w, tag + t).items()}
+    return out
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     """The right kernel {v : m v = 0} as the columns of one m.cols x
-    (m.cols - rank) matrix K, with m K = 0: column k is 1 at the k-th free
-    (non-pivot) column of m and 0 at the other free columns."""
-    basis = rref(m)
-    free = [c for c in range(m.cols) if c not in basis._rows]
+    (m.cols - rank) matrix K, with m K = 0: column k is the k-th vector of
+    ``kernel_vectors`` over the columns of m, scaled to 1 at its free
+    column, so it is 1 at the k-th free column and 0 at the other ones."""
+    columns: list[IntVector] = [{} for _ in range(m.cols)]
+    for (r, c), x in m._num.items():
+        columns[c][r] = x
+    kernel = kernel_vectors(columns)
     entries: dict[tuple[int, int], Fraction] = {}
-    for k, f in enumerate(free):
-        entries[f, k] = Fraction(1)
-        for p, row in basis._rows.items():
-            c = row.get(f)
-            if c:
-                entries[p, k] = Fraction(-c, row[p])
-    return SparseMatrix(m.cols, len(free), entries)
+    for k, (f, x) in enumerate(kernel.items()):
+        entries.update({(t, k): Fraction(y, x[f]) for t, y in x.items()})
+    return SparseMatrix(m.cols, len(kernel), entries)
 
 
 def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
@@ -425,35 +444,6 @@ def diagonal(m: SparseMatrix) -> Optional[list[Fraction]]:
     if m.rows != m.cols or any(r != c for r, c in m._num):
         return None
     return [m.get(i, i) for i in range(m.rows)]
-
-
-def solve(columns: Sequence[IntVector], b: IntVector) -> Optional[dict[int, Fraction]]:
-    """One exact x with sum_t x[t] columns[t] = b, or None; the vectors are
-    sparse integer maps.  A Fraction in a column raises TypeError, as it
-    does in ``EchelonBasis``, and so does any entry of b that is not an int,
-    checked before the elimination.  Column t goes into one echelon basis
-    with a 1 at tag + t, past every index in use, and b, with a 1 at a
-    marker after those, reduces to a multiple of b minus a combination of
-    the columns, read off the tags and checked exactly: ArithmeticError if
-    it does not give b."""
-    if any(type(x) is not int for x in b.values()):
-        raise TypeError("solve: b must be an integer vector")
-    tag = 1 + max((i for v in (*columns, b) for i in v), default=-1)
-    basis = EchelonBasis()
-    for t, col in enumerate(columns):
-        basis.insert({**col, tag + t: 1})
-    marker = tag + len(columns)
-    w = basis.reduce({**b, marker: 1})
-    if min(w) < tag:
-        return None  # b is not in the span
-    scale = w.pop(marker)  # w is now -scale * x, at the tags
-    rest = {i: scale * y for i, y in b.items()}
-    for i, c in w.items():
-        for j, y in columns[i - tag].items():
-            rest[j] = rest.get(j, 0) + c * y
-    if any(rest.values()):
-        raise ArithmeticError("solve: the solution does not reproduce b")
-    return {i - tag: Fraction(-c, scale) for i, c in w.items()}
 
 
 def square_size(ms: Sequence[SparseMatrix]) -> int:

@@ -263,7 +263,7 @@ def te_dimension_formula(D: int) -> int:
 
 
 class HalvedDecomposition(NamedTuple):
-    blocks: dict[tuple[int, int], int]  # (n, parity) -> multiplicity
+    blocks: dict[ModuleLabel, int]  # ladder family -> multiplicity
     labels_ok: bool
     formula_ok: bool
     dimension_ok: bool
@@ -285,7 +285,7 @@ def decompose_halved(cube: CubeAlgebra) -> HalvedDecomposition:
     Terwilliger-algebra dimension formula (the Wedderburn decomposition).
     """
     D = cube.D
-    blocks: dict[tuple[int, int], int] = {}
+    blocks: dict[ModuleLabel, int] = {}
     labels_ok = True
     formula_ok = True
     wedderburn = total = 0
@@ -295,7 +295,7 @@ def decompose_halved(cube: CubeAlgebra) -> HalvedDecomposition:
         label = ModuleLabel(D - 2 * k, k % 2)
         character = {w: x for w, x in cube.isotypic_characters[label.n].items() if (D - w) % 4 == 0}
         mult = _count(character[label.top_weight])
-        blocks[(label.n, label.parity)] = mult
+        blocks[label] = mult
         total += mult * label.dim
         if mult != standard_multiplicity(D, k):
             formula_ok = False

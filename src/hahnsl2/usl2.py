@@ -235,20 +235,21 @@ def even_relations(e2, f2, lam, h, one) -> list:
     """The residuals (lhs - rhs) of the seven ``EVEN_RELATIONS`` at the given
     images of E^2, F^2, Lam and H; ``one`` is the unit.
 
-    Only +, -, * and ``scale`` are used, so the images may be PBW elements,
-    free polynomials or matrices: all seven residuals vanish exactly when
-    the images satisfy the even presentation.
+    Only +, -, * and ``scale`` are used, the brackets through
+    ``linalg.commutator``, so the images may be PBW elements, free
+    polynomials or matrices: all seven residuals vanish exactly when the
+    images satisfy the even presentation.
     """
     h2 = h * h
     two_lam = lam.scale(2)
     return [
-        h * e2 - e2 * h - e2.scale(4),
-        h * f2 - f2 * h + f2.scale(4),
+        commutator(h, e2) - e2.scale(4),
+        commutator(h, f2) + f2.scale(4),
         (e2 * f2).scale(16) - (h2 - h.scale(2) - two_lam) * (h2 - h.scale(6) - two_lam + one.scale(8)),
         (f2 * e2).scale(16) - (h2 + h.scale(2) - two_lam) * (h2 + h.scale(6) - two_lam + one.scale(8)),
-        lam * e2 - e2 * lam,
-        lam * f2 - f2 * lam,
-        lam * h - h * lam,
+        commutator(lam, e2),
+        commutator(lam, f2),
+        commutator(lam, h),
     ]
 
 

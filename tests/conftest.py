@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from hahnsl2.hahn import random_free_poly
-from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, solve
+from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, kernel_vectors
 from hahnsl2.reporting import PASS
 from hahnsl2.usl2 import random_element as random_usl2_element
 from hahnsl2.usl2 import zero
@@ -82,9 +82,11 @@ def column(m: SparseMatrix, k: int) -> SparseMatrix:
 
 
 def solve_columns(a: SparseMatrix, b: SparseMatrix):
-    """Oracle: X with a * X = b, one ``linalg.solve`` per column of b, or None
-    when some column of b lies outside the column span of a.  ``solve``
-    takes integer maps, so the entries of a and b are put over one common
+    """Oracle: X with a * X = b, or None when some column of b lies outside
+    the column span of a.  Column k of X is read off the kernel vector x of
+    [columns of a | column k of b] (``linalg.kernel_vectors``) at that last
+    column, when it is free: x[t] a_t sum to -x[last] b_k.  The vectors
+    are integer maps, so the entries of a and b are put over one common
     denominator, a scaling that leaves X unchanged."""
     den = lcm(a._den, b._den)
 
@@ -94,10 +96,42 @@ def solve_columns(a: SparseMatrix, b: SparseMatrix):
             out[c][r] = int(v * den)
         return out
 
-    xs = [solve(columns(a), target) for target in columns(b)]
-    if None in xs:
-        return None
-    return SparseMatrix(a.cols, b.cols, {(t, k): v for k, x in enumerate(xs) for t, v in x.items()})
+    left, last = columns(a), a.cols
+    entries = {}
+    for k, target in enumerate(columns(b)):
+        x = kernel_vectors([*left, target]).get(last)
+        if x is None:
+            return None
+        scale = x.pop(last)
+        entries.update({(t, k): Fraction(-y, scale) for t, y in x.items()})
+    return SparseMatrix(a.cols, b.cols, entries)
+
+
+def rref(m: SparseMatrix) -> EchelonBasis:
+    """Reduced row-echelon basis of the row space of m, its rows inserted
+    in order; its length is the rank."""
+    basis = EchelonBasis()
+    rows = m._by_row()
+    for r in sorted(rows):
+        basis.insert(rows[r])
+    return basis
+
+
+def reference_kernel(m: SparseMatrix) -> SparseMatrix:
+    """Oracle: the kernel of m by back-substitution in ``rref(m)``, as one
+    matrix K with m K = 0 whose column k is 1 at the k-th non-pivot column
+    of m and 0 at the other non-pivot columns: the form of
+    ``linalg.kernel_basis``."""
+    basis = rref(m)
+    free = [c for c in range(m.cols) if c not in basis._rows]
+    entries: dict[tuple[int, int], Fraction] = {}
+    for k, f in enumerate(free):
+        entries[f, k] = Fraction(1)
+        for p, row in basis._rows.items():
+            c = row.get(f)
+            if c:
+                entries[p, k] = Fraction(-c, row[p])
+    return SparseMatrix(m.cols, len(free), entries)
 
 
 def invert(m):

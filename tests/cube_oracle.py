@@ -194,7 +194,7 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
     D = ctx.D
     ident = SparseMatrix.identity(ue.dim)
 
-    blocks: dict[tuple[int, int], int] = {}
+    blocks: dict[ModuleLabel, int] = {}
     labels_ok = True
     formula_ok = True
     wedderburn = total = 0
@@ -206,7 +206,7 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         stacked = vstack(ue.E2 * b, (ue.Lam - ident.scale(label.casimir)) * b)
         tops = kernel_basis(stacked)
         mult = tops.cols
-        blocks[(label.n, label.parity)] = mult
+        blocks[label] = mult
         total += mult * label.dim
         if mult != standard_multiplicity(D, k):
             formula_ok = False
@@ -239,9 +239,7 @@ def per_d(D: int, base: int) -> dict:
         "D": D,
         "base_vertex": ctx.bitstring(base),
         "standard_decomposition": [[n, m] for n, m in sorted(sd.multiplicities.items())],
-        "halved_decomposition": [
-            [str(ModuleLabel(n, p)), m] for (n, p), m in sorted(hd.blocks.items())
-        ],
+        "halved_decomposition": [[str(label), m] for label, m in sorted(hd.blocks.items())],
         "te_dimension": dim,
         "formula_value": formula,
         "match": (sd.formula_ok and sd.dimension_ok and hd.labels_ok and hd.formula_ok

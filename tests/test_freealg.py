@@ -172,7 +172,7 @@ def test_membership_coefficients_follow_generator_denominators():
 
 def test_certification_builds_no_matrix(monkeypatch):
     # the kept integer columns and the target's numerators go straight to
-    # linalg.solve; no SparseMatrix is built on the way
+    # linalg.kernel_vectors; no SparseMatrix is built on the way
     def refused(*args, **kwargs):
         raise AssertionError("ideal_membership built a SparseMatrix")
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -13,12 +13,11 @@ from hahnsl2.linalg import (
     SparseMatrix,
     diagonal,
     kernel_basis,
+    kernel_vectors,
     restrict_to_subspace,
-    rref,
-    solve,
 )
-from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, solve_columns,
-                            span_closure, vstack)
+from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, reference_kernel, rref,
+                            solve_columns, span_closure, vstack)
 
 F = Fraction
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -220,46 +219,100 @@ def test_vstack_values_and_column_mismatch():
         vstack(top, SparseMatrix(1, 2))
 
 
-def test_solve():
-    # the columns of [[2, 1], [1, 1]]
-    columns = [{0: 2, 1: 1}, {0: 1, 1: 1}]
-    assert solve(columns, {0: 3, 1: 2}) == {0: F(1), 1: F(1)}
-    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2}) is None
-    # a zero column and a dependent one: any solution will do
-    columns = [{0: 1}, {}, {0: 2, 1: 0}]
-    x = solve(columns, {0: 6})
-    assert x is not None and sum(c * columns[t].get(0, 0) for t, c in x.items()) == 6
-    assert solve([], {}) == {}
-    assert solve([], {4: 1}) is None
-    assert solve([{}], {0: 0}) == {}
-    # the vectors are integer maps: a Fraction is refused, as in EchelonBasis,
-    # and in b also where it misses every pivot or there are no columns
+def test_kernel_vectors():
+    # the columns of [[2, 1, 3], [1, 1, 2]]: the third is the sum of the first two
+    assert kernel_vectors([{0: 2, 1: 1}, {0: 1, 1: 1}, {0: 3, 1: 2}]) == {2: {0: -1, 1: -1, 2: 1}}
+    assert kernel_vectors([{0: 1, 1: 1}, {0: 1, 1: 2}]) == {}
+    # each vector is primitive and positive at its own column, which is
+    # not scaled to 1, and 0 at the other free columns: a zero column is free
+    # on its own, and an explicit zero entry counts for nothing
+    columns = [{0: 2}, {}, {0: 3, 1: 0}, {0: 6}]
+    assert kernel_vectors(columns) == {1: {1: 1}, 2: {0: -3, 2: 2}, 3: {0: -3, 3: 1}}
+    assert kernel_vectors([]) == {}
+    assert kernel_vectors([{}]) == {0: {0: 1}}
+    # the columns are integer maps: a Fraction is refused, also where it
+    # misses every pivot or cancels in the elimination
     with pytest.raises(TypeError):
-        solve([{0: F(1, 2)}], {0: 1})
+        kernel_vectors([{0: F(1, 2)}])
     with pytest.raises(TypeError):
-        solve([], {0: F(1, 2)})
+        kernel_vectors([{1: 1}, {0: F(1, 2)}])
     with pytest.raises(TypeError):
-        solve([{1: 1}], {0: F(1, 2)})
+        kernel_vectors([{0: 1, 1: 2}, {0: 1, 1: F(2)}])
 
 
-def test_solve_checks_the_combination_it_returns(monkeypatch):
-    # columns at 0 and 1, b at 0: tags at 2 and 3, marker at 4; an
-    # elimination that claims b = -column 1 is caught, not returned
-    monkeypatch.setattr(EchelonBasis, "reduce", lambda self, w: {3: 1, 4: 1})
-    with pytest.raises(ArithmeticError):
-        solve([{0: 1}, {1: 1}], {0: 1})
+def _column_rank(columns: list[dict[int, int]], size: int) -> int:
+    return sympy.Matrix(size, len(columns), lambda i, j: columns[j].get(i, 0)).rank() if columns else 0
 
 
-def test_solve_and_kernel_walk_only_the_stored_rows():
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_vectors_are_the_dependencies_on_earlier_columns(seed):
+    # random integer columns, some of them combinations of earlier ones
+    rng = Random(seed)
+    size = rng.randint(1, 6)
+    columns: list[dict[int, int]] = []
+    for t in range(rng.randint(0, 9)):
+        col: dict[int, int] = {}
+        if t and rng.random() < 0.4:
+            for s in rng.sample(range(t), rng.randint(1, t)):
+                c = rng.randint(-3, 3)
+                for i, y in columns[s].items():
+                    col[i] = col.get(i, 0) + c * y
+        else:
+            col = {i: rng.randint(-9, 9) for i in rng.sample(range(size), rng.randint(0, size))}
+        columns.append(col)
+    kernel = kernel_vectors(columns)
+    # the free columns are exactly those that depend on earlier ones
+    free = [t for t in range(len(columns))
+            if _column_rank(columns[:t + 1], size) == _column_rank(columns[:t], size)]
+    assert list(kernel) == free
+    for t, x in kernel.items():
+        assert all(type(y) is int and y for y in x.values()) and gcd(*x.values()) == 1
+        assert x[t] > 0 and max(x) == t and x.keys() & set(free) == {t}
+        total = {}
+        for s, y in x.items():
+            for i, z in columns[s].items():
+                total[i] = total.get(i, 0) + y * z
+        assert not any(total.values())
+
+
+def _transpose(m: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(m.cols, m.rows, {(c, r): v for r, c, v in m.items()})
+
+
+def _assert_same_kernel(m: SparseMatrix) -> None:
+    k, ref = kernel_basis(m), reference_kernel(m)
+    assert (k.rows, k.cols) == (ref.rows, ref.cols)
+    assert k._num == ref._num and k._den == ref._den
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_basis_matches_the_rref_back_substitution(seed):
+    # dependent rows (_random_rational), dependent columns (its transpose),
+    # and empty rows and columns (_random_fill)
+    rng = Random(seed)
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    _assert_same_kernel(_random_rational(rng, rows, cols))
+    _assert_same_kernel(_transpose(_random_rational(rng, cols, rows)))
+    _assert_same_kernel(_random_fill(rng, rows, cols, rng.randint(1, 3)))
+
+
+def test_kernel_basis_matches_the_rref_back_substitution_on_edge_shapes():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (3, 3)):
+        _assert_same_kernel(SparseMatrix(rows, cols))
+    _assert_same_kernel(SparseMatrix(2**40, 4, {(0, 0): 2, (7, 1): F(1, 3), (7, 3): F(2, 3), (2**39, 2): -1}))
+    _assert_same_kernel(SparseMatrix(2**40, 2, {(3, 0): 1}))
+
+
+def test_kernel_vectors_and_kernel_basis_walk_only_the_stored_rows():
     # indices up to 2^39: a loop over every index would not end, and the
-    # tags of solve follow the largest index any vector uses, b's included
+    # tags follow the largest index any column uses, the last one's included
     columns = [{0: 6}, {7: 1}, {2**39: -3}]
-    assert solve(columns, {0: 12, 7: 3, 2**39: 15}) == {0: F(2), 1: F(3), 2: F(-5)}
-    assert solve(columns, {}) == {}
-    # no column has an entry at 5, or at the index after the largest column
-    # index, where a tag that ignored b would sit: inconsistent
-    assert solve(columns, {0: 12, 5: 3}) is None
-    assert solve(columns, {2**39 + 1: 3}) is None
+    assert kernel_vectors([*columns, {0: 12, 7: 3, 2**39: 15}]) == {3: {0: -2, 1: -3, 2: 5, 3: 1}}
+    assert kernel_vectors([*columns, {}]) == {3: {3: 1}}
+    # no column has an entry at 5, or at the index after the largest index
+    # of the first three, where a tag that ignored the last column would sit
+    assert kernel_vectors([*columns, {0: 12, 5: 3}]) == {}
+    assert kernel_vectors([*columns, {2**39 + 1: 3}]) == {}
     m = SparseMatrix(2**40, 3, {(0, 0): 2, (7, 1): F(1, 3), (2**39, 2): -1})
     assert kernel_basis(m) == SparseMatrix(3, 0)
     assert len(rref(m)) == 3
@@ -427,8 +480,8 @@ def test_linalg_agrees_with_sympy_on_random_rational_matrices(seed):
     assert (m * kernel).is_zero()
     assert [dense(kernel)[j] for j in free] == dense(SparseMatrix.identity(len(free)))
 
-    # solve over the columns of m, a zero column and a dependent one, so
-    # the column rank is still rank
+    # solve_columns over the columns of m, a zero column and a dependent
+    # one, so the column rank is still rank
     wide = SparseMatrix(rows, cols + 2, {**{(r, c): v for r, c, v in m.items()},
                                          **{(r, cols + 1): 2 * v for r, c, v in m.items() if c == 0}})
     x0 = SparseMatrix(cols + 2, 1, {(t, 0): F(rng.randint(-5, 5), rng.randint(1, 4)) for t in range(cols + 2)})
@@ -575,7 +628,7 @@ def test_matmul_drops_cancelled_entries_and_rows():
 
 
 def test_the_row_view_is_derived():
-    # matmul and rref read the entries grouped by row, a view built on
+    # matmul reads the entries grouped by row, a view built on
     # first use; equality and hashing read the canonical form alone, and the
     # sums, scalar multiples, equality and hashing are the Combination's own
     rng = Random(11)

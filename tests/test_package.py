@@ -1,5 +1,8 @@
 import ast
+import importlib
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -7,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import hahnsl2
 from hahnsl2 import cli, freealg, hahn, linalg, reps, terwilliger, usl2
 
 
@@ -29,7 +33,7 @@ def test_names_the_benchmark_calls_resolve():
     # bench/tracer.py wraps these and skips a name it does not find, so a
     # rename would read 0 in its per-layer figure and fail nothing there
     for owner, attrs in (
-        (linalg, "kernel_basis solve restrict_to_subspace"),
+        (linalg, "kernel_basis restrict_to_subspace"),
         (usl2, "multiply"),
         (freealg, "substitute"),
         (hahn, "natural verify_natural_well_defined verify_image_gradings verify_intertwining"
@@ -64,6 +68,35 @@ def test_a_matrix_product_reaches_the_traced_matmul(monkeypatch):
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _package_name(dotted: str):
+    """The object a dotted name in the README names, or None: the head is a
+    module of the package, a class of one, or a standard-library module,
+    and each later part an attribute of what comes before."""
+    head, *rest = dotted.split(".")
+    modules = [importlib.import_module(f"hahnsl2.{m.name}") for m in pkgutil.iter_modules(hahnsl2.__path__)
+               if m.name != "__main__"]
+    owners = {m.__name__.rsplit(".", 1)[1]: m for m in modules}
+    owners.update({name: obj for m in modules for name, obj in vars(m).items()
+                   if isinstance(obj, type) and obj.__module__ == m.__name__})
+    obj = owners.get(head)
+    if obj is None and head in sys.stdlib_module_names:
+        obj = importlib.import_module(head)
+    for attr in rest:
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    # README names the API as `module.name` (or `Class.method`); a rename or
+    # a removal that the README misses fails here.  File names such as
+    # `cli.py` are not names
+    text = (ROOT / "README.md").read_text()
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)[^`]*`", text))
+    files = {n for n in names if (ROOT / n).exists() or (ROOT / "src" / "hahnsl2" / n).exists()}
+    assert "linalg.EchelonBasis" in names and "cli.py" in files
+    assert [n for n in sorted(names - files) if _package_name(n) is None] == []
 
 
 # class-body names that collections.namedtuple reads, as _replace reads

@@ -511,9 +511,9 @@ def test_decompose_halved_labels_agree_with_classifying_each_summand(D):
     hd = decompose_halved(CubeAlgebra(D))
     assert hd.labels_ok
     _, ue = _even_half(CubeContext(D=D))
-    for n, parity in hd.blocks:
-        label, _ = classify_ue_irreducible(_ladder_summand(ue, n, parity))
-        assert (label.n, label.parity) == (n, parity)
+    for block in hd.blocks:
+        label, _ = classify_ue_irreducible(_ladder_summand(ue, *block))
+        assert type(block) is ModuleLabel and label == block
 
 
 def test_base_vertex_independence_small():
