@@ -4,30 +4,26 @@ Words are plain strings over a declared alphabet of single-character
 generator names; the empty word is the unit.  A polynomial is a
 ``linalg.Combination``, stored as integer numerators per word over one
 common denominator.  ``fmultiply`` multiplies numerators and denominators as
-plain ints, ``substitute`` forms each distinct nonempty prefix of the
-words once, as the image of the prefix one letter shorter times the image of
-its last letter, scales each word's image by its numerator and divides the
-sum by the denominator once, and the ideal search reads each generator's
-numerators once; coefficients become ``Fraction``s only when read through
-``terms``.
+plain ints, ``substitute`` forms the image of each distinct word prefix once
+and divides by the denominator once, and the ideal search reads each
+generator's numerators once; coefficients become ``Fraction``s only when
+read through ``terms``.
 
 Ideal membership in a two-sided ideal is decided positively only: the
-search enumerates products left*generator*right of bounded degree and
-row-reduces their coefficient vectors, and once the target lies in their
-span it reads the certificate off the one linear dependency
-(``linalg.kernel_vectors``) of the kept vectors and the target's, so a
-returned certificate is an exact, replayable linear combination, while
-"not found up to the bound" proves nothing.  The columns of those vectors
-are words in a degree-first order (longest first, then lexicographic), the
-column order of an F4 Macaulay matrix (Faugere, J. Pure Appl. Algebra 139,
-1999): each product pivots on its leading word, so the echelon rows stay
-sparse and their integers small.
+search row-reduces the coefficient vectors of products left*generator*right
+of bounded degree and reads a certificate off the one linear dependency
+(``linalg.kernel_vectors``) of the kept vectors and the target's, an exact,
+replayable linear combination, while "not found up to the bound" proves
+nothing.  It counts words as integers and skips a generator once the
+generator itself is rejected.  The columns are words in a degree-first
+order (longest first, then lexicographic), the column order of an F4
+Macaulay matrix (Faugere, J. Pure Appl. Algebra 139, 1999): each product
+pivots on its leading word, so the echelon rows stay sparse and small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import NamedTuple, Optional
 
 from .linalg import Combination, EchelonBasis, IntVector, kernel_vectors, render_terms
@@ -180,10 +176,6 @@ class MembershipCertificate(NamedTuple):
         }
 
 
-def _words_of_length(alphabet: tuple[str, ...], length: int) -> list[Word]:
-    return ["".join(t) for t in iter_product(alphabet, repeat=length)]
-
-
 def ideal_membership(
     target: FreePoly,
     generators: list[FreePoly],
@@ -201,11 +193,10 @@ def ideal_membership(
     one free column and the coefficients are unique.  Returns None when the
     bound is exhausted (which proves nothing).
 
-    A word's column is computed from the word alone, with longer words first
-    and words of one length in lexicographic order, so a candidate u*g*v
-    pivots on u*lead(g)*v and no table of all words is built.  Whether a
-    candidate enlarges the span does not depend on the column order, so the
-    kept candidates, the certificate and a None result do not either.
+    A generator g rejected as its own first candidate is a combination of
+    earlier candidates u'*h*v', so it is skipped: each later u*g*v is a
+    combination of the u*u'*h*v'*v, which come before it.  Columns come from
+    words alone, and no column order changes which candidates are kept.
     """
     if not generators:
         raise ValueError("no ideal generators given")
@@ -217,41 +208,49 @@ def ideal_membership(
         return MembershipCertificate(target.alphabet, tuple(generators), ())
 
     alphabet = target.alphabet
-    # The column of a word depends on the word alone: its letters read as
-    # base-b digits x, placed at top - b^(len+1) + x.  Longer words get
-    # smaller columns, words of one length are in lexicographic order, and
-    # every word of length <= degree_bound gets one in [0, top).
+    # The word of length l with base-b digits x is at column top - b^(l+1) + x:
+    # longer words first, words of one length in lexicographic order, all of
+    # length <= degree_bound in [0, top), and over n letters x = 0 ... n^l - 1.
     base = max(len(alphabet), 2)
     digit = {s: i for i, s in enumerate(alphabet)}
     top = base ** (degree_bound + 1)
 
-    def column(w: Word) -> int:
+    def value(w: Word) -> int:
         x = 0
         for s in w:
             x = x * base + digit[s]
-        return top - base ** (len(w) + 1) + x
+        return x
 
-    basis = EchelonBasis()
-    accepted: list[tuple[Word, int, Word]] = []
+    def word(x: int, length: int) -> Word:
+        return "".join(alphabet[x // base ** k % base] for k in reversed(range(length)))
+
+    gen_degrees = [g.degree() for g in generators]
+    gen_terms = [[(len(w), value(w), x) for w, x in g._num.items()] for g in generators]
+    basis, skipped = EchelonBasis(), set()
+    accepted: list[tuple] = []  # ((x_u, |u|), generator index, (x_v, |v|))
     columns: list[IntVector] = []
     # The residual (the target reduced so far) and a candidate's column hold
     # integer numerators: den times the coefficient vector, on the same line.
-    residual = goal = {column(w): x for w, x in target._num.items()}
-    gen_nums = [g._num.items() for g in generators]
-    gen_degrees = [g.degree() for g in generators]
-    min_total = min(gen_degrees)
-    for total in range(min_total, degree_bound + 1):
-        for gi in range(len(generators)):
+    residual = goal = {top - base ** (len(w) + 1) + value(w): x for w, x in target._num.items()}
+    for total in range(min(gen_degrees), degree_bound + 1):
+        for gi, terms in enumerate(gen_terms):
             side = total - gen_degrees[gi]
-            if side < 0:
+            if side < 0 or gi in skipped:
                 continue
             for lu in range(side + 1):
-                for u in _words_of_length(alphabet, lu):
-                    for v in _words_of_length(alphabet, side - lu):
-                        vec = {column(u + w + v): x for w, x in gen_nums[gi]}
+                lv = side - lu
+                # u*w*v is at top - b^(lu+|w|+lv+1) + x_u b^(|w|+lv) + x_w b^lv + x_v
+                placed = [(top - base ** (lu + lw + lv + 1) + xw * base ** lv,
+                           base ** (lw + lv), x) for lw, xw, x in terms]
+                for xu in range(len(alphabet) ** lu):
+                    row = [(at + xu * step, x) for at, step, x in placed]
+                    for xv in range(len(alphabet) ** lv):
+                        vec = {at + xv: x for at, x in row}
                         if not basis.insert(vec):
+                            if not side:
+                                skipped.add(gi)
                             continue  # dependent on earlier candidates
-                        accepted.append((u, gi, v))
+                        accepted.append(((xu, lu), gi, (xv, lv)))
                         columns.append(vec)
                         residual = basis.reduce(residual)
                         if residual:
@@ -261,8 +260,9 @@ def ideal_membership(
                         # and x[t] columns[t] sum to -x[goal] goal
                         x = kernel_vectors([*columns, goal])[len(columns)]
                         scale = x.pop(len(columns)) * target._den
-                        triples = tuple((Fraction(-x[t] * generators[accepted[t][1]]._den, scale),
-                                         *accepted[t]) for t in sorted(x))
+                        triples = tuple(
+                            (Fraction(-x[t] * generators[h]._den, scale), word(*u), h, word(*v))
+                            for t, (u, h, v) in enumerate(accepted) if t in x)
                         cert = MembershipCertificate(alphabet, tuple(generators), triples)
                         if cert.replay() != target:
                             raise ArithmeticError("certificate does not replay to the target")

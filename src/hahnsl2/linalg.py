@@ -226,21 +226,21 @@ def _primitive(w: IntVector, p: int) -> IntVector:
     return w if g == 1 else {i: x // g for i, x in w.items()}
 
 
-def _eliminate(w: IntVector, row: IntVector, p: int) -> IntVector:
-    """a*w - b*row for the least a > 0 and integer b that make column p
-    vanish; row[p] must be positive."""
+def _eliminate(w: IntVector, row: IntVector, p: int) -> None:
+    """Set w in place to a*w - b*row for the least a > 0 and integer b that
+    make column p vanish; row[p] must be positive."""
     a, b = row[p], w[p]
     g = gcd(a, b)
     a //= g
     b //= g
-    out = {i: a * x for i, x in w.items()} if a != 1 else dict(w)
+    if a != 1:
+        w.update({i: a * x for i, x in w.items()})
     for i, y in row.items():
-        x = out.get(i, 0) - b * y
+        x = w.get(i, 0) - b * y
         if x:
-            out[i] = x
+            w[i] = x
         else:
-            del out[i]
-    return out
+            del w[i]
 
 
 class SparseMatrix(Combination):
@@ -351,8 +351,8 @@ class EchelonBasis:
     support, looked up in the map from pivot to row, not every row.
     Back-reduction visits only the rows whose pivot comes before the new
     pivot p: a row with a later pivot is zero up to that pivot, so it has
-    no entry in column p.  The basis may keep an inserted dict, which the
-    caller must then leave unmodified.
+    no entry in column p.  The basis owns its rows: it eliminates in place
+    only in copies it made, and never keeps or changes a caller's dict.
     """
 
     __slots__ = ("pivots", "_rows")
@@ -365,17 +365,16 @@ class EchelonBasis:
         return len(self._rows)
 
     def reduce(self, w: IntVector) -> IntVector:
-        """A positive multiple of w minus integer multiples of the rows, zero
-        in every pivot column: empty exactly when w lies in the span.
-        Explicit zero entries of w are ignored.  w must be an integer
+        """A new dict, a positive multiple of w minus integer multiples of the
+        rows, zero in every pivot column: empty exactly when w lies in the
+        span.  Explicit zero entries of w are ignored.  w must be an integer
         vector, which is not checked here: a Fraction entry raises TypeError
         where it meets a pivot and is handed back elsewhere, so a caller
         with outside vectors refuses them first, as ``kernel_vectors`` does."""
-        if not all(w.values()):
-            w = {i: x for i, x in w.items() if x}
+        w = dict(w) if all(w.values()) else {i: x for i, x in w.items() if x}
         rows = self._rows
         for p in sorted(rows.keys() & w.keys()):
-            w = _eliminate(w, rows[p], p)
+            _eliminate(w, rows[p], p)
         return w
 
     def insert(self, w: IntVector) -> bool:
@@ -390,7 +389,8 @@ class EchelonBasis:
         for q in self.pivots[:k]:
             other = rows[q]
             if p in other:
-                rows[q] = _primitive(_eliminate(other, w, p), q)
+                _eliminate(other, w, p)
+                rows[q] = _primitive(other, q)
         self.pivots.insert(k, p)
         rows[p] = w
         return True

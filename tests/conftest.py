@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
 import sympy
 
+from hahnsl2.freealg import MembershipCertificate
 from hahnsl2.hahn import random_free_poly
 from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, kernel_vectors
 from hahnsl2.reporting import PASS
@@ -182,3 +184,51 @@ def span_closure(start, generators) -> tuple:
             for g in generators:
                 work.append(m.matmul(g))
     return basis, len(basis)
+
+
+def reference_ideal_membership(target, generators, degree_bound):
+    """Oracle: the ideal search over string words with every generator
+    enumerated, dependent ones too.  Candidates u*g*v come by total degree,
+    then generator index, then length-lexicographically in (u, v); a word's
+    column is its letters as base-b digits x, at top - b^(len+1) + x.  The
+    certificate is read off the kernel vector of [kept candidates | target],
+    and None means the bound ran out."""
+    if target.is_zero():
+        return MembershipCertificate(target.alphabet, tuple(generators), ())
+    alphabet = target.alphabet
+    base = max(len(alphabet), 2)
+    digit = {s: i for i, s in enumerate(alphabet)}
+    top = base ** (degree_bound + 1)
+
+    def column(w):
+        x = 0
+        for s in w:
+            x = x * base + digit[s]
+        return top - base ** (len(w) + 1) + x
+
+    def words(length):
+        return ["".join(t) for t in product(alphabet, repeat=length)]
+
+    basis, accepted, columns = EchelonBasis(), [], []
+    residual = goal = {column(w): x for w, x in target._num.items()}
+    degrees = [g.degree() for g in generators]
+    for total in range(min(degrees), degree_bound + 1):
+        for gi, g in enumerate(generators):
+            side = total - degrees[gi]
+            for lu in range(side + 1):
+                for u in words(lu):
+                    for v in words(side - lu):
+                        vec = {column(u + w + v): x for w, x in g._num.items()}
+                        if not basis.insert(vec):
+                            continue
+                        accepted.append((u, gi, v))
+                        columns.append(vec)
+                        residual = basis.reduce(residual)
+                        if residual:
+                            continue
+                        x = kernel_vectors([*columns, goal])[len(columns)]
+                        scale = x.pop(len(columns)) * target._den
+                        triples = tuple((Fraction(-x[t] * generators[accepted[t][1]]._den, scale),
+                                         *accepted[t]) for t in sorted(x))
+                        return MembershipCertificate(alphabet, tuple(generators), triples)
+    return None

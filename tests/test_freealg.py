@@ -12,9 +12,16 @@ from hahnsl2.freealg import (
     ideal_membership,
     substitute,
 )
-from hahnsl2.hahn import _identity_targets, natural_images, presentation, tilde_rho
+from hahnsl2.hahn import (
+    _identity_targets,
+    _kernel_relation_targets,
+    natural_images,
+    presentation,
+    random_free_poly,
+    tilde_rho,
+)
 from hahnsl2.linalg import SparseMatrix, commutator
-from tests.conftest import assert_canonical, from_dense
+from tests.conftest import assert_canonical, from_dense, reference_ideal_membership
 from tests.usl2_extra import power
 
 Q = Fraction
@@ -325,9 +332,80 @@ def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
     monkeypatch.setattr(linalg.EchelonBasis, "insert", counting_insert)
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     assert ideal_membership(NONMEMBER, list(presentation().relators), 8) is None
-    assert (calls["insert"], calls["accepted"]) == (516, 327)
-    # 2,238 here; numbering words by first appearance took 15,672
-    assert calls["eliminate"] <= 2300
+    # relator 2 = [beta, A] is -[alpha, B], relator 1: it is rejected as its
+    # own first candidate, and its other 128 candidates are skipped
+    assert (calls["insert"], calls["accepted"]) == (388, 327)
+    # 1,789 here; 2,238 without the skip; numbering words by first
+    # appearance took 15,672
+    assert calls["eliminate"] <= 1800
+
+
+def _assert_same_search(target, generators, bound):
+    got = ideal_membership(target, generators, bound)
+    assert got == reference_ideal_membership(target, generators, bound)
+    return got
+
+
+def test_search_matches_the_reference_on_the_verify_hahn_targets():
+    # the skipped generators and the integer words change no certificate:
+    # relator 2 is -(relator 1), so it is rejected as its own first candidate
+    # and skipped over both generator lists
+    pres = presentation()
+    targets = [t for _, t in [*_identity_targets(), *_kernel_relation_targets()]]
+    assert len(targets) == 18
+    found = [sum(_assert_same_search(t, list(gens), 8) is not None for t in targets)
+             for gens in (pres.relators, pres.kernel_generators)]
+    assert found == [16, 18]
+
+
+def test_search_matches_the_reference_on_seeded_targets():
+    # seeded members u*g*v of the relator ideal, relator 2 (skipped) among
+    # them, with and without a seeded random polynomial added
+    relators = list(presentation().relators)
+    rng = Random(33)
+    found = 0
+    for k in range(16):
+        target = random_free_poly(rng) if k % 2 else FreePoly(AB)
+        for _ in range(rng.randint(1, 2)):
+            u, v = ("".join(rng.choice(AB) for _ in range(rng.randint(0, 1))) for _ in "uv")
+            piece = fmultiply(fmultiply(FreePoly(AB, {u: Q(1)}), relators[rng.randrange(4)]),
+                              FreePoly(AB, {v: Q(1)}))
+            target = target + piece.scale(Q(rng.randint(1, 3), rng.randint(1, 2)))
+        found += _assert_same_search(target, relators, 6) is not None
+    assert 8 <= found < 16
+
+
+def test_search_matches_the_reference_with_repeated_and_scaled_generators():
+    g0, g1 = presentation().relators[:2]
+    a, b = gen("A"), gen("B")
+    low = [a * b + a, a * b, a]  # a is a combination of earlier generators
+    cases = [
+        ([g0, -g1, g1, g0.scale(3)], _hatted_residual(), 6),
+        ([g0, -g1, g1, g0.scale(3)], NONMEMBER, 6),
+        ([FreePoly(AB), g0, g1], _hatted_residual(), 6),
+        (low, a, 1),
+        (low, b * a - a * b + b * a * b, 3),
+        (low + [a.scale(2)], a * a * a, 3),
+    ]
+    for generators, target, bound in cases:
+        _assert_same_search(target, generators, bound)
+    # but a comes first at total degree 1 and is kept, so it certifies a at
+    # bound 1, where a*b + a and a*b have no candidate: skipping a generator
+    # in the span of the ones listed before it would lose this certificate
+    assert ideal_membership(a, low, 1).triples == ((Q(1), "", 2, ""),)
+
+
+def test_search_matches_the_reference_over_a_one_letter_alphabet():
+    # base = max(n, 2) = 2 while the words of each length number n^l = 1;
+    # the last three generators are rejected as their own first candidates
+    x = FreePoly.gen(("x",), "x")
+    one = FreePoly.one(("x",))
+    generators = [x * x - one, x * x * x * x - one, (x * x - one).scale(2), x * x * x - x]
+    for target in (x * x * x * x * x - x, x * x * x - one, x * x - one, x):
+        for bound in (5, 7):
+            _assert_same_search(target, generators, bound)
+    assert ideal_membership(x * x * x * x * x - x, generators, 5) is not None
+    assert ideal_membership(x, generators, 7) is None
 
 
 def test_ideal_membership_is_linear_in_its_target():

@@ -201,6 +201,26 @@ def test_echelon_insert_keeps_reduced_invariants():
         assert len(basis) == stacked.rank()
 
 
+def test_the_basis_owns_its_rows():
+    # eliminations run in place on copies the basis made, so the caller's
+    # dicts keep their entries, also after later inserts back-reduce the row
+    # that came from v
+    v, w, u1, u2 = {0: 2, 3: 4, 5: 1}, {0: 1, 3: 1, 4: 0}, {3: 1}, {5: 3, 6: 1}
+    given = [dict(x) for x in (v, w, u1, u2)]
+    basis = EchelonBasis()
+    assert basis.insert(v)
+    assert basis.reduce(w) == {3: -2, 5: -1}
+    assert basis.insert(u1) and basis._rows[0] == {0: 2, 5: 1}
+    assert basis.insert(u2) and basis._rows[0] == {0: 6, 6: -1}
+    assert [v, w, u1, u2] == given
+    assert not any(row is x for row in basis._rows.values() for x in (v, u1, u2))
+    assert_echelon_invariants(basis)
+    columns = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}, {0: 5, 2: 1}]
+    given = [dict(c) for c in columns]
+    assert kernel_vectors(columns) == {1: {0: -2, 1: 1}}
+    assert columns == given
+
+
 def test_operations_are_reproducible():
     m = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     b1 = rref(m)
