@@ -14,11 +14,13 @@ search row-reduces the coefficient vectors of products left*generator*right
 of bounded degree and reads a certificate off the one linear dependency
 (``linalg.kernel_vectors``) of the kept vectors and the target's, an exact,
 replayable linear combination, while "not found up to the bound" proves
-nothing.  It counts words as integers and skips a generator once the
-generator itself is rejected.  The columns are words in a degree-first
-order (longest first, then lexicographic), the column order of an F4
-Macaulay matrix (Faugere, J. Pure Appl. Algebra 139, 1999): each product
-pivots on its leading word, so the echelon rows stay sparse and small.
+nothing.  It counts words as integers, and it never builds a candidate
+that extends a rejected one, which would be rejected too (the simplest
+syzygy criterion of F5: Faugere, ISSAC 2002).  The columns are words in a
+degree-first order (longest first, then lexicographic), the column order of
+an F4 Macaulay matrix (Faugere, J. Pure Appl. Algebra 139, 1999): each
+product pivots on its leading word, so the echelon rows stay sparse and
+small.
 """
 
 from __future__ import annotations
@@ -193,10 +195,17 @@ def ideal_membership(
     one free column and the coefficients are unique.  Returns None when the
     bound is exhausted (which proves nothing).
 
-    A generator g rejected as its own first candidate is a combination of
-    earlier candidates u'*h*v', so it is skipped: each later u*g*v is a
-    combination of the u*u'*h*v'*v, which come before it.  Columns come from
-    words alone, and no column order changes which candidates are kept.
+    A rejected candidate u*g*v is dead: it is a combination of earlier
+    candidates u_k*g_k*v_k.  A candidate is also dead, and is skipped without
+    building its vector, when u[1:]*g*v or u*g*v[:-1] is dead: then each
+    a*u*g*v*b is the combination of the a*u_k*g_k*v_k*b, and a common prefix
+    or suffix keeps the order (total degree, generator index, |u|, then u
+    and v as numbers), so all of them come earlier.  By induction every dead
+    candidate would have been rejected, so the kept candidates, the stop
+    point and the certificate are those of the search that skips nothing.  A
+    generator rejected as its own first candidate takes all its later
+    candidates with it.  Columns come from words alone, and no column order
+    changes which candidates are kept.
     """
     if not generators:
         raise ValueError("no ideal generators given")
@@ -226,7 +235,8 @@ def ideal_membership(
 
     gen_degrees = [g.degree() for g in generators]
     gen_terms = [[(len(w), value(w), x) for w, x in g._num.items()] for g in generators]
-    basis, skipped = EchelonBasis(), set()
+    basis = EchelonBasis()
+    dead: set[tuple[int, int, int, int, int]] = set()  # (gi, |u|, x_u, |v|, x_v)
     accepted: list[tuple] = []  # ((x_u, |u|), generator index, (x_v, |v|))
     columns: list[IntVector] = []
     # The residual (the target reduced so far) and a candidate's column hold
@@ -235,20 +245,25 @@ def ideal_membership(
     for total in range(min(gen_degrees), degree_bound + 1):
         for gi, terms in enumerate(gen_terms):
             side = total - gen_degrees[gi]
-            if side < 0 or gi in skipped:
+            if side < 0:
                 continue
             for lu in range(side + 1):
                 lv = side - lu
                 # u*w*v is at top - b^(lu+|w|+lv+1) + x_u b^(|w|+lv) + x_w b^lv + x_v
                 placed = [(top - base ** (lu + lw + lv + 1) + xw * base ** lv,
                            base ** (lw + lv), x) for lw, xw, x in terms]
+                tail = base ** (lu - 1) if lu else 0
                 for xu in range(len(alphabet) ** lu):
                     row = [(at + xu * step, x) for at, step, x in placed]
                     for xv in range(len(alphabet) ** lv):
+                        # u[1:] is xu % b^(lu-1) and v[:-1] is xv // b
+                        if ((lu and (gi, lu - 1, xu % tail, lv, xv) in dead)
+                                or (lv and (gi, lu, xu, lv - 1, xv // base) in dead)):
+                            dead.add((gi, lu, xu, lv, xv))
+                            continue  # extends a dependent candidate
                         vec = {at + xv: x for at, x in row}
                         if not basis.insert(vec):
-                            if not side:
-                                skipped.add(gi)
+                            dead.add((gi, lu, xu, lv, xv))
                             continue  # dependent on earlier candidates
                         accepted.append(((xu, lu), gi, (xv, lv)))
                         columns.append(vec)

@@ -382,6 +382,12 @@ class EchelonBasis:
         w = self.reduce(w)
         if not w:
             return False
+        self._add(w)
+        return True
+
+    def _add(self, w: IntVector) -> None:
+        """Add a nonzero w that ``reduce`` returned: make it primitive at its
+        pivot, back-reduce the rows with earlier pivots and store it."""
         p = min(w)
         w = _primitive(w, p)
         rows = self._rows
@@ -393,7 +399,6 @@ class EchelonBasis:
                 rows[q] = _primitive(other, q)
         self.pivots.insert(k, p)
         rows[p] = w
-        return True
 
 
 def kernel_vectors(columns: Sequence[IntVector]) -> dict[int, IntVector]:
@@ -418,7 +423,7 @@ def kernel_vectors(columns: Sequence[IntVector]) -> dict[int, IntVector]:
     for t, col in enumerate(columns):
         w = basis.reduce({**col, tag + t: 1})
         if min(w) < tag:
-            basis.insert(w)
+            basis._add(w)
         else:
             out[t] = {i - tag: x for i, x in _primitive(w, tag + t).items()}
     return out

@@ -310,12 +310,11 @@ def test_generator_above_the_bound_changes_nothing():
 NONMEMBER = FreePoly(AB, {"ABAB": Q(3, 2), "AAB": Q(-2)})
 
 
-def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
+def _counted_echelon(monkeypatch) -> Counter:
+    """A Counter of the inserts, accepted inserts and eliminations made
+    from here on in any EchelonBasis."""
     from hahnsl2 import linalg
-    from hahnsl2.hahn import natural, presentation
 
-    # the natural map kills every relator but not the target
-    assert not natural(NONMEMBER).is_zero()
     calls = Counter()
     insert, eliminate = linalg.EchelonBasis.insert, linalg._eliminate
 
@@ -331,13 +330,78 @@ def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
 
     monkeypatch.setattr(linalg.EchelonBasis, "insert", counting_insert)
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    return calls
+
+
+def test_seeded_nonmember_exhausts_bound_8(monkeypatch):
+    from hahnsl2.hahn import natural
+
+    # the natural map kills every relator but not the target
+    assert not natural(NONMEMBER).is_zero()
+    calls = _counted_echelon(monkeypatch)
     assert ideal_membership(NONMEMBER, list(presentation().relators), 8) is None
     # relator 2 = [beta, A] is -[alpha, B], relator 1: it is rejected as its
-    # own first candidate, and its other 128 candidates are skipped
-    assert (calls["insert"], calls["accepted"]) == (388, 327)
-    # 1,789 here; 2,238 without the skip; numbering words by first
-    # appearance took 15,672
-    assert calls["eliminate"] <= 1800
+    # own first candidate, and its other 128 candidates are skipped; 48 more
+    # extend a rejected candidate and are skipped too (388 inserts without)
+    assert (calls["insert"], calls["accepted"]) == (340, 327)
+    # 1,532 here; 1,789 skipping only generators, 2,238 skipping nothing;
+    # numbering words by first appearance took 15,672
+    assert calls["eliminate"] <= 1550
+
+
+@pytest.mark.parametrize("bound", range(5, 10))
+def test_the_search_skips_only_dependent_candidates(monkeypatch, bound):
+    # the reference inserts every candidate; equal accepted counts mean
+    # that every skipped candidate would have been rejected
+    relators = list(presentation().relators)
+    calls = _counted_echelon(monkeypatch)
+    assert ideal_membership(NONMEMBER, relators, bound) is None
+    ours = calls.copy()
+    calls.clear()
+    assert reference_ideal_membership(NONMEMBER, relators, bound) is None
+    assert ours["accepted"] == calls["accepted"]
+    assert ours["insert"] < calls["insert"]
+
+
+def test_extensions_of_a_rejected_candidate_with_sides_are_skipped(monkeypatch):
+    # Over [AB, A], A is kept at degree 1 and AB, AA at degree 2; then
+    # (1, A, B) = AB is the first rejected candidate, with v = B, and (A, A, 1)
+    # = AA the second, with u = A.  Neither generator is rejected as its own
+    # first candidate, yet at degree 3 the seven candidates that extend one
+    # of the two, such as (1, A, BA), (A, A, A) and (BA, A, 1), are skipped:
+    # 15 inserts where the reference makes 22, and the same 11 accepted.
+    a, b = gen("A"), gen("B")
+    generators = [a * b, a]
+    calls = _counted_echelon(monkeypatch)
+    assert ideal_membership(b * b * b, generators, 3) is None
+    ours = calls.copy()
+    calls.clear()
+    assert reference_ideal_membership(b * b * b, generators, 3) is None
+    assert (ours["insert"], ours["accepted"]) == (15, 11)
+    assert (calls["insert"], calls["accepted"]) == (22, 11)
+    for target in (b * a * b, a * a * b - b * a, a * b * a + b * a * a):
+        _assert_same_search(target, generators, 3)
+
+
+def test_skipping_by_other_sub_candidates_would_change_the_search(monkeypatch):
+    # Only u[1:]*g*v and u*g*v[:-1] pass a rejection on.  Skipping u*g*v when
+    # u*g*v[1:] is dead would lose a candidate of the first search and change
+    # its certificate; reading u[1:]*g*v with |v| + 1 would keep one fewer
+    # candidate in the second.
+    a, b, one = gen("A"), gen("B"), FreePoly.one(AB)
+    cases = [
+        ([-b.scale(3) - b * b, -b, one - b.scale(3) - (b * a * b).scale(3)],
+         one + b * a * a * b * a, 5),
+        ([(b * a).scale(-2), (a * b).scale(2), -(b * a)], b.scale(3), 3),
+    ]
+    calls = _counted_echelon(monkeypatch)
+    for generators, target, bound in cases:
+        calls.clear()
+        got = ideal_membership(target, generators, bound)
+        ours = calls["accepted"]
+        calls.clear()
+        assert got == reference_ideal_membership(target, generators, bound)
+        assert ours == calls["accepted"]
 
 
 def _assert_same_search(target, generators, bound):

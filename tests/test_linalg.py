@@ -221,6 +221,16 @@ def test_the_basis_owns_its_rows():
     assert columns == given
 
 
+def test_kernel_vectors_reduces_each_column_once(monkeypatch):
+    # a column that enlarges the span is added as reduced, not reduced again
+    calls = []
+    reduce = EchelonBasis.reduce
+    monkeypatch.setattr(EchelonBasis, "reduce", lambda self, w: calls.append(w) or reduce(self, w))
+    columns = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}, {0: 5, 2: 1}]
+    assert kernel_vectors(columns) == {1: {0: -2, 1: 1}}
+    assert len(calls) == len(columns)
+
+
 def test_operations_are_reproducible():
     m = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     b1 = rref(m)

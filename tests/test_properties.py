@@ -10,7 +10,7 @@ from hahnsl2.freealg import FreePoly, fmultiply, ideal_membership
 from hahnsl2.hahn import presentation
 from hahnsl2.linalg import EchelonBasis
 from hahnsl2.usl2 import E, F, H, USL2Element, multiply, one, render, rho, zero
-from tests.conftest import assert_echelon_invariants
+from tests.conftest import assert_echelon_invariants, reference_ideal_membership
 from tests.usl2_extra import parse, power
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -126,6 +126,24 @@ def test_certificates_replay_random_ideal_members(products):
     cert = ideal_membership(target, relators, bound)
     assert cert is not None
     assert cert.replay() == target
+
+
+@PROPERTY
+@given(st.lists(free_polys, min_size=1, max_size=3), free_polys,
+       st.lists(st.tuples(nonzero, st.text(AB, max_size=1), st.integers(0, 2),
+                          st.text(AB, max_size=1)), max_size=2),
+       st.integers(0, 5))
+def test_search_matches_the_reference_on_random_generators(generators, noise, products, bound):
+    """Skipping the candidates that extend a dependent one changes no
+    certificate and no None: random generators of degree <= 3, and a target
+    that is a random polynomial plus products u*g*v, so some are members."""
+    target = noise
+    for c, u, gi, v in products:
+        left, right = FreePoly(AB, {u: 1}), FreePoly(AB, {v: 1})
+        target = target + fmultiply(fmultiply(left, generators[gi % len(generators)]), right).scale(c)
+    bound = max(bound, target.degree())
+    assert ideal_membership(target, generators, bound) == reference_ideal_membership(
+        target, generators, bound)
 
 
 def _substitute_rho(a):
