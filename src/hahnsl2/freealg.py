@@ -245,8 +245,6 @@ def ideal_membership(
     for total in range(min(gen_degrees), degree_bound + 1):
         for gi, terms in enumerate(gen_terms):
             side = total - gen_degrees[gi]
-            if side < 0:
-                continue
             for lu in range(side + 1):
                 lv = side - lu
                 # u*w*v is at top - b^(lu+|w|+lv+1) + x_u b^(|w|+lv) + x_w b^lv + x_v

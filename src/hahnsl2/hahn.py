@@ -81,12 +81,9 @@ def presentation() -> HahnPresentation:
 def natural_images() -> Mapping[str, usl2.USL2Element]:
     """The images of A and B, read-only: ``natural``'s memo relies on them
     staying fixed."""
-    lam = usl2.casimir()
-    h2 = usl2.multiply(usl2.H, usl2.H)
-    b_img = (
-        usl2.monomial(2, 0, 0) + usl2.monomial(0, 2, 0) + lam - usl2.one()
-    ).scale(Fraction(1, 4)) - h2.scale(Fraction(1, 8))
-    return MappingProxyType({"A": usl2.H.scale(Fraction(1, 4)), "B": b_img})
+    e2, f2, lam, h = usl2.EVEN_GENERATORS
+    b_img = (e2 + f2 + lam - usl2.one()).scale(Fraction(1, 4)) - (h * h).scale(Fraction(1, 8))
+    return MappingProxyType({"A": h.scale(Fraction(1, 4)), "B": b_img})
 
 
 @cache
@@ -118,9 +115,7 @@ def verify_natural_well_defined() -> list[CheckItem]:
     b_img = natural(pres.B)
     c_img = natural(pres.C)
     alpha_img = natural(pres.alpha)
-    lam = usl2.casimir()
-    e2 = usl2.monomial(2, 0, 0)
-    f2 = usl2.monomial(0, 2, 0)
+    e2, f2, lam, h = usl2.EVEN_GENERATORS
     h3 = usl2.monomial(0, 0, 3)
     checks = [
         ("[A,B] image equals (E^2 - F^2)/4", commutator(a_img, b_img), (e2 - f2).scale(Fraction(1, 4))),
@@ -138,7 +133,7 @@ def verify_natural_well_defined() -> list[CheckItem]:
         (
             "[B,C] image equals (1 - E^2 - F^2 - Lam)H/4 + H^3/8 + (F^2 - E^2)/2",
             commutator(b_img, c_img),
-            usl2.multiply(usl2.one() - e2 - f2 - lam, usl2.H).scale(Fraction(1, 4))
+            usl2.multiply(usl2.one() - e2 - f2 - lam, h).scale(Fraction(1, 4))
             + h3.scale(Fraction(1, 8))
             + (f2 - e2).scale(Fraction(1, 2)),
         ),
@@ -155,14 +150,12 @@ def verify_natural_well_defined() -> list[CheckItem]:
 def verify_image_gradings() -> list[CheckItem]:
     """Degrees and exact values of the graded pieces of the generator images."""
     pres = presentation()
-    lam = usl2.casimir()
-    e2 = usl2.monomial(2, 0, 0)
-    f2 = usl2.monomial(0, 2, 0)
+    e2, f2, lam, h = usl2.EVEN_GENERATORS
     h2 = usl2.monomial(0, 0, 2)
     quarter = Fraction(1, 4)
 
     expected = {
-        "A": {0: usl2.H.scale(quarter)},
+        "A": {0: h.scale(quarter)},
         "B": {
             2: e2.scale(quarter),
             0: (lam - usl2.one()).scale(quarter) - h2.scale(Fraction(1, 8)),
@@ -339,14 +332,9 @@ def verify_kernel_and_inverse(degree_bound: int) -> list[CheckItem]:
         items.append(check(name, zero, "identically zero in the free algebra" if zero else None))
 
     # hatted preimages map onto the four even-subalgebra generators
-    lam = usl2.casimir()
-    hat_targets = [
-        ("E2_hat maps to E^2", pres.e2_hat, usl2.monomial(2, 0, 0)),
-        ("F2_hat maps to F^2", pres.f2_hat, usl2.monomial(0, 2, 0)),
-        ("Lam_hat maps to the Casimir", pres.lam_hat, lam),
-        ("H_hat maps to H", pres.h_hat, usl2.H),
-    ]
-    for name, p, want in hat_targets:
+    hat_names = ("E2_hat maps to E^2", "F2_hat maps to F^2", "Lam_hat maps to the Casimir", "H_hat maps to H")
+    hats = (pres.e2_hat, pres.f2_hat, pres.lam_hat, pres.h_hat)
+    for name, p, want in zip(hat_names, hats, usl2.EVEN_GENERATORS):
         items.append(check(name, natural(p) == want))
 
     # even-presentation relations with hatted elements, modulo the kernel ideal

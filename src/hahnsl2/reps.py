@@ -13,9 +13,11 @@ built, once per value: a restricted half and the equal built half share one
 check.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its
 dimension, top weight, H-spectrum, Casimir scalar and built module.  A
 module's size is read off its operators.
+``evaluate`` sends PBW elements through one ``substitute`` memo.
 ``verify_ladder_modules`` is the ``repr`` suite: it builds each ladder
-module once and checks its Casimir, its two halves and its pullback along
-the natural map on that one module.
+module once, evaluates the even generators (``usl2.EVEN_GENERATORS``) and
+the images of A and B on it in one call, and checks its Casimir, its two
+halves and its pullback along the natural map on that one module.
 
 All matrices act on column vectors, and a vector is a one-column
 ``SparseMatrix``, so a matrix acts on it by the one matrix product.  Basis
@@ -71,10 +73,6 @@ class SL2Rep(_SL2Fields):
     @property
     def dim(self) -> int:
         return self.H.rows
-
-    def even_operators(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix, SparseMatrix]:
-        """E^2, F^2, the Casimir and H, in the order of ``UeRep``'s fields."""
-        return (self.E * self.E, self.F * self.F, evaluate(usl2.casimir(), self), self.H)
 
 
 @cache
@@ -180,33 +178,22 @@ def build_L(n: int) -> SL2Rep:
     return SL2Rep(E=e, F=f, H=h)
 
 
-def evaluate(a: usl2.USL2Element, rep: SL2Rep) -> SparseMatrix:
-    """Homomorphic evaluation of a PBW element on a module: the monomial
-    E^i F^j H^k is the word "E"*i + "F"*j + "H"*k, sent through
-    ``substitute`` with E, F, H mapped to their matrices."""
-    word = FreePoly("EFH")._new({"E" * i + "F" * j + "H" * k: c for (i, j, k), c in a._num.items()},
-                                a._den)
-    return substitute(word, {"E": rep.E, "F": rep.F, "H": rep.H}, SparseMatrix.identity(rep.dim))
+def evaluate(rep: SL2Rep, *elements: usl2.USL2Element) -> list[SparseMatrix]:
+    """Homomorphic evaluation of PBW elements on a module, one matrix each:
+    the monomial E^i F^j H^k is the word "E"*i + "F"*j + "H"*k, sent through
+    ``substitute`` with E, F, H mapped to their matrices.  The elements share
+    one word memo, so a word common to several costs its products once."""
+    words, memo = FreePoly("EFH"), {}
+    images, one = {"E": rep.E, "F": rep.F, "H": rep.H}, SparseMatrix.identity(rep.dim)
+    polys = (words._new({"E" * i + "F" * j + "H" * k: c for (i, j, k), c in a._num.items()}, a._den)
+             for a in elements)
+    return [substitute(p, images, one, memo) for p in polys]
 
 
 def _parity_indices(n: int) -> tuple[range, range]:
     """The ladder indices m of L_n with m even, then with m odd: the bases
     of its two even-subalgebra blocks, and of its two pullback blocks."""
     return range(0, n + 1, 2), range(1, n + 1, 2)
-
-
-def restrict_even(rep: SL2Rep) -> list[UeRep]:
-    """Split the ladder module L_n, n = rep.dim - 1, into its two
-    even-subalgebra blocks.
-
-    rep must be in the ladder basis, where H is diagonal with entries n - 2m:
-    the blocks are the rows and columns at the ladder vectors v_m with m even
-    (parity 0) and with m odd (parity 1), in increasing m, and ValueError is
-    raised when a block is not invariant.  Returns [parity0, parity1], or
-    [parity0] alone when n = 0, where the odd block is empty.
-    """
-    ops = rep.even_operators()
-    return [UeRep(*restrict_to_subspace(ops, idx)) for idx in _parity_indices(rep.dim - 1) if idx]
 
 
 def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
@@ -328,8 +315,10 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     items: list[CheckItem] = []
     halves: list[ModuleLabel] = []
     for n in range(n_max + 1):
-        rep = build_L(n)
-        blocks = restrict_even(rep)
+        # L_n is in its ladder basis: the even generators' blocks are the
+        # rows and columns at the ladder vectors v_m of each parity of m
+        *even, a_mat, b_mat = evaluate(build_L(n), *usl2.EVEN_GENERATORS, images["A"], images["B"])
+        blocks = [UeRep(*restrict_to_subspace(even, idx)) for idx in _parity_indices(n) if idx]
         labels = [ModuleLabel(n, p) for p in range(len(blocks))]
         found = [classify_ue_irreducible(b)[0] for b in blocks]
         lam = labels[0].casimir
@@ -350,8 +339,6 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         ]
         halves += found
 
-        a_mat = evaluate(images["A"], rep)
-        b_mat = evaluate(images["B"], rep)
         pullback = [a_mat, b_mat, commutator(a_mat, b_mat)]
         if n == 0:
             items.append(check("pullback of L_0 is irreducible", is_irreducible(pullback)))

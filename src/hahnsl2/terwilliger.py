@@ -148,7 +148,7 @@ class CubeAlgebra:
         coefficients gives e_n's.
         """
         D, size = self.D, len(self.orbits)
-        lam = evaluate(usl2.casimir(), self.rep)
+        lam, = evaluate(self.rep, usl2.casimir())
         values = {n: ModuleLabel(n, 0).casimir for n in range(D, -1, -2)}
         krylov = [SparseMatrix(size, 1, {(k, 0): 1 for k in self.identity(range(D + 1))})]
         for _ in values:

@@ -22,7 +22,8 @@ and summed as plain ints in one map, over the product of the denominators,
 and the result is reduced once.  No ``Fraction`` is built on that path; the
 coefficients become nonzero ``Fraction``s only when read through ``terms``.
 
-The even subalgebra is generated by E^2, F^2, the Casimir Lam and H.  Its
+The even subalgebra is generated by E^2, F^2, the Casimir Lam and H, written
+once, as ``EVEN_GENERATORS``: ``hahn`` and ``reps`` read them there.  Its
 seven defining relations are written once, in ``even_relations``, as
 residuals that need only +, -, * and ``scale``: ``verify_ue_presentation``
 evaluates them in PBW form, ``reps.UeRep`` on matrices and ``hahn`` on the
@@ -128,6 +129,11 @@ def casimir() -> USL2Element:
         (0, 0, 2): Fraction(1, 2),
         (0, 0, 1): Fraction(-1),
     })
+
+
+# The generators of the even subalgebra, in the order of ``even_relations``'
+# arguments and of ``reps.UeRep``'s fields.
+EVEN_GENERATORS = (monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H)
 
 
 def rho(a: USL2Element) -> USL2Element:
@@ -259,7 +265,7 @@ def verify_ue_presentation() -> list[CheckItem]:
     The items are named ``even presentation: <relation>``: the first two
     relations are also power identities at n = 2.
     """
-    residuals = even_relations(monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H, one())
+    residuals = even_relations(*EVEN_GENERATORS, one())
     return [
         check(f"even presentation: {name}", r.is_zero()) for name, r in zip(EVEN_RELATIONS, residuals)
     ]

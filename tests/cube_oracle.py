@@ -135,8 +135,9 @@ def even_half(ctx: CubeContext, rep: SL2Rep) -> UeRep:
     increasing order."""
     if _weight(ctx.base) % 2 != 0:
         raise ValueError("the base vertex of the halved cube must have even weight")
-    vertices = evens(ctx)
-    return UeRep(*restrict_to_subspace(rep.even_operators(), vertices))
+    e, f, h = rep
+    even = (e * e, f * f, e * f + f * e + (h * h).scale(Fraction(1, 2)), h)
+    return UeRep(*restrict_to_subspace(even, evens(ctx)))
 
 
 def halved_operators(ctx: CubeContext, ue: UeRep) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:

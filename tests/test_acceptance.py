@@ -168,7 +168,8 @@ def test_criterion_9_property_suites():
         b = random_usl2_element(rng, max_terms=3, max_exp=2)
         ab = usl2.multiply(a, b)
         for rep in ladders:
-            if reps.evaluate(ab, rep) != reps.evaluate(a, rep) * reps.evaluate(b, rep):
+            ab_mat, a_mat, b_mat = reps.evaluate(rep, ab, a, b)
+            if ab_mat != a_mat * b_mat:
                 failures += 1
     elapsed = time.perf_counter() - t0
     _report(9, "seeded property suites (assoc 1000, rho 500, evenness 500, oracle 200)", failures == 0, elapsed, 600.0)

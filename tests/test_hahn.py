@@ -17,7 +17,8 @@ from hahnsl2.hahn import (
     verify_kernel_and_inverse,
     verify_natural_well_defined,
 )
-from hahnsl2.reporting import PASS
+from hahnsl2.freealg import FreePoly
+from hahnsl2.reporting import PASS, UNRESOLVED
 from tests.conftest import all_pass, ue_basis_recompose
 from tests.usl2_extra import ue_basis_decompose
 
@@ -137,6 +138,20 @@ def test_hahn_identities_low_bound_reports_unresolved():
     # the free-algebra-trivial ones still pass, the degree-6 residuals cannot
     assert statuses["commutator-AC-expansion"] == PASS
     assert statuses["hatted-E2F2-product"] == "unresolved-at-bound"
+
+
+def test_an_exhausted_search_stays_unresolved():
+    # beta, of degree 3, is a kernel generator of its own: the relators alone
+    # do not reach it by degree 5, so the search runs out its bound
+    pres = presentation()
+    item = hahn._certify("beta", pres.beta, list(pres.relators), 5)
+    assert (item.status, item.bound, item.certificate) == (UNRESOLVED, 5, None)
+
+
+def test_presentation_refuses_relators_of_another_degree(monkeypatch):
+    monkeypatch.setattr(FreePoly, "degree", lambda p: 5)
+    with pytest.raises(AssertionError, match="relator degrees changed"):
+        hahn.HahnPresentation()
 
 
 def test_kernel_and_inverse_suite():

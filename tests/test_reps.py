@@ -5,7 +5,7 @@ import re
 import pytest
 
 from hahnsl2 import reps, usl2
-from hahnsl2.linalg import SparseMatrix, diagonal
+from hahnsl2.linalg import SparseMatrix, diagonal, restrict_to_subspace
 from hahnsl2.reporting import check
 from hahnsl2.reps import (
     ModuleLabel,
@@ -15,7 +15,6 @@ from hahnsl2.reps import (
     classify_ue_irreducible,
     evaluate,
     is_irreducible,
-    restrict_even,
     verify_ladder_modules,
 )
 from hahnsl2.terwilliger import CubeAlgebra
@@ -76,13 +75,13 @@ def test_records_are_immutable_and_checked_when_built():
 def test_evaluate_casimir_scalar():
     for n in range(7):
         rep = build_L(n)
-        lam = evaluate(usl2.casimir(), rep)
+        lam, = evaluate(rep, usl2.casimir())
         assert lam == SparseMatrix.identity(n + 1).scale(Q(n * (n + 2), 2))
 
 
 def test_evaluate_unit_and_nilpotency():
     rep = build_L(3)
-    assert evaluate(usl2.one(), rep) == SparseMatrix.identity(4)
+    assert evaluate(rep, usl2.one()) == [SparseMatrix.identity(4)]
     for n in range(5):
         rep = build_L(n)
         # oracle: dense power of the raw ladder matrix
@@ -96,7 +95,7 @@ def test_evaluate_unit_and_nilpotency():
         for _ in range(n + 1):
             power = mul(power, e_rows)
         assert all(all(v == 0 for v in row) for row in power)
-        assert evaluate(usl2.monomial(n + 1, 0, 0), rep).is_zero()
+        assert evaluate(rep, usl2.monomial(n + 1, 0, 0))[0].is_zero()
 
 
 def test_evaluate_is_multiplicative(rand_usl2):
@@ -108,7 +107,8 @@ def test_evaluate_is_multiplicative(rand_usl2):
         b = rand_usl2(rng, max_terms=3, max_exp=2)
         for n in (0, 1, 2, 3):
             rep = build_L(n)
-            assert evaluate(usl2.multiply(a, b), rep) == evaluate(a, rep) * evaluate(b, rep)
+            ab, = evaluate(rep, usl2.multiply(a, b))
+            assert ab == evaluate(rep, a)[0] * evaluate(rep, b)[0]
 
 
 def test_evaluate_multiplies_no_identity_factors(monkeypatch):
@@ -123,7 +123,7 @@ def test_evaluate_multiplies_no_identity_factors(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(SparseMatrix, "matmul", counted)
-    lam = evaluate(usl2.casimir(), rep)
+    lam, = evaluate(rep, usl2.casimir())
     assert len(products) == 2
     monkeypatch.undo()
     assert lam == rep.E * rep.F + rep.F * rep.E + (rep.H * rep.H).scale(Q(1, 2))
@@ -134,14 +134,14 @@ def test_evaluate_goes_through_substitute(monkeypatch, rand_usl2):
     calls = []
     real = reps.substitute
 
-    def counted(p, images, one):
+    def counted(p, images, one, memo):
         calls.append(p)
-        return real(p, images, one)
+        return real(p, images, one, memo)
 
     monkeypatch.setattr(reps, "substitute", counted)
     rep = build_L(3)
     a = rand_usl2(Random(5), max_exp=2)
-    got = evaluate(a, rep)
+    got, = evaluate(rep, a)
     assert len(calls) == 1
     assert sorted(calls[0].terms) == sorted("E" * i + "F" * j + "H" * k for i, j, k in a.terms)
     want = SparseMatrix(4, 4)
@@ -183,21 +183,40 @@ def test_built_modules_store_what_the_public_constructor_stores():
                 assert all(op._num.values())
 
 
+def test_evaluate_shares_one_memo_across_its_elements(monkeypatch):
+    # the Casimir twice, then E^2 and F^2: E*F and H*H are formed once, and
+    # then E*E and F*F; each matrix is the one a call of its own gives
+    rep = build_L(4)
+    elements = (usl2.casimir(), usl2.casimir(), *usl2.EVEN_GENERATORS[:2])
+    alone = [evaluate(rep, a)[0] for a in elements]
+    products = []
+    real = SparseMatrix.matmul
+
+    def counted(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "matmul", counted)
+    together = evaluate(rep, *elements)
+    assert products == [(rep.E, rep.F), (rep.H, rep.H), (rep.E, rep.E), (rep.F, rep.F)]
+    assert together == alone
+    assert evaluate(rep) == []
+
+
+def _even_blocks(rep: SL2Rep) -> list[UeRep]:
+    # the repr suite's split of L_n under the even subalgebra
+    even = evaluate(rep, *usl2.EVEN_GENERATORS)
+    return [UeRep(*restrict_to_subspace(even, range(p, rep.dim, 2))) for p in (0, 1) if p < rep.dim]
+
+
 def test_restrict_even_matches_built_blocks():
     for n in range(13):
-        rep = build_L(n)
-        blocks = restrict_even(rep)
-        assert blocks[0] == ModuleLabel(n, 0).build()
-        if n == 0:
-            assert len(blocks) == 1
-        else:
-            assert len(blocks) == 2
-            assert blocks[1] == ModuleLabel(n, 1).build()
+        blocks = _even_blocks(build_L(n))
+        assert blocks == [ModuleLabel(n, p).build() for p in range(min(n, 1) + 1)]
 
 
 def test_restrict_even_block_dims():
-    block0, block1 = restrict_even(build_L(3))
-    assert (block0.dim, block1.dim) == (2, 2)
+    assert [b.dim for b in _even_blocks(build_L(3))] == [2, 2]
 
 
 def test_restrict_even_needs_the_ladder_basis():
@@ -208,8 +227,8 @@ def test_restrict_even_needs_the_ladder_basis():
     mi = invert(m)
     conj = SL2Rep(E=m * rep.E * mi, F=m * rep.F * mi, H=m * rep.H * mi)
     assert conj.H.get(0, 1) == -2
-    with pytest.raises(ValueError):
-        restrict_even(conj)
+    with pytest.raises(ValueError, match="not invariant"):
+        _even_blocks(conj)
 
 
 def _direct_sum(a: UeRep, b: UeRep) -> UeRep:
@@ -405,6 +424,12 @@ def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity()
         assert reps.ladder_embedding(rep, SparseMatrix(rep.dim, 1), label) is None
 
 
+def test_classification_refuses_an_embedding_that_does_not_intertwine(monkeypatch):
+    monkeypatch.setattr(reps, "ladder_embedding", lambda rep, w, label: None)
+    with pytest.raises(ValueError, match="fails to intertwine"):
+        classify_ue_irreducible(ModuleLabel(4, 0).build())
+
+
 def test_classification_rejects_a_two_dimensional_kernel_of_e2():
     # both summands one-dimensional, so E^2 = 0: its kernel is the whole
     # module, and the top vector is refused before the Casimir is compared
@@ -443,7 +468,7 @@ def test_pullback_splitting_small():
     from hahnsl2.hahn import natural, presentation
 
     rep = build_L(1)
-    a_mat = evaluate(natural(presentation().A), rep)
+    a_mat, = evaluate(rep, natural(presentation().A))
     assert a_mat == from_dense([[Q(1, 4), 0], [0, Q(-1, 4)]])
 
 
@@ -478,3 +503,36 @@ def test_ladder_modules_classify_each_half_once(monkeypatch):
     assert all_pass(verify_ladder_modules(12))
     assert len(classified) == 25
     assert len(constructed) == 50
+
+
+def test_ladder_modules_repeat_no_product_inside_substitute(monkeypatch):
+    # on each L_n the even generators and the images of A and B share one
+    # word memo, so E*E, F*F, E*F and H*H are formed once each and no
+    # operand pair is multiplied twice inside substitute
+    modules: list[list[tuple[SparseMatrix, SparseMatrix]]] = []
+    inside = []
+    real_build, real_substitute, real_matmul = reps.build_L, reps.substitute, SparseMatrix.matmul
+
+    def build(n):
+        modules.append([])
+        return real_build(n)
+
+    def substitute(*args):
+        inside.append(args)
+        try:
+            return real_substitute(*args)
+        finally:
+            inside.pop()
+
+    def matmul(a, b):
+        if inside:
+            modules[-1].append((a, b))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(reps, "build_L", build)
+    monkeypatch.setattr(reps, "substitute", substitute)
+    monkeypatch.setattr(SparseMatrix, "matmul", matmul)
+    assert all_pass(verify_ladder_modules(12))
+    assert [len(pairs) for pairs in modules] == [4] * 13
+    for pairs in modules:
+        assert all(not any(x is a and y is b for x, y in pairs[:k]) for k, (a, b) in enumerate(pairs))

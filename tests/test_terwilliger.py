@@ -300,10 +300,10 @@ def test_cube_rho_natural_pullback_of_B():
     cube = CubeAlgebra(3)
     a = cube.rep.E + cube.rep.F
     expected = (a * a - SparseMatrix.identity(len(cube.orbits))).scale(Q(1, 4))
-    assert evaluate(b, cube.rep) == expected
+    assert evaluate(cube.rep, b) == [expected]
     ctx = CubeContext(D=3)
     a = adjacency(ctx)
-    assert evaluate(b, cube_rho(ctx)) == (a * a - SparseMatrix.identity(8)).scale(Q(1, 4))
+    assert evaluate(cube_rho(ctx), b) == [(a * a - SparseMatrix.identity(8)).scale(Q(1, 4))]
 
 
 @pytest.mark.parametrize("kind", range(4), ids=("both", "x_only", "y_only", "neither"))
@@ -351,6 +351,39 @@ def test_decompose_standard_examples():
     assert sd.multiplicities == {2: 1, 0: 1}
 
 
+def test_decompositions_compare_their_multiplicities_with_the_closed_form(monkeypatch):
+    # a closed form off by one: both decompositions notice, and nothing else
+    real = terwilliger.standard_multiplicity
+    monkeypatch.setattr(terwilliger, "standard_multiplicity", lambda D, k: real(D, k) + 1)
+    cube = CubeAlgebra(4)
+    sd, hd = decompose_standard(cube), decompose_halved(cube)
+    assert not sd.formula_ok and sd.dimension_ok
+    assert not hd.formula_ok and hd.labels_ok and hd.dimension_ok
+
+
+def test_decompose_halved_refuses_a_family_of_multiplicity_zero():
+    # the L_2 character cleared on D = 4: L_2^(1) then has multiplicity 0,
+    # which labels no block and adds nothing to the Wedderburn sum
+    cube = CubeAlgebra(4)
+    cube.isotypic_characters = {**cube.isotypic_characters,
+                                2: {w: Fraction(0) for w in cube.isotypic_characters[2]}}
+    hd = decompose_halved(cube)
+    assert hd.blocks[ModuleLabel(2, 1)] == 0
+    assert not hd.labels_ok and not hd.formula_ok and not hd.dimension_ok
+    assert hd.wedderburn_dimension == 11 - ModuleLabel(2, 1).dim ** 2
+
+
+def test_a_count_that_is_not_an_integer_is_refused():
+    assert terwilliger._count(Fraction(6, 2)) == 3
+    with pytest.raises(ArithmeticError, match="came out as 3/2"):
+        terwilliger._count(Fraction(3, 2))
+    # the trace 6 of the L_4 idempotent on D = 4 is no multiple of n + 1 = 5
+    cube = CubeAlgebra(4)
+    cube.isotypic_characters = {**cube.isotypic_characters, 4: {**cube.isotypic_characters[4], 4: Fraction(2)}}
+    with pytest.raises(ArithmeticError, match="came out as 6/5"):
+        decompose_standard(cube)
+
+
 def test_standard_multiplicity_integrality():
     for D in range(2, 11):
         for k in range(D // 2 + 1):
@@ -360,7 +393,7 @@ def test_standard_multiplicity_integrality():
 def test_casimir_block_scalars_match_decomposition():
     # oracle: the eigenspaces of the Casimir on the 2^D vertices
     for D in (2, 3, 4, 5):
-        lam = evaluate(usl2.casimir(), cube_rho(CubeContext(D=D)))
+        lam, = evaluate(cube_rho(CubeContext(D=D)), usl2.casimir())
         sd = decompose_standard(CubeAlgebra(D))
         for n, mult in sd.multiplicities.items():
             space = eigenspace(lam, Q(n * (n + 2), 2))
