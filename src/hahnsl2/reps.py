@@ -1,6 +1,6 @@
 """Finite-dimensional modules: the ladder family, its even/odd halves,
 irreducibility testing, and the classification of the even-subalgebra
-irreducibles.
+irreducibles by two isomorphism invariants, top weight and Casimir scalar.
 
 Every module is given in a weight basis, where H is diagonal: the ladder
 basis of L_n and its halves, or the orbit functions of the cube's
@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from math import factorial
 from typing import NamedTuple
 
 from . import usl2
@@ -236,64 +235,36 @@ def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
     raise ValueError("no operator is diagonal with distinct entries")
 
 
-def _top_vector(rep: UeRep) -> tuple[Fraction, SparseMatrix]:
-    """The top vector w, a column spanning the kernel of E^2, which must be
-    one-dimensional, and its H-eigenvalue theta.  Since [H,E^2] = 4E^2, H
-    maps that kernel into itself, so w is an H-eigenvector."""
+def _top_weight(rep: UeRep) -> Fraction:
+    """The H-eigenvalue of the top vector w, a column spanning the kernel of
+    E^2, which must be one-dimensional.  Since [H,E^2] = 4E^2, H maps that
+    kernel into itself, so w is an H-eigenvector."""
     w = kernel_basis(rep.E2)
     if w.cols != 1:
         raise ValueError("the kernel of E^2 is not one-dimensional")
     i = min(w._num)[0]  # the first row where w is nonzero
-    return (rep.H * w).get(i, 0) / w.get(i, 0), w
+    return (rep.H * w).get(i, 0) / w.get(i, 0)
 
 
-def ladder_embedding(rep: UeRep, w: SparseMatrix, label: ModuleLabel) -> SparseMatrix | None:
-    """The map Phi from the built half ``label.build()`` into ``rep`` with
-    Phi u_i = (F^2)^i w / (2i + parity)!, for a column w, or None unless w
-    is nonzero and op * Phi == Phi * op_built for all four operators.
-
-    The built half is irreducible and Phi u_0 = w / parity! is not zero, so
-    by Schur's lemma a Phi that is returned is injective: it embeds
-    L_n^(parity) in ``rep``.
-    """
-    if w.is_zero():
-        return None
-    built = label.build()
-    chain = [w]
-    for _ in range(built.dim - 1):
-        chain.append(rep.F2 * chain[-1])
-    phi = SparseMatrix(rep.dim, built.dim, {(r, i): x / factorial(2 * i + label.parity)
-                                            for i, v in enumerate(chain) for r, _, x in v.items()})
-    if any(op * phi != phi * op_b for op, op_b in zip(rep, built)):
-        return None
-    return phi
-
-
-def classify_ue_irreducible(rep: UeRep) -> tuple[ModuleLabel, SparseMatrix]:
+def classify_ue_irreducible(rep: UeRep) -> ModuleLabel:
     """Identify an irreducible module within the four ladder families.
 
     With d = dim - 1, L_n^(p) is the one family among (n, p) = (2d, 0),
     (2d+1, 0), (2d+1, 1), (2d+2, 1) whose top weight is the H-eigenvalue
-    theta of the top vector w, which spans the kernel of E^2, and whose
-    Casimir scalar times the identity is the Casimir of the input.  Returns
-    the family label and the ``ladder_embedding`` Phi of the built module
-    along w, with op_input * Phi = Phi * op_target for all four operators.
-    Phi is square and injective, so it is an isomorphism, unique up to a
-    nonzero scalar.  Raises ValueError when the module fits no family.
+    theta of the top vector, which spans the kernel of E^2, and whose
+    Casimir scalar times the identity is the Casimir of the input.  Top
+    weight and Casimir scalar are isomorphism invariants, so modules with
+    distinct labels are not isomorphic.  Returns the family label; raises
+    ValueError when the module fits no family.
     """
-    theta, w = _top_vector(rep)
+    theta = _top_weight(rep)
     d = rep.dim - 1
     ident = SparseMatrix.identity(rep.dim)
     for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
         label = ModuleLabel(n, parity)
         if label.top_weight == theta and ident.scale(label.casimir) == rep.Lam:
-            break
-    else:
-        raise ValueError(f"top eigenvalue {theta} and the Casimir fit no family with d = {d}")
-    phi = ladder_embedding(rep, w, label)
-    if phi is None:
-        raise ValueError("constructed map fails to intertwine the operators")
-    return label, phi
+            return label
+    raise ValueError(f"top eigenvalue {theta} and the Casimir fit no family with d = {d}")
 
 
 def verify_ladder_modules(n_max: int) -> list[CheckItem]:
@@ -302,12 +273,14 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     Each L_n is built once.  On it: the Casimir scalar, read off the
     restriction to the even subalgebra (its blocks are invariant and together
     span L_n); the restricted halves, which must match the built halves
-    entrywise, be irreducible and classify back to their own labels (each is
-    classified once); and the pullback along the natural map, whose parity
-    blocks must be invariant and irreducible (at n = 0 the whole module)
-    with halves of distinct signatures.  Last, the signatures of all halves
-    must be pairwise distinct.  A half's signature is its classified label:
-    its Casimir n(n+2)/2 fixes n, and its top weight n - 2p then fixes p.
+    entrywise (so each is its own family, with the identity as the
+    isomorphism), be irreducible and classify back to their own labels (each
+    is classified once, by its invariants); and the pullback along the
+    natural map, whose parity blocks must be invariant and irreducible (at
+    n = 0 the whole module) with halves of distinct signatures.  Last, the
+    signatures of all halves must be pairwise distinct.  A half's signature
+    is its classified label: its Casimir n(n+2)/2 fixes n, and its top
+    weight n - 2p then fixes p.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -320,7 +293,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
         *even, a_mat, b_mat = evaluate(build_L(n), *usl2.EVEN_GENERATORS, images["A"], images["B"])
         blocks = [UeRep(*restrict_to_subspace(even, idx)) for idx in _parity_indices(n) if idx]
         labels = [ModuleLabel(n, p) for p in range(len(blocks))]
-        found = [classify_ue_irreducible(b)[0] for b in blocks]
+        found = [classify_ue_irreducible(b) for b in blocks]
         lam = labels[0].casimir
         items += [
             check(

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from hahnsl2 import reps
 from hahnsl2.linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep
 from hahnsl2.terwilliger import (
@@ -181,6 +181,28 @@ def te_dimension(ctx: CubeContext, ue: UeRep) -> int:
     return dim
 
 
+def ladder_embedding(rep: UeRep, w: SparseMatrix, label: ModuleLabel) -> SparseMatrix | None:
+    """The map Phi from the built half ``label.build()`` into ``rep`` with
+    Phi u_i = (F^2)^i w / (2i + parity)!, for a column w, or None unless w
+    is nonzero and op * Phi == Phi * op_built for all four operators.
+
+    The built half is irreducible and Phi u_0 = w / parity! is not zero, so
+    by Schur's lemma a Phi that is returned is injective: it embeds
+    L_n^(parity) in ``rep``.
+    """
+    if w.is_zero():
+        return None
+    built = label.build()
+    chain = [w]
+    for _ in range(built.dim - 1):
+        chain.append(rep.F2 * chain[-1])
+    phi = SparseMatrix(rep.dim, built.dim, {(r, i): x / factorial(2 * i + label.parity)
+                                            for i, v in enumerate(chain) for r, _, x in v.items()})
+    if any(op * phi != phi * op_b for op, op_b in zip(rep, built)):
+        return None
+    return phi
+
+
 def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
     """Isotypic decomposition of the even half ``ue`` of the cube module.
 
@@ -214,7 +236,7 @@ def decompose_halved(ctx: CubeContext, ue: UeRep) -> HalvedDecomposition:
         if mult == 0:
             labels_ok = False
             continue
-        if reps.ladder_embedding(ue, b * column(tops, 0), label) is None:
+        if ladder_embedding(ue, b * column(tops, 0), label) is None:
             labels_ok = False
         wedderburn += label.dim ** 2
     return HalvedDecomposition(

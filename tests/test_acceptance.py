@@ -82,7 +82,7 @@ def test_criterion_5_module_facts():
     # classification round-trip across all four families for d <= 5
     for d in range(6):
         for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
-            label, _ = reps.classify_ue_irreducible(reps.ModuleLabel(n, parity).build())
+            label = reps.classify_ue_irreducible(reps.ModuleLabel(n, parity).build())
             ok = ok and (label.n, label.parity, label.dim - 1) == (n, parity, d)
     # every half is irreducible by its weight graph, and by Burnside: its
     # operators span the full matrix algebra

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from hahnsl2 import reps, usl2
-from hahnsl2.linalg import SparseMatrix, diagonal, restrict_to_subspace
+from hahnsl2.linalg import SparseMatrix, diagonal, kernel_basis, restrict_to_subspace
 from hahnsl2.reporting import check
 from hahnsl2.reps import (
     ModuleLabel,
@@ -19,6 +19,7 @@ from hahnsl2.reps import (
 )
 from hahnsl2.terwilliger import CubeAlgebra
 from tests.conftest import all_pass, dense, from_dense, invert, span_closure
+from tests.cube_oracle import ladder_embedding
 
 Q = Fraction
 
@@ -349,30 +350,30 @@ def _signature(label):
 def test_signature_examples():
     # the signature of a half is its classified label, read here as its
     # dimension, Casimir scalar and H-spectrum
-    label = classify_ue_irreducible(ModuleLabel(4, 0).build())[0]
+    label = classify_ue_irreducible(ModuleLabel(4, 0).build())
     assert _signature(label) == (3, Q(12), (4, 0, -4))
-    label = classify_ue_irreducible(ModuleLabel(4, 1).build())[0]
+    label = classify_ue_irreducible(ModuleLabel(4, 1).build())
     assert _signature(label) == (2, Q(12), (2, -2))
-    label = classify_ue_irreducible(ModuleLabel(0, 0).build())[0]
+    label = classify_ue_irreducible(ModuleLabel(0, 0).build())
     assert _signature(label) == (1, Q(0), (0,))
 
 
 def test_signatures_pairwise_distinct_up_to_12():
     # distinct labels have distinct dimension, Casimir and H-spectrum, so the
     # repr suite may compare labels where it states that signatures differ
-    labels = [classify_ue_irreducible(ModuleLabel(n, 0).build())[0] for n in range(13)]
-    labels += [classify_ue_irreducible(ModuleLabel(n, 1).build())[0] for n in range(1, 13)]
+    labels = [classify_ue_irreducible(ModuleLabel(n, 0).build()) for n in range(13)]
+    labels += [classify_ue_irreducible(ModuleLabel(n, 1).build()) for n in range(1, 13)]
     assert len(set(labels)) == len(labels)
     assert len({_signature(label) for label in labels}) == len(labels)
 
 
 def test_classification_examples():
-    label, p = classify_ue_irreducible(ModuleLabel(5, 1).build())
+    label = classify_ue_irreducible(ModuleLabel(5, 1).build())
     assert (label.n, label.parity, label.dim - 1) == (5, 1, 2)
     assert str(label) == "L_5^(1)"
-    label, _ = classify_ue_irreducible(ModuleLabel(4, 0).build())
+    label = classify_ue_irreducible(ModuleLabel(4, 0).build())
     assert (label.n, label.parity, label.dim - 1) == (4, 0, 2)
-    label, _ = classify_ue_irreducible(ModuleLabel(0, 0).build())
+    label = classify_ue_irreducible(ModuleLabel(0, 0).build())
     assert (label.n, label.parity, label.dim - 1) == (0, 0, 0)
 
 
@@ -381,9 +382,12 @@ def test_classification_round_trip_all_families():
         for n, parity in ((2 * d, 0), (2 * d + 1, 0), (2 * d + 1, 1), (2 * d + 2, 1)):
             rep = ModuleLabel(n, parity).build()
             assert rep.dim == d + 1
-            label, p = classify_ue_irreducible(rep)
+            label = classify_ue_irreducible(rep)
             assert (label.n, label.parity) == (n, parity)
-            # the returned map intertwines all four operators exactly
+            # oracle: the ladder map along the top vector intertwines all
+            # four operators exactly
+            p = ladder_embedding(rep, kernel_basis(rep.E2), label)
+            assert p is not None
             target = ModuleLabel(n, parity).build()
             for op_in, op_tgt in zip(rep, target):
                 assert op_in * p == p * op_tgt
@@ -407,11 +411,15 @@ def test_classification_of_conjugated_module():
             for _ in range(3):
                 m, mi = _random_invertible(rng, base.dim)
                 conj = UeRep(*(m * op * mi for op in base))
-                label, p = classify_ue_irreducible(conj)
+                label = classify_ue_irreducible(conj)
                 assert (label.n, label.parity) == (n, parity)
+                # oracle: an isomorphism from the built half, so the label
+                # read off the invariants names the right family
+                p = ladder_embedding(conj, kernel_basis(conj.E2), label)
+                assert p is not None
                 for op_in, op_tgt in zip(conj, base):
                     assert op_in * p == p * op_tgt
-                assert label == classify_ue_irreducible(base)[0]
+                assert label == classify_ue_irreducible(base)
 
 
 def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity():
@@ -419,15 +427,18 @@ def test_ladder_embedding_of_a_built_half_along_its_top_vector_is_the_identity()
     for label in (ModuleLabel(6, 0), ModuleLabel(7, 1)):
         rep = label.build()
         u0, u1 = (SparseMatrix(rep.dim, 1, {(i, 0): 1}) for i in range(2))
-        assert reps.ladder_embedding(rep, u0, label) == SparseMatrix.identity(rep.dim)
-        assert reps.ladder_embedding(rep, u1, label) is None
-        assert reps.ladder_embedding(rep, SparseMatrix(rep.dim, 1), label) is None
+        assert ladder_embedding(rep, u0, label) == SparseMatrix.identity(rep.dim)
+        assert ladder_embedding(rep, u1, label) is None
+        assert ladder_embedding(rep, SparseMatrix(rep.dim, 1), label) is None
 
 
-def test_classification_refuses_an_embedding_that_does_not_intertwine(monkeypatch):
-    monkeypatch.setattr(reps, "ladder_embedding", lambda rep, w, label: None)
-    with pytest.raises(ValueError, match="fails to intertwine"):
-        classify_ue_irreducible(ModuleLabel(4, 0).build())
+def test_classification_refuses_a_module_that_fits_no_family(monkeypatch):
+    # with every family's top weight moved off the module's, no family of
+    # the module's size fits L_4^(0): top weight 4, Casimir 12, d = 2
+    rep = ModuleLabel(4, 0).build()
+    monkeypatch.setattr(ModuleLabel, "top_weight", property(lambda label: label.n + 1))
+    with pytest.raises(ValueError, match=re.escape("top eigenvalue 4 and the Casimir fit no family with d = 2")):
+        classify_ue_irreducible(rep)
 
 
 def test_classification_rejects_a_two_dimensional_kernel_of_e2():
@@ -481,8 +492,9 @@ def test_module_family_suite():
 def test_ladder_modules_classify_each_half_once(monkeypatch):
     # 25 halves for n <= 12: each is classified once, and two UeReps are
     # built per half: its restricted block, and the built half, which the
-    # classification embeds and the entrywise item reuses.  The cache of
-    # built halves is cleared first, so earlier tests cannot warm it.
+    # entrywise item compares it with (the classification reads only the
+    # top weight and the Casimir, and builds nothing).  The cache of built
+    # halves is cleared first, so earlier tests cannot warm it.
     ModuleLabel.build.cache_clear()
     classified = []
     constructed = []
@@ -508,8 +520,16 @@ def test_ladder_modules_classify_each_half_once(monkeypatch):
 def test_ladder_modules_repeat_no_product_inside_substitute(monkeypatch):
     # on each L_n the even generators and the images of A and B share one
     # word memo, so E*E, F*F, E*F and H*H are formed once each and no
-    # operand pair is multiplied twice inside substitute
+    # operand pair is multiplied twice inside substitute.  No product of the
+    # whole pass has an identity factor of size 2 or more: the
+    # classification once built an embedding of each built half into its
+    # equal restricted half, the identity, and multiplied every operator by
+    # it on both sides (200 such products for n <= 12).  The caches of
+    # built and checked halves are cleared, so every product is seen.
+    ModuleLabel.build.cache_clear()
+    reps._check_even_presentation.cache_clear()
     modules: list[list[tuple[SparseMatrix, SparseMatrix]]] = []
+    everything = []
     inside = []
     real_build, real_substitute, real_matmul = reps.build_L, reps.substitute, SparseMatrix.matmul
 
@@ -525,6 +545,7 @@ def test_ladder_modules_repeat_no_product_inside_substitute(monkeypatch):
             inside.pop()
 
     def matmul(a, b):
+        everything.append((a, b))
         if inside:
             modules[-1].append((a, b))
         return real_matmul(a, b)
@@ -536,3 +557,26 @@ def test_ladder_modules_repeat_no_product_inside_substitute(monkeypatch):
     assert [len(pairs) for pairs in modules] == [4] * 13
     for pairs in modules:
         assert all(not any(x is a and y is b for x, y in pairs[:k]) for k, (a, b) in enumerate(pairs))
+    identities = [m for pair in everything for m in pair
+                  if m.rows == m.cols >= 2 and m == SparseMatrix.identity(m.rows)]
+    assert not identities
+
+
+def test_ladder_modules_catch_a_half_that_is_only_conjugate(monkeypatch):
+    # The even half of L_6 comes back conjugated by diag(1, 2, 3, 4): still
+    # a UeRep, still irreducible and with the same top weight and Casimir,
+    # so it classifies to its own label, but it is not the built half entry
+    # by entry.  The entrywise item is then the one item that fails.
+    real_restrict = reps.restrict_to_subspace
+
+    def restrict(ops, idx):
+        blocks = real_restrict(ops, idx)
+        if len(ops) == 4 and ops[0].rows == 7 and idx == range(0, 7, 2):
+            d = SparseMatrix(4, 4, {(i, i): i + 1 for i in range(4)})
+            d_inv = SparseMatrix(4, 4, {(i, i): Q(1, i + 1) for i in range(4)})
+            blocks = [d * m * d_inv for m in blocks]
+        return blocks
+
+    monkeypatch.setattr(reps, "restrict_to_subspace", restrict)
+    failed = [item.name for item in verify_ladder_modules(8) if not all_pass([item])]
+    assert failed == ["restriction of L_6 matches the built halves entrywise"]

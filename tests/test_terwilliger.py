@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from hahnsl2 import cli, reps, terwilliger, usl2
+from hahnsl2 import cli, terwilliger, usl2
 from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, restrict_to_subspace
 from hahnsl2.reps import ModuleLabel, SL2Rep, UeRep, classify_ue_irreducible, evaluate
 from hahnsl2.terwilliger import (
@@ -160,7 +160,7 @@ def test_decompose_halved_refuses_a_map_that_does_not_intertwine(monkeypatch):
     # the oracle's label check; its orbit-space counterpart is
     # test_decompose_halved_refuses_a_wrong_character.  Without the
     # factorial rescaling the ladder map fails F^2 on L_4^(0)
-    monkeypatch.setattr(reps, "factorial", lambda k: 1)
+    monkeypatch.setattr(cube_oracle, "factorial", lambda k: 1)
     hd = cube_oracle.decompose_halved(*_even_half(CubeContext(D=4)))
     assert not hd.labels_ok
     assert hd.formula_ok and hd.dimension_ok
@@ -545,7 +545,7 @@ def test_decompose_halved_labels_agree_with_classifying_each_summand(D):
     assert hd.labels_ok
     _, ue = _even_half(CubeContext(D=D))
     for block in hd.blocks:
-        label, _ = classify_ue_irreducible(_ladder_summand(ue, *block))
+        label = classify_ue_irreducible(_ladder_summand(ue, *block))
         assert type(block) is ModuleLabel and label == block
 
 
