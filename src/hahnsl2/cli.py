@@ -17,17 +17,6 @@ from typing import Callable, NamedTuple
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
 
-# Largest D the cube suite accepts: the suite works on functions on the
-# C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D vertices, so
-# its cost grows as a power of D.  At one D, run_cube takes 0.004 s at D = 7,
-# 0.009 s at D = 10, 0.034 s at D = 16 and 0.062 s at D = 20 (the least of 5
-# runs in one process; 2-vCPU Intel Xeon, Python 3.11).  At D = 16 it takes
-# about a third each to build and certify the orbit operators, to evaluate
-# the Casimir and its Krylov vectors, and to close the Terwilliger algebra
-# block by block.
-D_MAX_CAP = 16
-
-
 def _summary(total: int, passed: int) -> dict:
     return {"total": total, "passed": passed, "failed_or_unresolved": total - passed}
 
@@ -107,11 +96,13 @@ def run_cube(d_min: int, d_max: int, base_bits: str | None) -> dict:
 class Option(NamedTuple):
     """An integer option of a suite: typed as ``flag`` on the suite's
     subcommand and as ``all_flag`` on verify-all, parsed into ``dest``,
-    which is ``all_flag`` without its dashes and with - as _."""
+    which is ``all_flag`` without its dashes and with - as _, and refused
+    outside [least, most]."""
     flag: str
     all_flag: str
     default: int
     least: int
+    most: int
 
     @property
     def dest(self) -> str:
@@ -126,19 +117,39 @@ class Suite(NamedTuple):
 
 # The runners look the run_* functions up when called, so a function replaced
 # on this module is the one that runs.
+#
+# Each option's most keeps one run to about a second or less, so that an
+# infeasible request is refused rather than left running.  Times are of one
+# fresh `python -m hahnsl2 ... --format json` process (fastest and slowest of 3;
+# 2-vCPU Intel Xeon, Python 3.11):
+# - verify-usl2 --n-max 60: 0.91-1.00 s; the cost grows about as n^3.3, and
+#   n-max 120 took 12.7 s.
+# - repr --n-max 200: 1.21-1.26 s.
+# - verify-hahn --degree-bound 11: 0.08-0.09 s, since every built-in target
+#   certifies at degree <= 8.  A search that exhausts its bound grows about
+#   4.5x per degree: on the ideal-exhaust benchmark's seed-1 target, which is
+#   outside the ideal, 0.010 / 0.036 / 0.19 / 0.80 / 4.7 s at bounds 8 to 12.
+# - cube --d-min 2 --d-max 16: 0.22-0.25 s.  The suite works on functions on
+#   the C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D
+#   vertices, so its cost grows as a power of D: at one D, run_cube takes
+#   0.003 s at D = 7, 0.007 s at D = 10, 0.028 s at D = 16 and 0.054 s at
+#   D = 20 (the least of 5 runs in one process).  At D = 16 it takes about a
+#   third each to build and certify the orbit operators, to evaluate the
+#   Casimir and its Krylov vectors, and to close the Terwilliger algebra block
+#   by block.  --d-min has the same most, since it is at most --d-max.
 SUITES = {
     "verify-usl2": Suite("PBW power identities and the even presentation",
-                         [Option("--n-max", "--n-max", 8, 1)],
+                         [Option("--n-max", "--n-max", 8, 1, 60)],
                          lambda a: run_verify_usl2(a.n_max)),
     "verify-hahn": Suite("natural-map identities and ideal certificates",
-                         [Option("--degree-bound", "--degree-bound", 8, 0)],
+                         [Option("--degree-bound", "--degree-bound", 8, 0, 11)],
                          lambda a: run_verify_hahn(a.degree_bound)),
     "repr": Suite("module family construction and classification",
-                  [Option("--n-max", "--repr-n-max", 12, 0)],
+                  [Option("--n-max", "--repr-n-max", 12, 0, 200)],
                   lambda a: run_repr(a.repr_n_max)),
     "cube": Suite("hypercube and halved-cube decompositions",
-                  [Option("--d-min", "--d-min", 2, 2),
-                   Option("--d-max", "--d-max", 6, 2)],
+                  [Option("--d-min", "--d-min", 2, 2, 16),
+                   Option("--d-max", "--d-max", 6, 2, 16)],
                   lambda a: run_cube(a.d_min, a.d_max, a.base_vertex)),
 }
 
@@ -232,14 +243,15 @@ def _validate(args, parser) -> None:
             parser.error(f"--out: directory {os.path.dirname(args.out)} does not exist")
     for suite in SUITES.values():
         for o in suite.options:  # each dest is on the suite's subcommand and on verify-all only
-            if getattr(args, o.dest, o.least) < o.least:
-                flag = o.all_flag if args.command == "verify-all" else o.flag
+            value = getattr(args, o.dest, o.least)
+            flag = o.all_flag if args.command == "verify-all" else o.flag
+            if value < o.least:
                 parser.error(f"{flag} must be at least {o.least}")
+            if value > o.most:
+                parser.error(f"{flag} must be at most {o.most}")
     if hasattr(args, "d_min"):
         if args.d_max < args.d_min:
             parser.error("--d-max must be at least --d-min")
-        if args.d_max > D_MAX_CAP:
-            parser.error(f"--d-max is capped at {D_MAX_CAP}")
         if args.base_vertex is not None:
             if args.d_min != args.d_max:
                 parser.error("--base-vertex needs a single D (set d-min = d-max)")

@@ -262,6 +262,8 @@ class SparseMatrix(Combination):
     _SPACE = "shapes"
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError(f"non-integer matrix dimensions {rows}x{cols}")
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows, self.cols, self._row_view = rows, cols, None
@@ -269,6 +271,8 @@ class SparseMatrix(Combination):
 
     def _key(self, key: tuple[int, int]) -> tuple[int, int]:
         r, c = key
+        if type(r) is not int or type(c) is not int:
+            raise TypeError(f"non-integer entry index ({r},{c})")
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols} matrix")
         return r, c

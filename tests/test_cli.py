@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -178,15 +179,6 @@ def test_cube_rejects_odd_base_vertex():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["cube", "verify-all"])
-def test_d_max_above_the_cap_is_refused(command, capsys):
-    # refused while parsing, before any suite runs
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--d-max", "17"])
-    assert exc.value.code == 2
-    assert "capped at 16" in capsys.readouterr().err
-
-
 def test_jobs_is_only_accepted_by_verify_all():
     with pytest.raises(SystemExit) as exc:
         main(["cube", "--d-min", "2", "--d-max", "2", "--jobs", "2"])
@@ -223,6 +215,59 @@ def test_a_value_below_its_least_is_refused_naming_the_flag(command, flag, least
     cli._validate(parser.parse_args([command, flag, str(least)]), parser)  # the least passes
 
 
+# Each integer option one above its most, typed as above.  --d-min is typed
+# with an equal --d-max, since --d-max must be at least it; one above the
+# most, both are out of range, and the message names --d-min, which cube
+# lists first.
+ABOVE_MOST = [
+    (typed_on, flag, o.most)
+    for command, suite in cli.SUITES.items()
+    for o in suite.options
+    for typed_on, flag in ((command, o.flag), ("verify-all", o.all_flag))
+]
+
+
+def _typed(command: str, flag: str, value: int) -> list[str]:
+    argv = [command, flag, str(value)]
+    return argv + ["--d-max", str(value)] if flag == "--d-min" else argv
+
+
+@pytest.mark.parametrize("command, flag, most", ABOVE_MOST,
+                         ids=[f"{command}{flag}" for command, flag, _ in ABOVE_MOST])
+def test_a_value_above_its_most_is_refused_naming_the_flag(command, flag, most, capsys):
+    # only the parser and _validate run: no suite starts at a large value
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli._validate(parser.parse_args(_typed(command, flag, most + 1)), parser)
+    assert exc.value.code == 2
+    assert f"error: {flag} must be at most {most}\n" in capsys.readouterr().err
+    cli._validate(parser.parse_args(_typed(command, flag, most)), parser)  # the most passes
+
+
+def _bench_argvs() -> list[list[str]]:
+    """The CLI argv of the benchmark's verify-all and cube-d7 workloads at
+    both sizes, read from the WORKLOADS literal in bench/run.py without
+    importing it."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == ["WORKLOADS"])
+    workloads = ast.literal_eval(node.value)
+    argvs = []
+    for size in ("full", "smoke"):
+        params = workloads["verify-all"][size]  # keyed by each option's dest
+        argvs.append(["verify-all"] + [a for dest, v in params.items() for a in ("--" + dest.replace("_", "-"), str(v))])
+        D = str(workloads["cube-d7"][size]["D"])
+        argvs.append(["cube", "--d-min", D, "--d-max", D])
+    return argvs
+
+
+def test_every_pinned_and_benchmarked_argv_is_in_range():
+    # a later change to a range cannot refuse a pinned or benchmarked run
+    parser = cli.build_parser()
+    for argv in [row[0] for row in PINNED_REPORTS] + _bench_argvs():
+        cli._validate(parser.parse_args(argv), parser)
+
+
 def _readme_usage() -> dict[str, str]:
     """The lines of the README's usage block by command, with each
     continuation line joined to the line it continues."""
@@ -238,16 +283,16 @@ def _readme_usage() -> dict[str, str]:
 
 
 def test_the_readme_usage_states_each_default_and_least_value():
-    # "hahnsl2 <suite> [--flag N ...]  # flag >= least", where a chain
-    # "a >= b >= least" gives both flags that least value
+    # "hahnsl2 <suite> [--flag N ...]  # least <= flag <= most", where a
+    # chain "least <= a <= b <= most" gives both flags that range
     usage = _readme_usage()
     assert set(usage) == set(cli.SUITES) | {"verify-all"}
     for command, suite in cli.SUITES.items():
         options, comment = usage[command].split("#")
         assert dict(re.findall(r"(--[a-z-]+) (\d+)", options)) == {o.flag: str(o.default) for o in suite.options}
-        *flags, least = (t.strip() for t in comment.split(">="))
+        least, *flags, most = (t.strip() for t in comment.split("<="))
         assert sorted("--" + f for f in flags) == sorted(o.flag for o in suite.options)
-        assert [o.least for o in suite.options] == [int(least)] * len(suite.options)
+        assert [(o.least, o.most) for o in suite.options] == [(int(least), int(most))] * len(suite.options)
     defaults = {o.all_flag: str(o.default) for suite in cli.SUITES.values() for o in suite.options}
     assert dict(re.findall(r"(--[a-z-]+) (\d+)", usage["verify-all"])) == defaults | {"--jobs": "1"}
 

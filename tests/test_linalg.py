@@ -177,6 +177,19 @@ def test_floats_are_refused_at_the_matrix_boundary():
     assert SparseMatrix(1, 1, {(0, 0): "1/10"}).get(0, 0) == F(1, 10)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SparseMatrix(2, 2, {(0.5, 1): 3}),  # a product used to drop it
+    lambda: SparseMatrix(2, 2, {(0, F(1)): 3}),
+    lambda: SparseMatrix(2, 2, {(True, 0): 3}),
+    lambda: SparseMatrix(2.5, 2),
+    lambda: SparseMatrix(2, F(2)),
+    lambda: SparseMatrix(True, 1),
+], ids=["float-row", "fraction-col", "bool-row", "float-rows", "fraction-cols", "bool-rows"])
+def test_an_index_or_shape_that_is_not_an_int_is_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_echelon_insert_keeps_reduced_invariants():
     rng = Random(5)
     basis = EchelonBasis()

@@ -561,7 +561,8 @@ def test_base_vertex_independence_small():
 
 
 def test_cube_suite_holds_from_d10_to_the_cap():
-    for D in range(10, cli.D_MAX_CAP + 1):
+    cap = next(o.most for o in cli.SUITES["cube"].options if o.flag == "--d-max")
+    for D in range(10, cap + 1):
         cube = CubeAlgebra(D)
         sd, hd = decompose_standard(cube), decompose_halved(cube)
         assert sd.formula_ok and sd.dimension_ok, D
