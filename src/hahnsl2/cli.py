@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import hahn, reps, terwilliger, usl2
 from .reporting import PASS, CheckItem, check
@@ -205,66 +205,95 @@ def emit(report: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-@cache  # one argparse tree per process: main only reads it
+def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Declares the arguments of one subcommand on its parser, in SUITES order."""
+    if command == "verify-all":
+        options = [(o.all_flag, o) for suite in SUITES.values() for o in suite.options]
+    else:
+        options = [(o.flag, o) for o in SUITES[command].options]
+    for flag, o in options:
+        parser.add_argument(flag, dest=o.dest, type=int, default=o.default)
+    if command in ("cube", "verify-all"):
+        parser.add_argument("--base-vertex", default=None, help="base vertex as a bitstring")
+    if command == "verify-all":
+        parser.add_argument(
+            "--jobs",
+            type=int,
+            choices=(1,),
+            default=1,
+            help="accepted for compatibility; the suites run one after another",
+        )
+    parser.add_argument("--format", choices=("json", "text"), default="text")
+    parser.add_argument("--out", default=None, help="write the report to this path")
+    return parser
+
+
+# The whole tree is built only for root help, a missing or unknown
+# subcommand, an argument the subcommand does not take and a refused value,
+# so that each of these prints the root usage line; a process builds it once.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hahnsl2",
         description="Exact verification suites for the Hahn/sl2 correspondence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {command: sub.add_parser(command, help=suite.help) for command, suite in SUITES.items()}
-    parsers["verify-all"] = sub.add_parser("verify-all", help="run every suite")
     for command, suite in SUITES.items():
-        for o in suite.options:
-            parsers[command].add_argument(o.flag, dest=o.dest, type=int, default=o.default)
-            parsers["verify-all"].add_argument(o.all_flag, dest=o.dest, type=int, default=o.default)
-    for command in ("cube", "verify-all"):
-        parsers[command].add_argument("--base-vertex", default=None, help="base vertex as a bitstring")
-    parsers["verify-all"].add_argument(
-        "--jobs",
-        type=int,
-        choices=(1,),
-        default=1,
-        help="accepted for compatibility; the suites run one after another",
-    )
-    for p in parsers.values():
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--out", default=None, help="write the report to this path")
+        _declare(sub.add_parser(command, help=suite.help), command)
+    _declare(sub.add_parser("verify-all", help="run every suite"), "verify-all")
     return parser
 
 
-def _validate(args, parser) -> None:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parses argv with the parser of the subcommand it names, whose help and
+    errors are the tree's for that subcommand, and anything else with the
+    whole tree."""
+    command = argv[0] if argv else None
+    if command in SUITES or command == "verify-all":
+        parser = _declare(argparse.ArgumentParser(prog=f"hahnsl2 {command}"), command)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = command
+            return args
+    return build_parser().parse_args(argv)
+
+
+def _refuse(message: str) -> NoReturn:
+    build_parser().error(message)
+
+
+def _validate(args) -> None:
+    """Refuses a value that parses but is out of range, with the tree's usage line."""
     if args.out is not None:
         if not args.out:
-            parser.error("--out: the path is empty")
+            _refuse("--out: the path is empty")
         if os.path.isdir(args.out):
-            parser.error(f"--out: {args.out} is a directory, not a file")
+            _refuse(f"--out: {args.out} is a directory, not a file")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
-            parser.error(f"--out: directory {os.path.dirname(args.out)} does not exist")
+            _refuse(f"--out: directory {os.path.dirname(args.out)} does not exist")
     for suite in SUITES.values():
         for o in suite.options:  # each dest is on the suite's subcommand and on verify-all only
             value = getattr(args, o.dest, o.least)
             flag = o.all_flag if args.command == "verify-all" else o.flag
             if value < o.least:
-                parser.error(f"{flag} must be at least {o.least}")
+                _refuse(f"{flag} must be at least {o.least}")
             if value > o.most:
-                parser.error(f"{flag} must be at most {o.most}")
+                _refuse(f"{flag} must be at most {o.most}")
     if hasattr(args, "d_min"):
         if args.d_max < args.d_min:
-            parser.error("--d-max must be at least --d-min")
+            _refuse("--d-max must be at least --d-min")
         if args.base_vertex is not None:
             if args.d_min != args.d_max:
-                parser.error("--base-vertex needs a single D (set d-min = d-max)")
+                _refuse("--base-vertex needs a single D (set d-min = d-max)")
             if set(args.base_vertex) - {"0", "1"} or len(args.base_vertex) != args.d_max:
-                parser.error("--base-vertex must be a bitstring of length D")
+                _refuse("--base-vertex must be a bitstring of length D")
             if args.base_vertex.count("1") % 2 != 0:
-                parser.error("--base-vertex must have even weight for the halved cube")
+                _refuse("--base-vertex must have even weight for the halved cube")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(args, parser)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    _validate(args)
     report = run_verify_all(args) if args.command == "verify-all" else SUITES[args.command].run(args)
     emit(report, args.format, args.out)
     return 0 if report["ok"] else 1

@@ -48,18 +48,20 @@ Monomial = tuple[int, int, int]
 def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, int], ...]:
     # Normal form of F^j1 H^k1 E^i2 F^j2; leading E powers and trailing H
     # powers of a full monomial product commute past nothing, so they are
-    # re-attached by the caller.  The coefficients are integers.
-    s = 2 * (i2 - j2)  # H^k1 E^i2 F^j2 = E^i2 F^j2 (H + s)^k1
-    terms = {(i2, j2, m): comb(k1, m) * s ** (k1 - m) for m in range(0 if s else k1, k1 + 1)}
-    for _ in range(j1):
-        out: dict[Monomial, int] = {}
-        for (i, j, k), c in terms.items():
-            out[i, j + 1, k] = out.get((i, j + 1, k), 0) + c
-            if i:
-                out[i - 1, j, k + 1] = out.get((i - 1, j, k + 1), 0) - i * c
-                out[i - 1, j, k] = out.get((i - 1, j, k), 0) - i * (i - 1 - 2 * j) * c
-        terms = out
-    return tuple(sorted((m, c) for m, c in terms.items() if c))
+    # re-attached by the caller.  The coefficients are integers.  One F rule
+    # step on the cached product with one factor of F fewer gives it, so a
+    # miss costs one step.  The recursion is j1 deep, which the default
+    # recursion limit caps near 500; the suites reach 60 (--n-max's most).
+    if not j1:
+        s = 2 * (i2 - j2)  # H^k1 E^i2 F^j2 = E^i2 F^j2 (H + s)^k1
+        return tuple(((i2, j2, m), comb(k1, m) * s ** (k1 - m)) for m in range(0 if s else k1, k1 + 1))
+    out: dict[Monomial, int] = {}
+    for (i, j, k), c in _core_product(j1 - 1, k1, i2, j2):
+        out[i, j + 1, k] = out.get((i, j + 1, k), 0) + c
+        if i:
+            out[i - 1, j, k + 1] = out.get((i - 1, j, k + 1), 0) - i * c
+            out[i - 1, j, k] = out.get((i - 1, j, k), 0) - i * (i - 1 - 2 * j) * c
+    return tuple(sorted((m, c) for m, c in out.items() if c))
 
 
 class USL2Element(Combination):

@@ -211,8 +211,7 @@ def test_a_value_below_its_least_is_refused_naming_the_flag(command, flag, least
         main([command, flag, str(least - 1)])
     assert exc.value.code == 2
     assert f"error: {flag} must be at least {least}\n" in capsys.readouterr().err
-    parser = cli.build_parser()
-    cli._validate(parser.parse_args([command, flag, str(least)]), parser)  # the least passes
+    cli._validate(cli._parse([command, flag, str(least)]))  # the least passes
 
 
 # Each integer option one above its most, typed as above.  --d-min is typed
@@ -236,12 +235,11 @@ def _typed(command: str, flag: str, value: int) -> list[str]:
                          ids=[f"{command}{flag}" for command, flag, _ in ABOVE_MOST])
 def test_a_value_above_its_most_is_refused_naming_the_flag(command, flag, most, capsys):
     # only the parser and _validate run: no suite starts at a large value
-    parser = cli.build_parser()
     with pytest.raises(SystemExit) as exc:
-        cli._validate(parser.parse_args(_typed(command, flag, most + 1)), parser)
+        cli._validate(cli._parse(_typed(command, flag, most + 1)))
     assert exc.value.code == 2
     assert f"error: {flag} must be at most {most}\n" in capsys.readouterr().err
-    cli._validate(parser.parse_args(_typed(command, flag, most)), parser)  # the most passes
+    cli._validate(cli._parse(_typed(command, flag, most)))  # the most passes
 
 
 def _bench_argvs() -> list[list[str]]:
@@ -263,9 +261,8 @@ def _bench_argvs() -> list[list[str]]:
 
 def test_every_pinned_and_benchmarked_argv_is_in_range():
     # a later change to a range cannot refuse a pinned or benchmarked run
-    parser = cli.build_parser()
     for argv in [row[0] for row in PINNED_REPORTS] + _bench_argvs():
-        cli._validate(parser.parse_args(argv), parser)
+        cli._validate(cli._parse(argv))
 
 
 def _readme_usage() -> dict[str, str]:
@@ -306,9 +303,93 @@ def test_verify_all_at_its_defaults_embeds_each_suite_at_its_defaults(capsys):
         assert reports[command] == json.loads(out), command
 
 
+# SHA-256 of what main writes to stdout, a NUL, and what it writes to stderr,
+# with the exit code, for root help, each subcommand's help and every kind of
+# usage error, at COLUMNS=80.  They are argparse's bytes on Python 3.11.  A
+# run parses with its subcommand's parser alone and falls back to the whole
+# tree for anything that parser does not take, so these pin that the two
+# paths print the same help and the same errors.
+PINNED_USAGE = [
+    ([], 2,
+     '46899ce07860d01f65b821006ecb04e1a9d6c6db784df09ffe17f276fb8db172'),
+    (['-h'], 0,
+     '8095fc4c3d2c2ab4aeb5f222d466326d0a2b0e95feef0e87d3010d818becdc2a'),
+    (['verify-usl2', '-h'], 0,
+     '72487e1df38f43e6c65bb229c2f10d530b30d2e2293c6058235dc6606ea3b780'),
+    (['verify-hahn', '-h'], 0,
+     'a340ec9e77111585b8136356cd3f78f4e24c0bce83a042cb2387eea8bc0a56f5'),
+    (['repr', '-h'], 0,
+     '90fc20ee6308bb566ca668cf6d67b097deb0f5f054ce04d316a49c2bf6cbd795'),
+    (['cube', '-h'], 0,
+     'ebbdf9edc2256db55cbc81559e81449d3227c0dfcffa2da746c8e09100a95d1b'),
+    (['verify-all', '-h'], 0,
+     'ef9835e17dae1fc3a1150e42b1939c8b50ea37c75fca00f493e004f33e4e5e7b'),
+    (['bogus'], 2,
+     '921bb26cff5d00dfdf46124f18411fbed103a1b47fd23fe8047e2018455eda55'),
+    (['cube', '--jobs', '2'], 2,
+     '0eace87ad81c175011f243fb128dc623ed25e2c5e355eb0dd8b2c13c4c149542'),
+    (['cube', '--d-min', 'x'], 2,
+     '13d252826f6c68ab18051fc37220acf28a7c70f959cd500dd2fd51ed50d2f01e'),
+    (['verify-usl2', '--n-max', '0'], 2,
+     '2e5e4a1375bac7ab5d11f1a9ac526a743cb6461a91f4f331cd6a7402165a9d13'),
+    (['verify-all', '--repr-n-max', '-1'], 2,
+     '4d6e42c992640b42df509a087355b8f607d85761174372ee675ac6f04a9b5119'),
+    (['cube', '--d-max', '17'], 2,
+     'ad3fcd4c6587edb748ff4582cf9cb79bf3970cc317ebb3d9d03976966636a1c2'),
+    (['verify-all', '--degree-bound', '12'], 2,
+     '197bb2ad82cb47f6235240c4adca9d7e4cec234cc828ef50840c408932006104'),
+    (['cube', '--d-min', '5', '--d-max', '4'], 2,
+     '65861e39afe6df71ece956afa81174d317ad2ea7341cd3adb920a568f09ac4bc'),
+    (['cube', '--d-min', '4', '--d-max', '4', '--base-vertex', '0001'], 2,
+     '6b80f68ea8c524df371bbbb9de22a4cdd51ef1271e11f2da0ed82de93b40e78f'),
+    (['cube', '--d-min', '3', '--d-max', '4', '--base-vertex', '011'], 2,
+     '198134dd92d9490d4cd10b01a1b0ccf10151b430fae45553622061fbfb3d488e'),
+    (['cube', '--d-min', '3', '--d-max', '3', '--base-vertex', '01'], 2,
+     '301b2ed115e65153b6108aacef3734119e585ebbbcd746f109fd91e86db9470b'),
+    (['cube', '--out', ''], 2,
+     'e108458f4520283dacbac0450a7e15080dcde9c2e752e4bac22fdeadc49e4b7e'),
+    (['cube', '--format', 'xml'], 2,
+     '98783f9b10cb1df9f2ecba96e723493187ce91d2cc7e034e7799e0e528115f51'),
+    (['verify-all', '--jobs', '2'], 2,
+     '4f44f8899fb0b221c0caa22efb66524510a172c59bab3792c9da5cca8bef6cb7'),
+    (['verify-all', '--n-max'], 2,
+     'a18f58d80685b8a8bfd3e7fde4f583f878d9b71c8c4174b7f3873123f68296a1'),
+    (['cube', '--d', '3'], 2,
+     'd171eb6962c128bb4dc0588ec5012cb36f5abeae89440f6b7d9b379d95b7ea91'),
+    (['cube', '--d-mi', '3', '--d-ma', '3'], 0,
+     '5b88a935533652d1f8766e2fec3192b35b089ab7f6599ac24a72aca7d971b7f5'),
+    (['cube', '--d-min=3', '--d-max', '3'], 0,
+     '5b88a935533652d1f8766e2fec3192b35b089ab7f6599ac24a72aca7d971b7f5'),
+    (['--', 'cube', '--d-min', '3', '--d-max', '3'], 2,
+     '5ebf016f954c29da56a2cb19e9de67ac5971ea44fa4f515484ab95af6aa0c0b7'),
+    (['cube', '--d-min', '2', '--d-min', '3', '--d-max', '3'], 0,
+     '5b88a935533652d1f8766e2fec3192b35b089ab7f6599ac24a72aca7d971b7f5'),
+    (['repr', '--n-max', '3', 'extra'], 2,
+     '9e651a56bbfe681cc08802ee088ff9e9877e5c70866f2008570f4a15e2ef7445'),
+    (['-h', 'cube'], 0,
+     '8095fc4c3d2c2ab4aeb5f222d466326d0a2b0e95feef0e87d3010d818becdc2a'),
+    (['cube', '--d-min', '3', '--d-max', '3', '-h'], 0,
+     'ebbdf9edc2256db55cbc81559e81449d3227c0dfcffa2da746c8e09100a95d1b'),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", PINNED_USAGE,
+                         ids=[" ".join(row[0]) or "no-arguments" for row in PINNED_USAGE])
+def test_help_and_usage_errors_are_pinned(argv, exit_code, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest() == digest
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
-    # the argparse tree is built on the first call and shared by the later
-    # ones, and a usage error on a later call still exits 2
+    # a run its subcommand's parser takes builds no tree; the tree is built
+    # for the first refused value and shared by the later ones, and a usage
+    # error on a later call still exits 2
     cli.build_parser.cache_clear()
     built = []
     real = argparse.ArgumentParser.add_subparsers
@@ -323,6 +404,32 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert len(built) == 1 and built[0] is cli.build_parser()
     capsys.readouterr()
 
+
+@pytest.mark.parametrize("argv", [
+    ["cube", "--d-min", "7", "--d-max", "7", "--base-vertex", "0110000", "--format", "json"],
+    ["verify-all", "--n-max", "10", "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_a_run_builds_one_parser(argv):
+    # a fresh interpreter counts the ArgumentParsers that the benchmark's
+    # cube-d7 run, or a verify-all run, constructs: 6 while main built the
+    # whole tree, the root and one parser per subcommand, on every run
+    code = (
+        "import argparse, contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    real_init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = init\n"
+        "from hahnsl2 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 def test_out_file_and_determinism(tmp_path, capsys):
     p1 = tmp_path / "a.json"
