@@ -129,14 +129,14 @@ class Suite(NamedTuple):
 #   certifies at degree <= 8.  A search that exhausts its bound grows about
 #   4.5x per degree: on the ideal-exhaust benchmark's seed-1 target, which is
 #   outside the ideal, 0.010 / 0.036 / 0.19 / 0.80 / 4.7 s at bounds 8 to 12.
-# - cube --d-min 2 --d-max 16: 0.22-0.25 s.  The suite works on functions on
+# - cube --d-min 2 --d-max 16: 0.19-0.20 s.  The suite works on functions on
 #   the C(D+3, 3) orbits of vertex pairs (969 at D = 16), not on 2^D
 #   vertices, so its cost grows as a power of D: at one D, run_cube takes
-#   0.003 s at D = 7, 0.007 s at D = 10, 0.028 s at D = 16 and 0.054 s at
-#   D = 20 (the least of 5 runs in one process).  At D = 16 it takes about a
-#   third each to build and certify the orbit operators, to evaluate the
-#   Casimir and its Krylov vectors, and to close the Terwilliger algebra block
-#   by block.  --d-min has the same most, since it is at most --d-max.
+#   0.0024 s at D = 7, 0.006 s at D = 10, 0.021 s at D = 16 and 0.043 s at
+#   D = 20 (the least of 5 runs in one process).  At D = 16 about two fifths
+#   of it builds and certifies the orbit operators, a quarter evaluates the
+#   Casimir and its Krylov vectors, and a third closes the Terwilliger algebra
+#   block by block.  --d-min has the same most, since it is at most --d-max.
 SUITES = {
     "verify-usl2": Suite("PBW power identities and the even presentation",
                          [Option("--n-max", "--n-max", 8, 1, 60)],

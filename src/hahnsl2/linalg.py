@@ -15,11 +15,11 @@ primitive integer rows, so the inner loops add and multiply
 plain ints: a fraction-free elimination in the style of Bareiss ("Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math. Comp.
 22, 1968).  Every kernel follows the sparse support: ``matmul`` accumulates
-each row of a product in a map over the columns its terms touch, so a
-product of N x N matrices with k entries a row costs about N k^2 steps, not
-N^2, and an echelon insert back-reduces only the rows whose pivot comes
-before the new one.  A vector is a one-column matrix, so ``matmul`` is also
-the one matrix-vector product.  ``Fraction`` lives at the API edge:
+a product in one map over the entries its terms touch, so a product of N x N
+matrices with k entries a row costs about N k^2 steps, not N^2, and an
+echelon insert back-reduces only the rows whose pivot comes before the new
+one.  A vector is a one-column matrix, so ``matmul`` is also the one
+matrix-vector product.  ``Fraction`` lives at the API edge:
 constructors and scalar multiples take ints, Fractions or strings (never
 floats), and every entry or coefficient handed back is a ``Fraction``,
 built when it is read.  An ``EchelonBasis`` takes and returns integer
@@ -140,11 +140,12 @@ class Combination:
     def __hash__(self) -> int:
         return hash((self._space(), self._den, frozenset(self._num.items())))
 
-    def __add__(self, other: "Combination") -> "Combination":
+    def _combine(self, other: "Combination", sign: int) -> "Combination":
+        """self + sign * other, for sign 1 or -1, in one pass over other."""
         self._require_same_space(other)
         da, db = self._den, other._den
         den = da if da == db else lcm(da, db)
-        sa, sb = den // da, den // db
+        sa, sb = den // da, sign * (den // db)
         out = dict(self._num) if sa == 1 else {key: sa * x for key, x in self._num.items()}
         for key, x in other._num.items():
             n = out.get(key, 0) + sb * x
@@ -154,11 +155,14 @@ class Combination:
                 del out[key]
         return self._new(out, den)
 
+    def __add__(self, other: "Combination") -> "Combination":
+        return self._combine(other, 1)
+
     def __neg__(self) -> "Combination":
         return self._new({key: -x for key, x in self._num.items()}, self._den)
 
     def __sub__(self, other: "Combination") -> "Combination":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Combination":
         a, b = _ratio(c)
@@ -321,16 +325,15 @@ class SparseMatrix(Combination):
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
         right = other._by_row()
-        rows: dict[int, IntVector] = {}  # each row over the columns its terms touch
+        num: dict[tuple[int, int], int] = {}  # over the entries the terms touch
         for (r, k), a in self._num.items():
             brow = right.get(k)
             if brow:
-                acc = rows.get(r)
-                if acc is None:
-                    acc = rows[r] = {}
                 for c, b in brow.items():
-                    acc[c] = acc.get(c, 0) + a * b
-        num = {(r, c): x for r, acc in rows.items() for c, x in acc.items() if x}
+                    key = r, c
+                    num[key] = num.get(key, 0) + a * b
+        if 0 in num.values():
+            num = {key: x for key, x in num.items() if x}
         out = self._new(num, self._den * other._den)
         out.cols = other.cols  # the product has self's rows and other's columns
         return out

@@ -78,9 +78,9 @@ def _adjacency_stencil(D: int, i: int, j: int, t: int) -> tuple[tuple[tuple[int,
             ((i + 1, j, t + 1), j - t), ((i + 1, j, t), D - i - j + t))
 
 
-def _poly(roots) -> list[Fraction]:
+def _poly(roots) -> list[int]:
     """The coefficients of prod (x - r) over the roots, constant term first."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for r in roots:
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
     return coeffs
@@ -110,15 +110,15 @@ class CubeAlgebra:
         self.D = D
         self.orbits = _orbits(D)
         index = self.index = {o: k for k, o in enumerate(self.orbits)}
-        n = len(self.orbits)
+        shape = SparseMatrix(len(self.orbits), len(self.orbits))
         e: dict[tuple[int, int], int] = {}
         f: dict[tuple[int, int], int] = {}
         for r, (i, j, t) in enumerate(self.orbits):
             for source, c in _adjacency_stencil(D, i, j, t):
                 if c:
                     (e if source[0] > i else f)[r, index[source]] = c
-        e_op, f_op = SparseMatrix(n, n, e), SparseMatrix(n, n, f)
-        h_op = SparseMatrix(n, n, {(k, k): D - 2 * i for k, (i, _, _) in enumerate(self.orbits)})
+        e_op, f_op = shape._new(e, 1), shape._new(f, 1)
+        h_op = shape._new({(k, k): D - 2 * i for k, (i, _, _) in enumerate(self.orbits) if 2 * i != D}, 1)
         self.rep = SL2Rep(e_op, f_op, h_op)
         # X A = (A X^T)^T: the left operator's entry (r, c) moves to (c^T, r^T)
         self.right_a = _mirror(e_op + f_op, [index[j, i, t] for i, j, t in self.orbits])
@@ -135,41 +135,43 @@ class CubeAlgebra:
         module: the character of e_n, weight -> its trace on that weight
         space (see Traces in the module docstring).
 
-        e_n is the Lagrange polynomial in the Casimir Lam that is 1 at c_n
-        (Lam on L_n) and 0 at the other c_m, applied to I, so a combination of
-        the Krylov vectors Lam^k I.  First prod_n (Lam - c_n) I = 0 is
-        checked, else ArithmeticError: then Lam is diagonalizable on the cube
-        module with eigenvalues among the c_n, each e_n is the projection on
-        the c_n-eigenspace, which is the L_n-isotypic part since c_n
-        determines n, and a trace of e_n is a dimension.  The vectors are
-        one-column matrices.  Only the D + 1 diagonal entries of each e_n
-        are formed: row i of ``diagonal`` holds the Krylov vectors' entries
-        at (i, i, i), and its product with the column of e_n's Lagrange
-        coefficients gives e_n's.
+        e_n is the Lagrange polynomial in 2Lam, twice the Casimir, that is 1
+        at c_n (2Lam on L_n) and 0 at the other c_m, applied to I, so a
+        combination of the Krylov vectors (2Lam)^k I.  First prod_n (2Lam -
+        c_n) I = 0 is checked, else ArithmeticError: then 2Lam is
+        diagonalizable on the cube module with eigenvalues among the c_n, each
+        e_n is the projection on the c_n-eigenspace, which is the L_n-isotypic
+        part since c_n determines n, and a trace of e_n is a dimension.  E, F
+        and H are integer stencils, so 2Lam and its Krylov vectors (one-column
+        matrices) are integral, as is c_n = n(n + 2); a denominator raises
+        ArithmeticError.  Only e_n's D + 1 entries at (i, i, i) are formed:
+        row i of ``diagonal`` holds the Krylov vectors' entries there, and
+        its dot product with e_n's integer Lagrange numerators, over their
+        denominator prod_(m != n) (c_n - c_m), gives e_n's.
         """
         D, size = self.D, len(self.orbits)
-        lam, = evaluate(self.rep, usl2.casimir())
-        values = {n: ModuleLabel(n, 0).casimir for n in range(D, -1, -2)}
+        lam, = evaluate(self.rep, usl2.casimir().scale(2))
+        if lam._den != 1:
+            raise ArithmeticError("twice the Casimir is not an integer matrix")
+        values = {n: _count(2 * ModuleLabel(n, 0).casimir) for n in range(D, -1, -2)}
         krylov = [SparseMatrix(size, 1, {(k, 0): 1 for k in self.identity(range(D + 1))})]
         for _ in values:
             krylov.append(lam * krylov[-1])
         residual = sum((v.scale(a) for a, v in zip(_poly(values.values()), krylov)), SparseMatrix(size, 1))
         if not residual.is_zero():
             raise ArithmeticError("the Casimir values of L_D, L_(D-2), ... do not annihilate the cube module")
-        diagonal = SparseMatrix(D + 1, len(krylov), {(i, k): v.get(self.index[i, i, i], 0)
-                                                     for k, v in enumerate(krylov) for i in range(D + 1)})
+        diagonal = [[v._num.get((self.index[i, i, i], 0), 0) for v in krylov] for i in range(D + 1)]
         out = {}
         for n, c in values.items():
             others = [x for m, x in values.items() if m != n]
-            scale = prod(c - x for x in others)
-            lagrange = SparseMatrix(len(krylov), 1, {(k, 0): x / scale for k, x in enumerate(_poly(others))})
-            e = diagonal * lagrange
-            out[n] = {D - 2 * i: comb(D, i) * e.get(i, 0) for i in range(D + 1)}
+            coeffs, den = _poly(others), prod(c - x for x in others)
+            out[n] = {D - 2 * i: Fraction(comb(D, i) * sum(x * y for x, y in zip(row, coeffs)), den)
+                      for i, row in enumerate(diagonal)}
         return out
 
 
 def _count(x: Fraction) -> int:
-    """A rational count (a dimension or a multiplicity), as an int."""
+    """A rational count (a dimension, a multiplicity) or c_n, as an int."""
     if x.denominator != 1:
         raise ArithmeticError(f"a count came out as {x}")
     return int(x)
@@ -216,7 +218,9 @@ def te_dimension(cube: CubeAlgebra) -> int:
     half, and T is the span of I_e w over all words w.  An orbit function is
     its matrix, so T is a span of rows.  I_e A^2 is first checked to give a
     halved-graph adjacency (A^2 - D)/2 that is 0/1 with a zero diagonal,
-    else ArithmeticError.
+    else ArithmeticError.  That check and the closure below read A^2 only in
+    its rows at triples with i and j even, since right multiplication by A^2
+    fixes i and moves j by 0 or 2, so only those rows are formed.
 
     On the even half A* has the distinct eigenvalue D - 2j on each even j,
     so the projection E*_j onto that weight space, the row of the identity
@@ -235,7 +239,9 @@ def te_dimension(cube: CubeAlgebra) -> int:
     D, n = cube.D, len(cube.orbits)
     row_shape = SparseMatrix(1, n)
     even_identity = row_shape._new({(0, c): x for c, x in cube.identity(range(0, D + 1, 2)).items()}, 1)
-    a2 = cube.right_a * cube.right_a
+    right_a = cube.right_a
+    even_rows = {r for r, (i, j, _) in enumerate(cube.orbits) if i % 2 == j % 2 == 0}
+    a2 = right_a._new({key: x for key, x in right_a._num.items() if key[0] in even_rows}, right_a._den) * right_a
     halved = (even_identity * a2 - even_identity.scale(D)).scale(Fraction(1, 2))
     for (_, c), x in halved._num.items():
         i, j, t = cube.orbits[c]

@@ -514,6 +514,9 @@ def test_integer_paths_match_fraction_oracles(rand_free_poly):
         b = rand_free_poly(rng).scale(rng.choice(MIXED_SCALES))
         ab = fmultiply(a, b)
         assert ab.terms == _fraction_fmultiply(a, b), (a, b)
+        ta, tb = a.terms, b.terms
+        assert (a - b).terms == {w: x for w in ta.keys() | tb.keys() if (x := ta.get(w, 0) - tb.get(w, 0))}
+        assert a - b == a + (-b)
         assert tilde_rho(a).terms == {w: c * (-1) ** w.count("A") for w, c in a.terms.items()}
         expected = usl2.zero()
         for w, c in a.terms.items():
@@ -522,7 +525,7 @@ def test_integer_paths_match_fraction_oracles(rand_free_poly):
                 img = usl2.multiply(img, images[s])
             expected = expected + usl2.USL2Element({m: c * x for m, x in img.terms.items()})
         assert substitute(a, images, usl2.one()) == expected, a
-        for x in (ab, tilde_rho(a)):
+        for x in (ab, tilde_rho(a), a - b):
             assert all(type(c) is Fraction and c for c in x.terms.values())
             assert_canonical(x)
 

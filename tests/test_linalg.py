@@ -8,6 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahnsl2 import usl2
+from hahnsl2.freealg import FreePoly
+from hahnsl2.hahn import ALPHABET, random_free_poly
 from hahnsl2.linalg import (
     EchelonBasis,
     SparseMatrix,
@@ -697,3 +700,30 @@ def test_the_row_view_is_derived():
         b - a
     forks = {"__add__", "__neg__", "__sub__", "scale", "__eq__", "__hash__", "is_zero"}
     assert not forks & SparseMatrix.__dict__.keys()
+
+
+@pytest.mark.parametrize("kind", ["usl2", "free", "matrix"])
+def test_a_difference_is_the_sum_with_the_negative(kind):
+    # a - b is formed in one pass, with no copy -b: it must be a + (-b) and
+    # the termwise Fraction difference, also over mixed denominators, and
+    # refuse what a sum refuses
+    rng = Random(900)
+    scales = [F(1, 6), F(3, 4), F(-5, 2), F(7, 9), F(-2, 3), F(11, 10), F(4), F(-1, 5)]
+    draw, other_space, other_kind = {
+        "usl2": (lambda: usl2.random_element(rng), None, FreePoly(ALPHABET)),
+        "free": (lambda: random_free_poly(rng), FreePoly(("A", "B", "C")), usl2.zero()),
+        "matrix": (lambda: _random_rational(rng, 3, 4), SparseMatrix(4, 3), usl2.zero()),
+    }[kind]
+    for _ in range(40):
+        a, b = draw().scale(rng.choice(scales)), draw().scale(rng.choice(scales))
+        d, ta, tb = a - b, a.terms, b.terms
+        assert d == a + (-b) and hash(d) == hash(a + (-b))
+        assert d.terms == {k: x for k in ta.keys() | tb.keys() if (x := ta.get(k, 0) - tb.get(k, 0))}
+        assert_canonical(d)
+        zero = a - a
+        assert zero.is_zero() and zero._num == {} and zero._den == 1 and zero == a.scale(0)
+    with pytest.raises(TypeError):
+        a - other_kind
+    if other_space is not None:
+        with pytest.raises(ValueError, match="different"):
+            a - other_space

@@ -466,9 +466,43 @@ def test_te_dimension_closes_each_block_on_its_own(monkeypatch):
     assert not hasattr(terwilliger, "span_closure")
 
 
+@pytest.mark.parametrize("D", [*range(2, 13), 16])
+def test_isotypic_characters_match_the_closed_form(D):
+    # oracle: L_n is one-dimensional at each weight w with |w| <= n, and the
+    # cube module holds standard_multiplicity(D, (D - n)/2) copies of it
+    characters = CubeAlgebra(D).isotypic_characters
+    assert sorted(characters) == list(range(D % 2, D + 1, 2))
+    for n, character in characters.items():
+        mult = standard_multiplicity(D, (D - n) // 2)
+        assert character == {w: mult if abs(w) <= n else 0 for w in range(-D, D + 1, 2)}
+        assert all(type(x) is Fraction and x.denominator == 1 for x in character.values())
+
+
+@pytest.mark.parametrize("D", range(2, 11))
+def test_te_dimension_forms_a_squared_at_the_even_triples_only(monkeypatch, D):
+    # the one N x N product of te_dimension holds the rows of A^2 at the
+    # triples with i and j even, and no other row
+    cube = CubeAlgebra(D)
+    n, full = len(cube.orbits), cube.right_a * cube.right_a
+    products = []
+    real = SparseMatrix.matmul
+
+    def recorded(a, b):
+        products.append(real(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(SparseMatrix, "matmul", recorded)
+    te_dimension(cube)
+    (a2,) = [m for m in products if m.rows == n]
+    even = {k for k, (i, j, _) in enumerate(cube.orbits) if i % 2 == j % 2 == 0}
+    assert a2 == SparseMatrix(n, n, {(r, c): x for r, c, x in full.items() if r in even})
+    assert {r for r, _ in a2._num} == even and a2 != full
+
+
 @pytest.mark.parametrize("D", range(2, 13))
 def test_te_dimension_multiplies_through_matmul(monkeypatch, D):
-    # A^2, then I_e A^2, then one product with A^2 for each accepted row
+    # A^2 at the even triples (rows with i and j even), then I_e A^2, then
+    # one product with A^2 for each accepted row
     cube = CubeAlgebra(D)
     calls = []
     real = SparseMatrix.matmul
