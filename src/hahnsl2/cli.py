@@ -122,10 +122,11 @@ class Suite(NamedTuple):
 # infeasible request is refused rather than left running.  Times are of one
 # fresh `python -m hahnsl2 ... --format json` process (fastest and slowest of 3;
 # 2-vCPU Intel Xeon, Python 3.11):
-# - verify-usl2 --n-max 60: 0.91-1.00 s; the cost grows about as n^3.3, and
-#   n-max 120 took 12.7 s.
+# - verify-usl2 --n-max 60: 1.23-1.27 s; the cost grows about as n^3.3, and
+#   n-max 120 took 12.7 s.  This line and the verify-hahn one were timed in a
+#   slower hour than the others: cube --d-min 2 --d-max 16 took 0.42 s in it.
 # - repr --n-max 200: 1.21-1.26 s.
-# - verify-hahn --degree-bound 11: 0.08-0.09 s, since every built-in target
+# - verify-hahn --degree-bound 11: 0.10-0.13 s, since every built-in target
 #   certifies at degree <= 8.  A search that exhausts its bound grows about
 #   4.5x per degree: on the ideal-exhaust benchmark's seed-1 target, which is
 #   outside the ideal, 0.010 / 0.036 / 0.19 / 0.80 / 4.7 s at bounds 8 to 12.

@@ -19,12 +19,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from random import Random
 from types import MappingProxyType
 
 from . import usl2
 from .freealg import FreePoly, ideal_membership, substitute
-from .linalg import commutator, random_terms
+from .linalg import commutator
 from .reporting import PASS, UNRESOLVED, CheckItem, check
 
 ALPHABET = ("A", "B")
@@ -189,14 +188,17 @@ def verify_image_gradings() -> list[CheckItem]:
     return items
 
 
-def random_free_poly(rng: Random) -> FreePoly:
-    """A seeded random polynomial with 1..4 words of length <= 4."""
-    draw = lambda: "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 4)))
-    return FreePoly(ALPHABET, random_terms(rng, draw, 4, 4, 3))
-
-
 def verify_intertwining() -> list[CheckItem]:
-    """natural(tilde_rho(p)) == rho(natural(p)) on named elements and samples."""
+    """natural(tilde_rho(p)) == rho(natural(p)) on the named elements, and
+    so on the whole free algebra.
+
+    Both sides are algebra maps from the free algebra: ``natural`` is
+    ``substitute``, and ``tilde_rho`` multiplies each word by a sign taken
+    from its count of A's, which is multiplicative; rho is one when its
+    three relation residuals vanish (``usl2.rho_relations``, recomputed here
+    so that this suite stands alone).  Two algebra maps that agree on A and
+    B agree everywhere.
+    """
     pres = presentation()
     named = [
         ("A", pres.A),
@@ -207,18 +209,10 @@ def verify_intertwining() -> list[CheckItem]:
         ("Omega", pres.omega),
         ("1", pres.one),
     ]
-    items = []
-    for name, p in named:
-        ok = natural(tilde_rho(p)) == usl2.rho(natural(p))
-        items.append(check(f"intertwining on {name}", ok))
-    rng, samples = Random(20230814), 25
-    bad = 0
-    for _ in range(samples):
-        p = random_free_poly(rng)
-        if natural(tilde_rho(p)) != usl2.rho(natural(p)):
-            bad += 1
-    items.append(check(f"intertwining on {samples} seeded random polynomials", bad == 0,
-                       f"failures: {bad}"))
+    agree = {name: natural(tilde_rho(p)) == usl2.rho(natural(p)) for name, p in named}
+    items = [check(f"intertwining on {name}", ok) for name, ok in agree.items()]
+    rho_hom = all(r.is_zero() for r in usl2.rho_relations())
+    items.append(check("intertwining on the whole free algebra", agree["A"] and agree["B"] and rho_hom))
     return items
 
 

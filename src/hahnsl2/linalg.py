@@ -37,8 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from random import Random
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Sparse integer vector, index -> int: the internal form of rows and matrix rows.
 IntVector = dict[int, int]
@@ -201,18 +200,6 @@ def render_terms(pairs: Iterable[tuple[str, Fraction]]) -> str:
         else:
             text = f"-{body}" if c < 0 else body
     return text or "0"
-
-
-def random_terms(rng: Random, draw_key: Callable, max_terms: int, num: int, den: int) -> dict:
-    """The seeded random terms of one sample: 1..max_terms draws, each of a
-    key (``draw_key``), then a numerator in [-num, num], then a denominator
-    in [1, den], in that order; the coefficients of a repeated key add."""
-    terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        key = draw_key()
-        c = Fraction(rng.randint(-num, num), rng.randint(1, den))
-        terms[key] = terms.get(key, 0) + c
-    return terms
 
 
 def _clear(v: dict) -> tuple[dict, int]:

@@ -33,35 +33,41 @@ hatted free polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
-from random import Random
 
-from .linalg import Combination, commutator, random_terms, render_terms
+from .linalg import Combination, commutator, render_terms
 from .reporting import CheckItem, check
 
 # PBW monomial (i, j, k) stands for E^i F^j H^k.
 Monomial = tuple[int, int, int]
 
 
+@cache
+def _f_chain(k1: int, i2: int, j2: int) -> list[tuple[tuple[Monomial, int], ...]]:
+    """The normal forms of F^j H^k1 E^i2 F^j2 for j = 0, 1, ..., as far as
+    ``_core_product`` has asked; ``_f_chain.cache_clear()`` empties it."""
+    s = 2 * (i2 - j2)  # H^k1 E^i2 F^j2 = E^i2 F^j2 (H + s)^k1
+    return [tuple(((i2, j2, m), comb(k1, m) * s ** (k1 - m)) for m in range(0 if s else k1, k1 + 1))]
+
+
 @lru_cache(maxsize=None)
 def _core_product(j1: int, k1: int, i2: int, j2: int) -> tuple[tuple[Monomial, int], ...]:
     # Normal form of F^j1 H^k1 E^i2 F^j2; leading E powers and trailing H
     # powers of a full monomial product commute past nothing, so they are
-    # re-attached by the caller.  The coefficients are integers.  One F rule
-    # step on the cached product with one factor of F fewer gives it, so a
-    # miss costs one step.  The recursion is j1 deep, which the default
-    # recursion limit caps near 500; the suites reach 60 (--n-max's most).
-    if not j1:
-        s = 2 * (i2 - j2)  # H^k1 E^i2 F^j2 = E^i2 F^j2 (H + s)^k1
-        return tuple(((i2, j2, m), comb(k1, m) * s ** (k1 - m)) for m in range(0 if s else k1, k1 + 1))
-    out: dict[Monomial, int] = {}
-    for (i, j, k), c in _core_product(j1 - 1, k1, i2, j2):
-        out[i, j + 1, k] = out.get((i, j + 1, k), 0) + c
-        if i:
-            out[i - 1, j, k + 1] = out.get((i - 1, j, k + 1), 0) - i * c
-            out[i - 1, j, k] = out.get((i - 1, j, k), 0) - i * (i - 1 - 2 * j) * c
-    return tuple(sorted((m, c) for m, c in out.items() if c))
+    # re-attached by the caller.  The coefficients are integers.  The chain
+    # of (k1, i2, j2) grows one F rule step at a time, in a loop, up to j1,
+    # so a miss costs one step when j1 - 1 was reached before.
+    chain = _f_chain(k1, i2, j2)
+    while len(chain) <= j1:
+        out: dict[Monomial, int] = {}
+        for (i, j, k), c in chain[-1]:
+            out[i, j + 1, k] = out.get((i, j + 1, k), 0) + c
+            if i:
+                out[i - 1, j, k + 1] = out.get((i - 1, j, k + 1), 0) - i * c
+                out[i - 1, j, k] = out.get((i - 1, j, k), 0) - i * (i - 1 - 2 * j) * c
+        chain.append(tuple(sorted((m, c) for m, c in out.items() if c)))
+    return chain[j1]
 
 
 class USL2Element(Combination):
@@ -99,12 +105,6 @@ def monomial(i: int, j: int, k: int, coeff=1) -> USL2Element:
 E = monomial(1, 0, 0)
 F = monomial(0, 1, 0)
 H = monomial(0, 0, 1)
-
-
-def random_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> USL2Element:
-    """A seeded random element with 1..max_terms monomials of bounded exponents."""
-    draw = lambda: (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
-    return USL2Element(random_terms(rng, draw, max_terms, 5, 4))
 
 
 def multiply(a: USL2Element, b: USL2Element) -> USL2Element:
@@ -202,27 +202,32 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
     return items
 
 
+def rho_relations() -> list[USL2Element]:
+    """The residuals (lhs - rhs) of the three defining relations [H, E] = 2E,
+    [H, F] = -2F and [E, F] = H at rho(E), rho(F) and rho(H)."""
+    e, f, h = rho(E), rho(F), rho(H)
+    return [commutator(h, e) - e.scale(2), commutator(h, f) + f.scale(2), commutator(e, f) - h]
+
+
 def rho_property_suite() -> list[CheckItem]:
-    """Seeded checks that rho is a homomorphism, an involution and flips the grading."""
-    rng, samples = Random(74), 100
-    bad_hom = bad_inv = bad_deg = 0
-    for _ in range(samples):
-        a = random_element(rng, max_terms=3)
-        b = random_element(rng, max_terms=3)
-        rho_a = rho(a)
-        if rho(multiply(a, b)) != multiply(rho_a, rho(b)):
-            bad_hom += 1
-        if rho(rho_a) != a:
-            bad_inv += 1
-        flipped = degree_components(rho_a)
-        for d, comp in degree_components(a).items():
-            if rho(comp) != flipped.get(-d, zero()):
-                bad_deg += 1
-                break
+    """rho is an automorphism, an involution and flips the grading, proved on
+    the generators E, F and H.
+
+    ``rho`` sends E^i F^j H^k to sigma(E)^i sigma(F)^j sigma(H)^k for the
+    swap sigma: E -> F, F -> E, H -> -H.  The PBW monomials are a basis, so
+    rho is the algebra map induced by sigma exactly when sigma respects the
+    three defining relations (``rho_relations``).  Given that, rho o rho is
+    an algebra map that fixes the generators E, F and H, so it is the
+    identity.  A homogeneous x of degree d satisfies [H, x] = 2d*x, and these
+    eigenspaces of [H, -] are the graded pieces; applying rho gives
+    [rho(H), rho(x)] = 2d*rho(x), so with rho(H) = -H the image rho(x) has
+    degree -d.
+    """
+    hom = all(r.is_zero() for r in rho_relations())
     return [
-        check(f"rho is a homomorphism on {samples} seeded samples", bad_hom == 0),
-        check(f"rho is an involution on {samples} seeded samples", bad_inv == 0),
-        check(f"rho flips the grading on {samples} seeded samples", bad_deg == 0),
+        check("rho is a homomorphism", hom),
+        check("rho is an involution", hom and all(rho(rho(g)) == g for g in (E, F, H))),
+        check("rho flips the grading", hom and rho(H) == -H),
     ]
 
 

@@ -1,17 +1,41 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from random import Random
 
 import pytest
 import sympy
 
-from hahnsl2.freealg import MembershipCertificate
-from hahnsl2.hahn import random_free_poly
+from hahnsl2.freealg import FreePoly, MembershipCertificate
+from hahnsl2.hahn import ALPHABET
 from hahnsl2.linalg import EchelonBasis, SparseMatrix, kernel_basis, kernel_vectors
 from hahnsl2.reporting import PASS
-from hahnsl2.usl2 import random_element as random_usl2_element
-from hahnsl2.usl2 import zero
+from hahnsl2.usl2 import USL2Element, zero
 from tests.usl2_extra import ue_basis_element
+
+
+def random_terms(rng: Random, draw_key, max_terms: int, num: int, den: int) -> dict:
+    """The seeded random terms of one sample: 1..max_terms draws, each of a
+    key (``draw_key``), then a numerator in [-num, num], then a denominator
+    in [1, den], in that order; the coefficients of a repeated key add."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        key = draw_key()
+        c = Fraction(rng.randint(-num, num), rng.randint(1, den))
+        terms[key] = terms.get(key, 0) + c
+    return terms
+
+
+def random_usl2_element(rng: Random, max_terms: int = 4, max_exp: int = 3) -> USL2Element:
+    """A seeded random element with 1..max_terms monomials of bounded exponents."""
+    draw = lambda: (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+    return USL2Element(random_terms(rng, draw, max_terms, 5, 4))
+
+
+def random_free_poly(rng: Random) -> FreePoly:
+    """A seeded random polynomial over {A, B} with 1..4 words of length <= 4."""
+    draw = lambda: "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 4)))
+    return FreePoly(ALPHABET, random_terms(rng, draw, 4, 4, 3))
 
 
 @pytest.fixture

@@ -60,11 +60,11 @@ def test_verify_hahn_json_validates_and_has_certificates(capsys):
 VERIFY_ALL_SMALL_ARGV = ["verify-all", "--n-max", "2", "--repr-n-max", "2", "--d-max", "3"]
 PINNED_REPORTS = [
     (["verify-hahn", "--degree-bound", "8"], 0,
-     "39c0c725df7f65032be6d37eae38680c3e35dae2e57b764367363386b04e1e8f"),
+     "41d6c15e6687799b802786c4983058ef7785320d9a2ec8b1835be7ac01788990"),
     (["verify-hahn", "--degree-bound", "4"], 1,
-     "25c9bd5568d58fa4a54fa2279a1d54a8db256a74f85465ca7b4f2d38982a908f"),
+     "b3d736e35b2a708159e59013f847dcffba45e03b3b37ed4d7ff869aefcd409e1"),
     (["verify-usl2", "--n-max", "10"], 0,
-     "4f5ccf70fc94c20d4bf40c485594a16cec37ec7ae0ca83bf150f3acb58debf0e"),
+     "2df0674e7e29779d3e1ae640150f7d381179dcfd698549aec64cdf5f9846b356"),
     (["repr", "--n-max", "0"], 0,
      "3e2eb2e09f91ae912b1b5ff48081c610c48ad6cb33ae3b8a0fa33f0ade6505e1"),
     (["repr", "--n-max", "1"], 0,
@@ -80,7 +80,7 @@ PINNED_REPORTS = [
     (["cube", "--d-min", "9", "--d-max", "9"], 0,
      "1fd33510ea87c3539786c0b4d52dfc6b97592c33e58154c0a810ea84eebaa900"),
     (VERIFY_ALL_SMALL_ARGV, 0,
-     "63c23ede153d1fa47c405ae6ea4ee522a88b8b182b75299c115e4462db1fcab8"),
+     "ef4c080146ad53866d946a1942fc1afdd16830a98b2ee132cfc75ce8f49dc172"),
 ]
 
 

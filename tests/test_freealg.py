@@ -17,11 +17,10 @@ from hahnsl2.hahn import (
     _kernel_relation_targets,
     natural_images,
     presentation,
-    random_free_poly,
     tilde_rho,
 )
 from hahnsl2.linalg import SparseMatrix, commutator
-from tests.conftest import assert_canonical, from_dense, reference_ideal_membership
+from tests.conftest import assert_canonical, from_dense, random_free_poly, reference_ideal_membership
 from tests.usl2_extra import power
 
 Q = Fraction

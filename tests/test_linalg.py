@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hahnsl2 import usl2
 from hahnsl2.freealg import FreePoly
-from hahnsl2.hahn import ALPHABET, random_free_poly
+from hahnsl2.hahn import ALPHABET
 from hahnsl2.linalg import (
     EchelonBasis,
     SparseMatrix,
@@ -19,8 +19,8 @@ from hahnsl2.linalg import (
     kernel_vectors,
     restrict_to_subspace,
 )
-from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, reference_kernel, rref,
-                            solve_columns, span_closure, vstack)
+from tests.conftest import (assert_canonical, assert_echelon_invariants, dense, from_dense, random_free_poly,
+                            random_usl2_element, reference_kernel, rref, solve_columns, span_closure, vstack)
 
 F = Fraction
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -710,7 +710,7 @@ def test_a_difference_is_the_sum_with_the_negative(kind):
     rng = Random(900)
     scales = [F(1, 6), F(3, 4), F(-5, 2), F(7, 9), F(-2, 3), F(11, 10), F(4), F(-1, 5)]
     draw, other_space, other_kind = {
-        "usl2": (lambda: usl2.random_element(rng), None, FreePoly(ALPHABET)),
+        "usl2": (lambda: random_usl2_element(rng), None, FreePoly(ALPHABET)),
         "free": (lambda: random_free_poly(rng), FreePoly(("A", "B", "C")), usl2.zero()),
         "matrix": (lambda: _random_rational(rng, 3, 4), SparseMatrix(4, 3), usl2.zero()),
     }[kind]

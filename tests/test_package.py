@@ -184,6 +184,22 @@ def test_importing_the_package_loads_no_heavy_stdlib_module():
     assert loaded & HEAVY_IMPORTS == set()
 
 
+def test_no_module_in_src_imports_random():
+    # seeded samples live in the tests; the guard above cannot see random,
+    # which site often loads (through tempfile) before the package
+    importers = []
+    for path in sorted((ROOT / "src" / "hahnsl2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            importers += [path.name for m in modules if m.split(".")[0] == "random"]
+    assert importers == []
+
+
 def test_importing_the_package_computes_no_natural_image_and_checks_no_module():
     # the imports of bench/child.py, and reps, in a fresh interpreter: the
     # memo of natural and the record of checked UeRep values start empty, so
@@ -209,7 +225,8 @@ def test_verify_all_computes_each_value_once():
     # matrix products 997 when each ladder module formed E*E, F*F and E*F
     # once for its even generators and again for the image of B, and 958
     # when the repr classification also built an embedding of each half
-    # (the identity) and multiplied all four operators by it on both sides
+    # (the identity) and multiplied all four operators by it on both sides;
+    # the PBW products were 436 when rho was checked on 100 seeded pairs
     code = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
@@ -239,7 +256,7 @@ def test_verify_all_computes_each_value_once():
     assert proc.returncode == 0, proc.stderr
     status, products, natural_products, matrix_products = map(int, proc.stdout.split())
     assert status == 0
-    assert products <= 450
+    assert products <= 246
     assert natural_products <= 30
     assert matrix_products <= 692
 

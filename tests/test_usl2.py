@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import product
 from random import Random
-import re
+import sys
 
 import pytest
 
@@ -9,7 +9,7 @@ from hahnsl2 import usl2
 from hahnsl2.linalg import SparseMatrix
 from hahnsl2.reps import ModuleLabel, build_L, evaluate
 from hahnsl2.usl2 import E, F, H, casimir, commutator, monomial, multiply, one, render
-from tests.conftest import assert_canonical, dense, ue_basis_recompose
+from tests.conftest import assert_canonical, dense, random_usl2_element, ue_basis_recompose
 from tests.usl2_extra import parse, power, ue_basis_decompose, ue_basis_element
 
 Q = Fraction
@@ -204,25 +204,41 @@ def test_power_identity_suite_rejects_zero():
 def test_rho_property_suite():
     items = usl2.rho_property_suite()
     assert [i.name for i in items] == [
-        "rho is a homomorphism on 100 seeded samples",
-        "rho is an involution on 100 seeded samples",
-        "rho flips the grading on 100 seeded samples",
+        "rho is a homomorphism",
+        "rho is an involution",
+        "rho flips the grading",
     ]
     assert all(i.status == "pass" for i in items)
+    assert all(r.is_zero() for r in usl2.rho_relations())
 
 
-def test_rho_property_suite_draws_as_many_samples_as_its_items_name(monkeypatch):
-    # two elements a, b per sample
-    draws = []
-    real = usl2.random_element
+def test_rho_is_a_grading_flipping_involutive_automorphism_on_seeded_samples():
+    # what rho_property_suite proves from E, F and H, checked on 100 seeded
+    # pairs
+    rng = Random(74)
+    for _ in range(100):
+        a = random_usl2_element(rng, max_terms=3)
+        b = random_usl2_element(rng, max_terms=3)
+        rho_a = usl2.rho(a)
+        assert usl2.rho(multiply(a, b)) == multiply(rho_a, usl2.rho(b))
+        assert usl2.rho(rho_a) == a
+        flipped = usl2.degree_components(rho_a)
+        assert set(flipped) == {-d for d in usl2.degree_components(a)}
+        for d, comp in usl2.degree_components(a).items():
+            assert usl2.rho(comp) == flipped[-d]
 
-    def counted(rng, **kwargs):
-        draws.append(1)
-        return real(rng, **kwargs)
 
-    monkeypatch.setattr(usl2, "random_element", counted)
-    for item in usl2.rho_property_suite():
-        assert int(re.search(r"on (\d+) seeded samples", item.name).group(1)) * 2 == len(draws)
+def test_rho_property_suite_fails_when_rho_breaks_a_relation(monkeypatch):
+    # a rho that sends H to -2H breaks [H, E] = 2E at the images, and all
+    # three items rest on the relations
+    real = usl2.rho
+
+    def broken(a):
+        return real(a).scale(2) if a == H else real(a)
+
+    monkeypatch.setattr(usl2, "rho", broken)
+    assert [i.status for i in usl2.rho_property_suite()] == ["fail"] * 3
+
 
 def test_verify_ue_presentation():
     items = usl2.verify_ue_presentation()
@@ -373,6 +389,32 @@ def test_core_product_matches_ladder_modules_up_to_exponent_4():
             assert evaluate(rep, normal) == [word], (n, j1, k1, i2, j2)
 
 
+def test_core_product_extends_its_chain_one_step_at_a_time():
+    usl2._core_product.cache_clear()
+    usl2._f_chain.cache_clear()
+    reached = []
+    for j1 in (5, 6, 9, 3, 9):
+        usl2._core_product(j1, 2, 1, 1)
+        reached.append(len(usl2._f_chain(2, 1, 1)) - 1)
+    assert reached == [5, 6, 9, 9, 9]
+    assert usl2._core_product.cache_info().misses == 4
+
+
+def test_products_need_no_recursion_at_any_f_power():
+    # F^n E = E F^n - [E, F^n], and [E, F^n] = n F^(n-1) (H - n + 1); with
+    # H on the left of E, F^n H E = F^n E (H + 2).  The second product, at
+    # n = 2,000, is its own chain, filled from F^0 under the default
+    # recursion limit.
+    assert sys.getrecursionlimit() < 2000
+    n = 600
+    assert multiply(monomial(0, n, 0), E) == (
+        monomial(1, n, 0) - monomial(0, n - 1, 1, n) + monomial(0, n - 1, 0, n * (n - 1)))
+    n = 2000
+    assert multiply(monomial(0, n, 1), E) == (
+        monomial(1, n, 1) + monomial(1, n, 0, 2) - monomial(0, n - 1, 2, n)
+        + monomial(0, n - 1, 1, n * (n - 1) - 2 * n) + monomial(0, n - 1, 0, 2 * n * (n - 1)))
+
+
 def test_render_parse_round_trip(rand_usl2):
     assert render(usl2.zero()) == "0"
     assert parse("0").is_zero()
@@ -422,7 +464,7 @@ def _fraction_rho(a):
     return usl2.USL2Element({m: c for m, c in out.items() if c})
 
 
-# scales that mix new denominators into random_element's 1..4
+# scales that mix new denominators into random_usl2_element's 1..4
 MIXED_SCALES = [Q(1, 6), Q(3, 4), Q(-5, 2), Q(7, 9), Q(-2, 3), Q(11, 10), Q(4), Q(-1, 5)]
 
 
