@@ -7,11 +7,11 @@ unresolved item, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
 from . import hahn, reps, terwilliger, usl2
@@ -112,7 +112,7 @@ class Option(NamedTuple):
 class Suite(NamedTuple):
     help: str
     options: list[Option]
-    run: Callable[[argparse.Namespace], dict]
+    run: Callable[[SimpleNamespace], dict]
 
 
 # The runners look the run_* functions up when called, so a function replaced
@@ -206,34 +206,55 @@ def emit(report: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """Declares the arguments of one subcommand on its parser, in SUITES order."""
+class Argument(NamedTuple):
+    """One argument of a subcommand: ``flag`` followed by one value, stored
+    in ``dest``; the value is read as ``kind`` (int or str) and must be one
+    of ``choices`` when they are given."""
+    flag: str
+    dest: str
+    default: int | str | None
+    kind: type = str
+    choices: tuple | None = None
+    help: str | None = None
+
+
+def _arguments(command: str) -> tuple[Argument, ...]:
+    """The arguments of one subcommand, in the order its help lists them."""
     if command == "verify-all":
         options = [(o.all_flag, o) for suite in SUITES.values() for o in suite.options]
     else:
         options = [(o.flag, o) for o in SUITES[command].options]
-    for flag, o in options:
-        parser.add_argument(flag, dest=o.dest, type=int, default=o.default)
+    arguments = [Argument(flag, o.dest, o.default, int) for flag, o in options]
     if command in ("cube", "verify-all"):
-        parser.add_argument("--base-vertex", default=None, help="base vertex as a bitstring")
+        arguments.append(Argument("--base-vertex", "base_vertex", None, help="base vertex as a bitstring"))
     if command == "verify-all":
-        parser.add_argument(
-            "--jobs",
-            type=int,
-            choices=(1,),
-            default=1,
-            help="accepted for compatibility; the suites run one after another",
-        )
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    return parser
+        arguments.append(Argument("--jobs", "jobs", 1, int, (1,),
+                                  "accepted for compatibility; the suites run one after another"))
+    arguments.append(Argument("--format", "format", "text", choices=("json", "text")))
+    arguments.append(Argument("--out", "out", None, help="write the report to this path"))
+    return tuple(arguments)
 
 
-# The whole tree is built only for root help, a missing or unknown
-# subcommand, an argument the subcommand does not take and a refused value,
-# so that each of these prints the root usage line; a process builds it once.
+# Each subcommand's arguments, declared once: ``_declare`` gives them to
+# argparse and ``_read`` parses a run's argv from them.
+ARGUMENTS = {command: _arguments(command) for command in [*SUITES, "verify-all"]}
+
+
+def _declare(parser, command: str) -> None:
+    """Declares the ARGUMENTS of one subcommand on its argparse parser."""
+    for a in ARGUMENTS[command]:
+        parser.add_argument(a.flag, dest=a.dest, default=a.default, type=a.kind, choices=a.choices, help=a.help)
+
+
+# The whole argparse tree, built only for help, for an argv that ``_read``
+# does not take and for a value ``_validate`` refuses, so that each of these
+# prints argparse's help, usage line and message.  A process builds it once;
+# a run that ``_read`` takes and ``_validate`` passes builds none and never
+# imports argparse, whose first message loads gettext and locale.
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hahnsl2",
         description="Exact verification suites for the Hahn/sl2 correspondence",
@@ -245,18 +266,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parses argv with the parser of the subcommand it names, whose help and
-    errors are the tree's for that subcommand, and anything else with the
-    whole tree."""
-    command = argv[0] if argv else None
-    if command in SUITES or command == "verify-all":
-        parser = _declare(argparse.ArgumentParser(prog=f"hahnsl2 {command}"), command)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = command
-            return args
-    return build_parser().parse_args(argv)
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The values of argv when it names a subcommand and then only exact
+    flags of its ARGUMENTS, each followed by one value that does not start
+    with -, is ASCII digits for an int and is one of the choices when they
+    are given; a repeated flag keeps its last value, and an unset one its
+    default.  None for any other argv."""
+    arguments = ARGUMENTS.get(argv[0]) if argv else None
+    if arguments is None or len(argv) % 2 == 0:
+        return None
+    by_flag = {a.flag: a for a in arguments}
+    values = {a.dest: a.default for a in arguments}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        a = by_flag.get(flag)
+        if a is None or text.startswith("-") or a.kind is int and not (text.isascii() and text.isdigit()):
+            return None
+        try:
+            value = a.kind(text)
+        except ValueError:  # more digits than int() reads
+            return None
+        if a.choices is not None and value not in a.choices:
+            return None
+        values[a.dest] = value
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Reads argv from its subcommand's ARGUMENTS when ``_read`` takes it,
+    and parses anything else with the whole tree, which is the reference for
+    every form ``_read`` does not take."""
+    return _read(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def _refuse(message: str) -> NoReturn:

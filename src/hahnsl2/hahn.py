@@ -116,22 +116,23 @@ def verify_natural_well_defined() -> list[CheckItem]:
     alpha_img = natural(pres.alpha)
     e2, f2, lam, h = usl2.EVEN_GENERATORS
     h3 = usl2.monomial(0, 0, 3)
+    ca, bc = commutator(c_img, a_img), commutator(b_img, c_img)
     checks = [
         ("[A,B] image equals (E^2 - F^2)/4", commutator(a_img, b_img), (e2 - f2).scale(Fraction(1, 4))),
-        ("[C,A] image equals -(E^2 + F^2)/4", commutator(c_img, a_img), (e2 + f2).scale(Fraction(-1, 4))),
+        ("[C,A] image equals -(E^2 + F^2)/4", ca, (e2 + f2).scale(Fraction(-1, 4))),
         (
             "[C,A] + 2A^2 + B image equals (Lam - 1)/4",
-            commutator(c_img, a_img) + usl2.multiply(a_img, a_img).scale(2) + b_img,
+            ca + usl2.multiply(a_img, a_img).scale(2) + b_img,
             (lam - usl2.one()).scale(Fraction(1, 4)),
         ),
         (
             "[B,C] + 4BA + 2C image vanishes",
-            commutator(b_img, c_img) + usl2.multiply(b_img, a_img).scale(4) + c_img.scale(2),
+            bc + usl2.multiply(b_img, a_img).scale(4) + c_img.scale(2),
             usl2.zero(),
         ),
         (
             "[B,C] image equals (1 - E^2 - F^2 - Lam)H/4 + H^3/8 + (F^2 - E^2)/2",
-            commutator(b_img, c_img),
+            bc,
             usl2.multiply(usl2.one() - e2 - f2 - lam, h).scale(Fraction(1, 4))
             + h3.scale(Fraction(1, 8))
             + (f2 - e2).scale(Fraction(1, 2)),

@@ -15,9 +15,9 @@ already in place.  The PBW theorem makes the normal form unique, and
 elements only ever exist in normal form, so every identity check in the
 package is a plain equality of term maps.
 
-The rules have integer coefficients, so ``multiply`` and ``rho`` work
-fraction-free on the storage of ``linalg.Combination``: integer numerators
-over one common denominator.  The numerators of the operands are multiplied
+The rules have integer coefficients, so ``multiply`` works fraction-free
+on the storage of ``linalg.Combination``: integer numerators over one
+common denominator.  The numerators of the operands are multiplied
 and summed as plain ints in one map, over the product of the denominators,
 and the result is reduced once.  No ``Fraction`` is built on that path; the
 coefficients become nonzero ``Fraction``s only when read through ``terms``.
@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
 
+from .freealg import FreePoly, substitute
 from .linalg import Combination, commutator, render_terms
 from .reporting import CheckItem, check
 
@@ -138,17 +139,26 @@ def casimir() -> USL2Element:
 EVEN_GENERATORS = (monomial(2, 0, 0), monomial(0, 2, 0), casimir(), H)
 
 
+# The images of the swap sigma, which ``rho`` extends to the algebra.
+SIGMA = {"E": F, "F": E, "H": -H}
+
+
+@cache
+def _rho_memo() -> dict[str, USL2Element]:
+    """Word -> image under ``rho``, shared by every call in the process;
+    ``_rho_memo.cache_clear()`` empties it."""
+    return {}
+
+
 def rho(a: USL2Element) -> USL2Element:
-    """The involutive automorphism swapping E and F and negating H."""
-    acc: dict[Monomial, int] = {}
-    for (i, j, k), c in a._num.items():
-        # image of E^i F^j H^k is F^i E^j (-H)^k; F^i E^j is _core_product(i, 0, j, 0)
-        if k % 2:
-            c = -c
-        for (x, y, z), v in _core_product(i, 0, j, 0):
-            m = (x, y, z + k)
-            acc[m] = acc.get(m, 0) + c * v
-    return a._new({m: n for m, n in acc.items() if n}, a._den)
+    """The involutive automorphism swapping E and F and negating H: each
+    monomial E^i F^j H^k is the word "E"*i + "F"*j + "H"*k, sent through
+    ``freealg.substitute`` with the images ``SIGMA``, as ``reps.evaluate``
+    sends it to matrices.  So rho(E^i F^j H^k) = rho(E)^i rho(F)^j rho(H)^k
+    holds by construction, and each distinct word prefix costs one PBW
+    product, once per process."""
+    words = FreePoly("EFH")._new({"E" * i + "F" * j + "H" * k: c for (i, j, k), c in a._num.items()}, a._den)
+    return substitute(words, SIGMA, one(), _rho_memo())
 
 
 def degree(m: Monomial) -> int:
@@ -214,7 +224,8 @@ def rho_property_suite() -> list[CheckItem]:
     the generators E, F and H.
 
     ``rho`` sends E^i F^j H^k to sigma(E)^i sigma(F)^j sigma(H)^k for the
-    swap sigma: E -> F, F -> E, H -> -H.  The PBW monomials are a basis, so
+    swap sigma: E -> F, F -> E, H -> -H, by construction, since it is
+    ``substitute`` of sigma's images.  The PBW monomials are a basis, so
     rho is the algebra map induced by sigma exactly when sigma respects the
     three defining relations (``rho_relations``).  Given that, rho o rho is
     an algebra map that fixes the generators E, F and H, so it is the

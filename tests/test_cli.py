@@ -7,6 +7,7 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+from random import Random
 
 import jsonschema
 import pytest
@@ -306,9 +307,10 @@ def test_verify_all_at_its_defaults_embeds_each_suite_at_its_defaults(capsys):
 # SHA-256 of what main writes to stdout, a NUL, and what it writes to stderr,
 # with the exit code, for root help, each subcommand's help and every kind of
 # usage error, at COLUMNS=80.  They are argparse's bytes on Python 3.11.  A
-# run parses with its subcommand's parser alone and falls back to the whole
-# tree for anything that parser does not take, so these pin that the two
-# paths print the same help and the same errors.
+# run reads its argv from cli.ARGUMENTS and hands every form that table
+# parse does not take to the whole argparse tree, and _validate refuses
+# through the tree too, so these pin the tree's help and errors;
+# test_parse_matches_the_tree_on_every_form checks that the two parses agree.
 PINNED_USAGE = [
     ([], 2,
      '46899ce07860d01f65b821006ecb04e1a9d6c6db784df09ffe17f276fb8db172'),
@@ -387,7 +389,7 @@ def test_help_and_usage_errors_are_pinned(argv, exit_code, digest, capsys, monke
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
-    # a run its subcommand's parser takes builds no tree; the tree is built
+    # a run the table parse takes builds no tree; the tree is built
     # for the first refused value and shared by the later ones, and a usage
     # error on a later call still exits 2
     cli.build_parser.cache_clear()
@@ -405,14 +407,18 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
+# the benchmark's cube-d7 argv and a verify-all run, each in a fresh interpreter
+FRESH_RUNS = [
     ["cube", "--d-min", "7", "--d-max", "7", "--base-vertex", "0110000", "--format", "json"],
     ["verify-all", "--n-max", "10", "--format", "json"],
-], ids=lambda argv: argv[0])
-def test_a_run_builds_one_parser(argv):
-    # a fresh interpreter counts the ArgumentParsers that the benchmark's
-    # cube-d7 run, or a verify-all run, constructs: 6 while main built the
-    # whole tree, the root and one parser per subcommand, on every run
+]
+
+
+@pytest.mark.parametrize("argv", FRESH_RUNS, ids=lambda argv: argv[0])
+def test_a_run_builds_no_parser(argv):
+    # counts the ArgumentParsers the run constructs: 6 while main built the
+    # whole tree, the root and one parser per subcommand, on every run, and 1
+    # while a run parsed with its subcommand's own parser
     code = (
         "import argparse, contextlib, io, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
@@ -429,7 +435,78 @@ def test_a_run_builds_one_parser(argv):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1"]
+    assert proc.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("argv", FRESH_RUNS, ids=lambda argv: argv[0])
+def test_a_run_loads_no_argparse(argv):
+    # argparse's first message loads gettext and locale, about 1.5 ms of a
+    # cold run; a run that parses and validates needs none of the three and
+    # builds no tree
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from hahnsl2 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, cli.build_parser.cache_info().currsize,\n"
+        "      *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def _outcome(parse, argv: list[str], capsys) -> tuple:
+    """What parse makes of argv: its values, or its exit code, with what it
+    wrote to stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# every form of every argument: exact, abbreviated, =-joined, repeated and
+# with its value missing, with a value it takes and with values that argparse
+# reads in its own way or refuses
+ODD_VALUES = ["", "-1", "-", "-x", "x", " 7", "\u0663"]
+
+
+def _forms(a: cli.Argument) -> list[list[str]]:
+    good = str(a.choices[-1]) if a.choices else str(a.default) if a.kind is int else "0110"
+    forms = []
+    for value in [good, "07" if a.kind is int else good] + ODD_VALUES:
+        forms += [[a.flag, value], [a.flag[:-1], value], [f"{a.flag}={value}"],
+                  [a.flag, good, a.flag, value]]
+    return forms + [[a.flag]]
+
+
+def _differential_corpus() -> list[list[str]]:
+    corpus = [row[0] for row in PINNED_USAGE]
+    rng = Random(42)
+    for command, arguments in cli.ARGUMENTS.items():
+        forms = [form for a in arguments for form in _forms(a)]
+        corpus += [[command] + form for form in forms]
+        for _ in range(100):  # two or three forms in a row
+            corpus.append([command] + [t for _ in range(rng.randint(2, 3)) for t in rng.choice(forms)])
+    return corpus
+
+
+def test_parse_matches_the_tree_on_every_form(capsys, monkeypatch):
+    # the table parse takes only some argvs and hands the rest to the tree,
+    # so on each argv of the corpus _parse must give what the tree gives:
+    # the same values, or the same exit code, help and usage error
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = _differential_corpus()
+    taken = 0
+    for argv in corpus:
+        taken += cli._read(argv) is not None
+        assert (_outcome(cli._parse, argv, capsys)
+                == _outcome(cli.build_parser().parse_args, argv, capsys)), argv
+    assert 100 < taken < len(corpus) - 100  # both paths are exercised
+
 
 def test_out_file_and_determinism(tmp_path, capsys):
     p1 = tmp_path / "a.json"

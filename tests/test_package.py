@@ -202,19 +202,21 @@ def test_no_module_in_src_imports_random():
 
 def test_importing_the_package_computes_no_natural_image_and_checks_no_module():
     # the imports of bench/child.py, and reps, in a fresh interpreter: the
-    # memo of natural and the record of checked UeRep values start empty, so
-    # no work moves into import time
+    # memo of natural, the record of checked UeRep values and both PBW product
+    # caches (_core_product.cache_clear() leaves _f_chain's chains) start
+    # empty, so no work moves into import time
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "import hahnsl2\n"
         "from hahnsl2 import cli, freealg, hahn, reps, usl2\n"
         "print(len(hahn._natural_memo()), reps._check_even_presentation.cache_info().currsize,\n"
-        "      hahn.natural_images.cache_info().currsize, usl2._core_product.cache_info().currsize)\n"
+        "      hahn.natural_images.cache_info().currsize, usl2._core_product.cache_info().currsize,\n"
+        "      usl2._f_chain.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0"]
 
 
 def test_verify_all_computes_each_value_once():

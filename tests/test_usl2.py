@@ -212,6 +212,14 @@ def test_rho_property_suite():
     assert all(r.is_zero() for r in usl2.rho_relations())
 
 
+def test_rho_of_a_monomial_is_the_product_of_the_generator_images():
+    # the premise of rho_property_suite: rho(E^i F^j H^k) = rho(E)^i rho(F)^j
+    # rho(H)^k, so rho is fixed by its values on E, F and H
+    e, f, h = usl2.rho(E), usl2.rho(F), usl2.rho(H)
+    for i, j, k in product(range(5), repeat=3):
+        assert usl2.rho(monomial(i, j, k)) == power(e, i) * power(f, j) * power(h, k), (i, j, k)
+
+
 def test_rho_is_a_grading_flipping_involutive_automorphism_on_seeded_samples():
     # what rho_property_suite proves from E, F and H, checked on 100 seeded
     # pairs
