@@ -98,7 +98,7 @@ def fmultiply(a: FreePoly, b: FreePoly) -> FreePoly:
     return a._new({w: n for w, n in out.items() if n}, a._den * b._den)
 
 
-def substitute(p: FreePoly, images, one, memo: dict | None = None):
+def substitute(p: FreePoly, images, one, memo: dict):
     """Apply the homomorphic extension of generator -> image to p.
 
     ``one`` is the unit of the target algebra; targets only need +, * and
@@ -107,15 +107,12 @@ def substitute(p: FreePoly, images, one, memo: dict | None = None):
     times the image of that letter, so each distinct prefix of length l >= 2
     costs one product, once per memo, and the unit is used only for the
     empty word.  A caller whose images stay fixed may keep one memo across
-    calls; without one, a fresh memo serves this call alone.  Each word's
-    image is scaled by its integer numerator, and the sum is divided by p's
-    denominator once.
+    calls.  Each word's image is scaled by its integer numerator, and the
+    sum is divided by p's denominator once.
     """
     missing = [g for g in p.alphabet if g not in images]
     if missing:
         raise KeyError(f"missing images for generators {missing}")
-    if memo is None:
-        memo = {}
     acc = None
     for w, c in sorted(p._num.items(), key=lambda t: (len(t[0]), t[0])):
         val = _word_image(w, images, memo) * c if w else one * c

@@ -196,9 +196,9 @@ def verify_intertwining() -> list[CheckItem]:
     Both sides are algebra maps from the free algebra: ``natural`` is
     ``substitute``, and ``tilde_rho`` multiplies each word by a sign taken
     from its count of A's, which is multiplicative; rho is one when its
-    three relation residuals vanish (``usl2.rho_relations``, recomputed here
-    so that this suite stands alone).  Two algebra maps that agree on A and
-    B agree everywhere.
+    three relation residuals vanish (``usl2.rho_relations``, read here so
+    that this suite stands alone, and computed once per process).  Two
+    algebra maps that agree on A and B agree everywhere.
     """
     pres = presentation()
     named = [

@@ -9,10 +9,10 @@ diagonally.  Weight spaces are then sets of coordinates, and
 irreducibility is read off which coordinates the operators connect.
 
 ``UeRep`` checks the even presentation (``usl2.even_relations``) when it is
-built, once per value: a restricted half and the equal built half share one
-check.  ``ModuleLabel`` is the one record of a ladder family L_n^(p): its
-dimension, top weight, H-spectrum, Casimir scalar and built module.  A
-module's size is read off its operators.
+built, as ``SL2Rep`` checks the defining relations.  ``ModuleLabel`` is the
+one record of a ladder family L_n^(p): its ladder indices, dimension, top
+weight, H-spectrum, Casimir scalar and built module, built and checked once
+per label.  A module's size is read off its operators.
 ``evaluate`` sends PBW elements through one ``substitute`` memo.
 ``verify_ladder_modules`` is the ``repr`` suite: it builds each ladder
 module once, evaluates the even generators (``usl2.EVEN_GENERATORS``) and
@@ -74,17 +74,6 @@ class SL2Rep(_SL2Fields):
         return self.H.rows
 
 
-@cache
-def _check_even_presentation(ops: tuple[SparseMatrix, ...]) -> None:
-    """Raise ValueError naming the first even relation that the four
-    matrices fail.  Cached on the value, so an equal value is checked once
-    per process; a value that fails raises and so is never recorded."""
-    residuals = usl2.even_relations(*ops, SparseMatrix.identity(square_size(ops)))
-    for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
-        if not residual.is_zero():
-            raise ValueError(f"even relation fails: {name}")
-
-
 class _UeFields(NamedTuple):
     E2: SparseMatrix
     F2: SparseMatrix
@@ -101,7 +90,10 @@ class UeRep(_UeFields):
 
     def __new__(cls, E2: SparseMatrix, F2: SparseMatrix, Lam: SparseMatrix, H: SparseMatrix) -> UeRep:
         self = super().__new__(cls, E2, F2, Lam, H)
-        _check_even_presentation(tuple(self))
+        residuals = usl2.even_relations(*self, SparseMatrix.identity(square_size(self)))
+        for name, residual in zip(usl2.EVEN_RELATIONS, residuals):
+            if not residual.is_zero():
+                raise ValueError(f"even relation fails: {name}")
         return self
 
     @property
@@ -129,6 +121,11 @@ class ModuleLabel(_LabelFields):
         return super().__new__(cls, n, parity)
 
     @property
+    def ladder(self) -> range:
+        """The indices m of the vectors v_m of L_n that span the family."""
+        return range(self.parity, self.n + 1, 2)
+
+    @property
     def dim(self) -> int:
         return (self.n - self.parity) // 2 + 1
 
@@ -154,8 +151,7 @@ class ModuleLabel(_LabelFields):
         E^2 v_m = (n-m+1)(n-m+2) v_{m-2}, F^2 v_m = (m+1)(m+2) v_{m+2} and
         H v_m = (n-2m) v_m, the H-spectrum.  Cached: each label is built and
         checked once."""
-        n, dim = self.n, self.dim
-        m = [2 * i + self.parity for i in range(dim)]
+        n, dim, m = self.n, self.dim, self.ladder
         e2 = SparseMatrix(dim, dim, {(i - 1, i): (n - m[i] + 1) * (n - m[i] + 2) for i in range(1, dim)})
         f2 = SparseMatrix(dim, dim, {(i + 1, i): (m[i] + 1) * (m[i] + 2) for i in range(dim - 1)})
         h = SparseMatrix(dim, dim, {(i, i): w for i, w in enumerate(self.h_spectrum)})
@@ -187,12 +183,6 @@ def evaluate(rep: SL2Rep, *elements: usl2.USL2Element) -> list[SparseMatrix]:
     polys = (words._new({"E" * i + "F" * j + "H" * k: c for (i, j, k), c in a._num.items()}, a._den)
              for a in elements)
     return [substitute(p, images, one, memo) for p in polys]
-
-
-def _parity_indices(n: int) -> tuple[range, range]:
-    """The ladder indices m of L_n with m even, then with m odd: the bases
-    of its two even-subalgebra blocks, and of its two pullback blocks."""
-    return range(0, n + 1, 2), range(1, n + 1, 2)
 
 
 def is_irreducible(operators: Sequence[SparseMatrix]) -> bool:
@@ -289,10 +279,13 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
     halves: list[ModuleLabel] = []
     for n in range(n_max + 1):
         # L_n is in its ladder basis: the even generators' blocks are the
-        # rows and columns at the ladder vectors v_m of each parity of m
+        # rows and columns at each half's ladder vectors; a block equal to
+        # its built half is that half, already checked
         *even, a_mat, b_mat = evaluate(build_L(n), *usl2.EVEN_GENERATORS, images["A"], images["B"])
-        blocks = [UeRep(*restrict_to_subspace(even, idx)) for idx in _parity_indices(n) if idx]
-        labels = [ModuleLabel(n, p) for p in range(len(blocks))]
+        labels = [ModuleLabel(n, p) for p in (0, 1) if p <= n]
+        built = [label.build() for label in labels]
+        restricted = [tuple(restrict_to_subspace(even, label.ladder)) for label in labels]
+        blocks = [half if ops == half else UeRep(*ops) for ops, half in zip(restricted, built)]
         found = [classify_ue_irreducible(b) for b in blocks]
         lam = labels[0].casimir
         items += [
@@ -300,10 +293,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
                 f"Casimir acts on L_{n} as {lam}",
                 all(b.Lam == SparseMatrix.identity(b.dim).scale(lam) for b in blocks),
             ),
-            check(
-                f"restriction of L_{n} matches the built halves entrywise",
-                blocks == [label.build() for label in labels],
-            ),
+            check(f"restriction of L_{n} matches the built halves entrywise", blocks == built),
             check(
                 f"halves of L_{n} are irreducible (full matrix algebra)",
                 all(is_irreducible(b) for b in blocks),
@@ -323,7 +313,7 @@ def verify_ladder_modules(n_max: int) -> list[CheckItem]:
             ),
             check(
                 f"L_{n}: both blocks are irreducible under the pullback action",
-                all(is_irreducible(restrict_to_subspace(pullback, idx)) for idx in _parity_indices(n)),
+                all(is_irreducible(restrict_to_subspace(pullback, label.ladder)) for label in labels),
             ),
             check(f"L_{n}: the two blocks have distinct signatures", found[0] != found[1]),
         ]

@@ -212,11 +212,14 @@ def power_identity_suite(n_max: int) -> list[CheckItem]:
     return items
 
 
-def rho_relations() -> list[USL2Element]:
+@cache
+def rho_relations() -> tuple[USL2Element, ...]:
     """The residuals (lhs - rhs) of the three defining relations [H, E] = 2E,
-    [H, F] = -2F and [E, F] = H at rho(E), rho(F) and rho(H)."""
+    [H, F] = -2F and [E, F] = H at rho(E), rho(F) and rho(H).  Cached: they
+    are computed once per process; ``rho_relations.cache_clear()`` empties
+    it."""
     e, f, h = rho(E), rho(F), rho(H)
-    return [commutator(h, e) - e.scale(2), commutator(h, f) + f.scale(2), commutator(e, f) - h]
+    return (commutator(h, e) - e.scale(2), commutator(h, f) + f.scale(2), commutator(e, f) - h)
 
 
 def rho_property_suite() -> list[CheckItem]:

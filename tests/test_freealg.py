@@ -91,14 +91,14 @@ def test_substitute_into_usl2():
     from hahnsl2.hahn import natural_images
 
     p = commutator(gen("A"), gen("B"))
-    img = substitute(p, natural_images(), usl2.one())
+    img = substitute(p, natural_images(), usl2.one(), {})
     assert img == (usl2.monomial(2, 0, 0) - usl2.monomial(0, 2, 0)).scale(Q(1, 4))
 
 
 def test_substitute_unit_and_matrices():
     images = {"A": from_dense([[1, 0], [0, -1]]), "B": SparseMatrix.identity(2)}
-    assert substitute(FreePoly.one(AB), images, SparseMatrix.identity(2)) == SparseMatrix.identity(2)
-    sq = substitute(FreePoly(AB, {"AA": Q(1)}), images, SparseMatrix.identity(2))
+    assert substitute(FreePoly.one(AB), images, SparseMatrix.identity(2), {}) == SparseMatrix.identity(2)
+    sq = substitute(FreePoly(AB, {"AA": Q(1)}), images, SparseMatrix.identity(2), {})
     assert sq == SparseMatrix.identity(2)
 
 
@@ -126,7 +126,7 @@ def test_substitute_extends_the_longest_prefix_in_its_memo(monkeypatch):
 
 def test_substitute_missing_image():
     with pytest.raises(KeyError):
-        substitute(gen("B"), {"A": usl2.H}, usl2.one())
+        substitute(gen("B"), {"A": usl2.H}, usl2.one(), {})
 
 
 def test_membership_single_generator_is_trivial_certificate():
@@ -523,7 +523,7 @@ def test_integer_paths_match_fraction_oracles(rand_free_poly):
             for s in w:
                 img = usl2.multiply(img, images[s])
             expected = expected + usl2.USL2Element({m: c * x for m, x in img.terms.items()})
-        assert substitute(a, images, usl2.one()) == expected, a
+        assert substitute(a, images, usl2.one(), {}) == expected, a
         for x in (ab, tilde_rho(a), a - b):
             assert all(type(c) is Fraction and c for c in x.terms.values())
             assert_canonical(x)

@@ -202,21 +202,22 @@ def test_no_module_in_src_imports_random():
 
 def test_importing_the_package_computes_no_natural_image_and_checks_no_module():
     # the imports of bench/child.py, and reps, in a fresh interpreter: the
-    # memo of natural, the record of checked UeRep values and both PBW product
-    # caches (_core_product.cache_clear() leaves _f_chain's chains) start
-    # empty, so no work moves into import time
+    # memo of natural, the built ladder halves, rho's relation residuals and
+    # both PBW product caches (_core_product.cache_clear() leaves _f_chain's
+    # chains) start empty, so no work moves into import time
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "import hahnsl2\n"
         "from hahnsl2 import cli, freealg, hahn, reps, usl2\n"
-        "print(len(hahn._natural_memo()), reps._check_even_presentation.cache_info().currsize,\n"
+        "print(len(hahn._natural_memo()), reps.ModuleLabel.build.cache_info().currsize,\n"
+        "      usl2.rho_relations.cache_info().currsize,\n"
         "      hahn.natural_images.cache_info().currsize, usl2._core_product.cache_info().currsize,\n"
         "      usl2._f_chain.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0"] * 6
 
 
 def test_verify_all_computes_each_value_once():
@@ -228,7 +229,8 @@ def test_verify_all_computes_each_value_once():
     # once for its even generators and again for the image of B, and 958
     # when the repr classification also built an embedding of each half
     # (the identity) and multiplied all four operators by it on both sides;
-    # the PBW products were 436 when rho was checked on 100 seeded pairs
+    # the PBW products were 436 when rho was checked on 100 seeded pairs,
+    # and 246 when rho's relation residuals were computed once per suite
     code = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
@@ -258,7 +260,7 @@ def test_verify_all_computes_each_value_once():
     assert proc.returncode == 0, proc.stderr
     status, products, natural_products, matrix_products = map(int, proc.stdout.split())
     assert status == 0
-    assert products <= 246
+    assert products <= 240
     assert natural_products <= 30
     assert matrix_products <= 692
 

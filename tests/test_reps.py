@@ -320,7 +320,7 @@ def test_ue_rep_names_the_first_failing_relation():
             UeRep(*ops)
 
 
-def test_ue_rep_checks_each_value_once_and_never_records_a_failure(monkeypatch):
+def test_ue_rep_checks_itself_at_each_construction(monkeypatch):
     good = ModuleLabel(4, 0).build()
     e2, f2, lam, h = good
     calls = []
@@ -331,13 +331,12 @@ def test_ue_rep_checks_each_value_once_and_never_records_a_failure(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(usl2, "even_relations", counted)
-    reps._check_even_presentation.cache_clear()
+    # a valid value is checked once per construction, an equal copy too
     assert UeRep(*good) == good and len(calls) == 1
-    # an equal value built from new matrices makes no even_relations call
     copy = [SparseMatrix(m.rows, m.cols, m.terms) for m in good]
-    assert UeRep(*copy) == good and len(calls) == 1
+    assert UeRep(*copy) == good and len(calls) == 2
     # a perturbed value is checked, fails, and fails again
-    for attempt in (2, 3):
+    for attempt in (3, 4):
         with pytest.raises(ValueError, match=re.escape("even relation fails: 16*E^2*F^2 ==")):
             UeRep(e2.scale(2), f2, lam, h)
         assert len(calls) == attempt
@@ -490,11 +489,12 @@ def test_module_family_suite():
 
 
 def test_ladder_modules_classify_each_half_once(monkeypatch):
-    # 25 halves for n <= 12: each is classified once, and two UeReps are
-    # built per half: its restricted block, and the built half, which the
-    # entrywise item compares it with (the classification reads only the
-    # top weight and the Casimir, and builds nothing).  The cache of built
-    # halves is cleared first, so earlier tests cannot warm it.
+    # 25 halves for n <= 12: each is classified once, and one UeRep is
+    # built per half: the built half, which its restricted block equals, so
+    # the block is that half and is not checked again (the classification
+    # reads only the top weight and the Casimir, and builds nothing).  The
+    # cache of built halves is cleared first, so earlier tests cannot warm
+    # it.
     ModuleLabel.build.cache_clear()
     classified = []
     constructed = []
@@ -514,7 +514,7 @@ def test_ladder_modules_classify_each_half_once(monkeypatch):
     monkeypatch.setattr(UeRep, "__new__", counted_new)
     assert all_pass(verify_ladder_modules(12))
     assert len(classified) == 25
-    assert len(constructed) == 50
+    assert len(constructed) == 25
 
 
 def test_ladder_modules_repeat_no_product_inside_substitute(monkeypatch):
@@ -524,10 +524,9 @@ def test_ladder_modules_repeat_no_product_inside_substitute(monkeypatch):
     # whole pass has an identity factor of size 2 or more: the
     # classification once built an embedding of each built half into its
     # equal restricted half, the identity, and multiplied every operator by
-    # it on both sides (200 such products for n <= 12).  The caches of
-    # built and checked halves are cleared, so every product is seen.
+    # it on both sides (200 such products for n <= 12).  The cache of built
+    # halves is cleared, so every product is seen.
     ModuleLabel.build.cache_clear()
-    reps._check_even_presentation.cache_clear()
     modules: list[list[tuple[SparseMatrix, SparseMatrix]]] = []
     everything = []
     inside = []
@@ -580,3 +579,21 @@ def test_ladder_modules_catch_a_half_that_is_only_conjugate(monkeypatch):
     monkeypatch.setattr(reps, "restrict_to_subspace", restrict)
     failed = [item.name for item in verify_ladder_modules(8) if not all_pass([item])]
     assert failed == ["restriction of L_6 matches the built halves entrywise"]
+
+
+def test_ladder_modules_go_on_with_a_restriction_that_differs_from_its_half(monkeypatch):
+    # L_2 comes back as the zero module on 3 dimensions, L_0 + L_0 + L_0: a
+    # valid module whose even block at m in {0, 2} is a valid UeRep that is
+    # not L_2^(0).  The suite goes on with that block, not the built half,
+    # so classifying it finds a two-dimensional kernel of E^2.
+    real_build = reps.build_L
+
+    def build(n):
+        if n == 2:
+            zero = SparseMatrix(3, 3)
+            return SL2Rep(zero, zero, zero)
+        return real_build(n)
+
+    monkeypatch.setattr(reps, "build_L", build)
+    with pytest.raises(ValueError, match=re.escape("the kernel of E^2 is not one-dimensional")):
+        verify_ladder_modules(2)
